@@ -2,14 +2,13 @@
 // projection model is calibrated against, measured in isolation.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "gbench_report.hpp"
 
 #include "core/bucket_queue.hpp"
 #include "core/dijkstra.hpp"
-#include "core/sssp_types.hpp"
+#include "core/relax.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "util/random.hpp"
@@ -47,7 +46,8 @@ void BM_BucketQueueChurn(benchmark::State& state) {
 BENCHMARK(BM_BucketQueueChurn)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_CoalesceSortDedup(benchmark::State& state) {
-  // The per-round cost of message coalescing: sort + unique on requests.
+  // The per-round cost of message coalescing: the engines' coalesce_min
+  // on one destination's box of requests.
   const auto n = static_cast<std::size_t>(state.range(0));
   util::SplitMix64 rng(2);
   std::vector<core::RelaxRequest> base(n);
@@ -58,18 +58,9 @@ void BM_CoalesceSortDedup(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto box = base;
-    std::sort(box.begin(), box.end(),
-              [](const core::RelaxRequest& a, const core::RelaxRequest& b) {
-                if (a.target != b.target) return a.target < b.target;
-                return a.dist < b.dist;
-              });
-    box.erase(std::unique(box.begin(), box.end(),
-                          [](const core::RelaxRequest& a,
-                             const core::RelaxRequest& b) {
-                            return a.target == b.target;
-                          }),
-              box.end());
-    benchmark::DoNotOptimize(box);
+    benchmark::DoNotOptimize(core::coalesce_min(box));
+    benchmark::DoNotOptimize(box.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

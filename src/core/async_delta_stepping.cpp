@@ -1,13 +1,12 @@
 #include "core/async_delta_stepping.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "core/bucket_queue.hpp"
 #include "core/delta_stepping.hpp"
+#include "core/relax.hpp"
 #include "simmpi/aggregator.hpp"
 #include "util/timer.hpp"
 
@@ -21,9 +20,8 @@ using graph::Weight;
 
 namespace {
 
-/// One rank's asynchronous engine, templated on the wire record: the wide
-/// RelaxRequest or the 12-byte PackedRelaxRequest (compress on and the
-/// graph small enough for 32-bit ids, the same rule the sync engine uses).
+/// One rank's asynchronous engine, templated on the wire record (see
+/// with_record; the same rule the sync engine uses).
 template <typename Msg>
 class AsyncEngine {
  public:
@@ -40,6 +38,8 @@ class AsyncEngine {
         queue_(local_n_),
         dist_(local_n_, kInfDistance),
         parent_(local_n_, kNoVertex),
+        router_(g, comm.rank(), dist_, config.hub_cache, config.local_fusion,
+                stats),
         agg_(comm, make_options(config)) {
     if (roots.empty()) {
       throw std::invalid_argument("async_delta_stepping: no roots");
@@ -57,8 +57,12 @@ class AsyncEngine {
         throw std::out_of_range("async_delta_stepping: root out of range");
       }
     }
-    init_hub_cache();
-    agg_.set_compactor([this](std::vector<Msg>& buf) { compact(buf); });
+    // Flush hook: the aggregator analog of the sync engine's per-round
+    // coalescing, then count what actually ships.
+    agg_.set_compactor([this](std::vector<Msg>& buf) {
+      if (config_.coalesce) stats_.filtered_coalesce += coalesce_min(buf);
+      stats_.relax_sent += buf.size();
+    });
     for (const auto root : roots) {
       if (g_.part.owner(root) == comm_.rank()) {
         const auto lr = g_.part.local(root);
@@ -98,66 +102,8 @@ class AsyncEngine {
     return options;
   }
 
-  void init_hub_cache() {
-    if (!config_.hub_cache || g_.hubs.empty()) return;
-    hub_mirror_.assign(g_.hubs.size(), kInfDistance);
-    hub_index_.reserve(g_.hubs.size() * 2);
-    for (std::size_t i = 0; i < g_.hubs.size(); ++i) {
-      hub_index_.emplace(g_.hubs[i], static_cast<std::uint32_t>(i));
-    }
-  }
-
   [[nodiscard]] std::uint64_t bucket_of(Weight d) const {
     return static_cast<std::uint64_t>(static_cast<double>(d) / delta_);
-  }
-
-  // --------------------------------------------------------- wire format
-
-  [[nodiscard]] Msg encode(int owner, VertexId target, Weight cand,
-                           VertexId via) const {
-    if constexpr (std::is_same_v<Msg, PackedRelaxRequest>) {
-      return PackedRelaxRequest{
-          static_cast<std::uint32_t>(target - g_.part.begin(owner)),
-          static_cast<std::uint32_t>(via), cand};
-    } else {
-      return RelaxRequest{target, via, cand};
-    }
-  }
-
-  void apply(const Msg& m) {
-    ++stats_.relax_received;
-    if constexpr (std::is_same_v<Msg, PackedRelaxRequest>) {
-      relax_local(static_cast<LocalId>(m.target_local), m.dist,
-                  static_cast<VertexId>(m.parent));
-    } else {
-      relax_local(g_.part.local(m.target), m.dist, m.parent);
-    }
-  }
-
-  /// Flush hook: dedup to the best candidate per target (the aggregator
-  /// analog of the sync engine's per-round coalescing), then count what
-  /// actually ships.
-  void compact(std::vector<Msg>& buf) {
-    if (config_.coalesce && buf.size() > 1) {
-      const auto key = [](const Msg& m) {
-        if constexpr (std::is_same_v<Msg, PackedRelaxRequest>) {
-          return m.target_local;
-        } else {
-          return m.target;
-        }
-      };
-      std::sort(buf.begin(), buf.end(), [&](const Msg& a, const Msg& b) {
-        if (key(a) != key(b)) return key(a) < key(b);
-        if (a.dist != b.dist) return a.dist < b.dist;
-        return a.parent < b.parent;
-      });
-      const auto last = std::unique(
-          buf.begin(), buf.end(),
-          [&](const Msg& a, const Msg& b) { return key(a) == key(b); });
-      stats_.filtered_coalesce += static_cast<std::uint64_t>(buf.end() - last);
-      buf.erase(last, buf.end());
-    }
-    stats_.relax_sent += buf.size();
   }
 
   // ------------------------------------------------------------ relaxing
@@ -173,35 +119,30 @@ class AsyncEngine {
     return true;
   }
 
-  /// Route one generated candidate: hub filter, local fusion, or the
-  /// aggregator.  Unlike the sync engine the hub mirror is never tightened
-  /// by a collective — it only records candidates this rank itself shipped,
-  /// which still upper-bounds the owner's authoritative distance (the
-  /// invariant the filter needs), just less tightly.
-  void route_candidate(VertexId target, Weight cand, VertexId via) {
-    ++stats_.relax_generated;
-    const int owner = g_.part.owner(target);
-    const bool is_local = owner == comm_.rank();
+  void apply(const Msg& m) {
+    ++stats_.relax_received;
+    relax_local(decode_target(g_.part, m), m.dist,
+                static_cast<VertexId>(m.parent));
+  }
 
-    if (!hub_mirror_.empty()) {
-      const auto it = hub_index_.find(target);
-      if (it != hub_index_.end()) {
-        const Weight ref = is_local ? dist_[g_.part.local(target)]
-                                    : hub_mirror_[it->second];
-        if (!(cand < ref)) {
-          ++stats_.filtered_hub;
-          return;
-        }
-        if (!is_local) hub_mirror_[it->second] = cand;
-      }
+  /// Route every edge of owned vertex v to `sink`.  Unlike the sync engine
+  /// the hub mirror is never tightened by a collective — it only records
+  /// candidates this rank itself shipped, which still upper-bounds the
+  /// owner's authoritative distance (the invariant the filter needs), just
+  /// less tightly.
+  template <typename Sink>
+  void expand(LocalId v, Sink&& sink) {
+    const Weight d = dist_[v];
+    const VertexId via = my_begin_ + v;
+    const std::uint64_t last = g_.csr.edges_end(v);
+    for (std::uint64_t e = g_.csr.edges_begin(v); e < last; ++e) {
+      router_.route(
+          g_.csr.dst(e), d + g_.csr.weight(e), via,
+          [this](LocalId t, Weight cand, VertexId p) {
+            relax_local(t, cand, p);
+          },
+          sink);
     }
-
-    if (is_local && config_.local_fusion) {
-      relax_local(g_.part.local(target), cand, via);
-      ++stats_.fused_local;
-      return;
-    }
-    agg_.send(owner, encode(owner, target, cand, via));
   }
 
   // ---------------------------------------------------------- async phase
@@ -210,14 +151,8 @@ class AsyncEngine {
   /// without a drained-bucket barrier there is no "settled" set to defer
   /// heavy edges for, and re-expansion on improvement keeps correctness.
   void expand_bucket(std::uint64_t k) {
-    const std::vector<LocalId> active = queue_.extract(k);
-    for (const auto v : active) {
-      const Weight d = dist_[v];
-      const VertexId via = my_begin_ + v;
-      const std::uint64_t last = g_.csr.edges_end(v);
-      for (std::uint64_t e = g_.csr.edges_begin(v); e < last; ++e) {
-        route_candidate(g_.csr.dst(e), d + g_.csr.weight(e), via);
-      }
+    for (const auto v : queue_.extract(k)) {
+      expand(v, [this](int owner, const Msg& m) { agg_.send(owner, m); });
     }
   }
 
@@ -262,38 +197,23 @@ class AsyncEngine {
   /// distances identical to the synchronous engine — rests on this sweep,
   /// not on the token protocol.
   void settle_sync() {
-    std::vector<std::vector<RelaxRequest>> outbox(
+    std::vector<std::vector<Msg>> outbox(
         static_cast<std::size_t>(comm_.size()));
+    const auto send = [&outbox](int owner, const Msg& m) {
+      outbox[static_cast<std::size_t>(owner)].push_back(m);
+    };
     while (true) {
       const bool work = queue_.next_nonempty(0) != BucketQueue::kNone;
       if (!comm_.allreduce_or(work)) break;
       ++stats_.sub_rounds;
       std::uint64_t k = 0;
       while ((k = queue_.next_nonempty(k)) != BucketQueue::kNone) {
-        for (const auto v : queue_.extract(k)) {
-          const Weight d = dist_[v];
-          const VertexId via = my_begin_ + v;
-          const std::uint64_t last = g_.csr.edges_end(v);
-          for (std::uint64_t e = g_.csr.edges_begin(v); e < last; ++e) {
-            ++stats_.relax_generated;
-            const VertexId target = g_.csr.dst(e);
-            const int owner = g_.part.owner(target);
-            if (owner == comm_.rank()) {
-              relax_local(g_.part.local(target), d + g_.csr.weight(e), via);
-            } else {
-              outbox[static_cast<std::size_t>(owner)].push_back(
-                  RelaxRequest{target, via, d + g_.csr.weight(e)});
-            }
-          }
-        }
+        for (const auto v : queue_.extract(k)) expand(v, send);
       }
-      for (const auto& box : outbox) stats_.relax_sent += box.size();
-      const std::vector<RelaxRequest> incoming = comm_.alltoallv(outbox);
-      for (auto& box : outbox) box.clear();
-      stats_.relax_received += incoming.size();
-      for (const auto& req : incoming) {
-        relax_local(g_.part.local(req.target), req.dist, req.parent);
-      }
+      exchange(comm_, g_.part, outbox, config_.coalesce, /*group=*/0, stats_,
+               [this](LocalId v, Weight cand, VertexId via) {
+                 relax_local(v, cand, via);
+               });
     }
   }
 
@@ -313,9 +233,7 @@ class AsyncEngine {
   std::vector<Weight> dist_;
   std::vector<VertexId> parent_;
 
-  std::unordered_map<VertexId, std::uint32_t> hub_index_;
-  std::vector<Weight> hub_mirror_;
-
+  Router<Msg> router_;
   simmpi::Aggregator<Msg> agg_;
 };
 
@@ -324,15 +242,10 @@ SsspResult dispatch(simmpi::Comm& comm, const graph::DistGraph& g,
                     const SsspConfig& config, SsspStats* stats) {
   SsspStats local_stats;
   SsspStats& s = stats != nullptr ? *stats : local_stats;
-  const bool packed =
-      config.compress &&
-      g.num_vertices <= std::numeric_limits<std::uint32_t>::max();
-  if (packed) {
-    AsyncEngine<PackedRelaxRequest> engine(comm, g, roots, config, s);
+  return with_record(config, g.num_vertices, [&](auto record) {
+    AsyncEngine<decltype(record)> engine(comm, g, roots, config, s);
     return engine.run();
-  }
-  AsyncEngine<RelaxRequest> engine(comm, g, roots, config, s);
-  return engine.run();
+  });
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include "core/bellman_ford.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "core/relax.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
@@ -54,8 +54,14 @@ SsspResult bellman_ford(simmpi::Comm& comm, const graph::DistGraph& g,
     enqueue(lr);
   }
 
+  // Fusion-only routing: hub caching is a delta-stepping feature.
+  Router<RelaxRequest> router(g, comm.rank(), result.dist, /*hub_cache=*/false,
+                              config.local_fusion, st);
   std::vector<std::vector<RelaxRequest>> outbox(
       static_cast<std::size_t>(comm.size()));
+  const auto send = [&outbox](int owner, const RelaxRequest& m) {
+    outbox[static_cast<std::size_t>(owner)].push_back(m);
+  };
   while (comm.allreduce_or(!active.empty())) {
     ++st.light_iterations;  // BF has a single phase class; reuse the counter
     std::vector<LocalId> frontier;
@@ -67,45 +73,12 @@ SsspResult bellman_ford(simmpi::Comm& comm, const graph::DistGraph& g,
       const VertexId via = my_begin + v;
       for (std::uint64_t e = g.csr.edges_begin(v); e < g.csr.edges_end(v);
            ++e) {
-        ++st.relax_generated;
-        const VertexId target = g.csr.dst(e);
-        const Weight cand = d + g.csr.weight(e);
-        const int owner = g.part.owner(target);
-        if (owner == comm.rank() && config.local_fusion) {
-          relax_local(g.part.local(target), cand, via);
-          ++st.fused_local;
-        } else {
-          outbox[static_cast<std::size_t>(owner)].push_back(
-              RelaxRequest{target, via, cand});
-        }
+        router.route(g.csr.dst(e), d + g.csr.weight(e), via, relax_local,
+                     send);
       }
     }
-
-    if (config.coalesce) {
-      for (auto& box : outbox) {
-        if (box.size() < 2) continue;
-        std::sort(box.begin(), box.end(),
-                  [](const RelaxRequest& a, const RelaxRequest& b) {
-                    if (a.target != b.target) return a.target < b.target;
-                    if (a.dist != b.dist) return a.dist < b.dist;
-                    return a.parent < b.parent;
-                  });
-        const auto last =
-            std::unique(box.begin(), box.end(),
-                        [](const RelaxRequest& a, const RelaxRequest& b) {
-                          return a.target == b.target;
-                        });
-        st.filtered_coalesce += static_cast<std::uint64_t>(box.end() - last);
-        box.erase(last, box.end());
-      }
-    }
-    for (const auto& box : outbox) st.relax_sent += box.size();
-    const std::vector<RelaxRequest> incoming = comm.alltoallv(outbox);
-    for (auto& box : outbox) box.clear();
-    st.relax_received += incoming.size();
-    for (const auto& req : incoming) {
-      relax_local(g.part.local(req.target), req.dist, req.parent);
-    }
+    exchange(comm, g.part, outbox, config.coalesce, config.hierarchical_group,
+             st, relax_local);
   }
 
   st.total_seconds = total.seconds();

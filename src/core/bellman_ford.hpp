@@ -11,9 +11,10 @@
 
 namespace g500::core {
 
-/// Options: Bellman-Ford reuses the coalescing/local-fusion knobs of
-/// SsspConfig (hub caching and direction switching are delta-stepping
-/// features and are ignored here).
+/// Options: Bellman-Ford honours the coalesce, local_fusion and
+/// hierarchical_group knobs of SsspConfig, which it shares with the other
+/// engines through core/relax.hpp (hub caching and direction switching are
+/// delta-stepping features and are ignored here).
 [[nodiscard]] SsspResult bellman_ford(simmpi::Comm& comm,
                                       const graph::DistGraph& g,
                                       graph::VertexId root,

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/relax.hpp"
 #include "core/remote.hpp"
 #include "util/timer.hpp"
 
@@ -149,15 +150,9 @@ BfsResult bfs(simmpi::Comm& comm, const graph::DistGraph& g, VertexId root,
       }
       // Per-destination dedup: one visit per child suffices.
       for (auto& box : outbox) {
-        std::sort(box.begin(), box.end(), [](const Visit& a, const Visit& b) {
-          if (a.child != b.child) return a.child < b.child;
-          return a.parent < b.parent;
-        });
-        box.erase(std::unique(box.begin(), box.end(),
-                              [](const Visit& a, const Visit& b) {
-                                return a.child == b.child;
-                              }),
-                  box.end());
+        keep_least(
+            box, [](const Visit& m) { return m.child; },
+            [](const Visit& a, const Visit& b) { return a.parent < b.parent; });
         st.messages_sent += box.size();
       }
       const std::vector<Visit> incoming = comm.alltoallv(outbox);

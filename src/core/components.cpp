@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/relax.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
@@ -69,16 +70,9 @@ std::vector<VertexId> connected_components(simmpi::Comm& comm,
     }
     // Coalesce: minimum label per target per round.
     for (auto& box : outbox) {
-      std::sort(box.begin(), box.end(), [](const LabelMsg& a,
-                                           const LabelMsg& b) {
-        if (a.target != b.target) return a.target < b.target;
-        return a.label < b.label;
-      });
-      box.erase(std::unique(box.begin(), box.end(),
-                            [](const LabelMsg& a, const LabelMsg& b) {
-                              return a.target == b.target;
-                            }),
-                box.end());
+      keep_least(
+          box, [](const LabelMsg& m) { return m.target; },
+          [](const LabelMsg& a, const LabelMsg& b) { return a.label < b.label; });
       st.labels_sent += box.size();
     }
     const std::vector<LabelMsg> incoming = comm.alltoallv(outbox);

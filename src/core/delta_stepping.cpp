@@ -1,15 +1,11 @@
 #include "core/delta_stepping.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/bucket_queue.hpp"
 #include "core/checkpoint.hpp"
-#include "simmpi/hierarchical.hpp"
+#include "core/relax.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
@@ -21,16 +17,11 @@ using graph::LocalId;
 using graph::VertexId;
 using graph::Weight;
 
-double auto_delta(const graph::DistGraph& g) {
-  const double avg_degree =
-      std::max(1.0, static_cast<double>(g.num_directed_edges) /
-                        static_cast<double>(g.num_vertices));
-  return std::clamp(1.0 / avg_degree, 1.0 / 64.0, 1.0);
-}
-
 namespace {
 
-/// All per-run state of one rank's engine.
+/// All per-run state of one rank's engine, templated on the wire record
+/// (see with_record).
+template <typename Msg>
 class Engine {
  public:
   Engine(simmpi::Comm& comm, const graph::DistGraph& g,
@@ -49,10 +40,9 @@ class Engine {
         dist_(local_n_, kInfDistance),
         parent_(local_n_, kNoVertex),
         r_tag_(local_n_, BucketQueue::kNone),
-        outbox_(static_cast<std::size_t>(comm.size())),
-        use_compression_(config.compress &&
-                         g.num_vertices <=
-                             std::numeric_limits<std::uint32_t>::max()) {
+        router_(g, comm.rank(), dist_, config.hub_cache, config.local_fusion,
+                stats),
+        outbox_(static_cast<std::size_t>(comm.size())) {
     if (roots.empty()) {
       throw std::invalid_argument("delta_stepping: no roots");
     }
@@ -78,7 +68,6 @@ class Engine {
     roots_digest_ = util::hash64(roots_digest_, local_n_);
 
     precompute_splits();
-    init_hub_cache();
     // Pull rounds are only safe when EVERY rank that stores edges also has
     // a pull index for them; a rank-local check would diverge (e.g. a rank
     // owning only isolated vertices has an empty index) and desynchronize
@@ -181,15 +170,6 @@ class Engine {
     }
   }
 
-  void init_hub_cache() {
-    if (!config_.hub_cache || g_.hubs.empty()) return;
-    hub_mirror_.assign(g_.hubs.size(), kInfDistance);
-    hub_index_.reserve(g_.hubs.size() * 2);
-    for (std::size_t i = 0; i < g_.hubs.size(); ++i) {
-      hub_index_.emplace(g_.hubs[i], static_cast<std::uint32_t>(i));
-    }
-  }
-
   // ------------------------------------------------------------ relaxing
 
   [[nodiscard]] std::uint64_t bucket_of(Weight d) const {
@@ -220,105 +200,6 @@ class Engine {
     return true;
   }
 
-  /// Route one candidate produced by a push phase: hub filter, local
-  /// fusion, or the outbox.
-  void route_candidate(VertexId target, Weight cand, VertexId via) {
-    ++stats_.relax_generated;
-    const int owner = g_.part.owner(target);
-    const bool is_local = owner == comm_.rank();
-
-    if (!hub_mirror_.empty()) {
-      const auto it = hub_index_.find(target);
-      if (it != hub_index_.end()) {
-        // The filter reference must never undercut the owner's authoritative
-        // distance, or improving candidates would be dropped; mirrors only
-        // carry values that were (or will be this round) delivered to the
-        // owner, so mirror >= authoritative always holds.
-        const Weight ref = is_local ? dist_[g_.part.local(target)]
-                                    : hub_mirror_[it->second];
-        if (!(cand < ref)) {
-          ++stats_.filtered_hub;
-          return;
-        }
-        if (!is_local) hub_mirror_[it->second] = cand;
-      }
-    }
-
-    if (is_local && config_.local_fusion) {
-      relax_local(g_.part.local(target), cand, via);
-      ++stats_.fused_local;
-      return;
-    }
-    outbox_[static_cast<std::size_t>(owner)].push_back(
-        RelaxRequest{target, via, cand});
-  }
-
-  /// Dedup outboxes (keep the best candidate per target) and exchange.
-  void exchange_and_apply() {
-    if (config_.coalesce) {
-      for (auto& box : outbox_) {
-        if (box.size() < 2) continue;
-        std::sort(box.begin(), box.end(),
-                  [](const RelaxRequest& a, const RelaxRequest& b) {
-                    if (a.target != b.target) return a.target < b.target;
-                    if (a.dist != b.dist) return a.dist < b.dist;
-                    return a.parent < b.parent;
-                  });
-        const auto last = std::unique(
-            box.begin(), box.end(), [](const RelaxRequest& a,
-                                       const RelaxRequest& b) {
-              return a.target == b.target;
-            });
-        stats_.filtered_coalesce +=
-            static_cast<std::uint64_t>(box.end() - last);
-        box.erase(last, box.end());
-      }
-    }
-    for (const auto& box : outbox_) stats_.relax_sent += box.size();
-    if (use_compression_) {
-      exchange_packed();
-    } else {
-      const std::vector<RelaxRequest> incoming =
-          config_.hierarchical_group > 1
-              ? simmpi::two_level_alltoallv(comm_, outbox_,
-                                            config_.hierarchical_group)
-              : comm_.alltoallv(outbox_);
-      stats_.relax_received += incoming.size();
-      for (const auto& req : incoming) {
-        relax_local(g_.part.local(req.target), req.dist, req.parent);
-      }
-    }
-    for (auto& box : outbox_) box.clear();
-  }
-
-  /// Compressed exchange: 12-byte records, target pre-localized to the
-  /// owner's index space (sender knows the owner's block base).
-  void exchange_packed() {
-    const int P = comm_.size();
-    std::vector<std::vector<PackedRelaxRequest>> packed(
-        static_cast<std::size_t>(P));
-    for (int d = 0; d < P; ++d) {
-      const VertexId base = g_.part.begin(d);
-      auto& box = packed[static_cast<std::size_t>(d)];
-      box.reserve(outbox_[static_cast<std::size_t>(d)].size());
-      for (const auto& req : outbox_[static_cast<std::size_t>(d)]) {
-        box.push_back(PackedRelaxRequest{
-            static_cast<std::uint32_t>(req.target - base),
-            static_cast<std::uint32_t>(req.parent), req.dist});
-      }
-    }
-    const std::vector<PackedRelaxRequest> incoming =
-        config_.hierarchical_group > 1
-            ? simmpi::two_level_alltoallv(comm_, packed,
-                                          config_.hierarchical_group)
-            : comm_.alltoallv(packed);
-    stats_.relax_received += incoming.size();
-    for (const auto& req : incoming) {
-      relax_local(static_cast<LocalId>(req.target_local), req.dist,
-                  req.parent);
-    }
-  }
-
   // -------------------------------------------------------- bucket logic
 
   /// Should this inner round pull instead of push?  Decided from global
@@ -337,9 +218,13 @@ class Engine {
     return push_bytes > pull_bytes * config_.pull_bias;
   }
 
-  void push_round(const std::vector<LocalId>& active, bool light,
-                  std::uint64_t k) {
-    (void)k;
+  void push_round(const std::vector<LocalId>& active, bool light) {
+    const auto apply = [this](LocalId v, Weight cand, VertexId via) {
+      relax_local(v, cand, via);
+    };
+    const auto send = [this](int owner, const Msg& m) {
+      outbox_[static_cast<std::size_t>(owner)].push_back(m);
+    };
     for (const auto v : active) {
       // A vertex whose best continuation toward the query target already
       // exceeds the budget cannot lie on a path that improves the answer;
@@ -354,10 +239,11 @@ class Engine {
       const Weight d = dist_[v];
       const VertexId via = my_begin_ + v;
       for (std::uint64_t e = first; e < last; ++e) {
-        route_candidate(g_.csr.dst(e), d + g_.csr.weight(e), via);
+        router_.route(g_.csr.dst(e), d + g_.csr.weight(e), via, apply, send);
       }
     }
-    exchange_and_apply();
+    exchange(comm_, g_.part, outbox_, config_.coalesce,
+             config_.hierarchical_group, stats_, apply);
   }
 
   void pull_round(const std::vector<LocalId>& active) {
@@ -418,17 +304,17 @@ class Engine {
         pull_round(active);
       } else {
         ++stats_.push_rounds;
-        push_round(active, /*light=*/true, k);
+        push_round(active, /*light=*/true);
       }
     }
     stats_.light_seconds += phase.seconds();
 
-    sync_hub_mirrors();
+    router_.tighten(comm_);
 
     phase.reset();
     ++stats_.heavy_phases;
     ++stats_.sub_rounds;
-    push_round(settled, /*light=*/false, k);
+    push_round(settled, /*light=*/false);
     stats_.heavy_seconds += phase.seconds();
 
     if (config_.collect_bucket_trace) {
@@ -436,21 +322,6 @@ class Engine {
       row.seconds = bucket_timer.seconds();
       stats_.bucket_trace.push_back(row);
     }
-  }
-
-  /// Tighten every mirror to the owner's authoritative distance (cheap:
-  /// one H-length min-allreduce per bucket).
-  void sync_hub_mirrors() {
-    if (hub_mirror_.empty()) return;
-    std::vector<Weight> contribution(hub_mirror_.size());
-    for (std::size_t i = 0; i < g_.hubs.size(); ++i) {
-      const VertexId h = g_.hubs[i];
-      contribution[i] = g_.part.owner(h) == comm_.rank()
-                            ? dist_[g_.part.local(h)]
-                            : hub_mirror_[i];
-    }
-    hub_mirror_ = comm_.allreduce_vec<Weight>(
-        contribution, [](Weight a, Weight b) { return b < a ? b : a; });
   }
 
   // -------------------------------------------------------- checkpointing
@@ -464,7 +335,7 @@ class Engine {
                         ckpt_->roots_digest == roots_digest_ &&
                         ckpt_->dist.size() == local_n_ &&
                         ckpt_->parent.size() == local_n_ &&
-                        ckpt_->hub_mirror.size() == hub_mirror_.size();
+                        ckpt_->hub_mirror.size() == router_.mirror().size();
     // All ranks must restore the same epoch or none at all; a token of
     // kNone marks "no snapshot here".
     const std::uint64_t token = usable ? ckpt_->last_bucket : BucketQueue::kNone;
@@ -478,7 +349,7 @@ class Engine {
 
     dist_ = ckpt_->dist;
     parent_ = ckpt_->parent;
-    hub_mirror_ = ckpt_->hub_mirror;
+    router_.mirror() = ckpt_->hub_mirror;
     // The queue is a function of the distances: pending vertices are
     // exactly those whose bucket lies beyond the last drained epoch.
     // Entries the constructor queued below the cursor go stale harmlessly
@@ -506,7 +377,7 @@ class Engine {
     ckpt_->buckets_done = stats_.buckets_processed;
     ckpt_->dist = dist_;
     ckpt_->parent = parent_;
-    ckpt_->hub_mirror = hub_mirror_;
+    ckpt_->hub_mirror = router_.mirror();
     ckpt_->seal();
     ++stats_.checkpoints;
     stats_.checkpoint_seconds += timer.seconds();
@@ -533,32 +404,36 @@ class Engine {
   std::vector<std::uint64_t> split_;       // light/heavy boundary per vertex
   std::vector<std::uint64_t> pull_split_;  // same for pull source groups
 
-  std::unordered_map<VertexId, std::uint32_t> hub_index_;
-  std::vector<Weight> hub_mirror_;
-
-  std::vector<std::vector<RelaxRequest>> outbox_;
-  bool use_compression_;
+  Router<Msg> router_;
+  std::vector<std::vector<Msg>> outbox_;
   bool pull_available_ = false;
 };
+
+SsspResult run_engine(simmpi::Comm& comm, const graph::DistGraph& g,
+                      const std::vector<VertexId>& roots,
+                      const SsspConfig& config, SsspStats* stats,
+                      CheckpointState* ckpt = nullptr,
+                      const WarmStart* warm = nullptr) {
+  SsspStats local_stats;
+  SsspStats& s = stats != nullptr ? *stats : local_stats;
+  return with_record(config, g.num_vertices, [&](auto record) {
+    Engine<decltype(record)> engine(comm, g, roots, config, s, ckpt, warm);
+    return engine.run();
+  });
+}
 
 }  // namespace
 
 SsspResult delta_stepping(simmpi::Comm& comm, const graph::DistGraph& g,
                           VertexId root, const SsspConfig& config,
                           SsspStats* stats) {
-  SsspStats local_stats;
-  Engine engine(comm, g, {root}, config,
-                stats != nullptr ? *stats : local_stats);
-  return engine.run();
+  return run_engine(comm, g, {root}, config, stats);
 }
 
 SsspResult delta_stepping_multi(simmpi::Comm& comm, const graph::DistGraph& g,
                                 const std::vector<VertexId>& roots,
                                 const SsspConfig& config, SsspStats* stats) {
-  SsspStats local_stats;
-  Engine engine(comm, g, roots, config,
-                stats != nullptr ? *stats : local_stats);
-  return engine.run();
+  return run_engine(comm, g, roots, config, stats);
 }
 
 SsspResult delta_stepping_repair(simmpi::Comm& comm,
@@ -569,10 +444,7 @@ SsspResult delta_stepping_repair(simmpi::Comm& comm,
     throw std::invalid_argument(
         "delta_stepping_repair: checkpoint/deadline features are rejected");
   }
-  SsspStats local_stats;
-  Engine engine(comm, g, {root}, config,
-                stats != nullptr ? *stats : local_stats, nullptr, &warm);
-  return engine.run();
+  return run_engine(comm, g, {root}, config, stats, nullptr, &warm);
 }
 
 SsspResult delta_stepping_checkpointed(simmpi::Comm& comm,
@@ -581,10 +453,7 @@ SsspResult delta_stepping_checkpointed(simmpi::Comm& comm,
                                        const SsspConfig& config,
                                        CheckpointState* ckpt,
                                        SsspStats* stats) {
-  SsspStats local_stats;
-  Engine engine(comm, g, {root}, config,
-                stats != nullptr ? *stats : local_stats, ckpt);
-  return engine.run();
+  return run_engine(comm, g, {root}, config, stats, ckpt);
 }
 
 SequentialResult gather_result(simmpi::Comm& comm, const graph::DistGraph& g,

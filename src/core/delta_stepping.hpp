@@ -22,6 +22,8 @@
 // DistGraph piece and receives its owned slice of the result.
 #pragma once
 
+#include <algorithm>
+
 #include "core/checkpoint.hpp"
 #include "core/dijkstra.hpp"
 #include "core/sssp_types.hpp"
@@ -86,9 +88,15 @@ struct WarmStart {
     const SsspConfig& config, CheckpointState* ckpt,
     SsspStats* stats = nullptr);
 
-/// The delta the engine would choose for this graph when config.delta <= 0:
-/// 1 / average directed degree, clamped to [1/64... 1].
-[[nodiscard]] double auto_delta(const graph::DistGraph& g);
+/// The delta the engines choose for a graph (1-D or 2-D) when
+/// config.delta <= 0: 1 / average directed degree, clamped to [1/64... 1].
+template <typename Graph>
+[[nodiscard]] double auto_delta(const Graph& g) {
+  const double avg_degree =
+      std::max(1.0, static_cast<double>(g.num_directed_edges) /
+                        static_cast<double>(g.num_vertices));
+  return std::clamp(1.0 / avg_degree, 1.0 / 64.0, 1.0);
+}
 
 /// Gather a distributed result into full global vectors on every rank
 /// (test/example helper; materializes O(n) per rank).

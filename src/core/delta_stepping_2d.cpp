@@ -1,9 +1,10 @@
 #include "core/delta_stepping_2d.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/bucket_queue.hpp"
+#include "core/delta_stepping.hpp"
+#include "core/relax.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
@@ -26,6 +27,7 @@ class Engine2D {
         stats_(stats),
         local_n_(static_cast<std::size_t>(g.part.count(comm.rank()))),
         my_begin_(g.part.begin(comm.rank())),
+        delta_(config.delta > 0.0 ? config.delta : auto_delta(g)),
         queue_(local_n_),
         dist_(local_n_, kInfDistance),
         parent_(local_n_, kNoVertex),
@@ -34,14 +36,6 @@ class Engine2D {
         candidate_out_(static_cast<std::size_t>(comm.size())) {
     if (root >= g.num_vertices) {
       throw std::out_of_range("delta_stepping_2d: root out of range");
-    }
-    if (config.delta > 0.0) {
-      delta_ = config.delta;
-    } else {
-      const double avg_degree =
-          std::max(1.0, static_cast<double>(g.num_directed_edges) /
-                            static_cast<double>(g.num_vertices));
-      delta_ = std::clamp(1.0 / avg_degree, 1.0 / 64.0, 1.0);
     }
     // Precompute light/heavy splits per source group in the edge block.
     split_.resize(g_.block.num_sources());
@@ -115,13 +109,11 @@ class Engine2D {
 
     // --- 2. scan edge groups, emit candidates along the row.
     for (const auto& fe : frontier) {
-      const auto it_range = g_.block.find(fe.vertex);
-      if (it_range.empty()) continue;
-      // Recover the group index to reuse the precomputed split.
-      const std::size_t group = find_group_index(fe.vertex);
-      const std::uint64_t first =
-          light ? it_range.first : split_[group];
-      const std::uint64_t last = light ? split_[group] : it_range.last;
+      std::size_t group = 0;
+      const auto range = g_.block.find(fe.vertex, &group);
+      if (range.empty()) continue;
+      const std::uint64_t first = light ? range.first : split_[group];
+      const std::uint64_t last = light ? split_[group] : range.last;
       for (std::uint64_t e = first; e < last; ++e) {
         ++stats_.relax_generated;
         const VertexId target = g_.block.dst(e);
@@ -130,51 +122,13 @@ class Engine2D {
                                     fe.dist + g_.block.weight(e)});
       }
     }
-    if (config_.coalesce) {
-      for (auto& box : candidate_out_) {
-        if (box.size() < 2) continue;
-        std::sort(box.begin(), box.end(),
-                  [](const RelaxRequest& a, const RelaxRequest& b) {
-                    if (a.target != b.target) return a.target < b.target;
-                    if (a.dist != b.dist) return a.dist < b.dist;
-                    return a.parent < b.parent;
-                  });
-        const auto last = std::unique(box.begin(), box.end(),
-                                      [](const RelaxRequest& a,
-                                         const RelaxRequest& b) {
-                                        return a.target == b.target;
-                                      });
-        stats_.filtered_coalesce +=
-            static_cast<std::uint64_t>(box.end() - last);
-        box.erase(last, box.end());
-      }
-    }
-    for (const auto& box : candidate_out_) stats_.relax_sent += box.size();
 
-    // --- 3. owners apply.
-    const std::vector<RelaxRequest> incoming =
-        comm_.alltoallv(candidate_out_);
-    for (auto& box : candidate_out_) box.clear();
-    stats_.relax_received += incoming.size();
-    for (const auto& req : incoming) {
-      relax_local(g_.part.local(req.target), req.dist, req.parent);
-    }
-  }
-
-  /// Index of `source` within the block's group list (must exist).
-  [[nodiscard]] std::size_t find_group_index(VertexId source) const {
-    // SourceBlock keeps sources sorted; binary search mirrors find().
-    std::size_t lo = 0;
-    std::size_t hi = g_.block.num_sources();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (g_.block.source(mid) < source) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    // --- 3. coalesce, ship to the owners, apply.
+    exchange(comm_, g_.part, candidate_out_, config_.coalesce,
+             config_.hierarchical_group, stats_,
+             [this](LocalId v, Weight cand, VertexId via) {
+               relax_local(v, cand, via);
+             });
   }
 
   void process_bucket(std::uint64_t k) {
@@ -211,7 +165,7 @@ class Engine2D {
 
   std::size_t local_n_;
   VertexId my_begin_;
-  double delta_ = 1.0;
+  double delta_;
 
   BucketQueue queue_;
   std::vector<Weight> dist_;

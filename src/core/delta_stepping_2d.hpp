@@ -15,8 +15,10 @@
 // price is that every frontier entry is replicated R times.  bench
 // `bench_partition2d` quantifies the trade against the 1-D engine.
 //
-// Honoured SsspConfig fields: delta, coalesce, max_buckets.  Hub caching,
-// direction switching, fusion and compression are 1-D engine features.
+// Honoured SsspConfig fields: delta, coalesce, hierarchical_group (the
+// candidate exchange is the shared one of core/relax.hpp), max_buckets.
+// Hub caching, direction switching, fusion and compression are 1-D engine
+// features.
 #pragma once
 
 #include "core/dijkstra.hpp"

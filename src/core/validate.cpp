@@ -117,10 +117,13 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
     for (std::uint64_t e = g.csr.edges_begin(u); e < g.csr.edges_end(u); ++e) {
       ++edges_checked_local;
       const Weight dv = dist_of(g.csr.dst(e));
-      const double slack = static_cast<double>(du) +
-                           static_cast<double>(g.csr.weight(e)) -
-                           static_cast<double>(dv);
-      if (dv == kInfDistance || slack < -tolerance) {
+      // Relax in float, as every engine does: the exact double sum would
+      // reject a correct float32 result by the rounding of du + w, which
+      // exceeds the tolerance once distances reach 256.
+      const Weight relaxed = du + g.csr.weight(e);
+      if (dv == kInfDistance ||
+          static_cast<double>(dv) - static_cast<double>(relaxed) >
+              tolerance) {
         c.fail(describe("V2", my_begin + u,
                         "edge to " + std::to_string(g.csr.dst(e)) +
                             " is still relaxable"));

@@ -42,10 +42,12 @@ SourceBlock::SourceBlock(std::vector<WireEdge> edges) {
   offsets_.push_back(dst_.size());
 }
 
-SourceBlock::Range SourceBlock::find(VertexId source) const {
+SourceBlock::Range SourceBlock::find(VertexId source,
+                                     std::size_t* index) const {
   const auto it = std::lower_bound(sources_.begin(), sources_.end(), source);
   if (it == sources_.end() || *it != source) return Range{};
   const auto i = static_cast<std::size_t>(it - sources_.begin());
+  if (index != nullptr) *index = i;
   return Range{offsets_[i], offsets_[i + 1]};
 }
 

@@ -71,7 +71,11 @@ class SourceBlock {
     std::uint64_t last = 0;
     [[nodiscard]] bool empty() const noexcept { return first == last; }
   };
-  [[nodiscard]] Range find(VertexId source) const;
+  /// Entry range of `source` ({0, 0} if it has no edges here).  If `index`
+  /// is non-null and the source is present, its position among the sources
+  /// is stored there (for split caching), as PullIndex::find does.
+  [[nodiscard]] Range find(VertexId source,
+                           std::size_t* index = nullptr) const;
   [[nodiscard]] Range range(std::size_t i) const {
     return Range{offsets_[i], offsets_[i + 1]};
   }

@@ -659,8 +659,9 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
       a.from_cache = cached[slot_of[i]];
       a.pruned_wave = pruned[slot_of[i]];
       const double b = bound[slot_of[i]];
-      if (static_cast<double>(a.distance) < b) {
-        // Complete wave, or a truncated one that still settled this
+      if (std::isinf(b) || static_cast<double>(a.distance) < b) {
+        // Complete wave (an infinite bound: even an unreachable target's
+        // +infinity is exact), or a truncated one that still settled this
         // target exactly (dist < settled bound).
         a.lb = a.ub = a.distance;
       } else {

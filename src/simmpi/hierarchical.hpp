@@ -42,7 +42,6 @@ std::vector<T> two_level_alltoallv(Comm& comm,
     return comm.alltoallv(out);
   }
   const int my_group = comm.rank() / group_size;
-  const int num_groups = (P + group_size - 1) / group_size;
   auto group_of = [group_size](int rank) { return rank / group_size; };
   auto group_begin = [group_size](int group) { return group * group_size; };
   auto group_count = [&](int group) {

@@ -68,6 +68,11 @@ TEST(SourceBlock, GroupsAndSplits) {
   EXPECT_EQ(block.dst(r5.first), 2u);  // weight-sorted
   EXPECT_EQ(block.split_at(r5, 0.5f) - r5.first, 1u);
   EXPECT_TRUE(block.find(6).empty());
+  std::size_t index = 99;
+  EXPECT_EQ(block.find(7, &index).first, block.range(1).first);
+  EXPECT_EQ(index, 1u);
+  EXPECT_TRUE(block.find(6, &index).empty());
+  EXPECT_EQ(index, 1u);  // untouched when the source is absent
 }
 
 // ------------------------------------------------------------------ build

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/delta_stepping.hpp"
+#include "core/dijkstra.hpp"
 #include "core/validate.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -139,6 +140,27 @@ TEST(Validate, ErrorsArePropagatedToAllRanks) {
         return v.ok ? 1 : 0;
       });
   for (const int ok : verdicts) EXPECT_EQ(ok, 0);
+}
+
+TEST(Validate, AcceptsFloatSumsPast256) {
+  // A 600-hop path reaches distances past 256, where float32 spacing is
+  // 3e-5: the engine's float sum du + w differs from the exact double sum
+  // by more than the 1e-5 tolerance, and V2 must not reject it for that.
+  const EdgeList path = path_graph(600, 3);
+  const auto want = core::dijkstra(path, 0);
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(path, comm.rank(), comm.size()),
+        path.num_vertices);
+    const auto mine = core::delta_stepping(comm, g, 0);
+    const auto whole = core::gather_result(comm, g, mine);
+    ASSERT_EQ(whole.dist, want.dist);
+    ASSERT_GT(whole.dist.back(), 256.0f);
+    const auto verdict = core::validate_sssp(comm, g, 0, mine);
+    EXPECT_TRUE(verdict.ok)
+        << (verdict.errors.empty() ? "?" : verdict.errors.front());
+  });
 }
 
 TEST(Validate, UnreachableVerticesAreAccepted) {

@@ -1,12 +1,14 @@
 // Randomized cross-engine agreement: for a sweep of seeds, build a random
 // graph with random shape, pick random roots, and require that every
-// engine (1-D delta-stepping in default and plain trim, Bellman-Ford, the
-// 2-D engine) agrees with sequential Dijkstra and passes official
-// validation.  The widest net in the suite: anything that breaks only on
-// odd shapes (duplicate edges, dangling vertices, skewed degrees, rank
-// counts that don't divide n) lands here.
+// engine (1-D delta-stepping in default and plain trim, the async engine
+// with packed and wide records, Bellman-Ford and the 2-D engine, each flat
+// and through the two-level exchange) agrees with sequential Dijkstra and
+// passes official validation.  The widest net in the suite: anything that
+// breaks only on odd shapes (duplicate edges, dangling vertices, skewed
+// degrees, rank counts that don't divide n) lands here.
 #include <gtest/gtest.h>
 
+#include "core/async_delta_stepping.hpp"
 #include "core/bellman_ford.hpp"
 #include "core/delta_stepping.hpp"
 #include "core/delta_stepping_2d.hpp"
@@ -57,8 +59,20 @@ TEST_P(FuzzSweep, AllEnginesAgreeWithDijkstra) {
     attempts.push_back({"delta-plain", core::delta_stepping(
                                            comm, g, root,
                                            core::SsspConfig::plain())});
+    core::SsspConfig wide;
+    wide.compress = false;
+    core::SsspConfig two_level;
+    two_level.hierarchical_group = 2;
+    attempts.push_back({"async-default",
+                        core::async_delta_stepping(comm, g, root)});
+    attempts.push_back({"async-wide",
+                        core::async_delta_stepping(comm, g, root, wide)});
     attempts.push_back({"bellman-ford", core::bellman_ford(comm, g, root)});
+    attempts.push_back({"bellman-ford-two-level",
+                        core::bellman_ford(comm, g, root, two_level)});
     attempts.push_back({"delta-2d", core::delta_stepping_2d(comm, g2, root)});
+    attempts.push_back({"delta-2d-two-level",
+                        core::delta_stepping_2d(comm, g2, root, two_level)});
 
     for (const auto& attempt : attempts) {
       const auto verdict = core::validate_sssp(comm, g, root, attempt.result);

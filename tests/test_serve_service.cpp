@@ -311,6 +311,42 @@ TEST(ServeService, DeadlineBudgetTruncatesWaveKeepsSettledPrefixExact) {
   });
 }
 
+// Regression: a complete wave's settled bound is +infinity, so a target
+// no source reaches is answered exactly (+infinity), not reported as past
+// the deadline.
+TEST(ServeService, UnreachableTargetIsServedAsInfinity) {
+  auto list = graph::path_graph(16, 6);
+  list.num_vertices = 20;  // vertices 16..19 are isolated
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    const auto g = build_test_graph(comm, list);
+    ServeConfig config;
+    config.batch_size = 2;
+    config.facilities = {3};
+    DistanceService service(comm, g, config);
+
+    Query point;
+    point.id = 0;
+    point.root = 0;
+    point.target = 18;
+    Query nearest;
+    nearest.id = 1;
+    nearest.kind = QueryKind::kNearestFacility;
+    nearest.target = 17;
+    ASSERT_TRUE(service.submit(point));
+    ASSERT_TRUE(service.submit(nearest));
+
+    const auto answers = service.tick(0);
+    ASSERT_EQ(answers.size(), 2u);
+    for (const auto& a : answers) {
+      EXPECT_EQ(a.outcome, serve::Outcome::kServed) << "query " << a.id;
+      EXPECT_TRUE(std::isinf(a.distance)) << "query " << a.id;
+    }
+    EXPECT_EQ(service.metrics().answered, 2u);
+    EXPECT_EQ(service.metrics().deadline_exceeded, 0u);
+  });
+}
+
 // Regression: the shed log is bounded by shed_log_cap — overflowing shed
 // queries are still counted and rejected, but their records are dropped
 // (an adversarial burst must not grow memory without bound).
