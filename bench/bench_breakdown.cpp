@@ -112,7 +112,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "Expected shape: a few giant-frontier rounds hold most "
                "vertices (pull territory),\na long tail of tiny rounds "
-               "(latency territory); light phase dominates heavy.\n\n";
+               "(latency territory); the heavy phase takes longer than the "
+               "light phase.\n\n";
 
   // --- Async vs sync (gated) -------------------------------------------
   // Same graph, same roots: run both engines back to back on every rank,

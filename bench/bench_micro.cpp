@@ -2,6 +2,7 @@
 // projection model is calibrated against, measured in isolation.
 #include <benchmark/benchmark.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "gbench_report.hpp"
@@ -45,15 +46,24 @@ void BM_BucketQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketQueueChurn)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
-void BM_CoalesceSortDedup(benchmark::State& state) {
+template <typename Msg>
+void BM_CoalesceMin(benchmark::State& state) {
   // The per-round cost of message coalescing: the engines' coalesce_min
-  // on one destination's box of requests.
+  // on one destination's box of requests.  Wide records draw targets from
+  // n/4 global ids (~4x duplication); packed ones, as the engine ships
+  // them, draw owner-local targets from one owner's whole block: 2^14
+  // vertices, a scale-16 graph on 4 ranks.
   const auto n = static_cast<std::size_t>(state.range(0));
   util::SplitMix64 rng(2);
-  std::vector<core::RelaxRequest> base(n);
+  std::vector<Msg> base(n);
   for (auto& r : base) {
-    r.target = rng.next_below(n / 4 + 1);  // ~4x duplication
-    r.parent = rng.next_below(n);
+    if constexpr (std::is_same_v<Msg, core::PackedRelaxRequest>) {
+      r.target_local = static_cast<std::uint32_t>(rng.next_below(1 << 14));
+      r.parent = static_cast<std::uint32_t>(rng.next_below(n));
+    } else {
+      r.target = rng.next_below(n / 4 + 1);
+      r.parent = rng.next_below(n);
+    }
     r.dist = static_cast<float>(rng.next_double());
   }
   for (auto _ : state) {
@@ -65,7 +75,10 @@ void BM_CoalesceSortDedup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_CoalesceSortDedup)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK_TEMPLATE(BM_CoalesceMin, core::RelaxRequest)
+    ->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK_TEMPLATE(BM_CoalesceMin, core::PackedRelaxRequest)
+    ->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_CsrConstruction(benchmark::State& state) {
   const auto n = static_cast<LocalId>(state.range(0));
