@@ -112,8 +112,9 @@ int main(int argc, char** argv) {
   }
   std::cout << "Expected shape: a few giant-frontier rounds hold most "
                "vertices (pull territory),\na long tail of tiny rounds "
-               "(latency territory); the heavy phase takes longer than the "
-               "light phase.\n\n";
+               "(latency territory); the heavy phase, which pulls the\n"
+               "buckets that settle most of the graph, takes less time than "
+               "the light phases.\n\n";
 
   // --- Async vs sync (gated) -------------------------------------------
   // Same graph, same roots: run both engines back to back on every rank,

@@ -1,5 +1,6 @@
 #include "core/delta_stepping.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -75,6 +76,7 @@ class Engine {
     const bool local_pull_ok =
         g.pull.num_entries() > 0 || g.csr.num_edges() == 0;
     pull_available_ = config.direction_opt && !comm.allreduce_or(!local_pull_ok);
+    if (pull_available_) frontier_bits_.assign((local_n_ + 63) / 64, 0);
     if (warm != nullptr) {
       // Repair mode: adopt the caller's labels and queue only its seeds.
       // Checkpointing is mutually exclusive — a crashed repair is re-run
@@ -246,24 +248,39 @@ class Engine {
              config_.hierarchical_group, stats_, apply);
   }
 
-  void pull_round(const std::vector<LocalId>& active) {
-    std::vector<FrontierEntry> frontier;
-    frontier.reserve(active.size());
+  /// Broadcast `active` (less pruned vertices) and relax, on every rank,
+  /// the light or heavy half of each pulled source group.  Each rank sends
+  /// its entries in vertex order and blocks are contiguous in rank order,
+  /// so the gathered frontier is sorted and one forward sweep over the
+  /// pull index finds every group.
+  void pull_round(const std::vector<LocalId>& active, bool light) {
     for (const auto v : active) {
       if (pruned(v, dist_[v])) {
         ++stats_.pruned_expand;
         continue;
       }
-      frontier.push_back(FrontierEntry{my_begin_ + v, dist_[v]});
+      frontier_bits_[v / 64] |= std::uint64_t{1} << (v % 64);
+    }
+    // One pass over the owned range orders the frontier and clears the
+    // bitmap for the next round.
+    std::vector<FrontierEntry> frontier;
+    frontier.reserve(active.size());
+    for (std::size_t w = 0; w < frontier_bits_.size(); ++w) {
+      for (std::uint64_t m = frontier_bits_[w]; m != 0; m &= m - 1) {
+        const auto v = static_cast<LocalId>(w * 64 + std::countr_zero(m));
+        frontier.push_back(FrontierEntry{my_begin_ + v, dist_[v]});
+      }
+      frontier_bits_[w] = 0;
     }
     stats_.frontier_broadcast += frontier.size();
     const std::vector<FrontierEntry> global = comm_.allgatherv(frontier);
+    std::size_t group = 0;
     for (const auto& fe : global) {
-      std::size_t idx = 0;
-      const auto range = g_.pull.find(fe.vertex, &idx);
+      const auto range = g_.pull.seek(fe.vertex, group);
       if (range.empty()) continue;
-      // Light entries only: [range.first, pull_split_[idx]).
-      for (std::uint64_t e = range.first; e < pull_split_[idx]; ++e) {
+      const std::uint64_t first = light ? range.first : pull_split_[group];
+      const std::uint64_t last = light ? pull_split_[group] : range.last;
+      for (std::uint64_t e = first; e < last; ++e) {
         ++stats_.relax_generated;
         relax_local(g_.pull.dst(e), fe.dist + g_.pull.weight(e), fe.vertex);
       }
@@ -273,26 +290,36 @@ class Engine {
   void process_bucket(std::uint64_t k) {
     util::Timer phase;
     util::Timer bucket_timer;
-    std::vector<LocalId> settled;  // the R set for the heavy phase
+    std::vector<LocalId> settled;     // the R set for the heavy phase
+    std::uint64_t settled_heavy = 0;  // heavy edges out of R
+    bool heavy_pull = false;
     BucketTraceRow row;
     row.bucket = k;
 
     while (true) {
       std::vector<LocalId> active = queue_.extract(k);
+      std::uint64_t light_edges = 0;
       for (const auto v : active) {
         if (r_tag_[v] != k) {
           r_tag_[v] = k;
           settled.push_back(v);
+          settled_heavy += g_.csr.edges_end(v) - split_[v];
         }
-      }
-      std::uint64_t light_edges = 0;
-      for (const auto v : active) {
         light_edges += split_[v] - g_.csr.edges_begin(v);
       }
+      // R's global size and heavy-edge count ride along for the heavy
+      // phase's direction choice; the drained round carries their final
+      // values.  Only runs that can pull pay for them.
+      std::vector<std::uint64_t> sums{active.size(), light_edges};
+      if (pull_available_) {
+        sums.insert(sums.end(), {settled.size(), settled_heavy});
+      }
       const auto totals = comm_.allreduce_vec<std::uint64_t>(
-          {active.size(), light_edges},
-          [](std::uint64_t a, std::uint64_t b) { return a + b; });
-      if (totals[0] == 0) break;  // bucket k drained everywhere
+          sums, [](std::uint64_t a, std::uint64_t b) { return a + b; });
+      if (totals[0] == 0) {  // bucket k drained everywhere
+        heavy_pull = pull_available_ && choose_pull(totals[2], totals[3]);
+        break;
+      }
       ++stats_.light_iterations;
       ++stats_.sub_rounds;
       ++row.light_rounds;
@@ -301,7 +328,7 @@ class Engine {
 
       if (choose_pull(totals[0], totals[1])) {
         ++stats_.pull_rounds;
-        pull_round(active);
+        pull_round(active, /*light=*/true);
       } else {
         ++stats_.push_rounds;
         push_round(active, /*light=*/true);
@@ -314,7 +341,17 @@ class Engine {
     phase.reset();
     ++stats_.heavy_phases;
     ++stats_.sub_rounds;
-    push_round(settled, /*light=*/false);
+    // Pulling applies heavy candidates in frontier order with no routing
+    // or coalescing.  That is safe: R's distances are final, and every
+    // heavy candidate lands above bucket k, so none of them can change
+    // another's source distance.
+    if (heavy_pull) {
+      ++stats_.pull_rounds;
+      pull_round(settled, /*light=*/false);
+    } else {
+      ++stats_.push_rounds;
+      push_round(settled, /*light=*/false);
+    }
     stats_.heavy_seconds += phase.seconds();
 
     if (config_.collect_bucket_trace) {
@@ -403,6 +440,7 @@ class Engine {
   std::vector<std::uint64_t> r_tag_;
   std::vector<std::uint64_t> split_;       // light/heavy boundary per vertex
   std::vector<std::uint64_t> pull_split_;  // same for pull source groups
+  std::vector<std::uint64_t> frontier_bits_;  // pull_round's ordering bitmap
 
   Router<Msg> router_;
   std::vector<std::vector<Msg>> outbox_;

@@ -10,7 +10,8 @@
 //   * hub caching         — replicated tentative distances for the top-degree
 //                           vertices filter most traffic aimed at them;
 //   * direction switching — dense frontiers are broadcast once (pull) instead
-//                           of pushing a message per cut edge;
+//                           of pushing a message per cut edge, in light
+//                           rounds and heavy phases alike;
 //   * local fusion        — relaxations that stay on-rank are applied
 //                           immediately, skipping the exchange entirely;
 //   * goal-directed pruning — point-to-point queries pass an ALT lower-bound

@@ -154,6 +154,7 @@ class Engine2D {
 
     phase.reset();
     ++stats_.heavy_phases;
+    ++stats_.push_rounds;
     relax_round(settled, /*light=*/false);
     stats_.heavy_seconds += phase.seconds();
   }

@@ -28,9 +28,12 @@ struct SsspConfig {
   /// local mirror of their tentative distance.  Requires graph.hubs.
   bool hub_cache = true;
 
-  /// Enable the push->pull direction switch for dense frontiers.
+  /// Enable the push->pull direction switch for dense frontiers, in light
+  /// rounds and heavy phases alike.
   bool direction_opt = true;
-  /// Only consider pulling when the active fraction exceeds this.
+  /// Only consider pulling when the round's frontier (the active set, or
+  /// the settled set for a heavy phase) is at least this fraction of all
+  /// vertices.
   double pull_threshold = 0.02;
   /// Pull is chosen when estimated push bytes exceed pull bytes times this
   /// factor (>1 biases toward push).
@@ -138,6 +141,10 @@ struct SsspStats {
   std::uint64_t buckets_processed = 0;
   std::uint64_t light_iterations = 0;  ///< inner rounds across all buckets
   std::uint64_t heavy_phases = 0;
+  /// Bucket rounds by direction: every light round and every heavy phase
+  /// counts once, so push_rounds + pull_rounds == light_iterations +
+  /// heavy_phases in the synchronous engines (the 2-D engine always
+  /// pushes).
   std::uint64_t push_rounds = 0;
   std::uint64_t pull_rounds = 0;
 

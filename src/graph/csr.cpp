@@ -226,11 +226,29 @@ std::uint64_t PullIndex::resident_bytes() const noexcept {
 }
 
 PullIndex::Range PullIndex::find(VertexId s, std::size_t* index) const {
-  const auto it = std::lower_bound(sources_.begin(), sources_.end(), s);
-  if (it == sources_.end() || *it != s) return Range{};
-  const auto i = static_cast<std::size_t>(it - sources_.begin());
-  if (index != nullptr) *index = i;
-  return Range{offsets_[i], offsets_[i + 1]};
+  std::size_t i = 0;
+  const Range r = seek(s, i);
+  if (index != nullptr && i < sources_.size() && sources_[i] == s) *index = i;
+  return r;
+}
+
+PullIndex::Range PullIndex::seek(VertexId s, std::size_t& cursor) const {
+  // Every source before lo is < s; double the step until the source just
+  // below lo + step is >= s or the end is near.
+  const std::size_t n = sources_.size();
+  std::size_t lo = cursor;
+  std::size_t step = 1;
+  while (lo + step <= n && sources_[lo + step - 1] < s) {
+    lo += step;
+    step *= 2;
+  }
+  const auto first = sources_.begin() + static_cast<std::ptrdiff_t>(lo);
+  const auto last =
+      sources_.begin() + static_cast<std::ptrdiff_t>(std::min(n, lo + step));
+  cursor = static_cast<std::size_t>(std::lower_bound(first, last, s) -
+                                    sources_.begin());
+  if (cursor == n || sources_[cursor] != s) return Range{};
+  return Range{offsets_[cursor], offsets_[cursor + 1]};
 }
 
 std::uint64_t PullIndex::split_at(Range r, Weight delta) const {

@@ -155,6 +155,13 @@ class PullIndex {
   };
   [[nodiscard]] Range find(VertexId s, std::size_t* index = nullptr) const;
 
+  /// find for a sweep over ascending ids: search sources() forward from
+  /// `cursor` (galloping, then binary search) and leave `cursor` at the
+  /// first source >= s, which is s's position within sources() when s is
+  /// present.  Every source before `cursor` must be < s; start a sweep at
+  /// 0.  A query costs O(log gap) in the distance the cursor moves.
+  [[nodiscard]] Range seek(VertexId s, std::size_t& cursor) const;
+
   /// Entry range of the i-th source group (i < num_sources()).
   [[nodiscard]] Range range(std::size_t i) const {
     return Range{offsets_[i], offsets_[i + 1]};

@@ -188,6 +188,84 @@ TEST(DeltaStepping, PullModeActuallyEngagesOnDenseFrontiers) {
   });
 }
 
+TEST(DeltaStepping, ForcedPullSendsNoRecordsInEitherPhase) {
+  // With pull forced, light rounds and heavy phases alike broadcast the
+  // frontier and relax on the owner, so no candidate crosses alltoallv.
+  KroneckerParams params;
+  params.scale = 10;
+  for (const int ranks : {1, 3, 4}) {
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const DistGraph g = build_kronecker(comm, params);
+      core::SsspConfig pull;
+      pull.pull_threshold = 0.0;
+      pull.pull_bias = 0.0;
+      pull.collect_bucket_trace = true;
+      core::SsspStats pull_stats;
+      core::SsspStats default_stats;
+      const std::uint64_t before =
+          comm.allreduce_sum(comm.stats().alltoallv.bytes);
+      const auto pulled = core::delta_stepping(comm, g, 1, pull, &pull_stats);
+      const std::uint64_t after =
+          comm.allreduce_sum(comm.stats().alltoallv.bytes);
+      const auto reference =
+          core::delta_stepping(comm, g, 1, core::SsspConfig{}, &default_stats);
+
+      EXPECT_EQ(comm.allreduce_sum(pull_stats.relax_sent), 0u)
+          << ranks << " ranks";
+      EXPECT_EQ(after, before) << ranks << " ranks";
+      EXPECT_GT(pull_stats.pull_rounds, 0u);
+      EXPECT_EQ(pulled.dist, reference.dist) << ranks << " ranks";
+      EXPECT_TRUE(core::validate_sssp(comm, g, 1, pulled).ok);
+      // Every bucket round counts once, by its direction.
+      for (const core::SsspStats* s : {&pull_stats, &default_stats}) {
+        EXPECT_EQ(s->push_rounds + s->pull_rounds,
+                  s->light_iterations + s->heavy_phases);
+      }
+      // A pulled round broadcasts each frontier vertex once, so the
+      // broadcasts cannot outnumber the light rounds' global frontiers
+      // plus the settled sets.
+      std::uint64_t light_frontiers = 0;
+      std::uint64_t settled = 0;
+      for (const auto& row : pull_stats.bucket_trace) {
+        light_frontiers += row.frontier_total;
+        settled += row.settled;
+      }
+      EXPECT_LE(comm.allreduce_sum(pull_stats.frontier_broadcast),
+                light_frontiers + comm.allreduce_sum(settled));
+    });
+  }
+}
+
+TEST(DeltaStepping, RunsThatCannotPullKeepTwoSumsPerLightAllreduce) {
+  // R's size and heavy-edge count join the light loop's allreduce only
+  // where pulling is possible.  A run that cannot pull pays 8 bytes per
+  // bucket minimum (one per bucket plus the final one) and 16 per light
+  // allreduce (one per light round plus the drained one); without a pull
+  // index, the 4-byte agreement at construction comes on top.
+  KroneckerParams params;
+  params.scale = 10;
+  for (const bool index : {true, false}) {
+    simmpi::World world(3);
+    world.run([&](simmpi::Comm& comm) {
+      BuildOptions opts;
+      opts.build_pull_index = index;
+      const DistGraph g = build_kronecker(comm, params, opts);
+      core::SsspConfig config = core::SsspConfig::plain();
+      config.direction_opt = !index;  // off, or on without a pull index
+      core::SsspStats stats;
+      const std::uint64_t before = comm.stats().allreduce.bytes;
+      (void)core::delta_stepping(comm, g, 1, config, &stats);
+      const std::uint64_t bytes = comm.stats().allreduce.bytes - before;
+      EXPECT_EQ(stats.pull_rounds, 0u);
+      EXPECT_EQ(bytes, (index ? 0u : 4u) + 8 * (stats.buckets_processed + 1) +
+                           16 * (stats.light_iterations +
+                                 stats.buckets_processed))
+          << (index ? "direction_opt off" : "no pull index");
+    });
+  }
+}
+
 TEST(DeltaStepping, HubCacheFiltersTrafficOnStarGraph) {
   const EdgeList star = star_graph(256, 33);
   simmpi::World world(4);

@@ -1,11 +1,12 @@
 // Randomized cross-engine agreement: for a sweep of seeds, build a random
 // graph with random shape, pick random roots, and require that every
-// engine (1-D delta-stepping in default and plain trim, the async engine
-// with packed and wide records, Bellman-Ford and the 2-D engine, each flat
-// and through the two-level exchange) agrees with sequential Dijkstra and
-// passes official validation.  The widest net in the suite: anything that
-// breaks only on odd shapes (duplicate edges, dangling vertices, skewed
-// degrees, rank counts that don't divide n) lands here.
+// engine (1-D delta-stepping in default and plain trim and with pull forced
+// in light rounds and heavy phases, the async engine with packed and wide
+// records, Bellman-Ford and the 2-D engine, each flat and through the
+// two-level exchange) agrees with sequential Dijkstra and passes official
+// validation.  The widest net in the suite: anything that breaks only on
+// odd shapes (duplicate edges, dangling vertices, skewed degrees, rank
+// counts that don't divide n) lands here.
 #include <gtest/gtest.h>
 
 #include "core/async_delta_stepping.hpp"
@@ -59,6 +60,11 @@ TEST_P(FuzzSweep, AllEnginesAgreeWithDijkstra) {
     attempts.push_back({"delta-plain", core::delta_stepping(
                                            comm, g, root,
                                            core::SsspConfig::plain())});
+    core::SsspConfig pull_always;
+    pull_always.pull_threshold = 0.0;
+    pull_always.pull_bias = 0.0;
+    attempts.push_back({"delta-pull-always",
+                        core::delta_stepping(comm, g, root, pull_always)});
     core::SsspConfig wide;
     wide.compress = false;
     core::SsspConfig two_level;

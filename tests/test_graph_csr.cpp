@@ -1,6 +1,8 @@
 // Unit tests for LocalCsr and PullIndex.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/csr.hpp"
 
 namespace {
@@ -124,6 +126,88 @@ TEST(PullIndex, SourcesAreSortedUnique) {
   for (std::size_t i = 1; i < sources.size(); ++i) {
     EXPECT_LT(sources[i - 1], sources[i]);
   }
+}
+
+
+/// Sweep `queries` (ascending) with one seek cursor and require every
+/// answer to equal find's: the same range and, for a present source, the
+/// same group index.  For an absent id the cursor rests on the first
+/// larger source.
+void expect_seek_matches_find(const PullIndex& pull,
+                              const std::vector<VertexId>& queries) {
+  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
+  std::size_t cursor = 0;
+  for (const VertexId s : queries) {
+    std::size_t index = kUnset;
+    const auto want = pull.find(s, &index);
+    const auto got = pull.seek(s, cursor);
+    ASSERT_EQ(got.first, want.first) << "id " << s;
+    ASSERT_EQ(got.last, want.last) << "id " << s;
+    if (index != kUnset) {
+      ASSERT_EQ(cursor, index) << "id " << s;
+    } else {
+      ASSERT_TRUE(cursor == pull.num_sources() || pull.sources()[cursor] > s)
+          << "id " << s;
+      ASSERT_TRUE(cursor == 0 || pull.sources()[cursor - 1] < s) << "id " << s;
+    }
+  }
+}
+
+/// Sweeps that hit every source, every absent id between sources, ids
+/// before the first source and after the last, and strides long enough to
+/// make the search gallop.
+void expect_sweeps_match_find(const PullIndex& pull, VertexId last_id) {
+  for (const VertexId stride : {1, 2, 7, 97, 1000}) {
+    std::vector<VertexId> queries;
+    for (VertexId s = 0; s <= last_id + stride; s += stride) {
+      queries.push_back(s);
+    }
+    expect_seek_matches_find(pull, queries);
+  }
+  // Sources only, skipping ever more of them; then one id asked twice.
+  for (std::size_t skip : {1, 3, 40}) {
+    std::vector<VertexId> queries;
+    for (std::size_t i = 0; i < pull.num_sources(); i += skip) {
+      queries.push_back(pull.sources()[i]);
+    }
+    expect_seek_matches_find(pull, queries);
+  }
+  expect_seek_matches_find(pull, {5, 5, 6, 6});
+}
+
+TEST(PullIndex, SeekSweepMatchesFind) {
+  // Sources 5 + i(i+1)/2 (gaps growing from 1 to ~120) and a run of
+  // consecutive ids; some sources have two entries.
+  std::vector<WireEdge> edges;
+  VertexId last = 0;
+  for (VertexId i = 0; i < 120; ++i) {
+    last = 5 + i * (i + 1) / 2;
+    edges.push_back({i % 3, last, 0.05f + 0.1f * static_cast<float>(i % 7)});
+    if (i % 4 == 0) edges.push_back({2, last, 0.95f});
+  }
+  for (VertexId s = 8000; s < 8032; ++s) {
+    edges.push_back({s % 3, s, 0.5f});
+    last = s;
+  }
+  const PullIndex pull = PullIndex::from_csr(LocalCsr(3, std::move(edges)));
+  ASSERT_EQ(pull.num_sources(), 152u);
+  expect_sweeps_match_find(pull, last);
+
+  // The same sweeps over a non-owning view of those arrays, as a mapped
+  // shard provides.
+  const PullIndex view = PullIndex::view(pull.sources(), pull.offsets(),
+                                         pull.destinations(), pull.weights());
+  ASSERT_FALSE(view.owns_storage());
+  expect_sweeps_match_find(view, last);
+}
+
+TEST(PullIndex, SeekOnEmptyIndexFindsNothing) {
+  const PullIndex empty = PullIndex::from_csr(LocalCsr(2, {}));
+  expect_sweeps_match_find(empty, 50);
+  std::size_t cursor = 0;
+  EXPECT_TRUE(empty.seek(7, cursor).empty());
+  EXPECT_EQ(cursor, 0u);
+  expect_sweeps_match_find(PullIndex{}, 50);
 }
 
 }  // namespace
