@@ -11,8 +11,8 @@
 //       repaired distances are bit-identical to the recompute after EVERY
 //       batch and the repair's total relaxations stay strictly below the
 //       recompute's (the affected cone is small, so re-relaxing only it
-//       must win).  Compaction fires mid-run to prove repair survives the
-//       CSR rebuild.
+//       must win).  Compaction fires mid-run to prove repair survives a
+//       hub re-selection.
 //   (b) Does serving stay exact across commits?  A DistanceService with
 //       the landmark oracle runs point queries interleaved with commits
 //       (note_graph_update after each): every answer must match a fresh
@@ -200,8 +200,8 @@ int main(int argc, char** argv) {
     }
 
     dyn::MutableGraph::Config mcfg;
-    // At least one compaction mid-run: repair must survive the full
-    // builder rebuild (hub lists, degree stats), not just view patches.
+    // At least one compaction mid-run: repair must survive a hub list
+    // re-selected between batches, not just per-commit view rebuilds.
     mcfg.compact_every =
         static_cast<std::uint64_t>(std::max(2, num_batches / 2));
     dyn::MutableGraph mg(

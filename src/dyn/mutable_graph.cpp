@@ -13,7 +13,7 @@ using graph::Weight;
 
 namespace {
 
-/// One directed overlay op on the wire (both directions of every staged
+/// One directed update op on the wire (both directions of every staged
 /// update are routed to the owner of their source, like the builder).
 struct DirectedUpdate {
   VertexId src = 0;
@@ -46,16 +46,7 @@ MutableGraph::MutableGraph(simmpi::Comm& comm, graph::DistGraph base)
 
 MutableGraph::MutableGraph(simmpi::Comm& comm, graph::DistGraph base,
                            Config config)
-    : comm_(comm), config_(config), view_(std::move(base)) {
-  const auto local_n = static_cast<std::size_t>(view_.part.count(comm_.rank()));
-  adj_.resize(local_n);
-  for (LocalId u = 0; u < static_cast<LocalId>(local_n); ++u) {
-    for (std::uint64_t e = view_.csr.edges_begin(u); e < view_.csr.edges_end(u);
-         ++e) {
-      adj_[u].emplace(view_.csr.dst(e), view_.csr.weight(e));
-    }
-  }
-}
+    : comm_(comm), config_(config), view_(std::move(base)) {}
 
 void MutableGraph::stage(const EdgeUpdate& update) {
   if (update.u >= view_.num_vertices || update.v >= view_.num_vertices) {
@@ -112,11 +103,23 @@ CommitSummary MutableGraph::commit_batch() {
               return a.weight < b.weight;
             });
 
+  // Stream the committed rows into the next edge list.  edges[e] is CSR
+  // edge e, so the merged ops below reweight or tombstone (src =
+  // kNoVertex) an existing edge in place; inserts are appended.
+  const graph::LocalCsr& csr = view_.csr;
+  const LocalId local_n = csr.num_local();
+  std::vector<graph::WireEdge> edges;
+  edges.reserve(csr.num_edges() + incoming.size());
+  for (LocalId u = 0; u < local_n; ++u) {
+    for (std::uint64_t e = csr.edges_begin(u); e < csr.edges_end(u); ++e) {
+      edges.push_back(graph::WireEdge{u, csr.dst(e), csr.weight(e)});
+    }
+  }
+
   const VertexId my_begin = view_.part.begin(comm_.rank());
-  std::vector<std::uint8_t> seeded(adj_.size(), 0);
+  std::vector<std::uint8_t> seeded(local_n, 0);
   std::vector<AppliedWire> canonical;
   std::uint64_t inserted = 0, removed = 0, reweighted = 0;
-  std::uint64_t applied_directed = 0;
 
   for (std::size_t i = 0; i < incoming.size();) {
     const DirectedUpdate& head = incoming[i];  // the winning merged op
@@ -127,10 +130,13 @@ CommitSummary MutableGraph::commit_batch() {
     }
     i = j;
 
+    // A row holds each neighbour once, so a scan finds the old weight.
     const auto ls = static_cast<LocalId>(head.src - my_begin);
-    auto it = adj_[ls].find(head.dst);
-    const bool had = it != adj_[ls].end();
-    const Weight old_w = had ? it->second : 0.0f;
+    std::uint64_t e = csr.edges_begin(ls);
+    const std::uint64_t row_end = csr.edges_end(ls);
+    while (e < row_end && csr.dst(e) != head.dst) ++e;
+    const bool had = e < row_end;
+    const Weight old_w = had ? csr.weight(e) : 0.0f;
     bool changed = false, is_removal = false;
     Weight new_w = old_w;
     switch (static_cast<UpdateOp>(head.op)) {
@@ -147,13 +153,12 @@ CommitSummary MutableGraph::commit_batch() {
         break;
     }
     if (!changed) continue;
-    ++applied_directed;
     if (is_removal) {
-      adj_[ls].erase(it);
+      edges[e].src = graph::kNoVertex;
     } else if (had) {
-      it->second = new_w;
+      edges[e].weight = new_w;
     } else {
-      adj_[ls].emplace(head.dst, new_w);
+      edges.push_back(graph::WireEdge{ls, head.dst, new_w});
     }
 
     if (is_removal || (had && new_w > old_w)) {
@@ -179,7 +184,6 @@ CommitSummary MutableGraph::commit_batch() {
       }
     }
   }
-  overlay_directed_ += applied_directed;
 
   const auto totals = comm_.allreduce_vec<std::uint64_t>(
       {staged_local, self_loops, inserted, removed, reweighted},
@@ -208,7 +212,13 @@ CommitSummary MutableGraph::commit_batch() {
                                               summary.affected_vertices.end()),
                                   summary.affected_vertices.end());
 
-  rebuild_view();
+  std::erase_if(edges, [](const graph::WireEdge& x) {
+    return x.src == graph::kNoVertex;
+  });
+  // Hubs keep their (possibly stale) selection until compaction: the hub
+  // filter is correct for any vertex set, staleness only costs traffic.
+  graph::assemble_local(comm_, view_, std::move(edges), config_.build);
+
   // Keep the TEPS normalizer in step with the effective edge set
   // (saturating: removals can never push it below zero).
   view_.num_input_edges += summary.inserted;
@@ -226,78 +236,22 @@ CommitSummary MutableGraph::commit_batch() {
   stats_.self_loops_dropped += summary.self_loops_dropped;
 
   ++commits_since_compact_;
-  if (should_compact()) {
+  if (config_.compact_every > 0 &&
+      commits_since_compact_ >= config_.compact_every) {
     compact();
     summary.compacted = true;
   }
   return summary;
 }
 
-void MutableGraph::rebuild_view() {
-  const auto local_n = static_cast<LocalId>(adj_.size());
-  std::vector<graph::WireEdge> edges;
-  std::uint64_t local_directed = 0;
-  for (const auto& row : adj_) local_directed += row.size();
-  edges.reserve(local_directed);
-  for (LocalId u = 0; u < local_n; ++u) {
-    for (const auto& [dst, w] : adj_[u]) {
-      edges.push_back(graph::WireEdge{u, dst, w});
-    }
-  }
-  view_.csr = graph::LocalCsr(local_n, std::move(edges));
-  view_.pull = config_.build.build_pull_index
-                   ? graph::PullIndex::from_csr(view_.csr)
-                   : graph::PullIndex{};
-  view_.num_directed_edges = comm_.allreduce_sum(local_directed);
-  view_.degree_hist = util::Log2Histogram{};
-  for (LocalId u = 0; u < local_n; ++u) {
-    view_.degree_hist.add(view_.csr.degree(u));
-  }
-  // Hubs keep their (possibly stale) selection until compaction: the hub
-  // filter is correct for any vertex set, staleness only costs traffic.
-}
-
-bool MutableGraph::should_compact() {
-  bool want = config_.compact_every > 0 &&
-              commits_since_compact_ >= config_.compact_every;
-  if (config_.compact_overlay_ratio > 0.0) {
-    const std::uint64_t overlay_global = comm_.allreduce_sum(overlay_directed_);
-    const auto directed = static_cast<double>(
-        std::max<std::uint64_t>(1, view_.num_directed_edges));
-    if (static_cast<double>(overlay_global) >
-        config_.compact_overlay_ratio * directed) {
-      want = true;
-    }
-  }
-  return want;
-}
-
 void MutableGraph::compact() {
-  // Each undirected edge has copies at both owners; the smaller endpoint
-  // emits, so the builder sees every edge exactly once.
-  graph::EdgeList slice;
-  slice.num_vertices = view_.num_vertices;
-  const VertexId my_begin = view_.part.begin(comm_.rank());
-  for (LocalId u = 0; u < static_cast<LocalId>(adj_.size()); ++u) {
-    const VertexId gu = my_begin + u;
-    for (const auto& [dst, w] : adj_[u]) {
-      if (gu < dst) slice.edges.push_back(graph::Edge{gu, dst, w});
-    }
-  }
-  const std::uint64_t input_edges = view_.num_input_edges;
-  graph::DistGraph rebuilt = graph::build_distributed(
-      comm_, slice, view_.num_vertices, config_.build);
-  rebuilt.num_input_edges = input_edges;  // keep the bookkept normalizer
-  view_ = std::move(rebuilt);
-
-  adj_.assign(static_cast<std::size_t>(view_.part.count(comm_.rank())), {});
-  for (LocalId u = 0; u < static_cast<LocalId>(adj_.size()); ++u) {
-    for (std::uint64_t e = view_.csr.edges_begin(u); e < view_.csr.edges_end(u);
-         ++e) {
-      adj_[u].emplace(view_.csr.dst(e), view_.csr.weight(e));
-    }
-  }
-  overlay_directed_ = 0;
+  // A committed view equals a fresh build of its edges except for the hub
+  // list, so re-selecting hubs is all a rebuild through the builder would
+  // change.
+  graph::select_hubs(
+      comm_, view_.part, view_.csr,
+      graph::resolved_hub_count(config_.build, view_.num_vertices),
+      view_.hubs, view_.hub_degrees);
   commits_since_compact_ = 0;
   ++stats_.compactions;
 }

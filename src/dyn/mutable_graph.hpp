@@ -8,13 +8,13 @@
 //   * stage() buffers edge updates locally (the delta log);
 //   * commit_batch() is a collective that routes both directions of every
 //     staged update to the owning ranks (exactly like the builder), merges
-//     conflicting ops deterministically, consults the per-vertex overlay
-//     alongside the CSR adjacency to apply them, rebuilds the rank-local
-//     view (CSR + pull index) from the merged adjacency, and agrees a new
-//     monotonically increasing graph_version by allreduce;
-//   * periodic compaction folds everything back through the distributed
-//     builder (graph::build_distributed), refreshing the hub list and
-//     degree statistics that per-commit view rebuilds leave stale.
+//     conflicting ops deterministically, reads each op's old weight from
+//     the committed CSR row, rebuilds the rank-local view (CSR + pull
+//     index) from the current rows with the batch applied, and agrees a
+//     new monotonically increasing graph_version by allreduce;
+//   * the committed CSR is the only copy of the edges, and after a commit
+//     the view equals a fresh build of its edges except for the hub list,
+//     so periodic compaction just re-selects hubs from the current degrees.
 //
 // The committed view is a real DistGraph, so every existing kernel runs
 // over it unchanged; commit summaries carry exactly the seed/suspect sets
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -115,16 +114,16 @@ class MutableGraph {
   struct Config {
     /// Compact every N commits (0 = only on explicit compact()).
     std::uint64_t compact_every = 0;
-    /// Compact when applied-but-uncompacted directed changes exceed this
-    /// fraction of the directed edge count (0 = disabled).
-    double compact_overlay_ratio = 0.0;
-    /// Build options for the compaction rebuild.
+    /// Precondition: the options the adopted base was built (or loaded)
+    /// with.  Commits rebuild the pull index iff build_pull_index;
+    /// compaction re-selects resolved_hub_count(build, n) hubs.
     graph::BuildOptions build;
   };
 
-  /// Adopt `base` as version 0.  SPMD: every rank passes its own piece;
-  /// `config` must be identical on every rank (the compaction decision is
-  /// derived from it on all ranks in lockstep).
+  /// Adopt `base` as version 0, as built (a mapped base stays mapped until
+  /// the first commit).  SPMD: every rank passes its own piece; `config`
+  /// must be identical on every rank (the compaction decision is derived
+  /// from it on all ranks in lockstep).
   MutableGraph(simmpi::Comm& comm, graph::DistGraph base, Config config);
   MutableGraph(simmpi::Comm& comm, graph::DistGraph base);
 
@@ -139,10 +138,6 @@ class MutableGraph {
 
   [[nodiscard]] const DynStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t pending() const noexcept { return staged_.size(); }
-  /// Directed changes applied since the last compaction (this rank).
-  [[nodiscard]] std::uint64_t overlay_edges() const noexcept {
-    return overlay_directed_;
-  }
 
   /// Buffer one update locally (any rank may stage any edge).  Throws
   /// std::out_of_range on an endpoint >= num_vertices, like the builder.
@@ -156,25 +151,16 @@ class MutableGraph {
   /// call it, even with nothing staged.
   CommitSummary commit_batch();
 
-  /// Collective: fold the applied overlay back through the distributed
-  /// builder, refreshing hubs, degree statistics and storage balance.
+  /// Collective: re-select the hub list from the current degrees (the
+  /// only part of the view that commits leave stale).
   void compact();
 
  private:
-  void rebuild_view();
-  [[nodiscard]] bool should_compact();
-
   simmpi::Comm& comm_;
   Config config_;
   graph::DistGraph view_;
   std::uint64_t version_ = 0;
   std::uint64_t commits_since_compact_ = 0;
-  std::uint64_t overlay_directed_ = 0;
-
-  /// Authoritative effective adjacency of owned vertices (dst -> weight);
-  /// the overlay consulted alongside the CSR when applying a batch, and
-  /// the source the view CSR is rebuilt from.
-  std::vector<std::map<graph::VertexId, graph::Weight>> adj_;
 
   std::vector<EdgeUpdate> staged_;
   DynStats stats_;

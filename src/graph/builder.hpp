@@ -87,6 +87,16 @@ struct DistGraph {
                                           VertexId num_vertices,
                                           const BuildOptions& opts = {});
 
+/// The builder's rank-local tail, shared with dyn::MutableGraph's commits.
+/// Collective (one allreduce).  `edges` are this rank's cleaned directed
+/// edges (local sources, each (src, dst) at most once); `g.part` must be
+/// set.  Replaces g's CSR, pull index (built iff opts.build_pull_index),
+/// num_directed_edges and degree histogram, and marks g resident: the new
+/// arrays live on the heap, so any shard mapping is released.  Hubs and
+/// num_input_edges are left to the caller.
+void assemble_local(simmpi::Comm& comm, DistGraph& g,
+                    std::vector<WireEdge> edges, const BuildOptions& opts);
+
 /// Convenience: generate this rank's Kronecker slice internally, then build.
 [[nodiscard]] DistGraph build_kronecker(simmpi::Comm& comm,
                                         const KroneckerParams& params,

@@ -351,7 +351,9 @@ TEST(DeltaStepping, BucketTraceRecordsEveryBucket) {
     for (std::size_t i = 0; i < stats.bucket_trace.size(); ++i) {
       const auto& row = stats.bucket_trace[i];
       rounds += row.light_rounds;
-      if (i > 0) EXPECT_GT(row.bucket, prev_bucket);  // strictly ascending
+      if (i > 0) {
+        EXPECT_GT(row.bucket, prev_bucket);  // strictly ascending
+      }
       prev_bucket = row.bucket;
       EXPECT_GE(row.seconds, 0.0);
     }
@@ -456,7 +458,9 @@ TEST(DeltaStepping, RootOnlyGraph) {
     const auto whole = core::gather_result(comm, g, mine);
     EXPECT_FLOAT_EQ(whole.dist[2], 0.0f);
     for (VertexId v = 0; v < 5; ++v) {
-      if (v != 2) EXPECT_EQ(whole.dist[v], kInfDistance);
+      if (v != 2) {
+        EXPECT_EQ(whole.dist[v], kInfDistance);
+      }
     }
     EXPECT_TRUE(core::validate_sssp(comm, g, 2, mine).ok);
   });

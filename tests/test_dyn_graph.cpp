@@ -1,17 +1,21 @@
 // MutableGraph semantics: staged batches against a host-side reference
 // edge map applying the documented merge rules, version agreement,
-// self-loop/duplicate handling, and compaction equivalence.
+// self-loop/duplicate handling, compaction equivalence, and the one-copy
+// invariant (a committed view equals a fresh build of its edges).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "dyn/mutable_graph.hpp"
 #include "graph/builder.hpp"
+#include "graph/shard.hpp"
 #include "simmpi/comm.hpp"
 #include "util/random.hpp"
 
@@ -91,6 +95,16 @@ class RefGraph {
 
   [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
 
+  /// One tuple per undirected edge — builder input for a fresh build.
+  [[nodiscard]] EdgeList edge_list(VertexId n) const {
+    EdgeList out;
+    out.num_vertices = n;
+    for (const auto& [k, w] : edges_) {
+      out.edges.push_back(Edge{k.first, k.second, w});
+    }
+    return out;
+  }
+
  private:
   static std::pair<VertexId, VertexId> key(VertexId u, VertexId v) {
     return {std::min(u, v), std::max(u, v)};
@@ -115,6 +129,32 @@ std::vector<EdgeTuple> gather_view_edges(simmpi::Comm& comm,
   for (const auto& e : all) out.emplace_back(e.src, e.dst, e.weight);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Hold the committed view to a from-scratch build of the reference edges
+/// on the same ranks, array for array.  Hubs are compared only when
+/// `with_hubs` is set: commits leave them stale until compact().
+void expect_fresh_build(simmpi::Comm& comm, const DistGraph& view,
+                        const RefGraph& ref, bool with_hubs,
+                        const std::string& where) {
+  const VertexId n = view.num_vertices;
+  const DistGraph fresh = build_distributed(
+      comm, slice_for_rank(ref.edge_list(n), comm.rank(), comm.size()), n);
+  const auto same = [](auto a, auto b) { return std::ranges::equal(a, b); };
+  EXPECT_TRUE(same(view.csr.offsets(), fresh.csr.offsets())) << where;
+  EXPECT_TRUE(same(view.csr.adjacency(), fresh.csr.adjacency())) << where;
+  EXPECT_TRUE(same(view.csr.weights(), fresh.csr.weights())) << where;
+  EXPECT_TRUE(same(view.pull.sources(), fresh.pull.sources())) << where;
+  EXPECT_TRUE(same(view.pull.offsets(), fresh.pull.offsets())) << where;
+  EXPECT_TRUE(same(view.pull.destinations(), fresh.pull.destinations()))
+      << where;
+  EXPECT_TRUE(same(view.pull.weights(), fresh.pull.weights())) << where;
+  EXPECT_EQ(view.num_directed_edges, fresh.num_directed_edges) << where;
+  EXPECT_EQ(view.degree_hist.buckets(), fresh.degree_hist.buckets()) << where;
+  if (with_hubs) {
+    EXPECT_EQ(view.hubs, fresh.hubs) << where;
+    EXPECT_EQ(view.hub_degrees, fresh.hub_degrees) << where;
+  }
 }
 
 /// Deterministic test graph: a ring plus chords, with self-loops and
@@ -177,11 +217,12 @@ TEST(MutableGraph, CommittedViewMatchesReferenceAcrossRanks) {
       ASSERT_EQ(gather_view_edges(comm, mg.view()), ref.directed())
           << "adopted base diverges, P=" << P;
 
-      for (int round = 0; round < 8; ++round) {
-        const auto existing = gather_view_edges(comm, mg.view());
-        const auto batch = random_batch(0xBEE5 + round, 64, existing);
-        // Spread the staging over the ranks; the committed outcome must
-        // not depend on who staged what.
+      // Spread the staging over the ranks (the committed outcome must not
+      // depend on who staged what), commit, and hold the view to the
+      // reference and to a fresh build of the reference edges.
+      std::uint64_t version = 0;
+      const auto commit = [&](const std::vector<EdgeUpdate>& batch,
+                              const std::string& what) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
           if (static_cast<int>(i % static_cast<std::size_t>(P)) ==
               comm.rank()) {
@@ -190,12 +231,62 @@ TEST(MutableGraph, CommittedViewMatchesReferenceAcrossRanks) {
         }
         const auto summary = mg.commit_batch();
         ref.apply(batch);
-        EXPECT_EQ(summary.graph_version,
-                  static_cast<std::uint64_t>(round + 1));
+        const std::string where = "P=" + std::to_string(P) + " rank=" +
+                                  std::to_string(comm.rank()) + " " + what;
+        EXPECT_EQ(summary.graph_version, ++version) << where;
         ASSERT_EQ(gather_view_edges(comm, mg.view()), ref.directed())
-            << "view diverges from reference, P=" << P << " round=" << round;
+            << "view diverges from reference, " << where;
         EXPECT_EQ(mg.view().num_directed_edges, 2 * ref.num_edges());
+        expect_fresh_build(comm, mg.view(), ref, /*with_hubs=*/false, where);
+      };
+
+      for (int round = 0; round < 8; ++round) {
+        const auto existing = gather_view_edges(comm, mg.view());
+        commit(random_batch(0xBEE5 + round, 64, existing),
+               "round " + std::to_string(round));
       }
+
+      // Delete, lower and raise the edges of the top hub's row.
+      const VertexId hub = mg.view().hubs[0];
+      std::vector<EdgeUpdate> hub_batch;
+      for (const auto& [u, v, w] : gather_view_edges(comm, mg.view())) {
+        if (u != hub) continue;
+        switch (hub_batch.size() % 3) {
+          case 0:
+            hub_batch.push_back(EdgeUpdate{u, v, 0.0f, UpdateOp::kDelete});
+            break;
+          case 1:
+            hub_batch.push_back(EdgeUpdate{u, v, w / 2, UpdateOp::kSet});
+            break;
+          default:
+            hub_batch.push_back(EdgeUpdate{u, v, w + 1, UpdateOp::kSet});
+            break;
+        }
+      }
+      ASSERT_GE(hub_batch.size(), 3u);
+      commit(hub_batch, "hub row");
+
+      // Delete every edge of one vertex, leaving its row empty.
+      const auto existing = gather_view_edges(comm, mg.view());
+      const VertexId lone = std::get<0>(existing.back());
+      std::vector<EdgeUpdate> lone_batch;
+      for (const auto& [u, v, w] : existing) {
+        if (u == lone) {
+          lone_batch.push_back(EdgeUpdate{u, v, 0.0f, UpdateOp::kDelete});
+        }
+      }
+      commit(lone_batch, "emptied row");
+      if (mg.view().rank_of(lone) == comm.rank()) {
+        const auto local = static_cast<LocalId>(
+            lone - mg.view().part.begin(comm.rank()));
+        EXPECT_EQ(mg.view().csr.degree(local), 0u);
+      }
+
+      // Compaction re-selects hubs; then the view equals the fresh build
+      // in every field.
+      mg.compact();
+      expect_fresh_build(comm, mg.view(), ref, /*with_hubs=*/true,
+                         "P=" + std::to_string(P) + " after compact()");
     });
   }
 }
@@ -295,10 +386,44 @@ TEST(MutableGraph, CompactionPreservesEdgesAndRefreshesHubs) {
       }
       EXPECT_EQ(mg.stats().compactions, 2u);
       EXPECT_EQ(mg.version(), version);
-      EXPECT_EQ(mg.overlay_edges(), 0u) << "compaction clears the overlay";
       EXPECT_FALSE(mg.view().hubs.empty());
     });
   }
+}
+
+TEST(MutableGraph, CommitOverMappedShardsIsResident) {
+  const auto input = test_graph(64);
+  const std::string dir = ::testing::TempDir() + "/g500_dyn_mapped";
+  std::filesystem::create_directories(dir);
+  const int ranks = 2;
+  simmpi::World world(ranks);
+  world.run([&](simmpi::Comm& comm) {
+    write_shard(shard_path(dir, comm.rank(), ranks),
+                build_distributed(comm,
+                                  slice_for_rank(input, comm.rank(), ranks),
+                                  input.num_vertices),
+                comm.rank());
+    MutableGraph mg(comm, load_sharded(comm, dir));
+    // Adoption keeps the mapped arrays; nothing is copied to the heap.
+    EXPECT_EQ(mg.view().backing, GraphBacking::kMapped);
+    EXPECT_FALSE(mg.view().csr.owns_storage());
+    EXPECT_GT(mg.view().mapped_bytes, 0u);
+
+    RefGraph ref(input);
+    if (comm.rank() == 0) mg.stage_insert(5, 40, 0.25f);
+    const auto summary = mg.commit_batch();
+    ref.apply({EdgeUpdate{5, 40, 0.25f, UpdateOp::kInsert}});
+    EXPECT_EQ(summary.inserted, 1u) << "5-40 must be a new edge";
+
+    // The committed arrays live on the heap, so the view must say so and
+    // let go of the shard mapping.
+    EXPECT_TRUE(mg.view().csr.owns_storage());
+    EXPECT_EQ(mg.view().backing, GraphBacking::kResident);
+    EXPECT_EQ(mg.view().mapping, nullptr);
+    EXPECT_EQ(mg.view().mapped_bytes, 0u);
+    EXPECT_EQ(gather_view_edges(comm, mg.view()), ref.directed());
+  });
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

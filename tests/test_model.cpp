@@ -92,9 +92,9 @@ TEST(Calibration, FromRealMeasuredRun) {
 }
 
 TEST(Calibration, RejectsEmptyRun) {
-  EXPECT_THROW(Calibration::from_run({}, {}, 0, 1, 10),
+  EXPECT_THROW((void)Calibration::from_run({}, {}, 0, 1, 10),
                std::invalid_argument);
-  EXPECT_THROW(Calibration::from_run({}, {}, 100, 0, 10),
+  EXPECT_THROW((void)Calibration::from_run({}, {}, 100, 0, 10),
                std::invalid_argument);
 }
 
