@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -16,6 +17,15 @@ namespace g500::serve {
 namespace {
 /// slot_of sentinel for queries the oracle settles without a fetch.
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+/// The root store charges every slice the widest owned slice, so its
+/// capacity (and every residency decision) is rank-independent.
+VersionedStore<graph::VertexId, Slice> root_store(std::size_t budget_bytes,
+                                                  const graph::DistGraph& g) {
+  const std::size_t slice_bytes = g.part.count(0) * sizeof(graph::Weight);
+  return VersionedStore<graph::VertexId, Slice>(
+      slice_bytes == 0 ? 0 : budget_bytes / slice_bytes, slice_bytes);
+}
 }  // namespace
 
 DistanceService::DistanceService(simmpi::Comm& comm,
@@ -24,10 +34,9 @@ DistanceService::DistanceService(simmpi::Comm& comm,
     : comm_(comm),
       g_(g),
       config_(std::move(config)),
-      // Charge every entry the widest owned slice so residency decisions
-      // are rank-independent (see cache.hpp).
-      cache_(config_.cache_budget_bytes,
-             g.part.count(0) * sizeof(graph::Weight)),
+      cache_(root_store(config_.cache_budget_bytes, g)),
+      points_(config_.point_cache_cap),
+      memo_(kNumAnalyticsKernels),
       registry_(config_.analytics),
       fault_(fault) {
   if (config_.queue_depth == 0) {
@@ -77,11 +86,12 @@ DistanceService::DistanceService(simmpi::Comm& comm,
     // same reason as the oracle's (residency feeds collective decisions).
     const bool mine = try_adopt_points(*fault_->oracle_store);
     if (comm_.allreduce_or(!mine)) {
-      point_cache_.clear();
-      point_order_.clear();
+      points_.retain_if([](const PointKey&) { return false; },
+                        graph_version_);
     } else {
-      metrics_.point_restored = point_cache_.size();
+      metrics_.point_restored = points_.stats().resident_entries;
     }
+    points_.reset_counters();  // adopted entries are not inserts
   }
 }
 
@@ -192,10 +202,9 @@ void DistanceService::note_wave(const core::SsspStats& stats) {
   metrics_.wave_pruned_apply += stats.pruned_apply;
 }
 
-RootCache::Slice DistanceService::dispatch_wave(graph::VertexId key,
-                                                const core::SsspConfig& cfg,
-                                                bool cacheable,
-                                                double* settled_bound) {
+Slice DistanceService::dispatch_wave(graph::VertexId key,
+                                     const core::SsspConfig& cfg,
+                                     bool cacheable, double* settled_bound) {
   *settled_bound = std::numeric_limits<double>::infinity();
   FaultLedger* ledger = fault_ != nullptr ? fault_->ledger : nullptr;
   if (ledger != nullptr && comm_.rank() == 0) {
@@ -422,21 +431,18 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
 
   // ---- exact point cache: earlier pruned waves carry over -------------
   // A pruned slice is exact at its targets even though it never enters the
-  // root cache; those point values were banked at completion, so a repeat
-  // of the same (root, target) pair costs a map lookup here instead of
+  // root store; those point values were banked at completion, so a repeat
+  // of the same (root, target) pair costs a store lookup here instead of
   // another wave.  Hits skip the oracle pass, dedupe and fetch entirely.
   std::vector<char> from_point(batch.size(), 0);
   std::vector<graph::Weight> point_val(batch.size(), graph::kInfDistance);
   if (config_.point_cache_cap > 0) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (batch[i].kind != QueryKind::kPointToPoint) continue;
-      if (const graph::Weight* hit =
-              lookup_point(batch[i].root, batch[i].target)) {
+      if (const graph::Weight* hit = points_.lookup(
+              {batch[i].root, batch[i].target}, graph_version_)) {
         from_point[i] = 1;
         point_val[i] = *hit;
-        ++metrics_.point_cache_hits;
-      } else {
-        ++metrics_.point_cache_misses;
       }
     }
   }
@@ -535,7 +541,7 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
   // wave, empty slice — when its key's retry budget is exhausted or the
   // circuit breaker withholds waves; a half-open breaker admits a single
   // probe wave whose completion closes it.
-  std::vector<RootCache::Slice> slices;
+  std::vector<Slice> slices;
   std::vector<bool> cached;
   std::vector<bool> pruned;
   std::vector<char> refused(keys.size(), 0);
@@ -549,10 +555,10 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
     const bool p2p = key != facility_key();
     bool from_cache = false;
     bool group_pruned = false;
-    RootCache::Slice slice;
-    if (auto hit = cache_.lookup(key, graph_version_)) {
+    Slice slice;
+    if (const Slice* hit = cache_.lookup(key, graph_version_)) {
       from_cache = true;
-      slice = hit;
+      slice = *hit;
     } else if (is_abandoned(key) || breaker_.state == BreakerState::kOpen ||
                (breaker_.state == BreakerState::kHalfOpen && probe_used)) {
       refused[gi] = 1;
@@ -680,7 +686,7 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
       if (a.pruned_wave) {
         // Bank the carry-over: the pruned slice is exact at this target
         // even though the slice itself was never cacheable.
-        insert_point(a.root, a.target, a.distance);
+        points_.insert({a.root, a.target}, a.distance, graph_version_);
       }
     }
     answers.push_back(a);
@@ -723,15 +729,15 @@ void DistanceService::run_analytics_stage(std::uint64_t now, bool flush,
     return;
   }
 
-  const auto slot = static_cast<std::size_t>(q.kernel);
   const bool memoizable = q.kernel != AnalyticsKernel::kReachability;
+  const AnalyticsOutcome* memo =
+      memoizable ? memo_.lookup(q.kernel, graph_version_) : nullptr;
   AnalyticsOutcome out;
-  if (memoizable && memo_[slot]) {
-    // The graph is immutable, so a completed untruncated whole-graph run
+  if (memo != nullptr) {
+    // A completed untruncated whole-graph run on this graph version
     // answers every later job of the same kernel without a collective.
-    out = *memo_[slot];
+    out = *memo;
     a.from_cache = true;
-    ++metrics_.analytics_memo_hits;
   } else {
     // Deadline budget: remaining ticks map onto a PageRank iteration cap
     // exactly how distance deadlines map onto bucket budgets (the sweep
@@ -743,13 +749,15 @@ void DistanceService::run_analytics_stage(std::uint64_t now, bool flush,
     out = registry_.run(comm_, g_, q.kernel, q.root, q.target,
                         oracle_ ? &*oracle_ : nullptr, iter_budget);
     ++metrics_.analytics_jobs;
-    ++metrics_.kernel_jobs[slot];
+    ++metrics_.kernel_jobs[static_cast<std::size_t>(q.kernel)];
     metrics_.analytics_rounds += out.rounds;
     metrics_.analytics_items_sent += out.items_sent;
     metrics_.analytics_items_applied += out.items_applied;
     metrics_.analytics_seconds += out.seconds;
     if (out.oracle_short_circuit) ++metrics_.reachability_cutoffs;
-    if (memoizable && !out.truncated) memo_[slot] = out;
+    if (memoizable && !out.truncated) {
+      memo_.insert(q.kernel, out, graph_version_);
+    }
   }
 
   a.value = out.value;
@@ -770,100 +778,39 @@ void DistanceService::run_analytics_stage(std::uint64_t now, bool flush,
   answers.push_back(a);
 }
 
-const graph::Weight* DistanceService::lookup_point(graph::VertexId root,
-                                                   graph::VertexId target) {
-  if (config_.point_cache_cap == 0) return nullptr;
-  const auto it = point_cache_.find({root, target});
-  if (it == point_cache_.end()) return nullptr;
-  if (it->second.version != graph_version_) {
-    // Fail closed: a value solved on another graph version must never
-    // answer (scoped invalidation restamps survivors, so this only fires
-    // when an entry slipped past it — drop and miss).
-    point_order_.erase(std::find(point_order_.begin(), point_order_.end(),
-                                 it->first));
-    point_cache_.erase(it);
-    return nullptr;
-  }
-  return &it->second.distance;
-}
-
-void DistanceService::insert_point(graph::VertexId root,
-                                   graph::VertexId target,
-                                   graph::Weight distance) {
-  if (config_.point_cache_cap == 0) return;
-  const std::pair<graph::VertexId, graph::VertexId> key{root, target};
-  if (!point_cache_.emplace(key, PointEntry{distance, graph_version_})
-           .second) {
-    return;  // resident
-  }
-  ++metrics_.point_cache_inserts;
-  point_order_.push_back(key);
-  if (point_order_.size() > config_.point_cache_cap) {
-    point_cache_.erase(point_order_.front());
-    point_order_.pop_front();
-    ++metrics_.point_cache_evictions;
-  }
-}
-
 void DistanceService::note_graph_update(const dyn::CommitSummary& commit) {
   ++metrics_.graph_updates;
   metrics_.update_edges_applied += commit.edges_applied();
   const std::uint64_t new_version = commit.graph_version;
-
-  if (commit.applied.empty()) {
-    // Version-only bump (every staged op merged to a no-op): nothing in
-    // the graph changed, so every artifact stays exact — restamp.
-    for (const auto key : cache_.keys()) cache_.restamp(key, new_version);
-    for (auto& [key, entry] : point_cache_) {
-      (void)key;
-      entry.version = new_version;
-    }
-    if (oracle_) (void)oracle_->refresh_slices({}, new_version);
-    graph_version_ = new_version;
-    return;
-  }
-
-  if (!oracle_) {
-    // No landmark brackets to scope the blast radius with: flush.
-    ++metrics_.wholesale_flushes;
-    metrics_.roots_invalidated += cache_.stats().resident_entries;
-    cache_.clear();
-    metrics_.points_invalidated += point_cache_.size();
-    point_cache_.clear();
-    point_order_.clear();
-    for (auto& slot : memo_) {
-      if (slot) {
-        ++metrics_.memo_invalidated;
-        slot.reset();
-      }
-    }
-    graph_version_ = new_version;
-    return;
-  }
+  // A version-only bump (every staged op merged to a no-op) changed
+  // nothing, so every artifact stays exact.  A real change is scoped by
+  // the landmark brackets, or flushes everything when there are none.
+  const bool changed = !commit.applied.empty();
+  const bool scoped = changed && oracle_.has_value();
+  if (changed && !scoped) ++metrics_.wholesale_flushes;
 
   // ---- scoped invalidation -------------------------------------------
   // One collective row fetch on the OLD landmark slices covers every
   // vertex the verdicts need: the applied edges' endpoints, every cached
-  // root, every point-cache root.  Cache residency and the commit are
+  // root, every point-cache root.  Store residency and the commit are
   // agreed state, so the sorted-unique list is identical on every rank
   // and so is every verdict derived from the fetched rows.
   util::Timer oracle_timer;
   std::vector<graph::VertexId> verts;
-  for (const auto& e : commit.applied) {
-    verts.push_back(e.u);
-    verts.push_back(e.v);
+  std::vector<std::vector<graph::Weight>> rows;
+  if (scoped) {
+    for (const auto& e : commit.applied) {
+      verts.push_back(e.u);
+      verts.push_back(e.v);
+    }
+    for (const auto r : cache_.keys()) {
+      if (r != facility_key()) verts.push_back(r);
+    }
+    for (const auto& key : points_.keys()) verts.push_back(key.first);
+    std::sort(verts.begin(), verts.end());
+    verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
+    rows = oracle_->landmark_distances(verts);
   }
-  const auto cached_roots = cache_.keys();
-  for (const auto r : cached_roots) {
-    if (r != facility_key()) verts.push_back(r);
-  }
-  for (const auto& [key, entry] : point_cache_) {
-    (void)entry;
-    verts.push_back(key.first);
-  }
-  std::sort(verts.begin(), verts.end());
-  verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-  const auto rows = oracle_->landmark_distances(verts);
   const auto row_of = [&verts](graph::VertexId v) {
     return static_cast<std::size_t>(
         std::lower_bound(verts.begin(), verts.end(), v) - verts.begin());
@@ -883,27 +830,52 @@ void DistanceService::note_graph_update(const dyn::CommitSummary& commit) {
     graph::Weight inc_w = 0.0f;  ///< old weight
   };
   std::vector<EdgeCase> cases;
-  cases.reserve(commit.applied.size());
-  for (const auto& e : commit.applied) {
-    EdgeCase c;
-    c.u = e.u;
-    c.v = e.v;
-    c.u_row = row_of(e.u);
-    c.v_row = row_of(e.v);
-    if (e.removed != 0) {
-      c.increase = true;
-      c.inc_w = e.old_weight;
-    } else if (e.had_old == 0) {
-      c.decrease = true;
-      c.dec_w = e.new_weight;
-    } else if (e.new_weight < e.old_weight) {
-      c.decrease = true;
-      c.dec_w = e.new_weight;
-    } else if (e.new_weight > e.old_weight) {
-      c.increase = true;
-      c.inc_w = e.old_weight;
+  std::vector<std::size_t> flagged;  ///< landmark slices to re-solve
+  if (scoped) {
+    cases.reserve(commit.applied.size());
+    for (const auto& e : commit.applied) {
+      EdgeCase c;
+      c.u = e.u;
+      c.v = e.v;
+      c.u_row = row_of(e.u);
+      c.v_row = row_of(e.v);
+      if (e.removed != 0) {
+        c.increase = true;
+        c.inc_w = e.old_weight;
+      } else if (e.had_old == 0) {
+        c.decrease = true;
+        c.dec_w = e.new_weight;
+      } else if (e.new_weight < e.old_weight) {
+        c.decrease = true;
+        c.dec_w = e.new_weight;
+      } else if (e.new_weight > e.old_weight) {
+        c.increase = true;
+        c.inc_w = e.old_weight;
+      }
+      cases.push_back(c);
     }
-    cases.push_back(c);
+    // Landmark slices: the fetched rows ARE the oracle's own labels, so
+    // the flag test is exact arithmetic, not a bracket.  A slice
+    // re-solves only when the edge could lie on one of ITS shortest paths
+    // (infinite arithmetic handles reachability changes: finite + w < inf
+    // flags the slice that just gained a reachable region).
+    for (std::size_t k = 0; k < oracle_->landmarks().size(); ++k) {
+      bool need = false;
+      for (const auto& c : cases) {
+        const graph::Weight du = rows[c.u_row][k];
+        const graph::Weight dv = rows[c.v_row][k];
+        if (!std::isfinite(du) && !std::isfinite(dv)) continue;
+        if (c.decrease && (du + c.dec_w < dv || dv + c.dec_w < du)) {
+          need = true;
+          break;
+        }
+        if (c.increase && (du + c.inc_w <= dv || dv + c.inc_w <= du)) {
+          need = true;
+          break;
+        }
+      }
+      if (need) flagged.push_back(k);
+    }
   }
 
   // Root retention bracket (see the header): r's entire distance vector
@@ -918,7 +890,7 @@ void DistanceService::note_graph_update(const dyn::CommitSummary& commit) {
   const auto hi = [slack](graph::Weight ub) {
     return static_cast<double>(ub) * (1.0 + slack);
   };
-  const auto retains = [&](graph::VertexId r) {
+  const auto bracket = [&](graph::VertexId r) {
     const auto& row_r = rows[row_of(r)];
     for (const auto& c : cases) {
       const auto bu = oracle_->bounds(row_r, rows[c.u_row], r, c.u);
@@ -938,77 +910,41 @@ void DistanceService::note_graph_update(const dyn::CommitSummary& commit) {
     }
     return true;
   };
+  // keeps(r): every distance from r provably survived the commit.  The
+  // facility slice is a multi-source wave the per-root bracket does not
+  // cover, so only a version-only bump keeps it.
   std::map<graph::VertexId, bool> verdict;
-  const auto root_ok = [&](graph::VertexId r) {
+  const auto keeps = [&](graph::VertexId r) {
+    if (!changed) return true;
+    if (!scoped || r == facility_key()) return false;
     const auto it = verdict.find(r);
     if (it != verdict.end()) return it->second;
-    const bool ok = retains(r);
+    const bool ok = bracket(r);
     verdict.emplace(r, ok);
     return ok;
   };
 
-  // Cached root slices: retain + restamp, or drop.  The facility slice
-  // is a multi-source wave the per-root bracket does not cover — always
-  // dropped.
-  for (const auto key : cached_roots) {
-    if (key != facility_key() && root_ok(key)) {
-      cache_.restamp(key, new_version);
-      ++metrics_.roots_retained;
-    } else {
-      (void)cache_.erase(key);
-      ++metrics_.roots_invalidated;
-    }
+  // One pass per store: survivors are restamped, the rest dropped.  A
+  // point d(r, t) is unchanged whenever r's whole vector is; whole-graph
+  // kernel memos survive only a version-only bump.
+  const auto roots = cache_.retain_if(keeps, new_version);
+  const auto points = points_.retain_if(
+      [&keeps](const PointKey& key) { return keeps(key.first); },
+      new_version);
+  const auto memo = memo_.retain_if(
+      [changed](AnalyticsKernel) { return !changed; }, new_version);
+  if (changed) {
+    metrics_.roots_retained += roots.kept;
+    metrics_.points_retained += points.kept;
   }
+  metrics_.roots_invalidated += roots.dropped;
+  metrics_.points_invalidated += points.dropped;
+  metrics_.memo_invalidated += memo.dropped;
 
-  // Point entries: d(r, t) is unchanged whenever r's whole vector is.
-  for (auto it = point_cache_.begin(); it != point_cache_.end();) {
-    if (root_ok(it->first.first)) {
-      it->second.version = new_version;
-      ++metrics_.points_retained;
-      ++it;
-    } else {
-      point_order_.erase(std::find(point_order_.begin(), point_order_.end(),
-                                   it->first));
-      ++metrics_.points_invalidated;
-      it = point_cache_.erase(it);
-    }
-  }
-
-  // Whole-graph kernel memos never survive a mutation.
-  for (auto& slot : memo_) {
-    if (slot) {
-      ++metrics_.memo_invalidated;
-      slot.reset();
-    }
-  }
-
-  // Landmark slices: the fetched rows ARE the oracle's own labels, so
-  // the flag test is exact arithmetic, not a bracket.  A slice re-solves
-  // only when the edge could lie on one of ITS shortest paths (infinite
-  // arithmetic handles reachability changes: finite + w < inf flags the
-  // slice that just gained a reachable region).
-  std::vector<std::size_t> flagged;
-  for (std::size_t k = 0; k < oracle_->landmarks().size(); ++k) {
-    bool need = false;
-    for (const auto& c : cases) {
-      const graph::Weight du = rows[c.u_row][k];
-      const graph::Weight dv = rows[c.v_row][k];
-      if (!std::isfinite(du) && !std::isfinite(dv)) continue;
-      if (c.decrease && (du + c.dec_w < dv || dv + c.dec_w < du)) {
-        need = true;
-        break;
-      }
-      if (c.increase && (du + c.inc_w <= dv || dv + c.inc_w <= du)) {
-        need = true;
-        break;
-      }
-    }
-    if (need) flagged.push_back(k);
-  }
-  metrics_.oracle_seconds += oracle_timer.seconds();
-  metrics_.slices_refreshed += oracle_->refresh_slices(flagged, new_version);
-
+  if (scoped) metrics_.oracle_seconds += oracle_timer.seconds();
   graph_version_ = new_version;
+  if (!oracle_) return;
+  metrics_.slices_refreshed += oracle_->refresh_slices(flagged, new_version);
 
   // Keep the persistence slot current: a restart must adopt artifacts of
   // THIS version or recompute, never resurrect pre-mutation state.
@@ -1028,17 +964,18 @@ void DistanceService::persist_point_cache(OracleSliceStore& store) {
   put_u64(OracleSliceStore::kFormatVersion);
   put_u64(util::hash64(OracleSliceStore::kFormatVersion, g_.num_vertices,
                        graph_version_));
-  put_u64(point_order_.size());
-  for (const auto& key : point_order_) {
+  const std::size_t count = points_.stats().resident_entries;
+  put_u64(count);
+  // Least recent first, so adoption's in-order inserts rebuild recency.
+  points_.for_each([&put_u64](const PointKey& key, graph::Weight distance) {
     put_u64(static_cast<std::uint64_t>(key.first));
     put_u64(static_cast<std::uint64_t>(key.second));
     std::uint64_t w_bits = 0;
-    std::memcpy(&w_bits, &point_cache_.at(key).distance,
-                sizeof(graph::Weight));
+    std::memcpy(&w_bits, &distance, sizeof(graph::Weight));
     put_u64(w_bits);
-  }
+  });
   put_u64(util::hash_bytes(b.data(), b.size()));
-  metrics_.point_persisted += point_order_.size();
+  metrics_.point_persisted += count;
 }
 
 bool DistanceService::try_adopt_points(const OracleSliceStore& store) {
@@ -1072,8 +1009,6 @@ bool DistanceService::try_adopt_points(const OracleSliceStore& store) {
       stored_sum) {
     return false;
   }
-  point_cache_.clear();
-  point_order_.clear();
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t r = 0;
     std::uint64_t t = 0;
@@ -1084,11 +1019,7 @@ bool DistanceService::try_adopt_points(const OracleSliceStore& store) {
     if (r >= g_.num_vertices || t >= g_.num_vertices) return false;
     graph::Weight w = 0.0f;
     std::memcpy(&w, &w_bits, sizeof(w));
-    const std::pair<graph::VertexId, graph::VertexId> key{r, t};
-    if (point_cache_.emplace(key, PointEntry{w, config_.graph_version})
-            .second) {
-      point_order_.push_back(key);
-    }
+    points_.insert({r, t}, w, graph_version_);
   }
   return true;
 }
@@ -1107,6 +1038,12 @@ std::vector<Answer> DistanceService::drain(std::uint64_t start_tick,
 
 const ServiceMetrics& DistanceService::metrics() {
   metrics_.cache = cache_.stats();
+  const CacheStats& points = points_.stats();
+  metrics_.point_cache_hits = points.hits;
+  metrics_.point_cache_misses = points.misses;
+  metrics_.point_cache_inserts = points.inserts;
+  metrics_.point_cache_evictions = points.evictions;
+  metrics_.analytics_memo_hits = memo_.stats().hits;
   if (oracle_) {
     metrics_.oracle_landmarks = oracle_->landmarks().size();
     metrics_.oracle_precompute_waves = oracle_->precompute_waves();
@@ -1119,6 +1056,8 @@ void DistanceService::reset_metrics() {
   metrics_ = ServiceMetrics{};
   shed_log_.clear();
   cache_.reset_counters();
+  points_.reset_counters();
+  memo_.reset_counters();
   arrived_since_tick_ = 0;
   last_now_.reset();
 }

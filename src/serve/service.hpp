@@ -21,12 +21,12 @@
 //     goal-directed *pruned* wave bounded by the oracle's lb/ub instead
 //     of a full one (oracle.hpp).  Pruned slices are exact at their
 //     targets but stale elsewhere, so they never enter the cache;
-//   * root-result cache — LRU over per-rank distance slices (cache.hpp),
-//     so popular roots skip the wave entirely;
-//   * exact point cache — a tiny FIFO of (root, target) -> distance
-//     entries proven exact by earlier pruned waves; it sits IN FRONT of
-//     the slice cache, so a repeated point query costs a map lookup
-//     instead of a wave (pruned slices themselves are never cacheable);
+//   * versioned stores (cache.hpp) — three bounded LRU maps stamped with
+//     the graph version: per-rank root distance slices, so popular roots
+//     skip the wave entirely; exact (root, target) -> distance points
+//     banked by earlier pruned waves, consulted IN FRONT of the slice
+//     store so a repeated point query costs a lookup instead of a wave;
+//     and the analytics memo;
 //   * analytics class — kAnalytics queries queue separately (bounded by
 //     analytics_queue_depth) and run through the kernel registry
 //     (kernels.hpp: PageRank, k-core, components, reachability).  The
@@ -34,7 +34,7 @@
 //     the distance batch first, then at most ONE analytics job, and only
 //     when the job has aged past analytics_defer_ticks, the distance
 //     queue is idle, or the tick is a flush.  Whole-graph results are
-//     memoized (the graph is immutable), and a job's deadline budget maps
+//     memoized per graph version, and a job's deadline budget maps
 //     onto a PageRank iteration cap through deadline_iters_per_tick the
 //     same way distance deadlines map onto bucket budgets;
 //   * SLO telemetry — PER-CLASS latency (in ticks) histograms with
@@ -50,13 +50,12 @@
 // the configured facility set, cached under a reserved key.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
-
-#include <array>
-#include <map>
 
 #include "core/delta_stepping.hpp"
 #include "dyn/mutable_graph.hpp"
@@ -112,7 +111,7 @@ struct ServeConfig {
   /// PageRank iteration cap (0 disables; the analogue of
   /// fault.deadline_buckets_per_tick for distance waves).
   std::uint64_t deadline_iters_per_tick = 0;
-  /// Entry bound of the exact point cache (FIFO; 0 disables it).
+  /// Entry bound of the exact point cache (LRU; 0 disables it).
   std::size_t point_cache_cap = 1024;
 
   /// Graph version the service starts on (dyn::MutableGraph::version of
@@ -217,7 +216,7 @@ struct ServiceMetrics {
   std::uint64_t analytics_degraded = 0;  ///< truncated (iteration-capped) kernels
   std::uint64_t analytics_failed = 0;    ///< refused by an open breaker
   std::uint64_t analytics_jobs = 0;      ///< kernel executions (memo misses)
-  std::uint64_t analytics_memo_hits = 0; ///< whole-graph results reused
+  std::uint64_t analytics_memo_hits = 0; ///< memo-store hits: results reused
   std::uint64_t analytics_deferred_ticks = 0;  ///< job waited behind distance load
   std::uint64_t reachability_cutoffs = 0;  ///< oracle settled a pair, no BFS
   std::array<std::uint64_t, kNumAnalyticsKernels> kernel_jobs{};
@@ -228,7 +227,7 @@ struct ServiceMetrics {
   std::uint64_t analytics_items_applied = 0;
   double analytics_seconds = 0.0;
 
-  // ---- exact point cache ----------------------------------------------
+  // ---- exact point cache (hits..evictions copied from its store) ------
   std::uint64_t point_cache_hits = 0;
   std::uint64_t point_cache_misses = 0;  ///< p2p lookups that found nothing
   std::uint64_t point_cache_inserts = 0;
@@ -272,7 +271,7 @@ struct ServiceMetrics {
   std::uint64_t oracle_precompute_waves = 0;
   double oracle_precompute_seconds = 0.0;
 
-  CacheStats cache;  ///< copied from the root cache on read
+  CacheStats cache;  ///< copied from the root-slice store on read
 
   /// Accumulate another window's counters (the resilient driver merges
   /// per-attempt harvests across World restarts).  Counters sum,
@@ -391,7 +390,9 @@ class DistanceService {
   /// the edge could lie on one of their shortest paths.  Infinite or
   /// absent bounds fail the test, i.e. fail closed.  Without an oracle
   /// every cached artifact is flushed wholesale.  The analytics memo is
-  /// always cleared (kernel digests are whole-graph).
+  /// cleared by every commit that changes an edge (kernel digests are
+  /// whole-graph); a version-only bump restamps every store.  With an
+  /// oracle and a persistence slot, both blobs are re-saved afterwards.
   void note_graph_update(const dyn::CommitSummary& commit);
 
   /// Serialize the exact point cache into `store.point_blob` (digest
@@ -415,10 +416,9 @@ class DistanceService {
   /// `cacheable`; a deadline-truncated one never is, and
   /// `*settled_bound` reports the exactness boundary (infinity when the
   /// wave ran to completion).
-  [[nodiscard]] RootCache::Slice dispatch_wave(graph::VertexId key,
-                                               const core::SsspConfig& cfg,
-                                               bool cacheable,
-                                               double* settled_bound);
+  [[nodiscard]] Slice dispatch_wave(graph::VertexId key,
+                                    const core::SsspConfig& cfg,
+                                    bool cacheable, double* settled_bound);
 
   /// Accumulate one wave's engine counters into the metrics.
   void note_wave(const core::SsspStats& stats);
@@ -440,14 +440,6 @@ class DistanceService {
   void run_analytics_stage(std::uint64_t now, bool flush,
                            std::vector<Answer>& answers);
 
-  /// Exact point cache (FIFO, bounded by config_.point_cache_cap).
-  /// Lookup fails closed on a version-stale entry (drops it, returns
-  /// nullptr); insert stamps the live graph version.
-  [[nodiscard]] const graph::Weight* lookup_point(graph::VertexId root,
-                                                  graph::VertexId target);
-  void insert_point(graph::VertexId root, graph::VertexId target,
-                    graph::Weight distance);
-
   /// Rank-local half of the point-cache adopt gate (see
   /// persist_point_cache); the constructor agrees the verdict by
   /// allreduce so residency never diverges across ranks.
@@ -458,30 +450,24 @@ class DistanceService {
   [[nodiscard]] core::CheckpointState* snapshot_for(graph::VertexId key)
       const noexcept;
 
+  using PointKey = std::pair<graph::VertexId, graph::VertexId>;
+
   simmpi::Comm& comm_;
   const graph::DistGraph& g_;
   ServeConfig config_;
-  RootCache cache_;
+  /// Root distance slices (cache_budget_bytes / widest owned slice).
+  VersionedStore<graph::VertexId, Slice> cache_;
+  /// Exact points: pruned-wave target values keyed (root, target)
+  /// (point_cache_cap entries).
+  VersionedStore<PointKey, graph::Weight> points_;
+  /// Completed untruncated whole-graph kernel outcomes, one per kernel;
+  /// reachability is per-pair and never memoized.
+  VersionedStore<AnalyticsKernel, AnalyticsOutcome> memo_;
   std::optional<LandmarkOracle> oracle_;
   std::optional<AdaptiveBatchController> controller_;
   KernelRegistry registry_;
   std::deque<Query> queue_;            ///< distance classes (p2p / facility)
   std::deque<Query> analytics_queue_;  ///< kAnalytics jobs, FIFO
-  /// Memoized whole-graph kernel outcomes (the graph is immutable, so a
-  /// completed untruncated run answers every later job of that kernel);
-  /// reachability is per-pair and never memoized.
-  std::array<std::optional<AnalyticsOutcome>, kNumAnalyticsKernels> memo_;
-  /// Exact point cache: pruned-wave target values, keyed (root, target)
-  /// and stamped with the graph version they were solved on.
-  /// Deterministic FIFO residency — a pure function of the submission
-  /// sequence, like every other collective decision here.
-  struct PointEntry {
-    graph::Weight distance = 0.0f;
-    std::uint64_t version = 0;
-  };
-  std::map<std::pair<graph::VertexId, graph::VertexId>, PointEntry>
-      point_cache_;
-  std::deque<std::pair<graph::VertexId, graph::VertexId>> point_order_;
   std::vector<Query> shed_log_;
   ServiceMetrics metrics_;
   std::uint64_t arrived_since_tick_ = 0;  ///< controller observation window

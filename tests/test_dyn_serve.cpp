@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/delta_stepping.hpp"
@@ -73,6 +74,20 @@ Answer ask(DistanceService& svc, std::uint64_t& id, std::uint64_t& tick,
   return answers.front();
 }
 
+/// Push one analytics job through the service synchronously.
+Answer run_job(DistanceService& svc, std::uint64_t& id, std::uint64_t& tick,
+               serve::AnalyticsKernel kernel) {
+  Query q;
+  q.id = id++;
+  q.arrival_tick = tick;
+  q.kind = QueryKind::kAnalytics;
+  q.kernel = kernel;
+  EXPECT_TRUE(svc.submit(q));
+  const auto answers = svc.tick(tick++, /*flush=*/true);
+  EXPECT_EQ(answers.size(), 1u);
+  return answers.front();
+}
+
 /// The fresh-recompute value of d(root, target) on the current view.
 Weight fresh_distance(simmpi::Comm& comm, const DistGraph& g, VertexId root,
                       VertexId target, const core::SsspConfig& config) {
@@ -81,9 +96,14 @@ Weight fresh_distance(simmpi::Comm& comm, const DistGraph& g, VertexId root,
 }
 
 TEST(DynServe, RootCacheVersioningFailsClosed) {
-  serve::RootCache cache(std::size_t{1} << 16, 64 * sizeof(Weight));
-  cache.insert(5, std::vector<Weight>(64, 1.0f), /*version=*/1);
-  cache.insert(9, std::vector<Weight>(64, 2.0f), /*version=*/1);
+  const auto slice_of = [](Weight value) {
+    return std::make_shared<const std::vector<Weight>>(64, value);
+  };
+  serve::VersionedStore<VertexId, serve::Slice> cache(256,
+                                                      64 * sizeof(Weight));
+  cache.insert(5, slice_of(1.0f), /*version=*/1);
+  cache.insert(9, slice_of(2.0f), /*version=*/1);
+  cache.insert(12, slice_of(3.0f), /*version=*/1);
   ASSERT_NE(cache.lookup(5, 1), nullptr);
 
   // Version mismatch: the entry is dropped and the lookup is a miss.
@@ -92,15 +112,18 @@ TEST(DynServe, RootCacheVersioningFailsClosed) {
   EXPECT_EQ(cache.stats().version_misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().resident_entries, 1u);
+  EXPECT_EQ(cache.stats().resident_entries, 2u);
 
-  // A retained-and-restamped entry answers at the new version.
-  cache.restamp(9, 2);
+  // One invalidation pass: 9 is retained and restamped, 12 is dropped.
+  const auto counts =
+      cache.retain_if([](VertexId key) { return key == 9; }, 2);
+  EXPECT_EQ(counts.kept, 1u);
+  EXPECT_EQ(counts.dropped, 1u);
+  EXPECT_EQ(cache.stats().resident_entries, 1u);
+  EXPECT_FALSE(cache.contains(12));
+  // The retained-and-restamped entry answers at the new version.
   EXPECT_NE(cache.lookup(9, 2), nullptr);
   EXPECT_EQ(cache.keys(), std::vector<VertexId>{9});
-  EXPECT_TRUE(cache.erase(9));
-  EXPECT_FALSE(cache.erase(9));
-  EXPECT_EQ(cache.stats().resident_entries, 0u);
 }
 
 /// Scoped invalidation across a mutation confined to component B: point
@@ -199,6 +222,106 @@ TEST(DynServe, EmptyCommitRestampsWithoutInvalidation) {
       EXPECT_TRUE(after.from_point_cache);
       EXPECT_GT(svc.metrics().point_cache_hits, hits_before);
     }
+  });
+}
+
+/// A version-only bump moves the service and the oracle to the new
+/// version, so the persistence slot must move with them: a restart at
+/// the new version adopts both blobs instead of recomputing.
+TEST(DynServe, EmptyCommitKeepsPersistedSlotAdoptable) {
+  const auto list = two_component_graph(64);
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    MutableGraph mg(comm, build_piece(comm, list));
+    serve::OracleSliceStore store;
+    ServeConfig config;
+    config.oracle.num_landmarks = 3;
+    config.graph_version = mg.version();
+
+    Weight banked = 0.0f;
+    {
+      serve::FaultContext ctx;
+      ctx.oracle_store = &store;
+      DistanceService svc(comm, mg.view(), config, &ctx);
+      std::uint64_t id = 0;
+      std::uint64_t tick = 0;
+      const auto a = ask(svc, id, tick, 3, 20);
+      ASSERT_TRUE(a.pruned_wave);  // banks the point entry
+      banked = a.distance;
+
+      const auto summary = mg.commit_batch();  // nothing staged
+      ASSERT_EQ(summary.edges_applied(), 0u);
+      svc.note_graph_update(summary);
+      ASSERT_EQ(svc.graph_version(), mg.version());
+    }
+
+    ServeConfig restart = config;
+    restart.graph_version = mg.version();
+    serve::FaultContext ctx;
+    ctx.oracle_store = &store;
+    DistanceService svc(comm, mg.view(), restart, &ctx);
+    ASSERT_NE(svc.oracle(), nullptr);
+    EXPECT_TRUE(svc.oracle()->restored_from_store());
+    EXPECT_EQ(svc.oracle()->precompute_waves(), 0u);
+    EXPECT_EQ(svc.metrics().point_restored, 1u);
+    EXPECT_EQ(svc.metrics().point_cache_inserts, 0u);
+
+    std::uint64_t id = 100;
+    std::uint64_t tick = 0;
+    const auto a = ask(svc, id, tick, 3, 20);
+    EXPECT_TRUE(a.from_point_cache);
+    EXPECT_EQ(a.distance, banked);
+    EXPECT_EQ(a.graph_version, mg.version());
+  });
+}
+
+/// Whole-graph kernel memos are stamped like every other store entry: a
+/// commit that changes an edge drops them, a version-only bump keeps them.
+TEST(DynServe, AnalyticsMemoDropsOnChangeAndSurvivesVersionOnlyBump) {
+  const VertexId n = 64;
+  const auto list = two_component_graph(n);
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    MutableGraph mg(comm, build_piece(comm, list));
+    ServeConfig config;
+    config.oracle.num_landmarks = 3;
+    config.graph_version = mg.version();
+    DistanceService svc(comm, mg.view(), config);
+    constexpr auto kComponents = serve::AnalyticsKernel::kComponents;
+
+    std::uint64_t id = 0;
+    std::uint64_t tick = 0;
+    const auto first = run_job(svc, id, tick, kComponents);
+    EXPECT_FALSE(first.from_cache);
+    EXPECT_EQ(first.value, 2.0);
+    const auto repeat = run_job(svc, id, tick, kComponents);
+    EXPECT_TRUE(repeat.from_cache);
+    EXPECT_EQ(repeat.digest, first.digest);
+
+    // One edge joins the components: no memo hit may cross it.
+    if (comm.rank() == 0) mg.stage_insert(3, n / 2 + 3, 1.0f);
+    const auto join = mg.commit_batch();
+    ASSERT_EQ(join.edges_applied(), 1u);
+    svc.note_graph_update(join);
+    EXPECT_EQ(svc.metrics().memo_invalidated, 1u);
+    const auto joined = run_job(svc, id, tick, kComponents);
+    EXPECT_FALSE(joined.from_cache);
+    EXPECT_EQ(joined.value, 1.0);
+    EXPECT_EQ(joined.graph_version, mg.version());
+
+    // A version-only bump restamps the memo: still a hit, same digest.
+    const auto empty = mg.commit_batch();
+    ASSERT_EQ(empty.edges_applied(), 0u);
+    svc.note_graph_update(empty);
+    const auto again = run_job(svc, id, tick, kComponents);
+    EXPECT_TRUE(again.from_cache);
+    EXPECT_EQ(again.digest, joined.digest);
+    EXPECT_EQ(again.graph_version, mg.version());
+
+    const auto& m = svc.metrics();
+    EXPECT_EQ(m.memo_invalidated, 1u);
+    EXPECT_EQ(m.analytics_jobs, 2u);
+    EXPECT_EQ(m.analytics_memo_hits, 2u);
   });
 }
 

@@ -1,4 +1,4 @@
-// Tests for the serving layer's LRU root-result cache.
+// Tests for the serving layer's versioned LRU store.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,23 +9,24 @@
 namespace {
 
 using namespace g500;
-using serve::RootCache;
+using serve::Slice;
+using RootStore = serve::VersionedStore<graph::VertexId, Slice>;
 
-RootCache::Slice slice_of(float value) {
+Slice slice_of(float value) {
   return std::make_shared<const std::vector<graph::Weight>>(4, value);
 }
 
 TEST(RootCache, HitMissAndLruOrder) {
-  // Budget for exactly two entries of 100 bytes each.
-  RootCache cache(200, 100);
+  // Room for exactly two entries of 100 bytes each.
+  RootStore cache(2, 100);
   EXPECT_EQ(cache.stats().capacity_entries, 2u);
 
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  cache.insert(1, slice_of(1.0f));
-  cache.insert(2, slice_of(2.0f));
-  ASSERT_NE(cache.lookup(1), nullptr);  // 1 is now most-recent
+  EXPECT_EQ(cache.lookup(1, 0), nullptr);
+  cache.insert(1, slice_of(1.0f), 0);
+  cache.insert(2, slice_of(2.0f), 0);
+  ASSERT_NE(cache.lookup(1, 0), nullptr);  // 1 is now most-recent
 
-  cache.insert(3, slice_of(3.0f));  // evicts 2, the least-recent
+  cache.insert(3, slice_of(3.0f), 0);  // evicts 2, the least-recent
   EXPECT_TRUE(cache.contains(1));
   EXPECT_FALSE(cache.contains(2));
   EXPECT_TRUE(cache.contains(3));
@@ -40,11 +41,11 @@ TEST(RootCache, HitMissAndLruOrder) {
 }
 
 TEST(RootCache, ContainsDoesNotCountOrReorder) {
-  RootCache cache(200, 100);
-  cache.insert(1, slice_of(1.0f));
-  cache.insert(2, slice_of(2.0f));
+  RootStore cache(2, 100);
+  cache.insert(1, slice_of(1.0f), 0);
+  cache.insert(2, slice_of(2.0f), 0);
   EXPECT_TRUE(cache.contains(1));  // no LRU refresh
-  cache.insert(3, slice_of(3.0f));
+  cache.insert(3, slice_of(3.0f), 0);
   // 1 was least-recent despite the contains() probe, so it was evicted.
   EXPECT_FALSE(cache.contains(1));
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -52,58 +53,59 @@ TEST(RootCache, ContainsDoesNotCountOrReorder) {
 }
 
 TEST(RootCache, ZeroBudgetRejectsInserts) {
-  RootCache cache(0, 100);
+  RootStore cache(0, 100);
   EXPECT_EQ(cache.stats().capacity_entries, 0u);
-  cache.insert(1, slice_of(1.0f));
+  cache.insert(1, slice_of(1.0f), 0);
   EXPECT_FALSE(cache.contains(1));
   EXPECT_EQ(cache.stats().rejected, 1u);
   EXPECT_EQ(cache.stats().inserts, 0u);
-  EXPECT_EQ(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.lookup(1, 0), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(RootCache, ReplaceExistingKeyKeepsFootprint) {
-  RootCache cache(100, 100);
-  cache.insert(7, slice_of(1.0f));
-  cache.insert(7, slice_of(9.0f));
+  RootStore cache(1, 100);
+  cache.insert(7, slice_of(1.0f), 0);
+  cache.insert(7, slice_of(9.0f), 0);
   EXPECT_EQ(cache.stats().resident_entries, 1u);
   EXPECT_EQ(cache.stats().evictions, 0u);
-  const auto got = cache.lookup(7);
+  const Slice* got = cache.lookup(7, 0);
   ASSERT_NE(got, nullptr);
-  EXPECT_FLOAT_EQ(got->front(), 9.0f);
+  EXPECT_FLOAT_EQ((*got)->front(), 9.0f);
 }
 
 TEST(RootCache, SharedSliceSurvivesEviction) {
-  RootCache cache(100, 100);
-  cache.insert(1, slice_of(1.0f));
-  const auto held = cache.lookup(1);
-  ASSERT_NE(held, nullptr);
-  cache.insert(2, slice_of(2.0f));  // evicts key 1
+  RootStore cache(1, 100);
+  cache.insert(1, slice_of(1.0f), 0);
+  const Slice* hit = cache.lookup(1, 0);
+  ASSERT_NE(hit, nullptr);
+  const Slice held = *hit;
+  cache.insert(2, slice_of(2.0f), 0);  // evicts key 1
   EXPECT_FALSE(cache.contains(1));
   // The caller's reference keeps the evicted slice alive and intact.
   EXPECT_FLOAT_EQ(held->front(), 1.0f);
 }
 
 TEST(RootCache, ResetCountersKeepsResidency) {
-  RootCache cache(300, 100);
-  cache.insert(1, slice_of(1.0f));
-  (void)cache.lookup(1);
-  (void)cache.lookup(5);
+  RootStore cache(3, 100);
+  cache.insert(1, slice_of(1.0f), 0);
+  (void)cache.lookup(1, 0);
+  (void)cache.lookup(5, 0);
   cache.reset_counters();
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(cache.stats().inserts, 0u);
   // Residency survives: the next lookup is a hit, not a miss.
-  EXPECT_NE(cache.lookup(1), nullptr);
+  EXPECT_NE(cache.lookup(1, 0), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().resident_entries, 1u);
 }
 
 TEST(RootCache, ClearDropsEverything) {
-  RootCache cache(300, 100);
-  cache.insert(1, slice_of(1.0f));
-  cache.insert(2, slice_of(2.0f));
-  cache.clear();
+  RootStore cache(3, 100);
+  cache.insert(1, slice_of(1.0f), 0);
+  cache.insert(2, slice_of(2.0f), 0);
+  cache.retain_if([](graph::VertexId) { return false; }, 0);
   EXPECT_EQ(cache.stats().resident_entries, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
   EXPECT_FALSE(cache.contains(1));
@@ -111,12 +113,12 @@ TEST(RootCache, ClearDropsEverything) {
 }
 
 TEST(RootCache, HitRate) {
-  RootCache cache(200, 100);
+  RootStore cache(2, 100);
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.0);  // no lookups yet
-  cache.insert(1, slice_of(1.0f));
-  (void)cache.lookup(1);
-  (void)cache.lookup(1);
-  (void)cache.lookup(9);
+  cache.insert(1, slice_of(1.0f), 0);
+  (void)cache.lookup(1, 0);
+  (void)cache.lookup(1, 0);
+  (void)cache.lookup(9, 0);
   EXPECT_NEAR(cache.stats().hit_rate(), 2.0 / 3.0, 1e-12);
 }
 

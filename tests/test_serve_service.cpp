@@ -748,9 +748,9 @@ TEST(ServeService, PointCacheServesRepeatedPrunedPair) {
   });
 }
 
-// The point cache is FIFO-bounded: filling it past point_cache_cap evicts
-// the oldest pair, which then misses (and re-runs its wave) while newer
-// pairs still hit.
+// The point cache is LRU-bounded: filling it past point_cache_cap evicts
+// the least recently used pair (here the oldest, since no pair is hit
+// before it is evicted), which then misses and re-runs its wave.
 TEST(ServeService, PointCacheEvictsFifoAtItsCap) {
   const auto list = graph::random_graph(96, 384, 41);
   simmpi::World world(2);
