@@ -2,7 +2,8 @@
 //
 // Runs the official benchmark protocol (sampled roots, per-root validation,
 // harmonic-mean TEPS) at a sweep of scales on the simulated ranks — the
-// miniature of the paper's record submission table.
+// miniature of the paper's record submission table.  Exits 1 when any
+// scale's roots fail validation.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -15,6 +16,7 @@ int main(int argc, char** argv) {
   const int roots = static_cast<int>(options.get_int("roots", 8));
   const int max_scale = static_cast<int>(options.get_int("max-scale", 16));
 
+  bool all_valid = true;
   bench::RunReport run_report("headline", options);
   util::Table table({"scale", "vertices", "input edges", "ranks", "roots",
                      "valid", "hmean TEPS", "mean time (s)"});
@@ -28,6 +30,7 @@ int main(int argc, char** argv) {
       opts.num_roots = roots;
       const auto report = core::run_benchmark(comm, g, opts);
       if (comm.rank() == 0) {
+        all_valid = all_valid && report.all_valid;
         table.row()
             .add(scale)
             .add(static_cast<std::uint64_t>(report.num_vertices))
@@ -48,5 +51,9 @@ int main(int argc, char** argv) {
   table.print(std::cout,
               "T1: Graph500 SSSP official protocol (simulated ranks)");
   bench::write_report(run_report, table);
+  if (!all_valid) {
+    std::cerr << "VALIDATION FAILED: a scale's roots did not validate\n";
+    return 1;
+  }
   return 0;
 }

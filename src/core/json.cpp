@@ -78,33 +78,8 @@ util::Json to_json(const KCoreStats& stats) {
 util::Json to_json(const SsspStats& stats) {
   util::Json j = util::Json::object();
   j["schema_version"] = kSsspStatsSchemaVersion;
-  j["buckets_processed"] = stats.buckets_processed;
-  j["light_iterations"] = stats.light_iterations;
-  j["heavy_phases"] = stats.heavy_phases;
-  j["push_rounds"] = stats.push_rounds;
-  j["pull_rounds"] = stats.pull_rounds;
-  j["relax_generated"] = stats.relax_generated;
-  j["relax_sent"] = stats.relax_sent;
-  j["relax_received"] = stats.relax_received;
-  j["relax_applied"] = stats.relax_applied;
-  j["fused_local"] = stats.fused_local;
-  j["filtered_hub"] = stats.filtered_hub;
-  j["filtered_coalesce"] = stats.filtered_coalesce;
-  j["frontier_broadcast"] = stats.frontier_broadcast;
-  j["pruned_expand"] = stats.pruned_expand;
-  j["pruned_apply"] = stats.pruned_apply;
-  j["checkpoints"] = stats.checkpoints;
-  j["restores"] = stats.restores;
-  j["deadline_stops"] = stats.deadline_stops;
-  j["settled_bound"] = stats.settled_bound;
-  j["global_collectives"] = stats.global_collectives;
-  j["sub_rounds"] = stats.sub_rounds;
-  j["aggregator_flush_capacity"] = stats.aggregator_flush_capacity;
-  j["aggregator_flush_timeout"] = stats.aggregator_flush_timeout;
-  j["total_seconds"] = stats.total_seconds;
-  j["light_seconds"] = stats.light_seconds;
-  j["heavy_seconds"] = stats.heavy_seconds;
-  j["checkpoint_seconds"] = stats.checkpoint_seconds;
+  for (const auto& f : kSsspCounterFields) j[f.key] = stats.*f.member;
+  for (const auto& f : kSsspDoubleFields) j[f.key] = stats.*f.member;
   j["frontier_hist"] = to_json(stats.frontier_hist);
   if (!stats.bucket_trace.empty()) {
     util::Json trace = util::Json::array();

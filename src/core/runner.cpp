@@ -1,7 +1,7 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
-#include <array>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
@@ -43,71 +43,46 @@ std::vector<VertexId> sample_roots(simmpi::Comm& comm,
   return roots;
 }
 
+static_assert(std::ranges::all_of(kSsspCounterFields, [](const auto& f) {
+  return f.rule == RankReduce::kSum || f.rule == RankReduce::kMean;
+}));
+static_assert(std::ranges::all_of(kSsspDoubleFields, [](const auto& f) {
+  return f.rule == RankReduce::kMin || f.rule == RankReduce::kMax;
+}));
+
 SsspStats global_stats(simmpi::Comm& comm, const SsspStats& local) {
-  // Counters: element-wise sum.  Histogram: fixed 64-slot projection.
-  std::array<std::uint64_t, 20> counters = {
-      local.buckets_processed, local.light_iterations, local.heavy_phases,
-      local.push_rounds,       local.pull_rounds,      local.relax_generated,
-      local.relax_sent,        local.relax_received,   local.relax_applied,
-      local.fused_local,       local.filtered_hub,     local.filtered_coalesce,
-      local.frontier_broadcast, local.checkpoints,     local.restores,
-      local.global_collectives, local.sub_rounds,
-      local.aggregator_flush_capacity, local.aggregator_flush_timeout,
-      local.deadline_stops};
-  std::vector<std::uint64_t> payload(counters.begin(), counters.end());
-  payload.resize(counters.size() + 64, 0);
+  // One summed vector: the counter rows, then the histogram's fixed
+  // 64-slot projection.
+  constexpr std::size_t kRows = std::size(kSsspCounterFields);
+  std::vector<std::uint64_t> payload;
+  for (const auto& f : kSsspCounterFields) payload.push_back(local.*f.member);
+  payload.resize(kRows + 64, 0);
   const auto& buckets = local.frontier_hist.buckets();
   for (std::size_t i = 0; i < buckets.size() && i < 64; ++i) {
-    payload[counters.size() + i] = buckets[i];
+    payload[kRows + i] = buckets[i];
   }
   const auto summed = comm.allreduce_vec<std::uint64_t>(
       payload, [](std::uint64_t a, std::uint64_t b) { return a + b; });
 
   SsspStats total;
-  // Per-bucket/round structure is identical on all ranks; divide by P so
-  // the round counters stay "global rounds", while traffic counters sum.
   const auto P = static_cast<std::uint64_t>(comm.size());
-  total.buckets_processed = summed[0] / P;
-  total.light_iterations = summed[1] / P;
-  total.heavy_phases = summed[2] / P;
-  total.push_rounds = summed[3] / P;
-  total.pull_rounds = summed[4] / P;
-  total.relax_generated = summed[5];
-  total.relax_sent = summed[6];
-  total.relax_received = summed[7];
-  total.relax_applied = summed[8];
-  total.fused_local = summed[9];
-  total.filtered_hub = summed[10];
-  total.filtered_coalesce = summed[11];
-  total.frontier_broadcast = summed[12];
-  // Checkpoint decisions are epoch-synchronous, so these are per-rank
-  // duplicates of a global count, like the round counters above.
-  total.checkpoints = summed[13] / P;
-  total.restores = summed[14] / P;
-  // Collectives are matched, so every rank reports the same count.
-  total.global_collectives = summed[15] / P;
-  // Sync: identical per rank (global rounds).  Async: rank-local bucket
-  // expansions, so this is the mean per rank.
-  total.sub_rounds = summed[16] / P;
-  // Flushes are traffic-like: sum over ranks.
-  total.aggregator_flush_capacity = summed[17];
-  total.aggregator_flush_timeout = summed[18];
-  // Deadline stops are epoch-synchronous (taken at an allreduce-agreed k).
-  total.deadline_stops = summed[19] / P;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const auto& f = kSsspCounterFields[i];
+    total.*f.member = f.rule == RankReduce::kMean ? summed[i] / P : summed[i];
+  }
   for (std::size_t i = 0; i < 64; ++i) {
     // Every rank records the same global frontier size per round; undo the
     // P-fold duplication.
-    const std::uint64_t c = summed[counters.size() + i] / P;
+    const std::uint64_t c = summed[kRows + i] / P;
     if (c > 0) {
       total.frontier_hist.add(i == 0 ? 0 : (std::uint64_t{1} << i), c);
     }
   }
-  total.settled_bound = comm.allreduce_min(local.settled_bound);
-  total.total_seconds =
-      comm.allreduce_max(local.total_seconds);
-  total.light_seconds = comm.allreduce_max(local.light_seconds);
-  total.heavy_seconds = comm.allreduce_max(local.heavy_seconds);
-  total.checkpoint_seconds = comm.allreduce_max(local.checkpoint_seconds);
+  for (const auto& f : kSsspDoubleFields) {
+    total.*f.member = f.rule == RankReduce::kMin
+                          ? comm.allreduce_min(local.*f.member)
+                          : comm.allreduce_max(local.*f.member);
+  }
   return total;
 }
 

@@ -113,7 +113,9 @@ struct BenchmarkReport {
                                             const graph::DistGraph& g,
                                             const RunnerOptions& options);
 
-/// Sum a per-rank SsspStats across ranks (histogram included).
+/// Reduce a per-rank SsspStats across ranks (collective).  Each field
+/// combines by the rule its row in kSsspCounterFields or kSsspDoubleFields
+/// (sssp_types.hpp) names; the frontier histogram sums and divides by P.
 [[nodiscard]] SsspStats global_stats(simmpi::Comm& comm,
                                      const SsspStats& local);
 

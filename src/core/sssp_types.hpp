@@ -3,11 +3,13 @@
 // execution statistics the communication-analysis experiments report.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "graph/types.hpp"
+#include "util/field_table.hpp"
 #include "util/histogram.hpp"
 
 namespace g500::core {
@@ -194,37 +196,78 @@ struct SsspStats {
   /// Per-bucket log (empty unless requested; not merged across runs).
   std::vector<BucketTraceRow> bucket_trace;
 
-  void merge(const SsspStats& other) {
-    buckets_processed += other.buckets_processed;
-    light_iterations += other.light_iterations;
-    heavy_phases += other.heavy_phases;
-    push_rounds += other.push_rounds;
-    pull_rounds += other.pull_rounds;
-    relax_generated += other.relax_generated;
-    relax_sent += other.relax_sent;
-    relax_received += other.relax_received;
-    relax_applied += other.relax_applied;
-    fused_local += other.fused_local;
-    filtered_hub += other.filtered_hub;
-    filtered_coalesce += other.filtered_coalesce;
-    frontier_broadcast += other.frontier_broadcast;
-    pruned_expand += other.pruned_expand;
-    pruned_apply += other.pruned_apply;
-    checkpoints += other.checkpoints;
-    restores += other.restores;
-    deadline_stops += other.deadline_stops;
-    settled_bound = std::min(settled_bound, other.settled_bound);
-    global_collectives += other.global_collectives;
-    sub_rounds += other.sub_rounds;
-    aggregator_flush_capacity += other.aggregator_flush_capacity;
-    aggregator_flush_timeout += other.aggregator_flush_timeout;
-    total_seconds += other.total_seconds;
-    light_seconds += other.light_seconds;
-    heavy_seconds += other.heavy_seconds;
-    checkpoint_seconds += other.checkpoint_seconds;
-    frontier_hist.merge(other.frontier_hist);
-  }
+  /// Accumulate another run; RankReduce says how each field combines.
+  void merge(const SsspStats& other);
 };
+
+/// How an SsspStats field combines across ranks in core::global_stats.
+/// SsspStats::merge adds every field except a kMin one, which keeps the
+/// minimum.
+enum class RankReduce : std::uint8_t {
+  kSum,   ///< each rank counts its own share
+  kMean,  ///< sum / P: a global count every rank repeats (for the async
+          ///< engine's rank-local sub_rounds, the per-rank mean)
+  kMax,   ///< the slowest rank's wall time
+  kMin,   ///< the most conservative bound
+};
+
+template <typename T>
+using SsspStatsField = util::Field<SsspStats, T, RankReduce>;
+
+/// Every integer counter of SsspStats with its report key and cross-rank
+/// rule.  global_stats sums them in one allreduce, so only kSum and kMean
+/// apply.
+inline constexpr SsspStatsField<std::uint64_t> kSsspCounterFields[] = {
+    // The bucket loop is epoch-synchronous: every rank counts the same
+    // global buckets, rounds and phases.
+    {"buckets_processed", &SsspStats::buckets_processed, RankReduce::kMean},
+    {"light_iterations", &SsspStats::light_iterations, RankReduce::kMean},
+    {"heavy_phases", &SsspStats::heavy_phases, RankReduce::kMean},
+    {"push_rounds", &SsspStats::push_rounds, RankReduce::kMean},
+    {"pull_rounds", &SsspStats::pull_rounds, RankReduce::kMean},
+    {"relax_generated", &SsspStats::relax_generated, RankReduce::kSum},
+    {"relax_sent", &SsspStats::relax_sent, RankReduce::kSum},
+    {"relax_received", &SsspStats::relax_received, RankReduce::kSum},
+    {"relax_applied", &SsspStats::relax_applied, RankReduce::kSum},
+    {"fused_local", &SsspStats::fused_local, RankReduce::kSum},
+    {"filtered_hub", &SsspStats::filtered_hub, RankReduce::kSum},
+    {"filtered_coalesce", &SsspStats::filtered_coalesce, RankReduce::kSum},
+    {"frontier_broadcast", &SsspStats::frontier_broadcast, RankReduce::kSum},
+    {"pruned_expand", &SsspStats::pruned_expand, RankReduce::kSum},
+    {"pruned_apply", &SsspStats::pruned_apply, RankReduce::kSum},
+    // Checkpoints, restores and deadline stops happen at an
+    // allreduce-agreed epoch, and collectives are matched.
+    {"checkpoints", &SsspStats::checkpoints, RankReduce::kMean},
+    {"restores", &SsspStats::restores, RankReduce::kMean},
+    {"deadline_stops", &SsspStats::deadline_stops, RankReduce::kMean},
+    {"global_collectives", &SsspStats::global_collectives, RankReduce::kMean},
+    {"sub_rounds", &SsspStats::sub_rounds, RankReduce::kMean},
+    {"aggregator_flush_capacity", &SsspStats::aggregator_flush_capacity,
+     RankReduce::kSum},
+    {"aggregator_flush_timeout", &SsspStats::aggregator_flush_timeout,
+     RankReduce::kSum},
+};
+
+/// Every floating-point field of SsspStats with its report key and
+/// cross-rank rule: global_stats runs one allreduce_min or allreduce_max
+/// per row, in this order.
+inline constexpr SsspStatsField<double> kSsspDoubleFields[] = {
+    {"settled_bound", &SsspStats::settled_bound, RankReduce::kMin},
+    {"total_seconds", &SsspStats::total_seconds, RankReduce::kMax},
+    {"light_seconds", &SsspStats::light_seconds, RankReduce::kMax},
+    {"heavy_seconds", &SsspStats::heavy_seconds, RankReduce::kMax},
+    {"checkpoint_seconds", &SsspStats::checkpoint_seconds, RankReduce::kMax},
+};
+
+inline void SsspStats::merge(const SsspStats& other) {
+  for (const auto& f : kSsspCounterFields) this->*f.member += other.*f.member;
+  for (const auto& f : kSsspDoubleFields) {
+    this->*f.member = f.rule == RankReduce::kMin
+                          ? std::min(this->*f.member, other.*f.member)
+                          : this->*f.member + other.*f.member;
+  }
+  frontier_hist.merge(other.frontier_hist);
+}
 
 /// One relaxation request on the wire: "target may be reachable at
 /// distance `dist` via `parent`".

@@ -487,7 +487,7 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   // ---- pack stage: merge runs, dedup, re-sort per vertex, write shard ----
   StageStats pack;
   util::Timer pack_timer;
-  const bool has_pull = opts.build_pull_index && build_opts.build_pull_index;
+  const bool has_pull = build_opts.build_pull_index;
   const std::size_t read_items = 1024;  // 16 KiB per open run
 
   std::vector<std::uint64_t> offsets(num_local + 1, 0);

@@ -34,8 +34,6 @@ struct PipelineOptions {
   std::uint64_t resident_budget_bytes = 256ull << 20;
   /// Generator edges materialized and exchanged per round.
   std::uint64_t chunk_edges = 1ull << 15;
-  /// Build and serialize the pull-index sections too.
-  bool build_pull_index = true;
   /// Where run files and section temporaries live; defaults to the shard
   /// directory itself when empty.
   std::string scratch_dir;
@@ -73,8 +71,10 @@ struct BuildPipelineStats {
 /// bin/sort/pack pipeline and write shard `comm.rank()` of `comm.size()`
 /// into `shard_dir` (created if needed).  Collective: every rank must
 /// call with identical params/options.  Returns identical stats on every
-/// rank.  Throws std::runtime_error if the resident budget is exceeded or
-/// any file operation fails.
+/// rank.  `build_opts.build_pull_index` decides whether the pull-index
+/// sections are written, as it does for the in-memory builders.  Throws
+/// std::runtime_error if the resident budget is exceeded or any file
+/// operation fails.
 BuildPipelineStats build_sharded_kronecker(
     simmpi::Comm& comm, const graph::KroneckerParams& params,
     const std::string& shard_dir, const PipelineOptions& opts = {},

@@ -16,6 +16,18 @@ util::Json hist_with_percentiles(const util::Log2Histogram& h) {
   return j;
 }
 
+/// The slot a '.'-separated report key names, creating the nested objects
+/// on the way (Json::operator[] turns a null member into an object).
+util::Json& at_path(util::Json& root, std::string_view key) {
+  util::Json* node = &root;
+  for (auto dot = key.find('.'); dot != std::string_view::npos;
+       dot = key.find('.')) {
+    node = &(*node)[std::string(key.substr(0, dot))];
+    key.remove_prefix(dot + 1);
+  }
+  return (*node)[std::string(key)];
+}
+
 }  // namespace
 
 util::Json to_json(const ServeConfig& config) {
@@ -142,42 +154,17 @@ util::Json to_json(const CacheStats& stats) {
 util::Json to_json(const ServiceMetrics& metrics) {
   util::Json j = util::Json::object();
   j["schema_version"] = kServingSchemaVersion;
-  j["arrived"] = metrics.arrived;
-  j["admitted"] = metrics.admitted;
-  j["shed"] = metrics.shed;
+  for (const auto& f : kServiceCounterFields) {
+    at_path(j, f.key) = metrics.*f.member;
+  }
+  for (const auto& f : kServiceDoubleFields) {
+    at_path(j, f.key) = metrics.*f.member;
+  }
   j["shed_rate"] =
       metrics.arrived == 0
           ? 0.0
           : static_cast<double>(metrics.shed) /
                 static_cast<double>(metrics.arrived);
-  j["answered"] = metrics.answered;
-  j["slo_violations"] = metrics.slo_violations;
-  j["batches"] = metrics.batches;
-  j["waves"] = metrics.waves;
-  j["pruned_waves"] = metrics.pruned_waves;
-  j["fetch_rounds"] = metrics.fetch_rounds;
-  j["ticks"] = metrics.ticks;
-  j["oracle_exact"] = metrics.oracle_exact;
-  j["oracle_unreachable"] = metrics.oracle_unreachable;
-  j["adaptive_adjustments"] = metrics.adaptive_adjustments;
-  j["deadline_exceeded"] = metrics.deadline_exceeded;
-  j["degraded"] = metrics.degraded;
-  j["failed_queries"] = metrics.failed_queries;
-  j["shed_log_overflow"] = metrics.shed_log_overflow;
-  j["deadline_truncated_waves"] = metrics.deadline_truncated_waves;
-  j["wave_resumes"] = metrics.wave_resumes;
-  j["breaker_half_opened"] = metrics.breaker_half_opened;
-  j["breaker_closed"] = metrics.breaker_closed;
-  j["wave_seconds"] = metrics.wave_seconds;
-  j["fetch_seconds"] = metrics.fetch_seconds;
-  j["oracle_seconds"] = metrics.oracle_seconds;
-  j["wave_relax_generated"] = metrics.wave_relax_generated;
-  j["wave_relax_sent"] = metrics.wave_relax_sent;
-  j["wave_pruned_expand"] = metrics.wave_pruned_expand;
-  j["wave_pruned_apply"] = metrics.wave_pruned_apply;
-  j["oracle_landmarks"] = metrics.oracle_landmarks;
-  j["oracle_precompute_waves"] = metrics.oracle_precompute_waves;
-  j["oracle_precompute_seconds"] = metrics.oracle_precompute_seconds;
   j["latency_ticks"] = hist_with_percentiles(metrics.latency_ticks);
   j["batch_occupancy"] = hist_with_percentiles(metrics.batch_occupancy);
   j["queue_depth"] = hist_with_percentiles(metrics.queue_depth);
@@ -185,7 +172,6 @@ util::Json to_json(const ServiceMetrics& metrics) {
   // Per-class carve-out: the top-level counters cover BOTH classes; the
   // distance class is the difference (slo_violations is already
   // distance-only — the analytics class counts against its own target).
-  util::Json classes = util::Json::object();
   util::Json dist = util::Json::object();
   dist["arrived"] = metrics.arrived - metrics.analytics_arrived;
   dist["admitted"] = metrics.admitted - metrics.analytics_admitted;
@@ -197,53 +183,16 @@ util::Json to_json(const ServiceMetrics& metrics) {
   dist["degraded"] = metrics.degraded - metrics.analytics_degraded;
   dist["failed"] = metrics.failed_queries - metrics.analytics_failed;
   dist["latency_ticks"] = hist_with_percentiles(metrics.latency_ticks);
-  classes["distance"] = std::move(dist);
-  util::Json ana = util::Json::object();
-  ana["arrived"] = metrics.analytics_arrived;
-  ana["admitted"] = metrics.analytics_admitted;
-  ana["shed"] = metrics.analytics_shed;
-  ana["answered"] = metrics.analytics_answered;
-  ana["slo_violations"] = metrics.analytics_slo_violations;
-  ana["deadline_exceeded"] = metrics.analytics_deadline_exceeded;
-  ana["degraded"] = metrics.analytics_degraded;
-  ana["failed"] = metrics.analytics_failed;
-  ana["jobs"] = metrics.analytics_jobs;
-  ana["memo_hits"] = metrics.analytics_memo_hits;
-  ana["deferred_ticks"] = metrics.analytics_deferred_ticks;
-  ana["reachability_cutoffs"] = metrics.reachability_cutoffs;
+  j["classes"]["distance"] = std::move(dist);
+  util::Json& ana = j["classes"]["analytics"];
   util::Json per_kernel = util::Json::object();
   for (std::size_t k = 0; k < metrics.kernel_jobs.size(); ++k) {
     per_kernel[std::string(kernel_name(static_cast<AnalyticsKernel>(k)))] =
         metrics.kernel_jobs[k];
   }
   ana["kernel_jobs"] = std::move(per_kernel);
-  ana["rounds"] = metrics.analytics_rounds;
-  ana["items_sent"] = metrics.analytics_items_sent;
-  ana["items_applied"] = metrics.analytics_items_applied;
-  ana["seconds"] = metrics.analytics_seconds;
   ana["latency_ticks"] = hist_with_percentiles(metrics.analytics_latency_ticks);
-  classes["analytics"] = std::move(ana);
-  j["classes"] = std::move(classes);
-  util::Json point = util::Json::object();
-  point["hits"] = metrics.point_cache_hits;
-  point["misses"] = metrics.point_cache_misses;
-  point["inserts"] = metrics.point_cache_inserts;
-  point["evictions"] = metrics.point_cache_evictions;
-  point["persisted"] = metrics.point_persisted;
-  point["restored"] = metrics.point_restored;
-  j["point_cache"] = std::move(point);
-  util::Json inval = util::Json::object();
-  inval["graph_updates"] = metrics.graph_updates;
-  inval["update_edges_applied"] = metrics.update_edges_applied;
-  inval["roots_invalidated"] = metrics.roots_invalidated;
-  inval["roots_retained"] = metrics.roots_retained;
-  inval["points_invalidated"] = metrics.points_invalidated;
-  inval["points_retained"] = metrics.points_retained;
-  inval["memo_invalidated"] = metrics.memo_invalidated;
-  inval["slices_refreshed"] = metrics.slices_refreshed;
-  inval["wholesale_flushes"] = metrics.wholesale_flushes;
-  inval["version_misses"] = metrics.cache.version_misses;
-  j["invalidation"] = std::move(inval);
+  j["invalidation"]["version_misses"] = metrics.cache.version_misses;
   return j;
 }
 

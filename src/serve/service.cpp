@@ -253,75 +253,22 @@ Slice DistanceService::dispatch_wave(graph::VertexId key,
 }
 
 void ServiceMetrics::merge(const ServiceMetrics& other) {
-  arrived += other.arrived;
-  admitted += other.admitted;
-  shed += other.shed;
-  answered += other.answered;
-  slo_violations += other.slo_violations;
-  batches += other.batches;
-  waves += other.waves;
-  pruned_waves += other.pruned_waves;
-  fetch_rounds += other.fetch_rounds;
-  ticks += other.ticks;
-  oracle_exact += other.oracle_exact;
-  oracle_unreachable += other.oracle_unreachable;
-  adaptive_adjustments += other.adaptive_adjustments;
-  deadline_exceeded += other.deadline_exceeded;
-  degraded += other.degraded;
-  failed_queries += other.failed_queries;
-  shed_log_overflow += other.shed_log_overflow;
-  deadline_truncated_waves += other.deadline_truncated_waves;
-  wave_resumes += other.wave_resumes;
-  breaker_half_opened += other.breaker_half_opened;
-  breaker_closed += other.breaker_closed;
-  analytics_arrived += other.analytics_arrived;
-  analytics_admitted += other.analytics_admitted;
-  analytics_shed += other.analytics_shed;
-  analytics_answered += other.analytics_answered;
-  analytics_slo_violations += other.analytics_slo_violations;
-  analytics_deadline_exceeded += other.analytics_deadline_exceeded;
-  analytics_degraded += other.analytics_degraded;
-  analytics_failed += other.analytics_failed;
-  analytics_jobs += other.analytics_jobs;
-  analytics_memo_hits += other.analytics_memo_hits;
-  analytics_deferred_ticks += other.analytics_deferred_ticks;
-  reachability_cutoffs += other.reachability_cutoffs;
+  const auto combine = [&](const auto& fields) {
+    for (const auto& f : fields) {
+      this->*f.member = f.rule == MergeRule::kLatest
+                            ? other.*f.member
+                            : this->*f.member + other.*f.member;
+    }
+  };
+  combine(kServiceCounterFields);
+  combine(kServiceDoubleFields);
   for (std::size_t k = 0; k < kernel_jobs.size(); ++k) {
     kernel_jobs[k] += other.kernel_jobs[k];
   }
-  analytics_rounds += other.analytics_rounds;
-  analytics_items_sent += other.analytics_items_sent;
-  analytics_items_applied += other.analytics_items_applied;
-  analytics_seconds += other.analytics_seconds;
-  point_cache_hits += other.point_cache_hits;
-  point_cache_misses += other.point_cache_misses;
-  point_cache_inserts += other.point_cache_inserts;
-  point_cache_evictions += other.point_cache_evictions;
-  point_persisted += other.point_persisted;
-  point_restored += other.point_restored;
-  graph_updates += other.graph_updates;
-  update_edges_applied += other.update_edges_applied;
-  roots_invalidated += other.roots_invalidated;
-  roots_retained += other.roots_retained;
-  points_invalidated += other.points_invalidated;
-  points_retained += other.points_retained;
-  memo_invalidated += other.memo_invalidated;
-  slices_refreshed += other.slices_refreshed;
-  wholesale_flushes += other.wholesale_flushes;
   latency_ticks.merge(other.latency_ticks);
   analytics_latency_ticks.merge(other.analytics_latency_ticks);
   batch_occupancy.merge(other.batch_occupancy);
   queue_depth.merge(other.queue_depth);
-  wave_seconds += other.wave_seconds;
-  fetch_seconds += other.fetch_seconds;
-  oracle_seconds += other.oracle_seconds;
-  wave_relax_generated += other.wave_relax_generated;
-  wave_relax_sent += other.wave_relax_sent;
-  wave_pruned_expand += other.wave_pruned_expand;
-  wave_pruned_apply += other.wave_pruned_apply;
-  oracle_landmarks = other.oracle_landmarks;
-  oracle_precompute_waves += other.oracle_precompute_waves;
-  oracle_precompute_seconds += other.oracle_precompute_seconds;
   cache.hits += other.cache.hits;
   cache.misses += other.cache.misses;
   cache.inserts += other.cache.inserts;

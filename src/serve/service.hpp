@@ -67,6 +67,7 @@
 #include "serve/oracle.hpp"
 #include "serve/workload.hpp"
 #include "simmpi/comm.hpp"
+#include "util/field_table.hpp"
 #include "util/histogram.hpp"
 
 namespace g500::serve {
@@ -274,10 +275,99 @@ struct ServiceMetrics {
   CacheStats cache;  ///< copied from the root-slice store on read
 
   /// Accumulate another window's counters (the resilient driver merges
-  /// per-attempt harvests across World restarts).  Counters sum,
-  /// histograms merge; residency/capacity and the oracle precompute
-  /// block take `other`'s (latest) values.
+  /// per-attempt harvests across World restarts).  Scalar fields combine
+  /// by their MergeRule: all sum, the oracle precompute waves and seconds
+  /// too, except oracle_landmarks, which takes `other`'s value.
+  /// Histograms merge; the cache's residency/capacity take `other`'s.
   void merge(const ServiceMetrics& other);
+};
+
+/// How ServiceMetrics::merge combines a field.
+enum class MergeRule : std::uint8_t {
+  kAdd,     ///< counters and timers accumulate (a row's default)
+  kLatest,  ///< a level, not a count: `other`'s value replaces ours
+};
+
+template <typename T>
+using ServiceMetricsField = util::Field<ServiceMetrics, T, MergeRule>;
+
+/// Every integer counter of ServiceMetrics with its report key in
+/// serve::to_json, where '.' nests (analytics_jobs is reported as
+/// classes.analytics.jobs), and its merge rule.
+inline constexpr ServiceMetricsField<std::uint64_t> kServiceCounterFields[] = {
+    {"arrived", &ServiceMetrics::arrived},
+    {"admitted", &ServiceMetrics::admitted},
+    {"shed", &ServiceMetrics::shed},
+    {"answered", &ServiceMetrics::answered},
+    {"slo_violations", &ServiceMetrics::slo_violations},
+    {"batches", &ServiceMetrics::batches},
+    {"waves", &ServiceMetrics::waves},
+    {"pruned_waves", &ServiceMetrics::pruned_waves},
+    {"fetch_rounds", &ServiceMetrics::fetch_rounds},
+    {"ticks", &ServiceMetrics::ticks},
+    {"oracle_exact", &ServiceMetrics::oracle_exact},
+    {"oracle_unreachable", &ServiceMetrics::oracle_unreachable},
+    {"adaptive_adjustments", &ServiceMetrics::adaptive_adjustments},
+    {"deadline_exceeded", &ServiceMetrics::deadline_exceeded},
+    {"degraded", &ServiceMetrics::degraded},
+    {"failed_queries", &ServiceMetrics::failed_queries},
+    {"shed_log_overflow", &ServiceMetrics::shed_log_overflow},
+    {"deadline_truncated_waves", &ServiceMetrics::deadline_truncated_waves},
+    {"wave_resumes", &ServiceMetrics::wave_resumes},
+    {"breaker_half_opened", &ServiceMetrics::breaker_half_opened},
+    {"breaker_closed", &ServiceMetrics::breaker_closed},
+    {"classes.analytics.arrived", &ServiceMetrics::analytics_arrived},
+    {"classes.analytics.admitted", &ServiceMetrics::analytics_admitted},
+    {"classes.analytics.shed", &ServiceMetrics::analytics_shed},
+    {"classes.analytics.answered", &ServiceMetrics::analytics_answered},
+    {"classes.analytics.slo_violations",
+     &ServiceMetrics::analytics_slo_violations},
+    {"classes.analytics.deadline_exceeded",
+     &ServiceMetrics::analytics_deadline_exceeded},
+    {"classes.analytics.degraded", &ServiceMetrics::analytics_degraded},
+    {"classes.analytics.failed", &ServiceMetrics::analytics_failed},
+    {"classes.analytics.jobs", &ServiceMetrics::analytics_jobs},
+    {"classes.analytics.memo_hits", &ServiceMetrics::analytics_memo_hits},
+    {"classes.analytics.deferred_ticks",
+     &ServiceMetrics::analytics_deferred_ticks},
+    {"classes.analytics.reachability_cutoffs",
+     &ServiceMetrics::reachability_cutoffs},
+    {"classes.analytics.rounds", &ServiceMetrics::analytics_rounds},
+    {"classes.analytics.items_sent", &ServiceMetrics::analytics_items_sent},
+    {"classes.analytics.items_applied",
+     &ServiceMetrics::analytics_items_applied},
+    {"point_cache.hits", &ServiceMetrics::point_cache_hits},
+    {"point_cache.misses", &ServiceMetrics::point_cache_misses},
+    {"point_cache.inserts", &ServiceMetrics::point_cache_inserts},
+    {"point_cache.evictions", &ServiceMetrics::point_cache_evictions},
+    {"point_cache.persisted", &ServiceMetrics::point_persisted},
+    {"point_cache.restored", &ServiceMetrics::point_restored},
+    {"invalidation.graph_updates", &ServiceMetrics::graph_updates},
+    {"invalidation.update_edges_applied",
+     &ServiceMetrics::update_edges_applied},
+    {"invalidation.roots_invalidated", &ServiceMetrics::roots_invalidated},
+    {"invalidation.roots_retained", &ServiceMetrics::roots_retained},
+    {"invalidation.points_invalidated", &ServiceMetrics::points_invalidated},
+    {"invalidation.points_retained", &ServiceMetrics::points_retained},
+    {"invalidation.memo_invalidated", &ServiceMetrics::memo_invalidated},
+    {"invalidation.slices_refreshed", &ServiceMetrics::slices_refreshed},
+    {"invalidation.wholesale_flushes", &ServiceMetrics::wholesale_flushes},
+    {"wave_relax_generated", &ServiceMetrics::wave_relax_generated},
+    {"wave_relax_sent", &ServiceMetrics::wave_relax_sent},
+    {"wave_pruned_expand", &ServiceMetrics::wave_pruned_expand},
+    {"wave_pruned_apply", &ServiceMetrics::wave_pruned_apply},
+    {"oracle_landmarks", &ServiceMetrics::oracle_landmarks, MergeRule::kLatest},
+    {"oracle_precompute_waves", &ServiceMetrics::oracle_precompute_waves},
+};
+
+/// Every floating-point field of ServiceMetrics, keyed and merged as in
+/// kServiceCounterFields.
+inline constexpr ServiceMetricsField<double> kServiceDoubleFields[] = {
+    {"classes.analytics.seconds", &ServiceMetrics::analytics_seconds},
+    {"wave_seconds", &ServiceMetrics::wave_seconds},
+    {"fetch_seconds", &ServiceMetrics::fetch_seconds},
+    {"oracle_seconds", &ServiceMetrics::oracle_seconds},
+    {"oracle_precompute_seconds", &ServiceMetrics::oracle_precompute_seconds},
 };
 
 class DistanceService {

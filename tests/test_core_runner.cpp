@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/delta_stepping.hpp"
 #include "core/runner.hpp"
@@ -185,6 +186,28 @@ TEST(RunBenchmark, ReportPrintsSummary) {
   });
 }
 
+// Accumulating runs adds every field, round counters and timings too,
+// except settled_bound, which keeps the tightest bound.
+TEST(SsspStatsMerge, AddsEveryFieldButSettledBound) {
+  core::SsspStats a;
+  core::SsspStats b;
+  a.buckets_processed = 4;
+  b.buckets_processed = 6;
+  a.pruned_apply = 2;
+  b.pruned_apply = 3;
+  a.total_seconds = 0.5;
+  b.total_seconds = 0.25;
+  a.settled_bound = 1.5;
+  a.frontier_hist.add(8);
+  b.frontier_hist.add(8);
+  a.merge(b);
+  EXPECT_EQ(a.buckets_processed, 10u);
+  EXPECT_EQ(a.pruned_apply, 5u);
+  EXPECT_EQ(a.total_seconds, 0.75);
+  EXPECT_EQ(a.settled_bound, 1.5);
+  EXPECT_EQ(a.frontier_hist.total_count(), 2u);
+}
+
 TEST(GlobalStats, SumsTrafficAndAveragesRounds) {
   KroneckerParams params;
   params.scale = 8;
@@ -202,6 +225,22 @@ TEST(GlobalStats, SumsTrafficAndAveragesRounds) {
     EXPECT_GE(total.relax_generated, local.relax_generated);
     // Everything sent is received.
     EXPECT_EQ(total.relax_sent, total.relax_received);
+
+    // A goal-directed run: a zero lower bound under a small budget prunes
+    // without a real target.  The pruning counters are traffic-like.
+    const std::vector<Weight> lb(static_cast<std::size_t>(g.local_count()),
+                                 0.0f);
+    core::SsspConfig pruned;
+    pruned.prune_lb = &lb;
+    pruned.prune_budget = 0.05f;
+    core::SsspStats plocal;
+    (void)core::delta_stepping(comm, g, 1, pruned, &plocal);
+    const auto ptotal = core::global_stats(comm, plocal);
+    EXPECT_EQ(ptotal.pruned_expand, comm.allreduce_sum(plocal.pruned_expand));
+    EXPECT_EQ(ptotal.pruned_apply, comm.allreduce_sum(plocal.pruned_apply));
+    EXPECT_GT(ptotal.pruned_apply, 0u);
+    EXPECT_EQ(ptotal.buckets_processed, plocal.buckets_processed);
+    EXPECT_EQ(ptotal.total_seconds, comm.allreduce_max(plocal.total_seconds));
   });
 }
 

@@ -158,16 +158,14 @@ TEST(OocPipeline, PullIndexCanBeSkipped) {
   fs::remove_all(dir);
   simmpi::World world(2);
   world.run([&](simmpi::Comm& comm) {
-    ooc::PipelineOptions opts;
-    opts.build_pull_index = false;
-    (void)ooc::build_sharded_kronecker(comm, params, dir, opts);
+    graph::BuildOptions bopts;
+    bopts.build_pull_index = false;
+    (void)ooc::build_sharded_kronecker(comm, params, dir, {}, bopts);
     const ShardedCsr shard =
         ShardedCsr::map(shard_path(dir, comm.rank(), comm.size()));
     EXPECT_FALSE(shard.has_pull());
     // The mapped graph still solves correctly without the pull index.
     const DistGraph mapped = graph::load_sharded(comm, dir);
-    graph::BuildOptions bopts;
-    bopts.build_pull_index = false;
     const DistGraph mem = build_kronecker(comm, params, bopts);
     const auto roots = core::sample_roots(comm, mem, 1, 0x0c);
     core::SsspConfig config;

@@ -804,4 +804,51 @@ TEST(ServeService, PointCacheEvictsFifoAtItsCap) {
   });
 }
 
+// ServiceMetrics::merge, the resilient driver's per-attempt accumulation:
+// counters and timers add (the oracle precompute block too), while
+// oracle_landmarks and the cache residency take the latest window's
+// value.  The merged window serializes under its nested report keys.
+TEST(ServiceMetricsMerge, AddsCountersAndKeepsLatestLevels) {
+  serve::ServiceMetrics a;
+  serve::ServiceMetrics b;
+  a.arrived = 3;
+  b.arrived = 4;
+  a.analytics_jobs = 1;
+  b.analytics_jobs = 2;
+  b.point_persisted = 5;
+  a.roots_retained = 6;
+  a.wave_seconds = 0.5;
+  b.wave_seconds = 0.25;
+  a.oracle_landmarks = 4;
+  b.oracle_landmarks = 8;
+  a.oracle_precompute_waves = 4;
+  b.oracle_precompute_waves = 8;
+  a.kernel_jobs[0] = 1;
+  b.kernel_jobs[0] = 2;
+  a.latency_ticks.add(2);
+  b.latency_ticks.add(3);
+  a.cache.hits = 5;
+  b.cache.hits = 1;
+  a.cache.resident_entries = 7;
+  b.cache.resident_entries = 2;
+  a.merge(b);
+  EXPECT_EQ(a.arrived, 7u);
+  EXPECT_EQ(a.analytics_jobs, 3u);
+  EXPECT_EQ(a.wave_seconds, 0.75);
+  EXPECT_EQ(a.oracle_landmarks, 8u);
+  EXPECT_EQ(a.oracle_precompute_waves, 12u);
+  EXPECT_EQ(a.kernel_jobs[0], 3u);
+  EXPECT_EQ(a.latency_ticks.total_count(), 2u);
+  EXPECT_EQ(a.cache.hits, 6u);
+  EXPECT_EQ(a.cache.resident_entries, 2u);
+
+  const auto j = serve::to_json(a);
+  EXPECT_EQ(j.at("arrived").as_uint64(), 7u);
+  EXPECT_EQ(j.at("classes").at("analytics").at("jobs").as_uint64(), 3u);
+  EXPECT_EQ(j.at("classes").at("distance").at("arrived").as_uint64(), 7u);
+  EXPECT_EQ(j.at("point_cache").at("persisted").as_uint64(), 5u);
+  EXPECT_EQ(j.at("invalidation").at("roots_retained").as_uint64(), 6u);
+  EXPECT_EQ(j.at("oracle_landmarks").as_uint64(), 8u);
+}
+
 }  // namespace

@@ -8,17 +8,22 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/delta_stepping.hpp"
+#include "core/json.hpp"
 #include "graph/builder.hpp"
 #include "model/trace_export.hpp"
+#include "serve/json.hpp"
 #include "simmpi/comm.hpp"
 #include "util/json.hpp"
 
@@ -113,6 +118,58 @@ TEST(TelemetrySchemas, MeasurementCarriesRequiredKeys) {
                "relax_applied", "buckets_processed", "light_iterations",
                "checkpoints", "restores", "checkpoint_seconds"},
               "sssp_stats");
+}
+
+void collect_keys(const Json& j, std::set<std::string>& keys) {
+  if (j.is_object()) {
+    for (const auto& [key, value] : j.members()) {
+      keys.insert(key);
+      collect_keys(value, keys);
+    }
+  } else if (j.is_array()) {
+    for (const auto& element : j.elements()) collect_keys(element, keys);
+  }
+}
+
+bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+bool mentions_word(const std::string& text, const std::string& word) {
+  for (auto pos = text.find(word); pos != std::string::npos;
+       pos = text.find(word, pos + 1)) {
+    const auto end = pos + word.size();
+    if ((pos == 0 || !is_word_char(text[pos - 1])) &&
+        (end == text.size() || !is_word_char(text[end]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Docs coverage checked against real serializer output: every key the
+// SsspStats and ServiceMetrics serializers emit (nested keys included)
+// must appear as a whole word in the schema docs that
+// scripts/check_docs.py reads (its SCHEMA_DOCS), so a new field-table row
+// cannot ship undocumented.
+TEST(TelemetrySchemas, StatsKeysAreDocumented) {
+  std::string corpus;
+  for (const char* doc : {"docs/telemetry.md", "docs/serving.md",
+                          "docs/async.md", "docs/dynamic.md",
+                          "docs/out_of_core.md"}) {
+    std::ifstream in(std::string(G500_SOURCE_DIR) + "/" + doc);
+    ASSERT_TRUE(in.is_open()) << doc;
+    corpus.append(std::istreambuf_iterator<char>(in), {});
+    corpus += '\n';
+  }
+  std::set<std::string> keys;
+  collect_keys(core::to_json(core::SsspStats{}), keys);
+  collect_keys(serve::to_json(serve::ServiceMetrics{}), keys);
+  ASSERT_GT(keys.size(), 60u);
+  for (const auto& key : keys) {
+    EXPECT_TRUE(mentions_word(corpus, key))
+        << "report key \"" << key << "\" is not documented";
+  }
 }
 
 TEST(TelemetrySchemas, CommStatsCarriesRequiredKeys) {
