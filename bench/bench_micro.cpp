@@ -2,6 +2,7 @@
 // projection model is calibrated against, measured in isolation.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/relax.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "simmpi/comm.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -128,6 +130,29 @@ void BM_SequentialDijkstra(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_SequentialDijkstra)->Arg(1 << 12)->Arg(1 << 15)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AllreduceMin(benchmark::State& state) {
+  // What one collective costs the simulated ranks: each iteration is one
+  // World::run of 1,000 allreduce_min calls, one item per collective.  A
+  // world with more ranks than the host has CPUs shows what sharing them
+  // costs.
+  constexpr int kCalls = 1000;
+  simmpi::World world(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    world.run([](simmpi::Comm& comm) {
+      std::uint64_t acc = 0;
+      for (int i = 0; i < kCalls; ++i) {
+        acc += comm.allreduce_min<std::uint64_t>(
+            static_cast<std::uint64_t>(comm.rank() + i));
+      }
+      benchmark::DoNotOptimize(acc);
+    });
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kCalls);
+}
+BENCHMARK(BM_AllreduceMin)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

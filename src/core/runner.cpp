@@ -51,33 +51,21 @@ static_assert(std::ranges::all_of(kSsspDoubleFields, [](const auto& f) {
 }));
 
 SsspStats global_stats(simmpi::Comm& comm, const SsspStats& local) {
-  // One summed vector: the counter rows, then the histogram's fixed
-  // 64-slot projection.
-  constexpr std::size_t kRows = std::size(kSsspCounterFields);
   std::vector<std::uint64_t> payload;
   for (const auto& f : kSsspCounterFields) payload.push_back(local.*f.member);
-  payload.resize(kRows + 64, 0);
-  const auto& buckets = local.frontier_hist.buckets();
-  for (std::size_t i = 0; i < buckets.size() && i < 64; ++i) {
-    payload[kRows + i] = buckets[i];
-  }
   const auto summed = comm.allreduce_vec<std::uint64_t>(
       payload, [](std::uint64_t a, std::uint64_t b) { return a + b; });
 
   SsspStats total;
   const auto P = static_cast<std::uint64_t>(comm.size());
-  for (std::size_t i = 0; i < kRows; ++i) {
+  for (std::size_t i = 0; i < summed.size(); ++i) {
     const auto& f = kSsspCounterFields[i];
     total.*f.member = f.rule == RankReduce::kMean ? summed[i] / P : summed[i];
   }
-  for (std::size_t i = 0; i < 64; ++i) {
-    // Every rank records the same global frontier size per round; undo the
-    // P-fold duplication.
-    const std::uint64_t c = summed[kRows + i] / P;
-    if (c > 0) {
-      total.frontier_hist.add(i == 0 ? 0 : (std::uint64_t{1} << i), c);
-    }
-  }
+  // Every engine that records the frontier histogram adds the global
+  // frontier size of each round on every rank, so each rank already holds
+  // the reduced histogram.
+  total.frontier_hist = local.frontier_hist;
   for (const auto& f : kSsspDoubleFields) {
     total.*f.member = f.rule == RankReduce::kMin
                           ? comm.allreduce_min(local.*f.member)

@@ -115,7 +115,8 @@ struct BenchmarkReport {
 
 /// Reduce a per-rank SsspStats across ranks (collective).  Each field
 /// combines by the rule its row in kSsspCounterFields or kSsspDoubleFields
-/// (sssp_types.hpp) names; the frontier histogram sums and divides by P.
+/// (sssp_types.hpp) names.  The frontier histogram is the calling rank's
+/// own: the engines that record it add the global frontier on every rank.
 [[nodiscard]] SsspStats global_stats(simmpi::Comm& comm,
                                      const SsspStats& local);
 

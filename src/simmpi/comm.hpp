@@ -25,15 +25,15 @@
 //   });
 #pragma once
 
+#include <array>
 #include <atomic>
-#include <barrier>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -51,6 +51,16 @@ class World;
 class AbortedError : public std::runtime_error {
  public:
   AbortedError() : std::runtime_error("simmpi: peer rank aborted") {}
+};
+
+/// Raised when the ranks of one collective disagree on what they entered:
+/// a different operation, or elements of a different size.  The SPMD
+/// lockstep is broken, so the world aborts before any rank reads a peer's
+/// buffer.  The message names both ranks and both operations.
+class CollectiveMismatchError : public std::logic_error {
+ public:
+  explicit CollectiveMismatchError(const std::string& what)
+      : std::logic_error(what) {}
 };
 
 /// One asynchronously delivered point-to-point buffer: an aggregator flush
@@ -169,8 +179,37 @@ class Comm {
   friend class World;
   Comm(World& world, int rank) : world_(&world), rank_(rank) {}
 
-  /// Publish this rank's slot pointer and wait until all ranks have.
-  void publish(const void* ptr);
+  /// The operation a rank entered.  Finer than CollectiveKind: a scalar
+  /// and a vector reduction (or allgather and allgatherv) publish
+  /// different objects.
+  enum class Operation : std::uint8_t {
+    kBarrier,
+    kAlltoallv,
+    kAllreduce,
+    kAllreduceVec,
+    kAllgather,
+    kAllgatherv,
+    kBroadcast,
+  };
+
+  /// What a rank entered; every rank checks every peer's against its own
+  /// before it reads a peer's slot.
+  struct Desc {
+    Operation op;
+    std::uint32_t elem_bytes;  // 0 for barrier
+    bool operator==(const Desc&) const = default;
+  };
+
+  /// One rank's post at a collective.
+  struct Post {
+    const void* slot;
+    Desc desc;
+  };
+
+  /// Post this rank's slot pointer and `desc`, wait until all ranks have,
+  /// and check that they all entered `desc` (CollectiveMismatchError if
+  /// not).
+  void publish(const void* slot, Desc desc);
   /// Read rank r's published pointer (only between publish() and release()).
   [[nodiscard]] const void* peer(int r) const;
   /// Signal that this rank is done reading peers' data.
@@ -203,6 +242,7 @@ class Comm {
   bool trace_enabled_ = false;
   bool checksums_enabled_ = false;
   double stall_pending_ = 0.0;
+  std::uint64_t calls_ = 0;  // collectives entered this run(), this one too
   std::vector<TraceEvent> trace_;
 };
 
@@ -277,6 +317,32 @@ class World {
     std::vector<Parcel> queue;
   };
 
+  /// The barrier behind every collective phase.  The last rank to arrive
+  /// resets the count and bumps the phase word; a waiter polls the word,
+  /// yielding the CPU between polls, for a fixed budget and then parks on
+  /// std::atomic::wait.  A yield hands the CPU to a peer still working on
+  /// it, so the same path serves a world with more ranks than CPUs.
+  class PhaseBarrier {
+   public:
+    explicit PhaseBarrier(int count) { reset(count); }
+
+    /// Start over with `count` participants (between runs only).
+    void reset(int count);
+    void arrive_and_wait();
+    /// Arrive at the current phase and leave every later one.
+    void arrive_and_drop();
+
+   private:
+    /// Count one arrival at `phase`; the last one opens the next phase.
+    /// Returns true if this arrival did.
+    bool arrive(std::uint32_t phase);
+
+    std::atomic<int> pending_;   // ranks still to arrive this phase
+    std::atomic<int> expected_;  // participants of later phases
+    // Own cache line: arrivals must not invalidate the line pollers read.
+    alignas(64) std::atomic<std::uint32_t> phase_{0};
+  };
+
   /// Barrier phase used by every collective; throws AbortedError in
   /// surviving ranks once any rank has failed.
   void sync();
@@ -295,8 +361,11 @@ class World {
   void throw_if_corrupted();
 
   std::vector<std::unique_ptr<Comm>> comms_;
-  std::optional<std::barrier<>> barrier_;  // recreated per run()
-  std::vector<const void*> slots_;
+  PhaseBarrier barrier_;  // reset per run()
+  // The slot array: two tables of posts, alternating by call index.
+  // barrier() has no release phase, so a rank's next collective must not
+  // overwrite the post a slower peer is still checking.
+  std::array<std::vector<Comm::Post>, 2> posts_;
   // One mailbox per rank (unique_ptr: std::mutex is immovable).  Cleared at
   // the start of each run() so a failed run's stranded parcels cannot leak
   // into the next.
@@ -356,7 +425,7 @@ std::vector<std::vector<T>> Comm::alltoallv_by_src(
   }
   const Published pub{&out, checksums_enabled_ ? sums.data() : nullptr};
 
-  publish(&pub);
+  publish(&pub, {Operation::kAlltoallv, sizeof(T)});
   std::vector<std::vector<T>> in(P);
   FaultInjector* const faults = world_->injector();
   for (int s = 0; s < P; ++s) {
@@ -399,7 +468,7 @@ T Comm::allreduce(T value, Op op) {
   ++stats_.allreduce.calls;
   record(CollectiveKind::kAllreduce, sizeof(T));
 
-  publish(&value);
+  publish(&value, {Operation::kAllreduce, sizeof(T)});
   // Every rank reduces in identical order => identical result bits.
   T result = *static_cast<const T*>(peer(0));
   for (int s = 1; s < P; ++s) {
@@ -419,7 +488,7 @@ std::vector<T> Comm::allreduce_vec(const std::vector<T>& value, Op op) {
   ++stats_.allreduce.calls;
   record(CollectiveKind::kAllreduce, value.size() * sizeof(T));
 
-  publish(&value);
+  publish(&value, {Operation::kAllreduceVec, sizeof(T)});
   std::vector<T> result = *static_cast<const std::vector<T>*>(peer(0));
   for (int s = 1; s < P; ++s) {
     const auto& contrib = *static_cast<const std::vector<T>*>(peer(s));
@@ -446,7 +515,7 @@ std::vector<T> Comm::allgather(const T& value) {
   ++stats_.allgather.calls;
   record(CollectiveKind::kAllgather, sizeof(T));
 
-  publish(&value);
+  publish(&value, {Operation::kAllgather, sizeof(T)});
   std::vector<T> result;
   result.reserve(P);
   for (int s = 0; s < P; ++s) {
@@ -467,7 +536,7 @@ std::vector<T> Comm::allgatherv(const std::vector<T>& value,
   ++stats_.allgather.calls;
   record(CollectiveKind::kAllgather, value.size() * sizeof(T));
 
-  publish(&value);
+  publish(&value, {Operation::kAllgatherv, sizeof(T)});
   std::vector<T> result;
   if (offsets != nullptr) {
     offsets->assign(1, 0);
@@ -502,7 +571,7 @@ void Comm::broadcast(T& value, int root) {
   ++stats_.broadcast.calls;
   record(CollectiveKind::kBroadcast, rank_ == root ? sizeof(T) : 0);
 
-  publish(&value);
+  publish(&value, {Operation::kBroadcast, sizeof(T)});
   const T result = *static_cast<const T*>(peer(root));
   release();
   value = result;

@@ -244,4 +244,26 @@ TEST(GlobalStats, SumsTrafficAndAveragesRounds) {
   });
 }
 
+TEST(GlobalStats, FrontierHistogramIsExact) {
+  // Every rank of the synchronous engine records the same global frontier
+  // per round, so the reduced histogram must equal each rank's own: its
+  // sum and max too, not just its bucket counts.
+  KroneckerParams params;
+  params.scale = 11;
+  simmpi::World world(4);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_kronecker(comm, params);
+    core::SsspStats local;
+    (void)core::delta_stepping(comm, g, 1, core::SsspConfig{}, &local);
+    const auto total = core::global_stats(comm, local);
+    const util::Log2Histogram& mine = local.frontier_hist;
+    const util::Log2Histogram& reduced = total.frontier_hist;
+    ASSERT_GT(mine.total_count(), 1u);
+    EXPECT_EQ(reduced.total_count(), mine.total_count());
+    EXPECT_EQ(reduced.total_sum(), mine.total_sum());
+    EXPECT_EQ(reduced.max_value(), mine.max_value());
+    EXPECT_EQ(reduced.buckets(), mine.buckets());
+  });
+}
+
 }  // namespace

@@ -2,8 +2,12 @@
 // accounting and failure propagation.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "simmpi/comm.hpp"
 
@@ -183,24 +187,51 @@ TEST(SimMpi, RunCollectGathersReturnValues) {
   for (int r = 0; r < 4; ++r) EXPECT_EQ(results[r], r * r);
 }
 
-TEST(SimMpi, ExceptionPropagatesFromOneRank) {
+// The failure tests run twice: once with the failing rank throwing at
+// once, while its peers still poll the barrier, and once with it sleeping
+// past the poll budget first, so its peers have parked.
+enum class Arrival { kPeersPolling, kPeersParked };
+
+class SimMpiFailure : public ::testing::TestWithParam<Arrival> {
+ protected:
+  /// Called by a failing rank just before it throws.
+  void fail_late() const {
+    if (GetParam() == Arrival::kPeersParked) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Arrivals, SimMpiFailure,
+    ::testing::Values(Arrival::kPeersPolling, Arrival::kPeersParked),
+    [](const ::testing::TestParamInfo<Arrival>& info) {
+      return std::string(info.param == Arrival::kPeersPolling ? "PeersPolling"
+                                                              : "PeersParked");
+    });
+
+TEST_P(SimMpiFailure, ExceptionPropagatesFromOneRank) {
   simmpi::World world(4);
-  EXPECT_THROW(world.run([](simmpi::Comm& comm) {
+  EXPECT_THROW(world.run([&](simmpi::Comm& comm) {
                  comm.barrier();
                  if (comm.rank() == 2) {
+                   fail_late();
                    throw std::runtime_error("rank 2 failed");
                  }
-                 // Survivors park on a barrier; the failure must release
+                 // Survivors wait on a barrier; the failure must release
                  // them instead of deadlocking.
                  comm.barrier();
                }),
                std::runtime_error);
 }
 
-TEST(SimMpi, WorldIsReusableAfterFailure) {
+TEST_P(SimMpiFailure, WorldIsReusableAfterFailure) {
   simmpi::World world(3);
-  EXPECT_THROW(world.run([](simmpi::Comm& comm) {
-                 if (comm.rank() == 0) throw std::logic_error("boom");
+  EXPECT_THROW(world.run([&](simmpi::Comm& comm) {
+                 if (comm.rank() == 0) {
+                   fail_late();
+                   throw std::logic_error("boom");
+                 }
                  comm.barrier();
                }),
                std::logic_error);
@@ -209,6 +240,91 @@ TEST(SimMpi, WorldIsReusableAfterFailure) {
     comm.barrier();
     EXPECT_EQ(comm.allreduce_sum(1), 3);
   });
+}
+
+TEST_P(SimMpiFailure, TwoRanksThrowInTheSameRound) {
+  simmpi::World world(4);
+  EXPECT_THROW(world.run([&](simmpi::Comm& comm) {
+                 comm.barrier();
+                 if (comm.rank() == 1 || comm.rank() == 3) {
+                   fail_late();
+                   throw std::runtime_error("concurrent failure");
+                 }
+                 comm.barrier();
+                 ADD_FAILURE() << "survivors must abort, not continue";
+               }),
+               std::runtime_error);
+  world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 4); });
+}
+
+TEST_P(SimMpiFailure, ThrowWhilePeersAreMidAllgatherv) {
+  // The victim dies before ever publishing; peers are already waiting
+  // inside the collective and must unwind instead of deadlocking.
+  simmpi::World world(3);
+  EXPECT_THROW(world.run([&](simmpi::Comm& comm) {
+                 if (comm.rank() == 2) {
+                   fail_late();
+                   throw std::runtime_error("died before the exchange");
+                 }
+                 std::vector<int> mine(comm.rank() + 1, comm.rank());
+                 (void)comm.allgatherv(mine);
+               }),
+               std::runtime_error);
+  world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 3); });
+}
+
+TEST(SimMpi, MismatchedCollectivesRaiseNamedError) {
+  // Rank 0 reduces floats while rank 1 reduces doubles, so each would read
+  // the other's slot as its own type.  The world must abort with a named
+  // error before either rank reads, and stay reusable.
+  simmpi::World world(2);
+  try {
+    world.run([](simmpi::Comm& comm) {
+      if (comm.rank() == 0) {
+        (void)comm.allreduce_sum<float>(1.0f);
+      } else {
+        (void)comm.allreduce_sum<double>(1.0);
+      }
+      ADD_FAILURE() << "no rank may leave a mismatched collective";
+    });
+    ADD_FAILURE() << "expected CollectiveMismatchError";
+  } catch (const simmpi::CollectiveMismatchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("allreduce<4 B>"), std::string::npos) << what;
+    EXPECT_NE(what.find("allreduce<8 B>"), std::string::npos) << what;
+  }
+  world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 2); });
+}
+
+TEST(SimMpi, MismatchedOperationsRaiseNamedError) {
+  // A scalar and a vector reduction are both kAllreduce but publish
+  // different objects.  The one-phase barrier posts a descriptor too:
+  // unchecked, rank 0 would leave it while rank 1 waits forever in the
+  // reduction's release phase.
+  simmpi::World world(2);
+  EXPECT_THROW(world.run([](simmpi::Comm& comm) {
+                 if (comm.rank() == 0) {
+                   (void)comm.allreduce_sum<std::uint64_t>(1);
+                 } else {
+                   (void)comm.allreduce_vec<std::uint64_t>(
+                       {1}, [](std::uint64_t a, std::uint64_t b) {
+                         return a + b;
+                       });
+                 }
+               }),
+               simmpi::CollectiveMismatchError);
+  EXPECT_THROW(world.run([](simmpi::Comm& comm) {
+                 comm.barrier();
+                 if (comm.rank() == 0) {
+                   comm.barrier();
+                 } else {
+                   (void)comm.allreduce_sum(1);
+                 }
+               }),
+               simmpi::CollectiveMismatchError);
+  world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 2); });
 }
 
 TEST(SimMpi, MismatchedVectorLengthsThrow) {
@@ -251,35 +367,6 @@ TEST(SimMpi, AllreduceVecLengthMismatchAbortsWorld) {
                std::invalid_argument);
   // The mismatch must not poison the next run.
   world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 2); });
-}
-
-TEST(SimMpi, TwoRanksThrowInTheSameRound) {
-  simmpi::World world(4);
-  EXPECT_THROW(world.run([](simmpi::Comm& comm) {
-                 comm.barrier();
-                 if (comm.rank() == 1 || comm.rank() == 3) {
-                   throw std::runtime_error("concurrent failure");
-                 }
-                 comm.barrier();
-                 ADD_FAILURE() << "survivors must abort, not continue";
-               }),
-               std::runtime_error);
-  world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 4); });
-}
-
-TEST(SimMpi, ThrowWhilePeersAreMidAllgatherv) {
-  // The victim dies before ever publishing; peers are already parked
-  // inside the collective and must unwind instead of deadlocking.
-  simmpi::World world(3);
-  EXPECT_THROW(world.run([](simmpi::Comm& comm) {
-                 if (comm.rank() == 2) {
-                   throw std::runtime_error("died before the exchange");
-                 }
-                 std::vector<int> mine(comm.rank() + 1, comm.rank());
-                 (void)comm.allgatherv(mine);
-               }),
-               std::runtime_error);
-  world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 3); });
 }
 
 TEST(SimMpi, BadBroadcastRootThrows) {
@@ -331,6 +418,66 @@ TEST(SimMpi, ManySmallRoundsSurvive) {
       acc += comm.allreduce_sum<std::uint64_t>(1);
     }
     EXPECT_EQ(acc, 2000u * 4);
+  });
+}
+
+TEST(SimMpi, SkewedArrivalsParkAndWake) {
+  // Mixed collectives; before every 64th call a rotating rank sleeps about
+  // 1 ms, so its peers run through their poll budget and park until it
+  // arrives.  Every result is checked against its closed form.
+  simmpi::World world(4);
+  world.run([](simmpi::Comm& comm) {
+    const std::int64_t P = comm.size();
+    const std::int64_t me = comm.rank();
+    int bad = 0;
+    int first_bad = -1;
+    for (int i = 0; i < 10000; ++i) {
+      if (i % 64 == 0 && me == (i / 64) % P) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      bool ok = true;
+      switch (i % 4) {
+        case 0:
+          ok = comm.allreduce_min<std::int64_t>(i * P + (P - 1 - me)) == i * P;
+          break;
+        case 1: {
+          // Rank r sends (i + r) % 4 copies of i + r.
+          const std::vector<std::int64_t> mine(
+              static_cast<std::size_t>((i + me) % 4), i + me);
+          const auto all = comm.allgatherv(mine);
+          std::vector<std::int64_t> expect;
+          for (std::int64_t r = 0; r < P; ++r) {
+            expect.insert(expect.end(), static_cast<std::size_t>((i + r) % 4),
+                          i + r);
+          }
+          ok = all == expect;
+          break;
+        }
+        case 2: {
+          // Rank s sends rank d (i + s + d) % 3 copies of (i * P + s) * P + d.
+          std::vector<std::vector<std::int64_t>> out(
+              static_cast<std::size_t>(P));
+          for (std::int64_t d = 0; d < P; ++d) {
+            out[d].assign(static_cast<std::size_t>((i + me + d) % 3),
+                          (i * P + me) * P + d);
+          }
+          const auto in = comm.alltoallv(out);
+          std::vector<std::int64_t> expect;
+          for (std::int64_t s = 0; s < P; ++s) {
+            expect.insert(expect.end(),
+                          static_cast<std::size_t>((i + s + me) % 3),
+                          (i * P + s) * P + me);
+          }
+          ok = in == expect;
+          break;
+        }
+        default:
+          comm.barrier();
+          break;
+      }
+      if (!ok && bad++ == 0) first_bad = i;
+    }
+    EXPECT_EQ(bad, 0) << "rank " << me << ", first wrong call " << first_bad;
   });
 }
 
