@@ -4,8 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/relax.hpp"
 #include "core/remote.hpp"
+#include "util/radix_sort.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
@@ -150,7 +150,7 @@ BfsResult bfs(simmpi::Comm& comm, const graph::DistGraph& g, VertexId root,
       }
       // Per-destination dedup: one visit per child suffices.
       for (auto& box : outbox) {
-        keep_least(
+        util::keep_least(
             box, [](const Visit& m) { return m.child; },
             [](const Visit& a, const Visit& b) { return a.parent < b.parent; });
         st.messages_sent += box.size();

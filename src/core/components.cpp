@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/relax.hpp"
+#include "util/radix_sort.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
@@ -70,7 +70,7 @@ std::vector<VertexId> connected_components(simmpi::Comm& comm,
     }
     // Coalesce: minimum label per target per round.
     for (auto& box : outbox) {
-      keep_least(
+      util::keep_least(
           box, [](const LabelMsg& m) { return m.target; },
           [](const LabelMsg& a, const LabelMsg& b) { return a.label < b.label; });
       st.labels_sent += box.size();

@@ -4,19 +4,13 @@
 // `dist` via `parent`" and delivers each to the target's owner.  The pieces
 // of that path live here once:
 //
-//   * keep_least / coalesce_min — per-destination coalescing: keep the
-//     least record per key in linear time and no scratch memory beyond a
-//     fixed stack frame per digit.  An in-place MSD radix sort (American
-//     flag sort) on key − min key in 8-bit digits splits the box into
-//     buckets of equal high digits.  A bucket down to its last digit is
-//     reduced in one pass, since that digit names the key; a bucket of at
-//     most kCoalesceSortCutoff records is finished by a comparison sort
-//     and one pass.  The survivors, their ascending-key order and the
-//     dropped count equal a full sort by (key, less) followed by
-//     unique-by-key.  Which of several tied records survives cannot show:
-//     records of equal key that tie under `less` are byte-identical in
-//     every record type the engines coalesce, so neither sort needs to be
-//     stable;
+//   * coalesce_min — per-destination coalescing: keep the least
+//     (dist, parent) record per target with util::keep_least, the radix
+//     coalescer of util/radix_sort.hpp.  The survivors, their ascending-key
+//     order and the dropped count equal a full sort by (key, less)
+//     followed by unique-by-key.  Which of several tied records survives
+//     cannot show: records of equal target that tie on (dist, parent) are
+//     byte-identical;
 //   * the wire codec — the 24-byte RelaxRequest or the 12-byte
 //     PackedRelaxRequest (target pre-localized to the owner's index space),
 //     a compile-time record parameter that with_record picks at run time;
@@ -28,8 +22,6 @@
 //     alltoallv, decode, apply.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -41,146 +33,9 @@
 #include "graph/builder.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/hierarchical.hpp"
+#include "util/radix_sort.hpp"
 
 namespace g500::core {
-
-/// Radix buckets of at most this many records that still span more than
-/// one digit are ordered by a comparison sort instead of further digits.
-inline constexpr std::size_t kCoalesceSortCutoff = 128;
-
-namespace detail {
-
-/// Write the least record of each key in [first, last), in ascending key
-/// order, from `out` on (out <= first); return the end of what was
-/// written.  Every key in the range has the same key(x) − base apart from
-/// its lowest `width` bits, so that digit names the key: one pass keeps
-/// the least record per digit.
-template <typename T, typename Key, typename Less>
-T* keep_least_per_digit(const T* first, const T* last, T* out,
-                        const Key& key, const Less& less, std::uint64_t base,
-                        int width) {
-  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
-  // Bit d of seen says least[d] holds a record; every read of least[d]
-  // checks it first.  least is left uninitialized: zeroing it would cost
-  // more than the pass when buckets hold a few records each.
-  std::array<T, 256> least;
-  std::array<std::uint64_t, 4> seen{};
-  for (const T* p = first; p != last; ++p) {
-    const auto d = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(key(*p)) - base) & mask);
-    const std::uint64_t bit = std::uint64_t{1} << (d % 64);
-    if (!(seen[d / 64] & bit) || less(*p, least[d])) {
-      least[d] = *p;
-      seen[d / 64] |= bit;
-    }
-  }
-  for (std::size_t w = 0; w < seen.size(); ++w) {
-    for (std::uint64_t m = seen[w]; m != 0; m &= m - 1) {
-      *out++ = least[w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-    }
-  }
-  return out;
-}
-
-/// keep_least_per_digit for a range whose keys may differ in bits
-/// [0, shift + 8) of key(x) − base, shift > 0: an in-place MSD radix sort
-/// (American flag sort) on the 8-bit digit at `shift`, then each bucket in
-/// turn.  Buckets of at most kCoalesceSortCutoff records are finished by a
-/// comparison sort instead.
-template <typename T, typename Key, typename Less>
-T* keep_least_radix(T* first, T* last, T* out, const Key& key,
-                    const Less& less, std::uint64_t base, int shift) {
-  if (static_cast<std::size_t>(last - first) <= kCoalesceSortCutoff) {
-    std::sort(first, last,
-              [&](const T& a, const T& b) { return key(a) < key(b); });
-    for (T* p = first; p != last;) {
-      T* least = p;
-      T* q = p + 1;
-      for (; q != last && key(*q) == key(*p); ++q) {
-        if (less(*q, *least)) least = q;
-      }
-      *out++ = *least;
-      p = q;
-    }
-    return out;
-  }
-  const auto digit = [&](const T& x) {
-    return static_cast<std::size_t>(
-        ((static_cast<std::uint64_t>(key(x)) - base) >> shift) & 0xFF);
-  };
-  // end[d] is one past bucket d; next[d] is the first slot of bucket d not
-  // yet known to hold a record of digit d.
-  std::array<std::size_t, 256> end{};
-  for (const T* p = first; p != last; ++p) ++end[digit(*p)];
-  std::array<std::size_t, 256> next{};
-  for (std::size_t d = 0, sum = 0; d < 256; ++d) {
-    next[d] = sum;
-    sum += end[d];
-    end[d] = sum;
-  }
-  // Each swap moves one record into its bucket for good, so all passes
-  // together make at most one swap per record.  The swaps of a pass do not
-  // wait on each other, unlike a cycle-leader chain, so their loads
-  // overlap.
-  for (bool unplaced = true; unplaced;) {
-    unplaced = false;
-    for (std::size_t b = 0; b < 256; ++b) {
-      for (std::size_t i = next[b]; i < end[b]; ++i) {
-        std::swap(first[i], first[next[digit(first[i])]++]);
-      }
-      unplaced = unplaced || next[b] < end[b];
-    }
-  }
-  const int lower = shift > 8 ? shift - 8 : 0;
-  std::size_t begin = 0;
-  for (std::size_t d = 0; d < 256; ++d) {
-    if (end[d] - begin == 1) {
-      *out++ = first[begin];
-    } else if (end[d] > begin && lower == 0) {
-      out = keep_least_per_digit(first + begin, first + end[d], out, key,
-                                 less, base, shift);
-    } else if (end[d] > begin) {
-      out = keep_least_radix(first + begin, first + end[d], out, key, less,
-                             base, lower);
-    }
-    begin = end[d];
-  }
-  return out;
-}
-
-}  // namespace detail
-
-/// Keep only the least record — by `less` — of each key(record) in `box`,
-/// ordered by ascending key.  Returns how many records were dropped.
-/// `key` returns an unsigned integer; `less` must order records of equal
-/// key totally, and records it ties must be byte-identical, so the
-/// survivors (and their order) are deterministic.  Linear time; no scratch
-/// memory beyond a fixed-size stack frame per digit.
-template <typename T, typename Key, typename Less>
-std::uint64_t keep_least(std::vector<T>& box, Key key, Less less) {
-  static_assert(
-      std::is_unsigned_v<std::remove_cvref_t<decltype(key(box.front()))>>);
-  if (box.size() < 2) return 0;
-  auto lo = static_cast<std::uint64_t>(key(box.front()));
-  auto hi = lo;
-  for (const T& x : box) {
-    lo = std::min(lo, static_cast<std::uint64_t>(key(x)));
-    hi = std::max(hi, static_cast<std::uint64_t>(key(x)));
-  }
-  // The top digit takes the span's highest (up to 8) significant bits, so
-  // no shift reaches 64; the lowest digit takes what is left.
-  const int bits = std::bit_width(hi - lo);
-  T* const first = box.data();
-  T* const last = first + box.size();
-  const T* const kept =
-      bits <= 8 ? detail::keep_least_per_digit(first, last, first, key, less,
-                                                lo, bits)
-                : detail::keep_least_radix(first, last, first, key, less, lo,
-                                           bits - 8);
-  const auto dropped = static_cast<std::uint64_t>(last - kept);
-  box.erase(box.begin() + (kept - first), box.end());
-  return dropped;
-}
 
 // ------------------------------------------------------------- wire codec
 
@@ -232,7 +87,7 @@ auto with_record(const SsspConfig& config, graph::VertexId num_vertices,
 /// were dropped.
 template <typename Msg>
 std::uint64_t coalesce_min(std::vector<Msg>& box) {
-  return keep_least(
+  return util::keep_least(
       box, [](const Msg& m) { return target_key(m); },
       [](const Msg& a, const Msg& b) {
         if (a.dist != b.dist) return a.dist < b.dist;

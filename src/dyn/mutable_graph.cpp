@@ -1,6 +1,7 @@
 #include "dyn/mutable_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -51,6 +52,14 @@ MutableGraph::MutableGraph(simmpi::Comm& comm, graph::DistGraph base,
 void MutableGraph::stage(const EdgeUpdate& update) {
   if (update.u >= view_.num_vertices || update.v >= view_.num_vertices) {
     throw std::out_of_range("MutableGraph::stage: endpoint out of range");
+  }
+  // A NaN would break the commit's sorts, and a negative weight the
+  // engines' correctness; a delete carries no weight.
+  if (update.op != UpdateOp::kDelete &&
+      !(update.weight >= 0.0f &&
+        update.weight != std::numeric_limits<Weight>::infinity())) {
+    throw std::invalid_argument(
+        "MutableGraph::stage: weight must be finite and non-negative");
   }
   staged_.push_back(update);
   ++stats_.updates_staged;

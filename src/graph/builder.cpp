@@ -19,6 +19,15 @@ bool hub_less(const HubCandidate& a, const HubCandidate& b) {
   return a.vertex < b.vertex;
 }
 
+/// Keep the first `count` candidates in hub order, sorted.
+void keep_top(std::vector<HubCandidate>& candidates, std::size_t count) {
+  const auto middle =
+      candidates.begin() +
+      static_cast<std::ptrdiff_t>(std::min(count, candidates.size()));
+  std::partial_sort(candidates.begin(), middle, candidates.end(), hub_less);
+  candidates.erase(middle, candidates.end());
+}
+
 }  // namespace
 
 std::size_t resolved_hub_count(const BuildOptions& opts,
@@ -46,19 +55,12 @@ void select_hubs(simmpi::Comm& comm, const BlockPartition& part,
       local.push_back(HubCandidate{part.global(comm.rank(), u), deg});
     }
   }
-  if (local.size() > hub_count) {
-    std::nth_element(local.begin(),
-                     local.begin() + static_cast<std::ptrdiff_t>(hub_count),
-                     local.end(), hub_less);
-    local.resize(hub_count);
-  }
-  std::sort(local.begin(), local.end(), hub_less);
+  keep_top(local, hub_count);
 
   // ...then the global top-H from the union of local candidates.  Correct
   // because a global top-H vertex is necessarily in its owner's local top-H.
   std::vector<HubCandidate> all = comm.allgatherv(local);
-  std::sort(all.begin(), all.end(), hub_less);
-  if (all.size() > hub_count) all.resize(hub_count);
+  keep_top(all, hub_count);
 
   hubs.reserve(all.size());
   hub_degrees.reserve(all.size());
@@ -97,18 +99,7 @@ DistGraph build_distributed(simmpi::Comm& comm, const EdgeList& input_slice,
   outbox.clear();
   outbox.shrink_to_fit();
 
-  // Deduplicate parallel edges keeping the smallest weight: sort by
-  // (src, dst, weight) and keep the first of each (src, dst) run.
-  std::sort(mine.begin(), mine.end(), [](const WireEdge& a, const WireEdge& b) {
-    if (a.src != b.src) return a.src < b.src;
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.weight < b.weight;
-  });
-  mine.erase(std::unique(mine.begin(), mine.end(),
-                         [](const WireEdge& a, const WireEdge& b) {
-                           return a.src == b.src && a.dst == b.dst;
-                         }),
-             mine.end());
+  dedup_min_weight(mine);
 
   // Localize sources and build the CSR.
   const VertexId my_begin = g.part.begin(comm.rank());

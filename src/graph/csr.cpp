@@ -4,7 +4,35 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/radix_sort.hpp"
+
 namespace g500::graph {
+
+void dedup_min_weight(std::vector<WireEdge>& edges) {
+  // Sorted by (src, dst, weight), the first of each (src, dst) run is its
+  // least weight.
+  util::radix_sort(
+      edges.begin(), edges.end(), [](const WireEdge& e) { return e.src; },
+      [](const WireEdge& a, const WireEdge& b) {
+        if (a.dst != b.dst) return a.dst < b.dst;
+        return a.weight < b.weight;
+      });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const WireEdge& a, const WireEdge& b) {
+                            return a.src == b.src && a.dst == b.dst;
+                          }),
+              edges.end());
+}
+
+void sort_by_source_weight(std::vector<WireEdge>& edges) {
+  // Ties on weight go by dst, so the order is total on deduplicated edges.
+  util::radix_sort(
+      edges.begin(), edges.end(), [](const WireEdge& e) { return e.src; },
+      [](const WireEdge& a, const WireEdge& b) {
+        if (a.weight != b.weight) return a.weight < b.weight;
+        return a.dst < b.dst;
+      });
+}
 
 LocalCsr::LocalCsr(LocalId num_local, std::vector<WireEdge> edges)
     : num_local_(num_local) {
@@ -13,14 +41,7 @@ LocalCsr::LocalCsr(LocalId num_local, std::vector<WireEdge> edges)
       throw std::out_of_range("LocalCsr: edge source is not a local index");
     }
   }
-  // Group by source, then weight-ascending within a source (ties by dst for
-  // determinism).
-  std::sort(edges.begin(), edges.end(),
-            [](const WireEdge& a, const WireEdge& b) {
-              if (a.src != b.src) return a.src < b.src;
-              if (a.weight != b.weight) return a.weight < b.weight;
-              return a.dst < b.dst;
-            });
+  sort_by_source_weight(edges);
 
   offsets_store_.assign(static_cast<std::size_t>(num_local) + 1, 0);
   dst_store_.reserve(edges.size());
@@ -128,11 +149,12 @@ PullIndex PullIndex::from_csr(const LocalCsr& csr) {
       entries.push_back(Entry{csr.dst(e), u, csr.weight(e)});
     }
   }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.src != b.src) return a.src < b.src;
-    if (a.w != b.w) return a.w < b.w;
-    return a.dst < b.dst;
-  });
+  util::radix_sort(
+      entries.begin(), entries.end(), [](const Entry& e) { return e.src; },
+      [](const Entry& a, const Entry& b) {
+        if (a.w != b.w) return a.w < b.w;
+        return a.dst < b.dst;
+      });
 
   PullIndex index;
   index.dst_store_.reserve(entries.size());

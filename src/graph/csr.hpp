@@ -31,6 +31,14 @@ struct WireEdge {
   Weight weight = 0.0f;
 };
 
+/// Keep the least-weight copy of each (src, dst), leaving the edges
+/// ordered by (src, dst): the builders' rule for parallel edges.
+void dedup_min_weight(std::vector<WireEdge>& edges);
+
+/// Order edges by (src, weight, dst): each source's edges together,
+/// lightest first — the layout of LocalCsr and SourceBlock.
+void sort_by_source_weight(std::vector<WireEdge>& edges);
+
 class LocalCsr {
  public:
   LocalCsr() = default;

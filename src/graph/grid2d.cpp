@@ -23,12 +23,7 @@ ProcessGrid::ProcessGrid(int num_ranks) {
 }
 
 SourceBlock::SourceBlock(std::vector<WireEdge> edges) {
-  std::sort(edges.begin(), edges.end(),
-            [](const WireEdge& a, const WireEdge& b) {
-              if (a.src != b.src) return a.src < b.src;
-              if (a.weight != b.weight) return a.weight < b.weight;
-              return a.dst < b.dst;
-            });
+  sort_by_source_weight(edges);
   dst_.reserve(edges.size());
   w_.reserve(edges.size());
   for (const auto& e : edges) {
@@ -90,16 +85,7 @@ Dist2DGraph build_2d(simmpi::Comm& comm, const EdgeList& input_slice,
 
   // Dedup to minimum weight per (src, dst).  Edge homes are deterministic,
   // so all duplicates of a directed edge land on the same rank.
-  std::sort(mine.begin(), mine.end(), [](const WireEdge& a, const WireEdge& b) {
-    if (a.src != b.src) return a.src < b.src;
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.weight < b.weight;
-  });
-  mine.erase(std::unique(mine.begin(), mine.end(),
-                         [](const WireEdge& a, const WireEdge& b) {
-                           return a.src == b.src && a.dst == b.dst;
-                         }),
-             mine.end());
+  dedup_min_weight(mine);
 
   // Report per-source degrees to the source's owner.
   struct DegreeReport {

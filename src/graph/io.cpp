@@ -46,6 +46,12 @@ bool parse_weight_token(const std::string& token, float& out) {
   return true;
 }
 
+/// The loaders' weight rule: SSSP needs weights that are positive and
+/// finite.  Also keeps NaN, which no sort can order, out of the builder.
+bool usable_weight(float w) {
+  return w > 0.0f && w != std::numeric_limits<float>::infinity();
+}
+
 }  // namespace
 
 void write_edge_list_binary(std::ostream& out, const EdgeList& list) {
@@ -107,6 +113,10 @@ EdgeList read_edge_list_binary(std::istream& in) {
               std::to_string(rec.src) + ", " + std::to_string(rec.dst) +
               ") out of range for " + std::to_string(header.num_vertices) +
               " vertices");
+    }
+    if (!usable_weight(rec.weight)) {
+      io_fail("non-positive or non-finite weight at edge " +
+              std::to_string(i));
     }
     list.edges.push_back(Edge{rec.src, rec.dst, rec.weight});
   }
@@ -173,7 +183,7 @@ EdgeList read_edge_list_tsv(std::istream& in) {
     } else {
       e.weight = 1.0f;
     }
-    if (!(e.weight > 0.0f) || e.weight == std::numeric_limits<float>::infinity()) {
+    if (!usable_weight(e.weight)) {
       io_fail("non-positive or non-finite weight on line " +
               std::to_string(line_number));
     }

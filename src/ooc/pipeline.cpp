@@ -17,6 +17,7 @@
 
 #include "graph/partition.hpp"
 #include "graph/shard.hpp"
+#include "util/radix_sort.hpp"
 #include "util/timer.hpp"
 
 namespace g500::ooc {
@@ -40,12 +41,14 @@ struct RunEdge {
 static_assert(sizeof(RunEdge) == 16);
 
 /// Run order (src, dst, w): the merge key of the dedup pass.  Matches the
-/// in-memory builder's sort, so keep-first == keep-minimum-weight.
-bool run_less(const RunEdge& a, const RunEdge& b) {
+/// in-memory builder's sort, so keep-first == keep-minimum-weight.  A run
+/// is radix-sorted by run_key with run_less breaking the ties.
+constexpr auto run_less = [](const RunEdge& a, const RunEdge& b) {
   if (a.src != b.src) return a.src < b.src;
   if (a.dst != b.dst) return a.dst < b.dst;
   return a.w < b.w;
-}
+};
+constexpr auto run_key = [](const RunEdge& e) { return e.src; };
 
 /// The same edge keyed by its global neighbour — the pull-index record.
 struct PullEntry {
@@ -55,12 +58,14 @@ struct PullEntry {
 };
 static_assert(sizeof(PullEntry) == 16);
 
-/// Pull order (src, w, dst): exactly PullIndex::from_csr's sort.
-bool pull_less(const PullEntry& a, const PullEntry& b) {
+/// Pull order (src, w, dst): exactly PullIndex::from_csr's sort, and like
+/// it radix-sorted by source.
+constexpr auto pull_less = [](const PullEntry& a, const PullEntry& b) {
   if (a.src != b.src) return a.src < b.src;
   if (a.w != b.w) return a.w < b.w;
   return a.dst < b.dst;
-}
+};
+constexpr auto pull_key = [](const PullEntry& e) { return e.src; };
 
 /// Charges every pipeline allocation against the per-rank budget.  The
 /// pipeline throws the moment it would exceed the cap — out-of-core means
@@ -220,6 +225,46 @@ class TempWriter {
   std::uint64_t bytes_ = 0;
 };
 
+/// A section temporary written one record at a time.  Records are staged
+/// in a fixed block, charged to the budget as a RunReader's buffer is, so
+/// the stream sees one write per block instead of one per record.
+template <typename T>
+class SectionWriter {
+ public:
+  SectionWriter(std::string path, std::size_t block_items, Budget& budget)
+      : out_(std::move(path)), budget_(budget), cap_(block_items) {
+    budget_.acquire(cap_ * sizeof(T));
+    block_.reserve(cap_);
+  }
+  ~SectionWriter() { budget_.release(cap_ * sizeof(T)); }
+  SectionWriter(const SectionWriter&) = delete;
+  SectionWriter& operator=(const SectionWriter&) = delete;
+
+  void push(const T& x) {
+    block_.push_back(x);
+    if (block_.size() == cap_) flush();
+  }
+  /// Write the last block and close the file.
+  void close() {
+    flush();
+    out_.close();
+  }
+  [[nodiscard]] const std::string& path() const noexcept {
+    return out_.path();
+  }
+
+ private:
+  void flush() {
+    out_.append(block_.data(), block_.size());
+    block_.clear();
+  }
+
+  TempWriter out_;
+  Budget& budget_;
+  std::size_t cap_;
+  std::vector<T> block_;
+};
+
 /// K-way merge over sorted run files: a binary min-heap of reader indices.
 template <typename T, typename Less>
 class RunMerger {
@@ -365,7 +410,7 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       try {
         util::Timer timer;
         auto& edges = job.edges;
-        std::sort(edges.begin(), edges.end(), run_less);
+        util::radix_sort(edges.begin(), edges.end(), run_key, run_less);
         // Within-run dedup: first of each (src, dst) is its run minimum;
         // the cross-run merge applies the same rule globally.
         edges.erase(std::unique(edges.begin(), edges.end(),
@@ -489,11 +534,15 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   util::Timer pack_timer;
   const bool has_pull = build_opts.build_pull_index;
   const std::size_t read_items = 1024;  // 16 KiB per open run
+  const std::size_t csr_block = 256;    // 3 KiB for the CSR sections
+  const std::size_t pull_block = 1024;  // 8 KiB for the pull sections
 
   std::vector<std::uint64_t> offsets(num_local + 1, 0);
   budget.acquire(offsets.size() * sizeof(std::uint64_t));
-  TempWriter dst_tmp(tmp_name(scratch, r, "dst", 0));
-  TempWriter w_tmp(tmp_name(scratch, r, "w", 0));
+  SectionWriter<VertexId> dst_tmp(tmp_name(scratch, r, "dst", 0), csr_block,
+                                  budget);
+  SectionWriter<Weight> w_tmp(tmp_name(scratch, r, "w", 0), csr_block,
+                              budget);
 
   std::vector<std::string> pull_run_paths;
   std::vector<PullEntry> pull_stage;
@@ -504,7 +553,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   }
   const auto spill_pull = [&] {
     if (pull_stage.empty()) return;
-    std::sort(pull_stage.begin(), pull_stage.end(), pull_less);
+    util::radix_sort(pull_stage.begin(), pull_stage.end(), pull_key,
+                     pull_less);
     TempWriter out(tmp_name(scratch, r, "pullrun", pull_run_paths.size()));
     out.append(pull_stage.data(), pull_stage.size());
     out.close();
@@ -521,7 +571,7 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       readers.push_back(
           std::make_unique<RunReader<RunEdge>>(path, read_items, budget));
     }
-    RunMerger<RunEdge, bool (*)(const RunEdge&, const RunEdge&)> merger(
+    RunMerger<RunEdge, decltype(run_less)> merger(
         std::move(readers), run_less);
 
     // Current vertex's adjacency, re-sorted (w, dst) before flushing — the
@@ -534,8 +584,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       if (group.empty()) return;
       std::sort(group.begin(), group.end());
       for (const auto& [w, dst] : group) {
-        dst_tmp.append(&dst, 1);
-        w_tmp.append(&w, 1);
+        dst_tmp.push(dst);
+        w_tmp.push(w);
       }
       offsets[group_src + 1] = num_edges;
       group.clear();
@@ -579,8 +629,10 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   std::vector<std::uint64_t> pull_offsets;
   std::uint64_t pull_sources_charged = 0;
   std::uint64_t pull_offsets_charged = 0;
-  TempWriter pull_dst_tmp(tmp_name(scratch, r, "pulldst", 0));
-  TempWriter pull_w_tmp(tmp_name(scratch, r, "pullw", 0));
+  SectionWriter<LocalId> pull_dst_tmp(tmp_name(scratch, r, "pulldst", 0),
+                                      pull_block, budget);
+  SectionWriter<Weight> pull_w_tmp(tmp_name(scratch, r, "pullw", 0),
+                                   pull_block, budget);
   std::uint64_t num_pull_entries = 0;
   if (has_pull) {
     spill_pull();
@@ -592,7 +644,7 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       readers.push_back(
           std::make_unique<RunReader<PullEntry>>(path, read_items, budget));
     }
-    RunMerger<PullEntry, bool (*)(const PullEntry&, const PullEntry&)> merger(
+    RunMerger<PullEntry, decltype(pull_less)> merger(
         std::move(readers), pull_less);
     while (!merger.empty()) {
       const PullEntry head = merger.head();
@@ -603,9 +655,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
         charge_growth(budget, pull_sources, pull_sources_charged);
         charge_growth(budget, pull_offsets, pull_offsets_charged);
       }
-      const LocalId dst = head.dst;
-      pull_dst_tmp.append(&dst, 1);
-      pull_w_tmp.append(&head.w, 1);
+      pull_dst_tmp.push(head.dst);
+      pull_w_tmp.push(head.w);
       ++num_pull_entries;
     }
     pull_offsets.push_back(num_pull_entries);

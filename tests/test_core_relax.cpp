@@ -1,16 +1,14 @@
 // Tests for the shared relaxation kernel (core/relax.hpp): the coalescer's
-// tie-break and drop count on both wire records, the radix coalescer
-// against a sort+unique reference on every record that uses it, the flat
-// hub index at hub counts from one to nearly every vertex, and that the
-// record the engines ship (12-byte packed or 24-byte wide) changes no
-// result bit and no deterministic counter.
+// tie-break and drop count on both wire records, the flat hub index at hub
+// counts from one to nearly every vertex, and that the record the engines
+// ship (12-byte packed or 24-byte wide) changes no result bit and no
+// deterministic counter.  The radix coalescer itself is tested against a
+// sort+unique reference in test_util_radix_sort.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/delta_stepping.hpp"
@@ -21,7 +19,6 @@
 #include "graph/builder.hpp"
 #include "graph/kronecker.hpp"
 #include "simmpi/comm.hpp"
-#include "util/random.hpp"
 
 namespace {
 
@@ -57,204 +54,6 @@ TYPED_TEST(CoalesceMin, KeepsLeastDistThenSmallerParentPerTarget) {
   std::vector<Msg> single = {rec(8, 1.0f, 0)};
   EXPECT_EQ(core::coalesce_min(single), 0u);
   EXPECT_EQ(single.size(), 1u);
-}
-
-// --------------------------------------------- differential coalescing
-
-/// Reference coalescer: sort by (key, less), then keep the first record of
-/// each key.
-template <typename T, typename Key, typename Less>
-std::uint64_t reference_keep_least(std::vector<T>& box, Key key, Less less) {
-  if (box.size() < 2) return 0;
-  std::sort(box.begin(), box.end(), [&](const T& a, const T& b) {
-    if (key(a) != key(b)) return key(a) < key(b);
-    return less(a, b);
-  });
-  const auto last = std::unique(
-      box.begin(), box.end(),
-      [&](const T& a, const T& b) { return key(a) == key(b); });
-  const auto dropped = static_cast<std::uint64_t>(box.end() - last);
-  box.erase(last, box.end());
-  return dropped;
-}
-
-// The per-destination records of BFS (bfs.cpp) and components
-// (components.cpp), with the key and order their keep_least calls use.
-struct Visit {
-  VertexId child;
-  VertexId parent;
-};
-struct LabelMsg {
-  VertexId target;
-  VertexId label;
-};
-
-/// How a record is made, keyed, ordered, compared and coalesced.  Values
-/// beside the key come from small ranges, so ties under `less` and
-/// byte-identical duplicates occur in random boxes too.
-template <typename T>
-struct Record;
-
-template <typename Msg>
-struct WireRecord {
-  static constexpr std::uint64_t kMaxKey =
-      std::is_same_v<Msg, core::PackedRelaxRequest>
-          ? std::numeric_limits<std::uint32_t>::max()
-          : std::numeric_limits<std::uint64_t>::max();
-  static Msg make(std::uint64_t key, util::SplitMix64& rng) {
-    Msg m{};
-    if constexpr (std::is_same_v<Msg, core::PackedRelaxRequest>) {
-      m.target_local = static_cast<std::uint32_t>(key);
-    } else {
-      m.target = key;
-    }
-    m.parent = static_cast<decltype(m.parent)>(rng.next_below(4));
-    m.dist = 0.25f * static_cast<float>(rng.next_below(4));
-    return m;
-  }
-  static auto key(const Msg& m) { return core::target_key(m); }
-  static bool less(const Msg& a, const Msg& b) {
-    if (a.dist != b.dist) return a.dist < b.dist;
-    return a.parent < b.parent;
-  }
-  static auto fields(const Msg& m) {
-    return std::make_tuple(key(m), m.parent, m.dist);
-  }
-  static std::uint64_t coalesce(std::vector<Msg>& box) {
-    return core::coalesce_min(box);
-  }
-};
-template <>
-struct Record<core::RelaxRequest> : WireRecord<core::RelaxRequest> {};
-template <>
-struct Record<core::PackedRelaxRequest>
-    : WireRecord<core::PackedRelaxRequest> {};
-
-template <>
-struct Record<Visit> {
-  static constexpr std::uint64_t kMaxKey =
-      std::numeric_limits<std::uint64_t>::max();
-  static Visit make(std::uint64_t key, util::SplitMix64& rng) {
-    return Visit{key, rng.next_below(4)};
-  }
-  static VertexId key(const Visit& m) { return m.child; }
-  static bool less(const Visit& a, const Visit& b) {
-    return a.parent < b.parent;
-  }
-  static auto fields(const Visit& m) {
-    return std::make_tuple(m.child, m.parent);
-  }
-  static std::uint64_t coalesce(std::vector<Visit>& box) {
-    return core::keep_least(box, key, less);
-  }
-};
-
-template <>
-struct Record<LabelMsg> {
-  static constexpr std::uint64_t kMaxKey =
-      std::numeric_limits<std::uint64_t>::max();
-  static LabelMsg make(std::uint64_t key, util::SplitMix64& rng) {
-    return LabelMsg{key, rng.next_below(4)};
-  }
-  static VertexId key(const LabelMsg& m) { return m.target; }
-  static bool less(const LabelMsg& a, const LabelMsg& b) {
-    return a.label < b.label;
-  }
-  static auto fields(const LabelMsg& m) {
-    return std::make_tuple(m.target, m.label);
-  }
-  static std::uint64_t coalesce(std::vector<LabelMsg>& box) {
-    return core::keep_least(box, key, less);
-  }
-};
-
-enum class Shape { kRandom, kAllEqualKeys, kDuplicates, kSorted, kReversed };
-
-/// A box of n records whose keys span exactly `span` (when n >= 2) above a
-/// base chosen so the largest key still fits the record.
-template <typename T>
-std::vector<T> make_box(std::size_t n, std::uint64_t span, Shape shape,
-                        util::SplitMix64& rng) {
-  using R = Record<T>;
-  span = std::min(span, R::kMaxKey);
-  const std::uint64_t base = std::min<std::uint64_t>(1000, R::kMaxKey - span);
-  const auto random_key = [&] {
-    if (span == std::numeric_limits<std::uint64_t>::max()) {
-      return base + rng();
-    }
-    return base + rng.next_below(span + 1);
-  };
-  std::vector<T> box;
-  if (shape == Shape::kDuplicates) {
-    // Every record appears three times, byte for byte.
-    while (box.size() < n) {
-      const T r = R::make(random_key(), rng);
-      for (int copy = 0; copy < 3 && box.size() < n; ++copy) box.push_back(r);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      box.push_back(
-          R::make(shape == Shape::kAllEqualKeys ? base : random_key(), rng));
-    }
-    if (shape != Shape::kAllEqualKeys && n >= 2) {
-      box[0] = R::make(base, rng);
-      box[1] = R::make(base + span, rng);
-    }
-  }
-  std::shuffle(box.begin(), box.end(), rng);
-  if (shape == Shape::kSorted || shape == Shape::kReversed) {
-    std::sort(box.begin(), box.end(), [](const T& a, const T& b) {
-      if (R::key(a) != R::key(b)) return R::key(a) < R::key(b);
-      return R::less(a, b);
-    });
-    if (shape == Shape::kReversed) std::reverse(box.begin(), box.end());
-  }
-  return box;
-}
-
-template <typename T>
-class KeepLeast : public ::testing::Test {};
-
-using CoalescedRecords = ::testing::Types<core::RelaxRequest,
-                                          core::PackedRelaxRequest, Visit,
-                                          LabelMsg>;
-TYPED_TEST_SUITE(KeepLeast, CoalescedRecords);
-
-TYPED_TEST(KeepLeast, MatchesSortUniqueReference) {
-  using T = TypeParam;
-  using R = Record<T>;
-  const std::size_t cutoff = core::kCoalesceSortCutoff;
-  const std::vector<std::size_t> sizes = {0,          1,          2,
-                                          cutoff - 1, cutoff,     cutoff + 1,
-                                          cutoff + 2, 100000};
-  const std::vector<std::uint64_t> spans = {
-      1, 255, 256, std::uint64_t{1} << 14, std::uint64_t{1} << 33,
-      std::numeric_limits<std::uint64_t>::max()};
-  const std::vector<Shape> shapes = {Shape::kRandom, Shape::kAllEqualKeys,
-                                     Shape::kDuplicates, Shape::kSorted,
-                                     Shape::kReversed};
-  util::SplitMix64 rng(14);
-  for (const std::size_t n : sizes) {
-    for (const std::uint64_t span : spans) {
-      for (const Shape shape : shapes) {
-        std::vector<T> got = make_box<T>(n, span, shape, rng);
-        std::vector<T> want = got;
-        const std::uint64_t want_dropped =
-            reference_keep_least(want, R::key, R::less);
-        const std::uint64_t got_dropped = R::coalesce(got);
-        const std::string where = "n=" + std::to_string(n) +
-                                  " span=" + std::to_string(span) +
-                                  " shape=" +
-                                  std::to_string(static_cast<int>(shape));
-        ASSERT_EQ(got_dropped, want_dropped) << where;
-        ASSERT_EQ(got.size(), want.size()) << where;
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(R::fields(got[i]), R::fields(want[i]))
-              << where << " record " << i;
-        }
-      }
-    }
-  }
 }
 
 void expect_same_counters(const core::SsspStats& a, const core::SsspStats& b) {

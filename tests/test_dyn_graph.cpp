@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
@@ -350,6 +351,29 @@ TEST(MutableGraph, SelfLoopsDroppedAndRangeChecked) {
     const auto summary = mg.commit_batch();
     EXPECT_EQ(summary.self_loops_dropped, 1u);
     EXPECT_TRUE(summary.applied.empty());
+  });
+}
+
+TEST(MutableGraph, StageRejectsUnusableWeights) {
+  const auto input = test_graph(16);
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    MutableGraph mg(comm, build_distributed(
+                              comm, slice_for_rank(input, comm.rank(), 2),
+                              input.num_vertices));
+    for (const Weight bad : {std::numeric_limits<Weight>::quiet_NaN(),
+                             std::numeric_limits<Weight>::infinity(),
+                             -std::numeric_limits<Weight>::infinity(),
+                             -0.5f}) {
+      EXPECT_THROW(mg.stage_insert(3, 4, bad), std::invalid_argument) << bad;
+      EXPECT_THROW(mg.stage_set(3, 4, bad), std::invalid_argument) << bad;
+    }
+    EXPECT_EQ(mg.pending(), 0u);
+    // A zero weight is usable, and a delete carries no weight.
+    mg.stage_insert(3, 4, 0.0f);
+    mg.stage_delete(5, 6);
+    EXPECT_EQ(mg.pending(), 2u);
+    (void)mg.commit_batch();
   });
 }
 

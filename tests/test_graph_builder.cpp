@@ -1,13 +1,17 @@
 // Tests for distributed graph construction: cleaning semantics, rank-count
-// invariance, hub selection.
+// invariance, hub selection, and identity with the comparator build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/kronecker.hpp"
 #include "simmpi/comm.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -57,6 +61,171 @@ TEST(Builder, DropsSelfLoopsAndDedupsToMinWeight) {
     EXPECT_FLOAT_EQ(edges.at({3, 2}), 0.7f);
     EXPECT_EQ(edges.count({2, 2}), 0u);
   });
+}
+
+/// One rank's CSR, pull index and hubs as the comparator build made them
+/// before construction sorted with util::radix_sort: dedup by std::sort on
+/// (src, dst, weight), CSR order (src, weight, dst), pull order
+/// (neighbour, weight, local source), hubs by nth_element and sort.
+struct ComparatorBuild {
+  std::vector<std::uint64_t> offsets;
+  std::vector<VertexId> dst;
+  std::vector<Weight> w;
+  std::vector<VertexId> pull_sources;
+  std::vector<std::uint64_t> pull_offsets;
+  std::vector<LocalId> pull_dst;
+  std::vector<Weight> pull_w;
+  std::vector<VertexId> hubs;
+};
+
+ComparatorBuild comparator_build(simmpi::Comm& comm, const EdgeList& slice,
+                                 VertexId n, std::size_t hub_count) {
+  const BlockPartition part(n, comm.size());
+  std::vector<std::vector<WireEdge>> outbox(
+      static_cast<std::size_t>(comm.size()));
+  for (const auto& e : slice.edges) {
+    if (e.src == e.dst) continue;
+    outbox[static_cast<std::size_t>(part.owner(e.src))].push_back(
+        WireEdge{e.src, e.dst, e.weight});
+    outbox[static_cast<std::size_t>(part.owner(e.dst))].push_back(
+        WireEdge{e.dst, e.src, e.weight});
+  }
+  std::vector<WireEdge> mine = comm.alltoallv(outbox);
+  std::sort(mine.begin(), mine.end(), [](const WireEdge& a, const WireEdge& b) {
+    if (a.src != b.src) return a.src < b.src;
+    if (a.dst != b.dst) return a.dst < b.dst;
+    return a.weight < b.weight;
+  });
+  mine.erase(std::unique(mine.begin(), mine.end(),
+                         [](const WireEdge& a, const WireEdge& b) {
+                           return a.src == b.src && a.dst == b.dst;
+                         }),
+             mine.end());
+  std::sort(mine.begin(), mine.end(), [](const WireEdge& a, const WireEdge& b) {
+    if (a.src != b.src) return a.src < b.src;
+    if (a.weight != b.weight) return a.weight < b.weight;
+    return a.dst < b.dst;
+  });
+
+  ComparatorBuild ref;
+  const VertexId my_begin = part.begin(comm.rank());
+  ref.offsets.assign(part.count(comm.rank()) + 1, 0);
+  for (const auto& e : mine) {
+    ++ref.offsets[e.src - my_begin + 1];
+    ref.dst.push_back(e.dst);
+    ref.w.push_back(e.weight);
+  }
+  for (std::size_t i = 1; i < ref.offsets.size(); ++i) {
+    ref.offsets[i] += ref.offsets[i - 1];
+  }
+
+  struct Entry {
+    VertexId src;
+    LocalId dst;
+    Weight w;
+  };
+  std::vector<Entry> entries;
+  for (const auto& e : mine) {
+    entries.push_back(
+        Entry{e.dst, static_cast<LocalId>(e.src - my_begin), e.weight});
+  }
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    if (a.src != b.src) return a.src < b.src;
+    if (a.w != b.w) return a.w < b.w;
+    return a.dst < b.dst;
+  });
+  for (const auto& x : entries) {
+    if (ref.pull_sources.empty() || ref.pull_sources.back() != x.src) {
+      ref.pull_sources.push_back(x.src);
+      ref.pull_offsets.push_back(ref.pull_dst.size());
+    }
+    ref.pull_dst.push_back(x.dst);
+    ref.pull_w.push_back(x.w);
+  }
+  ref.pull_offsets.push_back(ref.pull_dst.size());
+
+  struct Candidate {
+    VertexId vertex;
+    std::uint64_t degree;
+  };
+  const auto hub_less = [](const Candidate& a, const Candidate& b) {
+    if (a.degree != b.degree) return a.degree > b.degree;
+    return a.vertex < b.vertex;
+  };
+  std::vector<Candidate> local;
+  for (std::size_t u = 0; u + 1 < ref.offsets.size(); ++u) {
+    const std::uint64_t degree = ref.offsets[u + 1] - ref.offsets[u];
+    if (degree > 0) local.push_back(Candidate{my_begin + u, degree});
+  }
+  if (local.size() > hub_count) {
+    std::nth_element(local.begin(),
+                     local.begin() + static_cast<std::ptrdiff_t>(hub_count),
+                     local.end(), hub_less);
+    local.resize(hub_count);
+  }
+  std::sort(local.begin(), local.end(), hub_less);
+  std::vector<Candidate> all = comm.allgatherv(local);
+  std::sort(all.begin(), all.end(), hub_less);
+  if (all.size() > hub_count) all.resize(hub_count);
+  for (const auto& c : all) ref.hubs.push_back(c.vertex);
+  return ref;
+}
+
+template <typename T>
+std::vector<T> to_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(Builder, MatchesComparatorReference) {
+  // Duplicates in both orientations, self-loops and weights from five
+  // values, zero among them, so (src, weight) ties are common; a quarter
+  // of the edges end at one of four vertices, whose rows outgrow the
+  // radix kernel's comparison-sort cutoff.
+  const VertexId n = 3000;
+  const VertexId heavy[] = {7, 42, 1500, n - 1};
+  util::SplitMix64 rng(20);
+  const auto weight = [&] {
+    return 0.25f * static_cast<float>(rng.next_below(5));
+  };
+  EdgeList list;
+  list.num_vertices = n;
+  for (int i = 0; i < 20000; ++i) {
+    const VertexId u = rng.next_below(n);
+    const VertexId v =
+        rng.next_below(4) == 0 ? heavy[rng.next_below(4)] : rng.next_below(n);
+    list.edges.push_back(Edge{u, v, weight()});
+  }
+  for (int i = 0; i < 3000; ++i) {
+    const Edge e = list.edges[rng.next_below(20000)];
+    list.edges.push_back(i % 2 == 0 ? Edge{e.src, e.dst, weight()}
+                                    : Edge{e.dst, e.src, e.weight});
+  }
+  for (int i = 0; i < 200; ++i) {
+    const VertexId u = rng.next_below(n);
+    list.edges.push_back(Edge{u, u, weight()});
+  }
+  std::shuffle(list.edges.begin(), list.edges.end(), rng);
+
+  for (const int ranks : {1, 2, 3, 5}) {
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const EdgeList slice = slice_for_rank(list, comm.rank(), comm.size());
+      const DistGraph g = build_distributed(comm, slice, n);
+      const ComparatorBuild want =
+          comparator_build(comm, slice, n, resolved_hub_count({}, n));
+      const std::string where = "rank " + std::to_string(comm.rank()) +
+                                " of " + std::to_string(ranks);
+      EXPECT_EQ(to_vector(g.csr.offsets()), want.offsets) << where;
+      EXPECT_EQ(to_vector(g.csr.adjacency()), want.dst) << where;
+      EXPECT_EQ(to_vector(g.csr.weights()), want.w) << where;
+      EXPECT_EQ(to_vector(g.pull.sources()), want.pull_sources) << where;
+      EXPECT_EQ(to_vector(g.pull.offsets()), want.pull_offsets) << where;
+      EXPECT_EQ(to_vector(g.pull.destinations()), want.pull_dst) << where;
+      EXPECT_EQ(to_vector(g.pull.weights()), want.pull_w) << where;
+      EXPECT_EQ(g.hubs, want.hubs) << where;
+      EXPECT_FALSE(want.hubs.empty()) << where;
+    });
+  }
 }
 
 class BuilderRankSweep : public ::testing::TestWithParam<int> {};

@@ -5,7 +5,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/binary_format.hpp"
@@ -173,6 +175,25 @@ TEST(BinaryIo, RejectsOutOfRangeEndpoint) {
     const std::string what = e.what();
     EXPECT_NE(what.find("edge 1"), std::string::npos) << what;
     EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+  }
+}
+
+TEST(BinaryIo, RejectsNonPositiveOrNonFiniteWeights) {
+  // The text loader's weight rule: a NaN would also reach the builder's
+  // sorts, which cannot order it.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(), 0.0f,
+                          -1.0f}) {
+    std::stringstream in(make_binary(binfmt::kEdgeListVersion, 4, 2,
+                                     {{0, 1, 0.5f, 0.0f}, {2, 3, bad, 0.0f}}));
+    try {
+      (void)read_edge_list_binary(in);
+      FAIL() << "weight " << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("edge 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("weight"), std::string::npos) << what;
+    }
   }
 }
 
