@@ -3,7 +3,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gbench_report.hpp"
@@ -11,10 +13,13 @@
 #include "core/bucket_queue.hpp"
 #include "core/dijkstra.hpp"
 #include "core/relax.hpp"
+#include "dyn/mutable_graph.hpp"
+#include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "simmpi/comm.hpp"
 #include "util/random.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -118,6 +123,54 @@ void BM_PullIndexBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(csr.num_edges()));
 }
 BENCHMARK(BM_PullIndexBuild)->Arg(1 << 12)->Unit(benchmark::kMillisecond);
+
+void BM_CommitBatch(benchmark::State& state) {
+  // What one MutableGraph commit costs: a scale-14 Kronecker graph on 2
+  // ranks takes batches of 16 random inserts plus 8 deletes of earlier
+  // inserts, the write batch of perfbench's serve_rw.  Manual time: only
+  // commit_batch is timed, from a barrier to its return on rank 0, and
+  // neither the build nor the staging is.
+  constexpr int kRanks = 2;
+  constexpr int kInserts = 16;
+  constexpr int kDeletes = 8;
+  KroneckerParams params;
+  params.scale = 14;
+  simmpi::World world(kRanks);
+  std::vector<std::optional<dyn::MutableGraph>> mg(kRanks);
+  world.run([&](simmpi::Comm& comm) {
+    mg[static_cast<std::size_t>(comm.rank())].emplace(
+        comm, build_kronecker(comm, params));
+  });
+  dyn::MutableGraph& lead = *mg[0];
+  const VertexId n = params.num_vertices();
+  util::SplitMix64 rng(5);
+  std::vector<std::pair<VertexId, VertexId>> live;
+  for (auto _ : state) {
+    for (int d = 0; d < kDeletes && !live.empty(); ++d) {
+      const std::size_t j = rng.next_below(live.size());
+      lead.stage_delete(live[j].first, live[j].second);
+      live[j] = live.back();
+      live.pop_back();
+    }
+    for (int k = 0; k < kInserts; ++k) {
+      live.emplace_back(rng.next_below(n), rng.next_below(n));
+      lead.stage_insert(live.back().first, live.back().second,
+                        static_cast<Weight>(rng.next_double()));
+    }
+    double seconds = 0.0;
+    world.run([&](simmpi::Comm& comm) {
+      comm.barrier();
+      const util::Timer timer;
+      benchmark::DoNotOptimize(
+          mg[static_cast<std::size_t>(comm.rank())]->commit_batch());
+      if (comm.rank() == 0) seconds = timer.seconds();
+    });
+    state.SetIterationTime(seconds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (kInserts + kDeletes));
+}
+BENCHMARK(BM_CommitBatch)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 void BM_SequentialDijkstra(benchmark::State& state) {
   const EdgeList g =

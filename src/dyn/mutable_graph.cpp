@@ -112,21 +112,11 @@ CommitSummary MutableGraph::commit_batch() {
               return a.weight < b.weight;
             });
 
-  // Stream the committed rows into the next edge list.  edges[e] is CSR
-  // edge e, so the merged ops below reweight or tombstone (src =
-  // kNoVertex) an existing edge in place; inserts are appended.
+  // Each effective op becomes one change to splice into the view; like
+  // `incoming`, the changes are sorted by (src, dst).
   const graph::LocalCsr& csr = view_.csr;
-  const LocalId local_n = csr.num_local();
-  std::vector<graph::WireEdge> edges;
-  edges.reserve(csr.num_edges() + incoming.size());
-  for (LocalId u = 0; u < local_n; ++u) {
-    for (std::uint64_t e = csr.edges_begin(u); e < csr.edges_end(u); ++e) {
-      edges.push_back(graph::WireEdge{u, csr.dst(e), csr.weight(e)});
-    }
-  }
-
   const VertexId my_begin = view_.part.begin(comm_.rank());
-  std::vector<std::uint8_t> seeded(local_n, 0);
+  std::vector<graph::EdgeChange> changes;
   std::vector<AppliedWire> canonical;
   std::uint64_t inserted = 0, removed = 0, reweighted = 0;
 
@@ -162,22 +152,15 @@ CommitSummary MutableGraph::commit_batch() {
         break;
     }
     if (!changed) continue;
-    if (is_removal) {
-      edges[e].src = graph::kNoVertex;
-    } else if (had) {
-      edges[e].weight = new_w;
-    } else {
-      edges.push_back(graph::WireEdge{ls, head.dst, new_w});
-    }
+    changes.push_back(graph::EdgeChange{ls, head.dst, new_w, is_removal});
 
     if (is_removal || (had && new_w > old_w)) {
       summary.suspects.push_back(SuspectEdge{head.src, head.dst, old_w});
     }
-    if (!had || new_w < old_w) {
-      if (!seeded[ls]) {
-        seeded[ls] = 1;
-        summary.decrease_seeds.push_back(ls);
-      }
+    // Ops arrive grouped by source, so a repeated seed is the last one.
+    if ((!had || new_w < old_w) && (summary.decrease_seeds.empty() ||
+                                    summary.decrease_seeds.back() != ls)) {
+      summary.decrease_seeds.push_back(ls);
     }
     if (head.src < head.dst) {  // count each undirected change once
       canonical.push_back(AppliedWire{
@@ -221,12 +204,21 @@ CommitSummary MutableGraph::commit_batch() {
                                               summary.affected_vertices.end()),
                                   summary.affected_vertices.end());
 
-  std::erase_if(edges, [](const graph::WireEdge& x) {
-    return x.src == graph::kNoVertex;
-  });
-  // Hubs keep their (possibly stale) selection until compaction: the hub
-  // filter is correct for any vertex set, staleness only costs traffic.
-  graph::assemble_local(comm_, view_, std::move(edges), config_.build);
+  // Splice the changes into the view.  The pull index is patched when it
+  // indexes every edge, built when the base came without one, and dropped
+  // when the options say so: each way yields a fresh build's index.  Hubs
+  // keep their (possibly stale) selection until compaction: the hub filter
+  // is correct for any vertex set, staleness only costs traffic.
+  const bool patch_pull = view_.pull.num_entries() == csr.num_edges();
+  view_.csr = csr.splice(changes);
+  if (!config_.build.build_pull_index) {
+    view_.pull = graph::PullIndex{};
+  } else if (patch_pull) {
+    view_.pull = view_.pull.splice(changes);
+  } else {
+    view_.pull = graph::PullIndex::from_csr(view_.csr);
+  }
+  graph::finish_local(comm_, view_);
 
   // Keep the TEPS normalizer in step with the effective edge set
   // (saturating: removals can never push it below zero).

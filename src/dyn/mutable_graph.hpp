@@ -9,9 +9,12 @@
 //   * commit_batch() is a collective that routes both directions of every
 //     staged update to the owning ranks (exactly like the builder), merges
 //     conflicting ops deterministically, reads each op's old weight from
-//     the committed CSR row, rebuilds the rank-local view (CSR + pull
-//     index) from the current rows with the batch applied, and agrees a
-//     new monotonically increasing graph_version by allreduce;
+//     the committed CSR row, splices the effective changes into the
+//     rank-local view (graph::LocalCsr::splice and PullIndex::splice copy
+//     untouched rows and pull groups in bulk and re-sort only the touched
+//     ones, so a commit costs one copy of the arrays plus the batch, not a
+//     sort of the graph), and agrees a new monotonically increasing
+//     graph_version by allreduce;
 //   * the committed CSR is the only copy of the edges, and after a commit
 //     the view equals a fresh build of its edges except for the hub list,
 //     so periodic compaction just re-selects hubs from the current degrees.
@@ -114,9 +117,11 @@ class MutableGraph {
   struct Config {
     /// Compact every N commits (0 = only on explicit compact()).
     std::uint64_t compact_every = 0;
-    /// Precondition: the options the adopted base was built (or loaded)
-    /// with.  Commits rebuild the pull index iff build_pull_index;
-    /// compaction re-selects resolved_hub_count(build, n) hubs.
+    /// The options a fresh build of the view would use.  Under
+    /// build_pull_index a commit patches the pull index, or builds it from
+    /// the CSR when the base came without one (built or loaded without
+    /// it); otherwise it drops the index.  Compaction re-selects
+    /// resolved_hub_count(build, n) hubs.
     graph::BuildOptions build;
   };
 
@@ -146,9 +151,9 @@ class MutableGraph {
   void stage_set(graph::VertexId u, graph::VertexId v, graph::Weight w);
   void stage_delete(graph::VertexId u, graph::VertexId v);
 
-  /// Collective: apply every staged update (on all ranks), rebuild the
-  /// local view, bump the version, and maybe compact.  Every rank must
-  /// call it, even with nothing staged.
+  /// Collective: apply every staged update (on all ranks), splice the
+  /// changes into the local view, bump the version, and maybe compact.
+  /// Every rank must call it, even with nothing staged.
   CommitSummary commit_batch();
 
   /// Collective: re-select the hub list from the current degrees (the

@@ -106,22 +106,20 @@ DistGraph build_distributed(simmpi::Comm& comm, const EdgeList& input_slice,
   for (auto& e : mine) {
     e.src -= my_begin;  // LocalCsr takes local source indices
   }
-  assemble_local(comm, g, std::move(mine), opts);
+  g.csr = LocalCsr(static_cast<LocalId>(g.part.count(comm.rank())),
+                   std::move(mine));
+  if (opts.build_pull_index) g.pull = PullIndex::from_csr(g.csr);
+  finish_local(comm, g);
 
   select_hubs(comm, g.part, g.csr, resolved_hub_count(opts, num_vertices),
               g.hubs, g.hub_degrees);
   return g;
 }
 
-void assemble_local(simmpi::Comm& comm, DistGraph& g,
-                    std::vector<WireEdge> edges, const BuildOptions& opts) {
-  const auto local_n = static_cast<LocalId>(g.part.count(comm.rank()));
-  g.csr = LocalCsr(local_n, std::move(edges));
+void finish_local(simmpi::Comm& comm, DistGraph& g) {
   g.num_directed_edges = comm.allreduce_sum<std::uint64_t>(g.csr.num_edges());
-  g.pull = opts.build_pull_index ? PullIndex::from_csr(g.csr) : PullIndex{};
-
   g.degree_hist = util::Log2Histogram{};
-  for (LocalId u = 0; u < local_n; ++u) {
+  for (LocalId u = 0; u < g.csr.num_local(); ++u) {
     g.degree_hist.add(g.csr.degree(u));
   }
 

@@ -87,15 +87,14 @@ struct DistGraph {
                                           VertexId num_vertices,
                                           const BuildOptions& opts = {});
 
-/// The builder's rank-local tail, shared with dyn::MutableGraph's commits.
-/// Collective (one allreduce).  `edges` are this rank's cleaned directed
-/// edges (local sources, each (src, dst) at most once); `g.part` must be
-/// set.  Replaces g's CSR, pull index (built iff opts.build_pull_index),
-/// num_directed_edges and degree histogram, and marks g resident: the new
-/// arrays live on the heap, so any shard mapping is released.  Hubs and
-/// num_input_edges are left to the caller.
-void assemble_local(simmpi::Comm& comm, DistGraph& g,
-                    std::vector<WireEdge> edges, const BuildOptions& opts);
+/// The rank-local fields a fresh build derives once g.csr and g.pull are
+/// on the heap: num_directed_edges (one allreduce, so this is a
+/// collective), the degree histogram, and the resident backing, which
+/// releases any shard mapping.  build_distributed and dyn::MutableGraph's
+/// commits both end with it, so a committed view matches a fresh build in
+/// these fields by construction.  Hubs and num_input_edges are left to
+/// the caller.
+void finish_local(simmpi::Comm& comm, DistGraph& g);
 
 /// Convenience: generate this rank's Kronecker slice internally, then build.
 [[nodiscard]] DistGraph build_kronecker(simmpi::Comm& comm,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/radix_sort.hpp"
@@ -33,6 +34,83 @@ void sort_by_source_weight(std::vector<WireEdge>& edges) {
         return a.dst < b.dst;
       });
 }
+
+namespace {
+
+/// One change to a group of (id, weight) entries: `id` now weighs
+/// `weight`, or is gone when `removed`.
+template <typename Id>
+struct GroupChange {
+  Id id;
+  Weight weight;
+  bool removed;
+};
+
+/// (weight, id): the order of every LocalCsr row and PullIndex group.
+template <typename Id>
+bool lighter(Weight wa, Id a, Weight wb, Id b) {
+  return wa != wb ? wa < wb : a < b;
+}
+
+/// Append entries [first, last) of (ids, ws), a group in (weight, id)
+/// order, to (out_ids, out_w) with `changes` (sorted by id) applied.  The
+/// entries no change names keep their order, so only the upserts are
+/// sorted, then merged in.  `upserts` is scratch.
+template <typename Id>
+void splice_group(std::span<const Id> ids, std::span<const Weight> ws,
+                  std::uint64_t first, std::uint64_t last,
+                  std::span<const GroupChange<Id>> changes,
+                  std::vector<GroupChange<Id>>& upserts,
+                  std::vector<Id>& out_ids, std::vector<Weight>& out_w) {
+  upserts.clear();
+  for (const auto& c : changes) {
+    if (!c.removed) upserts.push_back(c);
+  }
+  std::sort(upserts.begin(), upserts.end(),
+            [](const GroupChange<Id>& a, const GroupChange<Id>& b) {
+              return lighter(a.weight, a.id, b.weight, b.id);
+            });
+  auto next = upserts.begin();
+  const auto emit_next = [&] {
+    out_ids.push_back(next->id);
+    out_w.push_back(next->weight);
+    ++next;
+  };
+  for (std::uint64_t e = first; e < last; ++e) {
+    if (std::ranges::binary_search(changes, ids[e], {},
+                                   &GroupChange<Id>::id)) {
+      continue;  // reweighted or removed
+    }
+    while (next != upserts.end() &&
+           lighter(next->weight, next->id, ws[e], ids[e])) {
+      emit_next();
+    }
+    out_ids.push_back(ids[e]);
+    out_w.push_back(ws[e]);
+  }
+  while (next != upserts.end()) emit_next();
+}
+
+template <typename T>
+void append(std::vector<T>& out, std::span<const T> in, std::uint64_t first,
+            std::uint64_t last) {
+  out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(first),
+             in.begin() + static_cast<std::ptrdiff_t>(last));
+}
+
+void require_sorted(std::span<const EdgeChange> changes, const char* what) {
+  for (std::size_t i = 1; i < changes.size(); ++i) {
+    const EdgeChange& a = changes[i - 1];
+    const EdgeChange& b = changes[i];
+    if (a.src > b.src || (a.src == b.src && a.dst >= b.dst)) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": changes not sorted by distinct "
+                                  "(src, dst)");
+    }
+  }
+}
+
+}  // namespace
 
 LocalCsr::LocalCsr(LocalId num_local, std::vector<WireEdge> edges)
     : num_local_(num_local) {
@@ -73,6 +151,47 @@ LocalCsr LocalCsr::view(LocalId num_local,
   csr.adj_dst_ = dst;
   csr.adj_w_ = w;
   return csr;
+}
+
+LocalCsr LocalCsr::splice(std::span<const EdgeChange> changes) const {
+  require_sorted(changes, "LocalCsr::splice");
+  if (!changes.empty() && changes.back().src >= num_local_) {
+    throw std::out_of_range("LocalCsr::splice: source is not a local index");
+  }
+  LocalCsr next;
+  next.num_local_ = num_local_;
+  next.offsets_store_.assign(static_cast<std::size_t>(num_local_) + 1, 0);
+  next.dst_store_.reserve(num_edges() + changes.size());
+  next.w_store_.reserve(num_edges() + changes.size());
+
+  // Rows [u, end) move as one block, their offsets shifted with it.
+  const auto copy_rows = [&](LocalId u, LocalId end) {
+    if (u == end) return;
+    const std::uint64_t first = offsets_[u];
+    const std::uint64_t base = next.dst_store_.size();
+    for (LocalId v = u + 1; v <= end; ++v) {
+      next.offsets_store_[v] = offsets_[v] - first + base;
+    }
+    append(next.dst_store_, adj_dst_, first, offsets_[end]);
+    append(next.w_store_, adj_w_, first, offsets_[end]);
+  };
+  std::vector<GroupChange<VertexId>> row, upserts;
+  LocalId u = 0;  // the first row not yet written
+  for (std::size_t i = 0; i < changes.size();) {
+    const LocalId src = changes[i].src;
+    row.clear();
+    for (; i < changes.size() && changes[i].src == src; ++i) {
+      row.push_back({changes[i].dst, changes[i].weight, changes[i].removed});
+    }
+    copy_rows(u, src);
+    splice_group<VertexId>(adj_dst_, adj_w_, offsets_[src], offsets_[src + 1],
+                           row, upserts, next.dst_store_, next.w_store_);
+    next.offsets_store_[src + 1] = next.dst_store_.size();
+    u = src + 1;
+  }
+  copy_rows(u, num_local_);
+  next.bind_owned();
+  return next;
 }
 
 void LocalCsr::bind_owned() {
@@ -189,6 +308,59 @@ PullIndex PullIndex::view(std::span<const VertexId> sources,
   index.dst_ = dst;
   index.w_ = w;
   return index;
+}
+
+PullIndex PullIndex::splice(std::span<const EdgeChange> changes) const {
+  require_sorted(changes, "PullIndex::splice");
+  // Edge src -> dst is entry dst -> (src, w): regroup the changes by dst.
+  std::vector<EdgeChange> by_group(changes.begin(), changes.end());
+  std::sort(by_group.begin(), by_group.end(),
+            [](const EdgeChange& a, const EdgeChange& b) {
+              return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+            });
+
+  PullIndex next;
+  next.sources_store_.reserve(sources_.size() + by_group.size());
+  next.offsets_store_.reserve(sources_.size() + by_group.size() + 1);
+  next.dst_store_.reserve(num_entries() + by_group.size());
+  next.w_store_.reserve(num_entries() + by_group.size());
+  next.offsets_store_.push_back(0);
+
+  // Groups [g, end) move as one block, like LocalCsr::splice's rows.
+  const auto copy_groups = [&](std::size_t g, std::size_t end) {
+    if (g == end) return;
+    const std::uint64_t first = offsets_[g];
+    const std::uint64_t base = next.dst_store_.size();
+    append(next.sources_store_, sources_, g, end);
+    for (std::size_t k = g + 1; k <= end; ++k) {
+      next.offsets_store_.push_back(offsets_[k] - first + base);
+    }
+    append(next.dst_store_, dst_, first, offsets_[end]);
+    append(next.w_store_, w_, first, offsets_[end]);
+  };
+  std::vector<GroupChange<LocalId>> group, upserts;
+  std::size_t g = 0;  // the first old group not yet written
+  for (std::size_t i = 0; i < by_group.size();) {
+    const VertexId s = by_group[i].dst;
+    group.clear();
+    for (; i < by_group.size() && by_group[i].dst == s; ++i) {
+      group.push_back(
+          {by_group[i].src, by_group[i].weight, by_group[i].removed});
+    }
+    std::size_t at = g;
+    const Range old = seek(s, at);  // at: where s is, or would be
+    copy_groups(g, at);
+    splice_group<LocalId>(dst_, w_, old.first, old.last, group, upserts,
+                          next.dst_store_, next.w_store_);
+    if (next.dst_store_.size() != next.offsets_store_.back()) {
+      next.sources_store_.push_back(s);
+      next.offsets_store_.push_back(next.dst_store_.size());
+    }
+    g = at < sources_.size() && sources_[at] == s ? at + 1 : at;
+  }
+  copy_groups(g, sources_.size());
+  next.bind_owned();
+  return next;
 }
 
 void PullIndex::bind_owned() {

@@ -14,6 +14,11 @@
 // binds them to an mmap'd CSR shard so the engine runs with the adjacency
 // paged in on demand instead of resident.  Accessors are identical either
 // way; engines never see the difference.
+//
+// splice() applies a batch of edge changes to either structure: untouched
+// rows and groups are copied in bulk and only the touched ones re-sorted,
+// so a mutable graph's commit costs one copy of the arrays plus the batch
+// and still yields a fresh build's arrays exactly.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +44,16 @@ void dedup_min_weight(std::vector<WireEdge>& edges);
 /// lightest first — the layout of LocalCsr and SourceBlock.
 void sort_by_source_weight(std::vector<WireEdge>& edges);
 
+/// One change to a rank's edges, as LocalCsr::splice and PullIndex::splice
+/// take it: edge src -> dst (src a local index) now weighs `weight`, or is
+/// gone when `removed`.
+struct EdgeChange {
+  LocalId src = 0;
+  VertexId dst = 0;
+  Weight weight = 0.0f;
+  bool removed = false;
+};
+
 class LocalCsr {
  public:
   LocalCsr() = default;
@@ -58,6 +73,13 @@ class LocalCsr {
                                      std::span<const std::uint64_t> offsets,
                                      std::span<const VertexId> dst,
                                      std::span<const Weight> w);
+
+  /// This CSR with `changes` applied, heap-owned and equal array for array
+  /// to a fresh build of the changed edges.  `changes` are sorted by
+  /// (src, dst) with each pair at most once; removing a missing edge is a
+  /// no-op.  Untouched rows are copied in bulk and only the touched rows
+  /// are re-sorted, so the cost is one copy of the arrays plus the batch.
+  [[nodiscard]] LocalCsr splice(std::span<const EdgeChange> changes) const;
 
   // Views alias owned vectors, so copies rebind and moves re-point.
   LocalCsr(const LocalCsr& other) { *this = other; }
@@ -137,6 +159,14 @@ class PullIndex {
                                       std::span<const std::uint64_t> offsets,
                                       std::span<const LocalId> dst,
                                       std::span<const Weight> w);
+
+  /// This index with the same `changes` LocalCsr::splice takes applied to
+  /// its entries (edge src -> dst is entry dst -> (src, weight)), equal to
+  /// from_csr of the spliced CSR when this index covers every edge of the
+  /// CSR it came from.  Untouched groups are copied in bulk and only the
+  /// touched ones re-sorted; a group appears with its first entry and
+  /// vanishes with its last.
+  [[nodiscard]] PullIndex splice(std::span<const EdgeChange> changes) const;
 
   PullIndex(const PullIndex& other) { *this = other; }
   PullIndex& operator=(const PullIndex& other);

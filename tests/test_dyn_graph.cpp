@@ -8,13 +8,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
-#include <map>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "dyn/mutable_graph.hpp"
+#include "dyn_reference.hpp"
 #include "graph/builder.hpp"
 #include "graph/shard.hpp"
 #include "simmpi/comm.hpp"
@@ -27,136 +26,11 @@ using namespace g500::graph;
 using dyn::EdgeUpdate;
 using dyn::MutableGraph;
 using dyn::UpdateOp;
-
-using EdgeTuple = std::tuple<VertexId, VertexId, Weight>;
-
-/// Host-side reference: an undirected weighted edge map applying the same
-/// batch-merge rule the MutableGraph documents (kDelete > kSet > kInsert,
-/// min weight within the winning class; insert min-merges, set upserts).
-class RefGraph {
- public:
-  explicit RefGraph(const EdgeList& input) {
-    for (const auto& e : input.edges) {
-      if (e.src == e.dst) continue;
-      const auto k = key(e.src, e.dst);
-      const auto it = edges_.find(k);
-      if (it == edges_.end()) {
-        edges_.emplace(k, e.weight);
-      } else {
-        it->second = std::min(it->second, e.weight);
-      }
-    }
-  }
-
-  void apply(const std::vector<EdgeUpdate>& batch) {
-    std::map<std::pair<VertexId, VertexId>, EdgeUpdate> merged;
-    for (const auto& up : batch) {
-      if (up.u == up.v) continue;
-      const auto k = key(up.u, up.v);
-      const auto it = merged.find(k);
-      if (it == merged.end()) {
-        merged.emplace(k, up);
-        continue;
-      }
-      EdgeUpdate& win = it->second;
-      if (up.op > win.op || (up.op == win.op && up.weight < win.weight)) {
-        win = up;
-      }
-    }
-    for (const auto& [k, up] : merged) {
-      const auto it = edges_.find(k);
-      switch (up.op) {
-        case UpdateOp::kInsert:
-          if (it == edges_.end()) {
-            edges_.emplace(k, up.weight);
-          } else {
-            it->second = std::min(it->second, up.weight);
-          }
-          break;
-        case UpdateOp::kSet:
-          edges_[k] = up.weight;
-          break;
-        case UpdateOp::kDelete:
-          if (it != edges_.end()) edges_.erase(it);
-          break;
-      }
-    }
-  }
-
-  /// Both directed copies, sorted — the shape a gathered view must match.
-  [[nodiscard]] std::vector<EdgeTuple> directed() const {
-    std::vector<EdgeTuple> out;
-    for (const auto& [k, w] : edges_) {
-      out.emplace_back(k.first, k.second, w);
-      out.emplace_back(k.second, k.first, w);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
-
-  /// One tuple per undirected edge — builder input for a fresh build.
-  [[nodiscard]] EdgeList edge_list(VertexId n) const {
-    EdgeList out;
-    out.num_vertices = n;
-    for (const auto& [k, w] : edges_) {
-      out.edges.push_back(Edge{k.first, k.second, w});
-    }
-    return out;
-  }
-
- private:
-  static std::pair<VertexId, VertexId> key(VertexId u, VertexId v) {
-    return {std::min(u, v), std::max(u, v)};
-  }
-  std::map<std::pair<VertexId, VertexId>, Weight> edges_;
-};
-
-/// Every directed edge of the committed view, gathered to all ranks.
-std::vector<EdgeTuple> gather_view_edges(simmpi::Comm& comm,
-                                         const DistGraph& g) {
-  std::vector<WireEdge> mine;
-  const VertexId my_begin = g.part.begin(comm.rank());
-  for (LocalId u = 0; u < static_cast<LocalId>(g.part.count(comm.rank()));
-       ++u) {
-    for (std::uint64_t e = g.csr.edges_begin(u); e < g.csr.edges_end(u); ++e) {
-      mine.push_back(WireEdge{my_begin + u, g.csr.dst(e), g.csr.weight(e)});
-    }
-  }
-  const auto all = comm.allgatherv(mine);
-  std::vector<EdgeTuple> out;
-  out.reserve(all.size());
-  for (const auto& e : all) out.emplace_back(e.src, e.dst, e.weight);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Hold the committed view to a from-scratch build of the reference edges
-/// on the same ranks, array for array.  Hubs are compared only when
-/// `with_hubs` is set: commits leave them stale until compact().
-void expect_fresh_build(simmpi::Comm& comm, const DistGraph& view,
-                        const RefGraph& ref, bool with_hubs,
-                        const std::string& where) {
-  const VertexId n = view.num_vertices;
-  const DistGraph fresh = build_distributed(
-      comm, slice_for_rank(ref.edge_list(n), comm.rank(), comm.size()), n);
-  const auto same = [](auto a, auto b) { return std::ranges::equal(a, b); };
-  EXPECT_TRUE(same(view.csr.offsets(), fresh.csr.offsets())) << where;
-  EXPECT_TRUE(same(view.csr.adjacency(), fresh.csr.adjacency())) << where;
-  EXPECT_TRUE(same(view.csr.weights(), fresh.csr.weights())) << where;
-  EXPECT_TRUE(same(view.pull.sources(), fresh.pull.sources())) << where;
-  EXPECT_TRUE(same(view.pull.offsets(), fresh.pull.offsets())) << where;
-  EXPECT_TRUE(same(view.pull.destinations(), fresh.pull.destinations()))
-      << where;
-  EXPECT_TRUE(same(view.pull.weights(), fresh.pull.weights())) << where;
-  EXPECT_EQ(view.num_directed_edges, fresh.num_directed_edges) << where;
-  EXPECT_EQ(view.degree_hist.buckets(), fresh.degree_hist.buckets()) << where;
-  if (with_hubs) {
-    EXPECT_EQ(view.hubs, fresh.hubs) << where;
-    EXPECT_EQ(view.hub_degrees, fresh.hub_degrees) << where;
-  }
-}
+using test::commit_spread;
+using test::EdgeTuple;
+using test::expect_fresh_build;
+using test::gather_view_edges;
+using test::RefGraph;
 
 /// Deterministic test graph: a ring plus chords, with self-loops and
 /// duplicates the builder must clean.
@@ -446,8 +320,221 @@ TEST(MutableGraph, CommitOverMappedShardsIsResident) {
     EXPECT_EQ(mg.view().mapping, nullptr);
     EXPECT_EQ(mg.view().mapped_bytes, 0u);
     EXPECT_EQ(gather_view_edges(comm, mg.view()), ref.directed());
+    expect_fresh_build(comm, mg.view(), ref, /*with_hubs=*/false,
+                       "mapped base, rank " + std::to_string(comm.rank()));
   });
   std::filesystem::remove_all(dir);
+}
+
+/// This rank's piece of `input` built with `opts`, or, when `mapped`, the
+/// same piece spilled to a shard in `dir` and loaded back (a shard of a
+/// graph built without a pull index has no pull section).
+DistGraph adopted_base(simmpi::Comm& comm, const EdgeList& input,
+                       const BuildOptions& opts, bool mapped,
+                       const std::string& dir) {
+  DistGraph g = build_distributed(
+      comm, slice_for_rank(input, comm.rank(), comm.size()),
+      input.num_vertices, opts);
+  if (!mapped) return g;
+  write_shard(shard_path(dir, comm.rank(), comm.size()), g, comm.rank());
+  return load_sharded(comm, dir);
+}
+
+// A base without a pull index gets the fresh build's index at its first
+// commit: patching the empty index would leave it holding only the batch.
+TEST(MutableGraph, CommitBuildsMissingPullIndex) {
+  const auto input = test_graph(64);
+  const std::string dir = ::testing::TempDir() + "/g500_dyn_no_pull";
+  std::filesystem::create_directories(dir);
+  BuildOptions no_pull;
+  no_pull.build_pull_index = false;
+  for (const int P : {1, 2, 3}) {
+    for (const bool mapped : {false, true}) {
+      simmpi::World world(P);
+      world.run([&](simmpi::Comm& comm) {
+        MutableGraph mg(comm, adopted_base(comm, input, no_pull, mapped, dir));
+        EXPECT_EQ(mg.view().pull.num_entries(), 0u);
+        RefGraph ref(input);
+        for (int round = 0; round < 3; ++round) {
+          commit_spread(comm, mg, ref,
+                        random_batch(0xF11 + round, 64,
+                                     gather_view_edges(comm, mg.view())));
+          expect_fresh_build(comm, mg.view(), ref, /*with_hubs=*/false,
+                             "P=" + std::to_string(P) +
+                                 (mapped ? " mapped" : " in-memory") +
+                                 " round " + std::to_string(round));
+        }
+      });
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Under build_pull_index = false a commit leaves no pull index, whether the
+// base had one or not, and the CSR still equals a fresh build.
+TEST(MutableGraph, CommitDropsPullIndexWhenOptionIsOff) {
+  const auto input = test_graph(64);
+  const std::string dir = ::testing::TempDir() + "/g500_dyn_drop_pull";
+  std::filesystem::create_directories(dir);
+  MutableGraph::Config cfg;
+  cfg.build.build_pull_index = false;
+  for (const int P : {1, 2, 3}) {
+    for (const bool mapped : {false, true}) {
+      simmpi::World world(P);
+      world.run([&](simmpi::Comm& comm) {
+        // The in-memory base carries a pull index; the shard has none.
+        MutableGraph mg(comm,
+                        adopted_base(comm, input, mapped ? cfg.build
+                                                         : BuildOptions{},
+                                     mapped, dir),
+                        cfg);
+        RefGraph ref(input);
+        for (int round = 0; round < 3; ++round) {
+          commit_spread(comm, mg, ref,
+                        random_batch(0xD20 + round, 64,
+                                     gather_view_edges(comm, mg.view())));
+          const std::string where = "P=" + std::to_string(P) +
+                                    (mapped ? " mapped" : " in-memory") +
+                                    " round " + std::to_string(round);
+          const DistGraph& view = mg.view();
+          EXPECT_TRUE(view.pull.sources().empty()) << where;
+          EXPECT_TRUE(view.pull.offsets().empty()) << where;
+          EXPECT_EQ(view.pull.num_entries(), 0u) << where;
+          const DistGraph fresh = build_distributed(
+              comm, slice_for_rank(ref.edge_list(64), comm.rank(), P), 64,
+              cfg.build);
+          const auto same = [](auto a, auto b) {
+            return std::ranges::equal(a, b);
+          };
+          EXPECT_TRUE(same(view.csr.offsets(), fresh.csr.offsets())) << where;
+          EXPECT_TRUE(same(view.csr.adjacency(), fresh.csr.adjacency()))
+              << where;
+          EXPECT_TRUE(same(view.csr.weights(), fresh.csr.weights())) << where;
+        }
+      });
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The corners of a splice, each held to a fresh build: only the first and
+// last rows of each rank touched, a pull group that appears and then
+// vanishes, a batch whose every op merges to nothing, and ranks that own
+// no vertex at all.
+TEST(MutableGraph, SpliceEdgeCasesMatchFreshBuild) {
+  // Vertices 64..79 start isolated, so an edge to one of them is the first
+  // edge from it into any rank.
+  EdgeList input = test_graph(64);
+  input.num_vertices = 80;
+  const EdgeList tiny{3, {Edge{0, 1, 0.5f}, Edge{1, 2, 0.25f}}};
+  for (const int P : {1, 2, 3, 5}) {
+    simmpi::World world(P);
+    world.run([&](simmpi::Comm& comm) {
+      const int me = comm.rank();
+      MutableGraph mg(comm, build_distributed(
+                                comm, slice_for_rank(input, me, P), 80));
+      const BlockPartition& part = mg.view().part;
+      RefGraph ref(input);
+      const auto check = [&](const std::string& what) {
+        expect_fresh_build(comm, mg.view(), ref, /*with_hubs=*/false,
+                           "P=" + std::to_string(P) + " rank " +
+                               std::to_string(me) + " " + what);
+      };
+
+      // Every pair among the ranks' first and last rows: set an existing
+      // edge up or down or delete it, insert a missing one.
+      std::vector<VertexId> ends;
+      for (int r = 0; r < P; ++r) {
+        ends.push_back(part.begin(r));
+        ends.push_back(part.end(r) - 1);
+      }
+      std::vector<EdgeUpdate> rim;
+      const auto existing = ref.directed();
+      for (std::size_t i = 0; i < ends.size(); ++i) {
+        for (std::size_t j = i + 1; j < ends.size(); ++j) {
+          const VertexId u = ends[i], v = ends[j];
+          const auto it = std::ranges::find_if(existing, [&](const auto& t) {
+            return std::get<0>(t) == u && std::get<1>(t) == v;
+          });
+          if (it == existing.end()) {
+            rim.push_back(EdgeUpdate{u, v, 0.125f, UpdateOp::kInsert});
+            continue;
+          }
+          const Weight w = std::get<2>(*it);
+          const UpdateOp op = rim.size() % 3 == 0 ? UpdateOp::kDelete
+                                                  : UpdateOp::kSet;
+          rim.push_back(EdgeUpdate{u, v, rim.size() % 3 == 1 ? w / 2 : w + 1,
+                                   op});
+        }
+      }
+      ASSERT_FALSE(rim.empty());
+      commit_spread(comm, mg, ref, rim);
+      check("first and last rows");
+
+      // Edge 65 + r -> first row of rank r: a new pull group on rank r.
+      std::vector<EdgeUpdate> link, unlink;
+      for (int r = 0; r < P; ++r) {
+        link.push_back(EdgeUpdate{65 + static_cast<VertexId>(r),
+                                  part.begin(r), 0.75f, UpdateOp::kInsert});
+        unlink.push_back(EdgeUpdate{65 + static_cast<VertexId>(r),
+                                    part.begin(r), 0.0f, UpdateOp::kDelete});
+      }
+      const VertexId mine = 65 + static_cast<VertexId>(me);
+      EXPECT_TRUE(mg.view().pull.find(mine).empty());
+      commit_spread(comm, mg, ref, link);
+      EXPECT_FALSE(mg.view().pull.find(mine).empty());
+      check("pull group created");
+      commit_spread(comm, mg, ref, unlink);
+      EXPECT_TRUE(mg.view().pull.find(mine).empty());
+      check("pull group emptied");
+
+      // A heavier insert of an existing edge, a set to its own weight, a
+      // delete of a missing edge and a self-loop: the version moves, the
+      // arrays do not.
+      const auto copy = [](auto span) {
+        return std::vector(span.begin(), span.end());
+      };
+      const auto offsets = copy(mg.view().csr.offsets());
+      const auto adjacency = copy(mg.view().csr.adjacency());
+      const auto weights = copy(mg.view().csr.weights());
+      const auto pull_dst = copy(mg.view().pull.destinations());
+      const auto version = mg.version();
+      const auto edges = ref.directed();
+      const auto [u, v, w] = edges.front();
+      const auto [x, y, wxy] = edges.back();
+      const auto summary = commit_spread(
+          comm, mg, ref,
+          {EdgeUpdate{u, v, w + 1, UpdateOp::kInsert},
+           EdgeUpdate{x, y, wxy, UpdateOp::kSet},
+           EdgeUpdate{65, part.begin(0), 0.0f, UpdateOp::kDelete},
+           EdgeUpdate{7, 7, 0.5f, UpdateOp::kInsert}});
+      EXPECT_TRUE(summary.applied.empty());
+      EXPECT_EQ(summary.graph_version, version + 1);
+      EXPECT_TRUE(std::ranges::equal(mg.view().csr.offsets(), offsets));
+      EXPECT_TRUE(std::ranges::equal(mg.view().csr.adjacency(), adjacency));
+      EXPECT_TRUE(std::ranges::equal(mg.view().csr.weights(), weights));
+      EXPECT_TRUE(std::ranges::equal(mg.view().pull.destinations(), pull_dst));
+      check("version-only batch");
+
+      // Three vertices: on 5 ranks, two ranks own an empty CSR.
+      MutableGraph small(comm, build_distributed(
+                                   comm, slice_for_rank(tiny, me, P), 3));
+      RefGraph small_ref(tiny);
+      for (const auto& batch : std::vector<std::vector<EdgeUpdate>>{
+               {EdgeUpdate{0, 2, 0.5f, UpdateOp::kInsert},
+                EdgeUpdate{0, 1, 0.0f, UpdateOp::kDelete}},
+               {EdgeUpdate{1, 2, 2.0f, UpdateOp::kSet}},
+               {EdgeUpdate{2, 0, 0.0f, UpdateOp::kDelete},
+                EdgeUpdate{2, 1, 0.0f, UpdateOp::kDelete}}}) {
+        commit_spread(comm, small, small_ref, batch);
+        expect_fresh_build(comm, small.view(), small_ref, /*with_hubs=*/false,
+                           "3 vertices, P=" + std::to_string(P));
+      }
+      if (me >= 3) {
+        EXPECT_EQ(small.view().csr.num_local(), 0u);
+      }
+    });
+  }
 }
 
 }  // namespace

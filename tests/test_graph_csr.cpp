@@ -1,9 +1,14 @@
 // Unit tests for LocalCsr and PullIndex.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "graph/csr.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -208,6 +213,88 @@ TEST(PullIndex, SeekOnEmptyIndexFindsNothing) {
   EXPECT_TRUE(empty.seek(7, cursor).empty());
   EXPECT_EQ(cursor, 0u);
   expect_sweeps_match_find(PullIndex{}, 50);
+}
+
+// A splice equals a rebuild of the changed edges, for the CSR and for its
+// pull index, on random rows with weight ties (weights are quarters, so
+// equal weights are common and the destination breaks them).
+TEST(LocalCsr, SpliceMatchesRebuildOfChangedEdges) {
+  g500::util::SplitMix64 rng(0x5911CE);
+  const auto quarter = [&] {
+    return static_cast<Weight>(rng.next_below(4)) * 0.25f;
+  };
+  const auto same = [](auto a, auto b) { return std::ranges::equal(a, b); };
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<LocalId>(1 + rng.next_below(24));
+    const VertexId ids = 1 + rng.next_below(48);  // neighbour id range
+    std::map<std::pair<LocalId, VertexId>, Weight> edges;
+    for (std::uint64_t i = rng.next_below(4 * n + 1); i > 0; --i) {
+      edges[{static_cast<LocalId>(rng.next_below(n)), rng.next_below(ids)}] =
+          quarter();
+    }
+    const auto csr_of = [&] {
+      std::vector<WireEdge> list;
+      for (const auto& [k, w] : edges) list.push_back({k.first, k.second, w});
+      return LocalCsr(n, std::move(list));
+    };
+    const LocalCsr before = csr_of();
+
+    // Upserts and removals of present and absent edges, each pair once.
+    std::map<std::pair<LocalId, VertexId>, EdgeChange> batch;
+    for (std::uint64_t i = rng.next_below(12); i > 0; --i) {
+      auto key = std::pair{static_cast<LocalId>(rng.next_below(n)),
+                           rng.next_below(ids)};
+      if (!edges.empty() && rng.next_below(2) == 0) {
+        key = std::next(edges.begin(),
+                        static_cast<std::ptrdiff_t>(
+                            rng.next_below(edges.size())))->first;
+      }
+      batch[key] = EdgeChange{key.first, key.second, quarter(),
+                              rng.next_below(3) == 0};
+    }
+    std::vector<EdgeChange> changes;
+    for (const auto& [k, c] : batch) {
+      changes.push_back(c);
+      if (c.removed) {
+        edges.erase(k);
+      } else {
+        edges[k] = c.weight;
+      }
+    }
+    const LocalCsr want = csr_of();
+
+    const LocalCsr got = before.splice(changes);
+    ASSERT_TRUE(got.owns_storage());
+    EXPECT_TRUE(same(got.offsets(), want.offsets())) << "trial " << trial;
+    EXPECT_TRUE(same(got.adjacency(), want.adjacency())) << "trial " << trial;
+    EXPECT_TRUE(same(got.weights(), want.weights())) << "trial " << trial;
+
+    const PullIndex got_pull = PullIndex::from_csr(before).splice(changes);
+    const PullIndex want_pull = PullIndex::from_csr(want);
+    EXPECT_TRUE(same(got_pull.sources(), want_pull.sources()))
+        << "trial " << trial;
+    EXPECT_TRUE(same(got_pull.offsets(), want_pull.offsets()))
+        << "trial " << trial;
+    EXPECT_TRUE(same(got_pull.destinations(), want_pull.destinations()))
+        << "trial " << trial;
+    EXPECT_TRUE(same(got_pull.weights(), want_pull.weights()))
+        << "trial " << trial;
+  }
+}
+
+TEST(LocalCsr, SpliceRejectsMalformedChanges) {
+  const LocalCsr csr = make_csr();
+  const PullIndex pull = PullIndex::from_csr(csr);
+  const std::vector<EdgeChange> unsorted = {{1, 10, 0.5f, false},
+                                            {0, 11, 0.5f, false}};
+  const std::vector<EdgeChange> repeated = {{0, 11, 0.5f, false},
+                                            {0, 11, 0.2f, true}};
+  EXPECT_THROW((void)csr.splice(unsorted), std::invalid_argument);
+  EXPECT_THROW((void)csr.splice(repeated), std::invalid_argument);
+  EXPECT_THROW((void)pull.splice(unsorted), std::invalid_argument);
+  EXPECT_THROW((void)pull.splice(repeated), std::invalid_argument);
+  const std::vector<EdgeChange> remote_source = {{3, 10, 0.5f, false}};
+  EXPECT_THROW((void)csr.splice(remote_source), std::out_of_range);
 }
 
 }  // namespace
