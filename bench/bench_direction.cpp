@@ -1,11 +1,13 @@
 // F8 — Direction-optimization crossover.
 //
 // Push sends one request per cut edge; pull broadcasts the frontier once
-// and scans incoming edges locally, in light rounds and heavy phases.
-// Pull wins when frontiers are dense relative to the rank count.  This
-// harness sweeps the edgefactor (frontier density knob) and reports, for
-// direction-opt on/off, the traffic and where the engine actually chose to
-// pull.  Every row is validated; an invalid one makes the harness exit
+// and each owner scans its own weight-sorted rows, in light rounds and
+// heavy phases, stopping at the first edge that cannot win.  Pull wins
+// when frontiers are dense relative to the rank count.  This harness
+// sweeps the edgefactor (frontier density knob) and reports, for
+// direction-opt on/off, the traffic, where the engine actually chose to
+// pull and the candidates it checked (edges scanned by a pull, relaxed by
+// a push).  Every row is validated; an invalid one makes the harness exit
 // nonzero.
 #include <iostream>
 
@@ -20,7 +22,8 @@ int main(int argc, char** argv) {
 
   bench::RunReport report("direction", options);
   util::Table table({"edgefactor", "mode", "pull rounds", "push rounds",
-                     "wire bytes", "frontier bcast", "time (s)", "valid"});
+                     "wire bytes", "frontier bcast", "candidates",
+                     "time (s)", "valid"});
   bool all_valid = true;
   for (const int edgefactor : {4, 8, 16, 32, 64}) {
     graph::KroneckerParams params;
@@ -40,6 +43,7 @@ int main(int argc, char** argv) {
           .add(m.stats.push_rounds)
           .add_si(static_cast<double>(m.wire_bytes))
           .add_si(static_cast<double>(m.stats.frontier_broadcast))
+          .add_si(static_cast<double>(m.stats.relax_generated))
           .add(m.seconds, 4)
           .add(m.valid ? "yes" : "NO");
       util::Json c = util::Json::object();
@@ -57,7 +61,7 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: the engine pulls at every edgefactor, "
                "in light rounds and in the\nheavy phases of the buckets that "
                "settle much of the graph; the push+pull rows\nundercut "
-               "push-only wire bytes at every edgefactor.\n";
+               "push-only wire bytes and candidates at every edgefactor.\n";
   bench::write_report(report, table);
   if (!all_valid) {
     std::cerr << "VALIDATION FAILED: a row's distances are invalid\n";

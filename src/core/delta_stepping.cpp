@@ -1,6 +1,6 @@
 #include "core/delta_stepping.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -69,14 +69,6 @@ class Engine {
     roots_digest_ = util::hash64(roots_digest_, local_n_);
 
     precompute_splits();
-    // Pull rounds are only safe when EVERY rank that stores edges also has
-    // a pull index for them; a rank-local check would diverge (e.g. a rank
-    // owning only isolated vertices has an empty index) and desynchronize
-    // the collective schedule.  Agree once, globally.
-    const bool local_pull_ok =
-        g.pull.num_entries() > 0 || g.csr.num_edges() == 0;
-    pull_available_ = config.direction_opt && !comm.allreduce_or(!local_pull_ok);
-    if (pull_available_) frontier_bits_.assign((local_n_ + 63) / 64, 0);
     if (warm != nullptr) {
       // Repair mode: adopt the caller's labels and queue only its seeds.
       // Checkpointing is mutually exclusive — a crashed repair is re-run
@@ -121,6 +113,7 @@ class Engine {
     util::Timer total;
     const std::uint64_t rounds_at_start = comm_.stats().rounds();
     std::uint64_t k_hint = try_restore();
+    count_unreached();
     while (true) {
       const std::uint64_t k_local = queue_.next_nonempty(k_hint);
       const std::uint64_t k = comm_.allreduce_min(k_local);
@@ -163,11 +156,24 @@ class Engine {
     for (LocalId u = 0; u < static_cast<LocalId>(local_n_); ++u) {
       split_[u] = g_.csr.split_at(u, static_cast<Weight>(delta_));
     }
-    if (config_.direction_opt && g_.pull.num_entries() > 0) {
-      pull_split_.resize(g_.pull.num_sources());
-      for (std::size_t i = 0; i < g_.pull.num_sources(); ++i) {
-        pull_split_[i] =
-            g_.pull.split_at(g_.pull.range(i), static_cast<Weight>(delta_));
+  }
+
+  [[nodiscard]] std::uint64_t light_edges(LocalId v) const {
+    return split_[v] - g_.csr.edges_begin(v);
+  }
+  [[nodiscard]] std::uint64_t heavy_edges(LocalId v) const {
+    return g_.csr.edges_end(v) - split_[v];
+  }
+
+  /// Count the light and heavy edges of the owned vertices no path reaches
+  /// yet, once the distances are set (fresh, warm or restored).
+  void count_unreached() {
+    unreached_light_ = 0;
+    unreached_heavy_ = 0;
+    for (LocalId v = 0; v < static_cast<LocalId>(local_n_); ++v) {
+      if (dist_[v] == kInfDistance) {
+        unreached_light_ += light_edges(v);
+        unreached_heavy_ += heavy_edges(v);
       }
     }
   }
@@ -195,6 +201,10 @@ class Engine {
       ++stats_.pruned_apply;
       return false;
     }
+    if (dist_[v] == kInfDistance) {
+      unreached_light_ -= light_edges(v);
+      unreached_heavy_ -= heavy_edges(v);
+    }
     dist_[v] = cand;
     parent_[v] = via;
     queue_.update(v, bucket_of(cand));
@@ -204,20 +214,24 @@ class Engine {
 
   // -------------------------------------------------------- bucket logic
 
-  /// Should this inner round pull instead of push?  Decided from global
-  /// totals, so all ranks agree.
+  /// Should a round pull instead of push?  Decided from global totals, so
+  /// all ranks agree: the frontier's size, the edges a push would relax
+  /// from it, and the edges of the still-unreached vertices, whose rows the
+  /// owner scan reads in full.
   [[nodiscard]] bool choose_pull(std::uint64_t active_global,
-                                 std::uint64_t light_edges_global) const {
-    if (!pull_available_) return false;
+                                 std::uint64_t push_edges_global,
+                                 std::uint64_t unreached_edges_global) const {
     const double fraction = static_cast<double>(active_global) /
                             static_cast<double>(g_.num_vertices);
     if (fraction < config_.pull_threshold) return false;
-    const double push_bytes =
-        static_cast<double>(light_edges_global) * sizeof(RelaxRequest);
+    const double push_edges = static_cast<double>(push_edges_global);
+    const double push_bytes = push_edges * sizeof(RelaxRequest);
     const double pull_bytes = static_cast<double>(active_global) *
                               sizeof(FrontierEntry) *
                               static_cast<double>(comm_.size());
-    return push_bytes > pull_bytes * config_.pull_bias;
+    return push_bytes > pull_bytes * config_.pull_bias &&
+           push_edges >
+               static_cast<double>(unreached_edges_global) * config_.pull_bias;
   }
 
   void push_round(const std::vector<LocalId>& active, bool light) {
@@ -248,43 +262,64 @@ class Engine {
              config_.hierarchical_group, stats_, apply);
   }
 
-  /// Broadcast `active` (less pruned vertices) and relax, on every rank,
-  /// the light or heavy half of each pulled source group.  Each rank sends
-  /// its entries in vertex order and blocks are contiguous in rank order,
-  /// so the gathered frontier is sorted and one forward sweep over the
-  /// pull index finds every group.
+  /// Broadcast `active` (less pruned vertices); then every rank relaxes
+  /// each owned vertex from the frontier through the light or heavy part
+  /// of its own row, which lists its incoming edges because the graph is
+  /// symmetric.  Rows are weight-sorted, so a scan stops at the first edge
+  /// on which even the nearest frontier vertex cannot reach the best
+  /// candidate.  Among equal candidates the smallest source wins.
   void pull_round(const std::vector<LocalId>& active, bool light) {
+    std::vector<FrontierEntry> frontier;
+    frontier.reserve(active.size());
     for (const auto v : active) {
       if (pruned(v, dist_[v])) {
         ++stats_.pruned_expand;
         continue;
       }
-      frontier_bits_[v / 64] |= std::uint64_t{1} << (v % 64);
-    }
-    // One pass over the owned range orders the frontier and clears the
-    // bitmap for the next round.
-    std::vector<FrontierEntry> frontier;
-    frontier.reserve(active.size());
-    for (std::size_t w = 0; w < frontier_bits_.size(); ++w) {
-      for (std::uint64_t m = frontier_bits_[w]; m != 0; m &= m - 1) {
-        const auto v = static_cast<LocalId>(w * 64 + std::countr_zero(m));
-        frontier.push_back(FrontierEntry{my_begin_ + v, dist_[v]});
-      }
-      frontier_bits_[w] = 0;
+      frontier.push_back(FrontierEntry{my_begin_ + v, dist_[v]});
     }
     stats_.frontier_broadcast += frontier.size();
     const std::vector<FrontierEntry> global = comm_.allgatherv(frontier);
-    std::size_t group = 0;
+    if (global.empty()) return;
+    if (front_dist_.empty()) front_dist_.assign(g_.num_vertices, kInfDistance);
+    Weight dmin = kInfDistance;
     for (const auto& fe : global) {
-      const auto range = g_.pull.seek(fe.vertex, group);
-      if (range.empty()) continue;
-      const std::uint64_t first = light ? range.first : pull_split_[group];
-      const std::uint64_t last = light ? pull_split_[group] : range.last;
-      for (std::uint64_t e = first; e < last; ++e) {
-        ++stats_.relax_generated;
-        relax_local(g_.pull.dst(e), fe.dist + g_.pull.weight(e), fe.vertex);
-      }
+      front_dist_[fe.vertex] = fe.dist;
+      dmin = std::min(dmin, fe.dist);
     }
+    std::uint64_t scanned = 0;
+    for (LocalId v = 0; v < static_cast<LocalId>(local_n_); ++v) {
+      const std::uint64_t first = light ? g_.csr.edges_begin(v) : split_[v];
+      const std::uint64_t last = light ? split_[v] : g_.csr.edges_end(v);
+      Weight best = dist_[v];
+      VertexId via = kNoVertex;
+      std::uint64_t e = first;
+      for (; e < last; ++e) {
+        const Weight w = g_.csr.weight(e);
+        // Float addition rounds monotonically, so from here on no frontier
+        // vertex reaches best, over this edge or a heavier one.  A tie at
+        // best is still scanned: it may come from a smaller source.  The
+        // pruning test is monotone too: once it rejects dmin + w, it
+        // rejects every candidate left in the row.
+        if (dmin + w > best || pruned(v, dmin + w)) break;
+        const VertexId u = g_.csr.dst(e);
+        // The push path's owner() check, for the same CSR destinations.
+        if (u >= g_.num_vertices) {
+          throw std::out_of_range("delta_stepping: edge target out of range");
+        }
+        const Weight cand = front_dist_[u] + w;
+        if (cand < best) {
+          best = cand;
+          via = u;
+        } else if (cand == best && via != kNoVertex && u < via) {
+          via = u;
+        }
+      }
+      scanned += e - first;
+      if (via != kNoVertex) relax_local(v, best, via);
+    }
+    stats_.relax_generated += scanned;
+    for (const auto& fe : global) front_dist_[fe.vertex] = kInfDistance;
   }
 
   void process_bucket(std::uint64_t k) {
@@ -298,26 +333,29 @@ class Engine {
 
     while (true) {
       std::vector<LocalId> active = queue_.extract(k);
-      std::uint64_t light_edges = 0;
+      std::uint64_t active_light = 0;  // light edges out of the active set
       for (const auto v : active) {
         if (r_tag_[v] != k) {
           r_tag_[v] = k;
           settled.push_back(v);
-          settled_heavy += g_.csr.edges_end(v) - split_[v];
+          settled_heavy += heavy_edges(v);
         }
-        light_edges += split_[v] - g_.csr.edges_begin(v);
+        active_light += light_edges(v);
       }
       // R's global size and heavy-edge count ride along for the heavy
-      // phase's direction choice; the drained round carries their final
+      // phase's direction choice, and the unreached vertices' light and
+      // heavy edges for both choices; the drained round carries their final
       // values.  Only runs that can pull pay for them.
-      std::vector<std::uint64_t> sums{active.size(), light_edges};
-      if (pull_available_) {
-        sums.insert(sums.end(), {settled.size(), settled_heavy});
+      std::vector<std::uint64_t> sums{active.size(), active_light};
+      if (config_.direction_opt) {
+        sums.insert(sums.end(), {settled.size(), settled_heavy,
+                                 unreached_light_, unreached_heavy_});
       }
       const auto totals = comm_.allreduce_vec<std::uint64_t>(
           sums, [](std::uint64_t a, std::uint64_t b) { return a + b; });
       if (totals[0] == 0) {  // bucket k drained everywhere
-        heavy_pull = pull_available_ && choose_pull(totals[2], totals[3]);
+        heavy_pull = config_.direction_opt &&
+                     choose_pull(totals[2], totals[3], totals[5]);
         break;
       }
       ++stats_.light_iterations;
@@ -326,7 +364,8 @@ class Engine {
       row.frontier_total += totals[0];
       stats_.frontier_hist.add(totals[0]);
 
-      if (choose_pull(totals[0], totals[1])) {
+      if (config_.direction_opt &&
+          choose_pull(totals[0], totals[1], totals[4])) {
         ++stats_.pull_rounds;
         pull_round(active, /*light=*/true);
       } else {
@@ -341,10 +380,10 @@ class Engine {
     phase.reset();
     ++stats_.heavy_phases;
     ++stats_.sub_rounds;
-    // Pulling applies heavy candidates in frontier order with no routing
-    // or coalescing.  That is safe: R's distances are final, and every
-    // heavy candidate lands above bucket k, so none of them can change
-    // another's source distance.
+    // Pulling applies heavy candidates on their owners with no routing or
+    // coalescing.  That is safe: R's distances are final, and every heavy
+    // candidate lands above bucket k, so none of them can change another's
+    // source distance.
     if (heavy_pull) {
       ++stats_.pull_rounds;
       pull_round(settled, /*light=*/false);
@@ -438,13 +477,17 @@ class Engine {
   std::vector<Weight> dist_;
   std::vector<VertexId> parent_;
   std::vector<std::uint64_t> r_tag_;
-  std::vector<std::uint64_t> split_;       // light/heavy boundary per vertex
-  std::vector<std::uint64_t> pull_split_;  // same for pull source groups
-  std::vector<std::uint64_t> frontier_bits_;  // pull_round's ordering bitmap
+  std::vector<std::uint64_t> split_;  // light/heavy boundary per vertex
+  // Broadcast distance per global vertex during a pull, +inf elsewhere;
+  // allocated by the first pull of a run.
+  std::vector<Weight> front_dist_;
+  // Light and heavy edges of owned vertices still at +inf: the rows an
+  // owner-side pull would scan in full.
+  std::uint64_t unreached_light_ = 0;
+  std::uint64_t unreached_heavy_ = 0;
 
   Router<Msg> router_;
   std::vector<std::vector<Msg>> outbox_;
-  bool pull_available_ = false;
 };
 
 SsspResult run_engine(simmpi::Comm& comm, const graph::DistGraph& g,

@@ -247,12 +247,25 @@ std::uint64_t LocalCsr::resident_bytes() const noexcept {
          w_store_.capacity() * sizeof(Weight);
 }
 
-std::uint64_t LocalCsr::split_at(LocalId u, Weight delta) const {
-  const auto first = adj_w_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]);
-  const auto last =
-      adj_w_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]);
+std::uint64_t gallop_split(std::span<const Weight> w, std::uint64_t first,
+                           std::uint64_t last, Weight delta) {
+  // Probe at growing distances; every weight before `lo` is light, and a
+  // probe that lands on a heavy weight (or past the row) bounds the rest.
+  std::uint64_t lo = first;
+  std::uint64_t probe = first;
+  for (std::uint64_t step = 1; probe < last && w[probe] < delta; step *= 2) {
+    lo = probe + 1;
+    probe = lo + step;
+  }
+  const auto at = [&w](std::uint64_t i) {
+    return w.begin() + static_cast<std::ptrdiff_t>(i);
+  };
   return static_cast<std::uint64_t>(
-      std::lower_bound(first, last, delta) - adj_w_.begin());
+      std::lower_bound(at(lo), at(std::min(probe, last)), delta) - at(0));
+}
+
+std::uint64_t LocalCsr::split_at(LocalId u, Weight delta) const {
+  return gallop_split(adj_w_, offsets_[u], offsets_[u + 1], delta);
 }
 
 PullIndex PullIndex::from_csr(const LocalCsr& csr) {

@@ -2,12 +2,15 @@
 //
 // LocalCsr: outgoing adjacency of the vertices a rank owns, with each
 // vertex's edge list sorted by weight ascending.  The weight sort lets the
-// SSSP engine derive the light/heavy split for *any* delta with one binary
-// search per vertex, so delta sweeps never rebuild the graph.
+// SSSP engine derive the light/heavy split for *any* delta with one short
+// search per vertex, so delta sweeps never rebuild the graph.  The graph
+// is symmetric, so a row also lists the vertex's incoming edges: the
+// engine's direction-optimized "pull" scans owned rows, lightest edge
+// first, against the broadcast frontier.
 //
-// PullIndex: the same edges regrouped by (global) source id — the structure
-// the direction-optimized "pull" phase scans when the frontier is broadcast
-// instead of pushing per-edge messages.
+// PullIndex: the same edges regrouped by (global) source id.  No engine
+// reads it any more; the builder, the shard format and the out-of-core
+// pipeline still produce it.
 //
 // Both structures are *views* over their arrays: the normal construction
 // path owns them as heap vectors, while the out-of-core path (shard.hpp)
@@ -43,6 +46,14 @@ void dedup_min_weight(std::vector<WireEdge>& edges);
 /// Order edges by (src, weight, dst): each source's edges together,
 /// lightest first — the layout of LocalCsr and SourceBlock.
 void sort_by_source_weight(std::vector<WireEdge>& edges);
+
+/// First position in [first, last) of the ascending weights `w` holding a
+/// weight >= delta (last if none).  Gallops from `first`: a row usually
+/// has one or two edges lighter than delta, so this reads a few weights
+/// where a binary search over the row reads about log2 of its degree.
+[[nodiscard]] std::uint64_t gallop_split(std::span<const Weight> w,
+                                         std::uint64_t first,
+                                         std::uint64_t last, Weight delta);
 
 /// One change to a rank's edges, as LocalCsr::splice and PullIndex::splice
 /// take it: edge src -> dst (src a local index) now weighs `weight`, or is

@@ -47,10 +47,7 @@ SourceBlock::Range SourceBlock::find(VertexId source,
 }
 
 std::uint64_t SourceBlock::split_at(Range r, Weight delta) const {
-  const auto first = w_.begin() + static_cast<std::ptrdiff_t>(r.first);
-  const auto last = w_.begin() + static_cast<std::ptrdiff_t>(r.last);
-  return static_cast<std::uint64_t>(std::lower_bound(first, last, delta) -
-                                    w_.begin());
+  return gallop_split(w_, r.first, r.last, delta);
 }
 
 Dist2DGraph build_2d(simmpi::Comm& comm, const EdgeList& input_slice,

@@ -117,10 +117,13 @@ void Comm::publish(const void* slot, Desc mine) {
       if (d.elem_bytes != 0) s += "<" + std::to_string(d.elem_bytes) + " B>";
       return s;
     };
+    const std::string what_they_did = theirs.op == Operation::kDeparted
+                                          ? "had returned from run()"
+                                          : "entered " + describe(theirs);
     fail(std::make_exception_ptr(CollectiveMismatchError(
         "simmpi: collective mismatch: rank " + std::to_string(rank_) +
         " entered " + describe(mine) + " while rank " + std::to_string(r) +
-        " entered " + describe(theirs))));
+        " " + what_they_did)));
   }
 }
 
@@ -280,6 +283,14 @@ void World::run(const std::function<void(Comm&)>& fn) {
       barrier_.arrive_and_drop();
       return;
     }
+    // A rank that returns leaves the lockstep as well.  It posts a
+    // departure where its next collective would post, so a peer entering
+    // one raises CollectiveMismatchError instead of waiting forever.  No
+    // peer still reads that table: every peer has reached this rank's last
+    // collective, so all are done with the one before it.
+    posts_[comm.calls_ & 1][static_cast<std::size_t>(comm.rank_)] = {
+        nullptr, {Comm::Operation::kDeparted, 0}};
+    barrier_.arrive_and_drop();
   };
 
   if (comms_.size() == 1) {

@@ -190,6 +190,8 @@ class Comm {
     kAllgather,
     kAllgatherv,
     kBroadcast,
+    /// Posted by World::run for a rank that returned: no operation matches.
+    kDeparted,
   };
 
   /// What a rank entered; every rank checks every peer's against its own

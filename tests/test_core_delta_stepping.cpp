@@ -3,6 +3,11 @@
 // feature and edge-case tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
+
+#include "graph/shard.hpp"
 #include "sssp_test_util.hpp"
 
 namespace {
@@ -188,6 +193,34 @@ TEST(DeltaStepping, PullModeActuallyEngagesOnDenseFrontiers) {
   });
 }
 
+TEST(DeltaStepping, UnreachedEdgeGuardPushesUntilTheGraphIsReached) {
+  // With no frontier threshold and the default bias, the byte model alone
+  // would pull bucket 0's heavy phase: R's heavy edges outweigh one
+  // broadcast per settled vertex.  But nearly every vertex is unreached
+  // then, so an owner scan would read almost every heavy edge; the guard
+  // keeps the bucket pushing.  Once the root's heavy edges reach the whole
+  // complete graph, later buckets pull.
+  const EdgeList dense = complete_graph(96, 31);
+  simmpi::World world(4);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(dense, comm.rank(), comm.size()),
+        dense.num_vertices);
+    core::SsspConfig c;
+    c.pull_threshold = 0.0;
+    c.deadline_buckets = 1;
+    core::SsspStats first;
+    (void)core::delta_stepping(comm, g, 0, c, &first);
+    EXPECT_EQ(first.buckets_processed, 1u);
+    EXPECT_EQ(first.pull_rounds, 0u);
+    c.deadline_buckets = 0;
+    core::SsspStats whole;
+    const auto mine = core::delta_stepping(comm, g, 0, c, &whole);
+    EXPECT_GT(whole.pull_rounds, 0u);
+    EXPECT_TRUE(core::validate_sssp(comm, g, 0, mine).ok);
+  });
+}
+
 TEST(DeltaStepping, ForcedPullSendsNoRecordsInEitherPhase) {
   // With pull forced, light rounds and heavy phases alike broadcast the
   // frontier and relax on the owner, so no candidate crosses alltoallv.
@@ -237,31 +270,35 @@ TEST(DeltaStepping, ForcedPullSendsNoRecordsInEitherPhase) {
   }
 }
 
-TEST(DeltaStepping, RunsThatCannotPullKeepTwoSumsPerLightAllreduce) {
-  // R's size and heavy-edge count join the light loop's allreduce only
-  // where pulling is possible.  A run that cannot pull pays 8 bytes per
-  // bucket minimum (one per bucket plus the final one) and 16 per light
-  // allreduce (one per light round plus the drained one); without a pull
-  // index, the 4-byte agreement at construction comes on top.
+TEST(DeltaStepping, PullSumsRideTheLightAllreduceOnlyWhenPullIsOn) {
+  // R's size and heavy-edge count and the unreached vertices' light and
+  // heavy edges join the light loop's allreduce only where pulling is
+  // possible.  Every run pays 8 bytes per bucket minimum (one per bucket
+  // plus the final one); a light allreduce (one per light round plus the
+  // drained one) carries 16 bytes with direction_opt off and 48 with it
+  // on.  Pulling needs no pull index, so no agreement on one comes first.
   KroneckerParams params;
   params.scale = 10;
-  for (const bool index : {true, false}) {
+  for (const bool direction_opt : {false, true}) {
     simmpi::World world(3);
     world.run([&](simmpi::Comm& comm) {
       BuildOptions opts;
-      opts.build_pull_index = index;
+      opts.build_pull_index = !direction_opt;
       const DistGraph g = build_kronecker(comm, params, opts);
       core::SsspConfig config = core::SsspConfig::plain();
-      config.direction_opt = !index;  // off, or on without a pull index
+      config.direction_opt = direction_opt;
       core::SsspStats stats;
       const std::uint64_t before = comm.stats().allreduce.bytes;
       (void)core::delta_stepping(comm, g, 1, config, &stats);
       const std::uint64_t bytes = comm.stats().allreduce.bytes - before;
-      EXPECT_EQ(stats.pull_rounds, 0u);
-      EXPECT_EQ(bytes, (index ? 0u : 4u) + 8 * (stats.buckets_processed + 1) +
-                           16 * (stats.light_iterations +
-                                 stats.buckets_processed))
-          << (index ? "direction_opt off" : "no pull index");
+      if (!direction_opt) {
+        EXPECT_EQ(stats.pull_rounds, 0u);
+      }
+      EXPECT_EQ(bytes, 8 * (stats.buckets_processed + 1) +
+                           (direction_opt ? 48u : 16u) *
+                               (stats.light_iterations +
+                                stats.buckets_processed))
+          << (direction_opt ? "direction_opt on" : "direction_opt off");
     });
   }
 }
@@ -548,7 +585,9 @@ TEST(DeltaStepping, CompressionHalvesRequestBytes) {
   EXPECT_EQ(packed * 2, wide);
 }
 
-TEST(DeltaStepping, WithoutPullIndexDirectionOptFallsBackToPush) {
+TEST(DeltaStepping, PullsWithoutAPullIndex) {
+  // The owner-side pull reads only the CSR, so a graph built without a
+  // pull index still pulls, sends no record, and matches push-only.
   KroneckerParams params;
   params.scale = 7;
   simmpi::World world(2);
@@ -556,14 +595,276 @@ TEST(DeltaStepping, WithoutPullIndexDirectionOptFallsBackToPush) {
     BuildOptions opts;
     opts.build_pull_index = false;
     const DistGraph g = build_kronecker(comm, params, opts);
+    ASSERT_EQ(g.pull.num_entries(), 0u);
     core::SsspConfig c;
     c.pull_threshold = 0.0;
     c.pull_bias = 0.0;
     core::SsspStats stats;
+    const std::uint64_t before =
+        comm.allreduce_sum(comm.stats().alltoallv.bytes);
     const auto mine = core::delta_stepping(comm, g, 0, c, &stats);
-    EXPECT_EQ(stats.pull_rounds, 0u);
+    const std::uint64_t after =
+        comm.allreduce_sum(comm.stats().alltoallv.bytes);
+    EXPECT_GT(stats.pull_rounds, 0u);
+    EXPECT_EQ(comm.allreduce_sum(stats.relax_sent), 0u);
+    EXPECT_EQ(after, before);
+    c.direction_opt = false;
+    EXPECT_EQ(mine.dist, core::delta_stepping(comm, g, 0, c).dist);
     EXPECT_TRUE(core::validate_sssp(comm, g, 0, mine).ok);
   });
+}
+
+/// Solve from `root` twice, with every round that has edges to relax
+/// pulled and with pulling off, fresh or (given `warm`) as a repair.
+/// Distances must be equal, and so must parents wherever a single
+/// neighbour attains the vertex's distance.
+void expect_forced_pull_matches_push(simmpi::Comm& comm, const DistGraph& g,
+                                     VertexId root, core::SsspConfig config,
+                                     const core::WarmStart* warm = nullptr) {
+  const auto solve = [&](core::SsspStats* stats) {
+    return warm != nullptr ? core::delta_stepping_repair(comm, g, root, *warm,
+                                                         config, stats)
+                           : core::delta_stepping(comm, g, root, config, stats);
+  };
+  config.direction_opt = true;
+  config.pull_threshold = 0.0;
+  config.pull_bias = 0.0;
+  core::SsspStats pull_stats;
+  const core::SsspResult pulled = solve(&pull_stats);
+  config.direction_opt = false;
+  const core::SsspResult pushed = solve(nullptr);
+
+  EXPECT_GT(pull_stats.pull_rounds, 0u);
+  EXPECT_EQ(comm.allreduce_sum(pull_stats.relax_sent), 0u);
+  EXPECT_EQ(pulled.dist, pushed.dist);
+  const auto whole = core::gather_result(comm, g, pushed);
+  std::uint64_t compared = 0;
+  for (LocalId v = 0; v < g.csr.num_local(); ++v) {
+    int attaining = 0;
+    for (auto e = g.csr.edges_begin(v); e < g.csr.edges_end(v); ++e) {
+      if (whole.dist[g.csr.dst(e)] + g.csr.weight(e) == pushed.dist[v]) {
+        ++attaining;
+      }
+    }
+    if (pushed.dist[v] == kInfDistance || pushed.dist[v] == 0.0f ||
+        attaining == 1) {
+      EXPECT_EQ(pulled.parent[v], pushed.parent[v])
+          << "vertex " << g.part.begin(comm.rank()) + v;
+      ++compared;
+    }
+  }
+  EXPECT_GT(comm.allreduce_sum(compared), 0u);
+}
+
+/// The median finite distance of a solve, identical on every rank.
+Weight median_reached_distance(simmpi::Comm& comm, const DistGraph& g,
+                               const core::SsspResult& mine) {
+  std::vector<Weight> reached;
+  for (const Weight d : core::gather_result(comm, g, mine).dist) {
+    if (d != kInfDistance) reached.push_back(d);
+  }
+  std::sort(reached.begin(), reached.end());
+  return reached[reached.size() / 2];
+}
+
+TEST(DeltaStepping, ForcedPullMatchesPushOnly) {
+  KroneckerParams params;
+  params.scale = 10;
+  for (const int ranks : {1, 3, 4}) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const DistGraph g = build_kronecker(comm, params);
+      for (const VertexId root : {VertexId{1}, VertexId{517}}) {
+        expect_forced_pull_matches_push(comm, g, root, core::SsspConfig{});
+      }
+      expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig::plain());
+    });
+  }
+}
+
+TEST(DeltaStepping, ForcedPullMatchesPushOnAShardWithoutPullSection) {
+  KroneckerParams params;
+  params.scale = 10;
+  const std::string dir = ::testing::TempDir() + "/g500_pull_no_index";
+  std::filesystem::create_directories(dir);
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    BuildOptions opts;
+    opts.build_pull_index = false;
+    write_shard(shard_path(dir, comm.rank(), comm.size()),
+                build_kronecker(comm, params, opts), comm.rank());
+    comm.barrier();
+    const DistGraph g = load_sharded(comm, dir);
+    ASSERT_EQ(g.backing, GraphBacking::kMapped);
+    ASSERT_EQ(g.pull.num_entries(), 0u);
+    expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig{});
+  });
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DeltaStepping, ForcedPullMatchesPushUnderPruning) {
+  // A zero lower bound with a finite budget: neither direction may expand
+  // or apply past the budget, and both must leave the same labels.
+  KroneckerParams params;
+  params.scale = 10;
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_kronecker(comm, params);
+    const auto full = core::delta_stepping(comm, g, 1);
+    const std::vector<Weight> lb(g.csr.num_local(), 0.0f);
+    core::SsspConfig config;
+    config.prune_lb = &lb;
+    config.prune_budget = median_reached_distance(comm, g, full);
+    core::SsspStats stats;
+    const auto pruned = core::delta_stepping(comm, g, 1, config, &stats);
+    EXPECT_GT(comm.allreduce_sum(stats.pruned_expand + stats.pruned_apply),
+              0u);
+    EXPECT_NE(pruned.dist, full.dist);
+    expect_forced_pull_matches_push(comm, g, 1, config);
+  });
+}
+
+TEST(DeltaStepping, ForcedPullMatchesPushThroughRepair) {
+  // Warm start from the exact labels within half the reach, every one of
+  // them seeded: the repair must rebuild the rest identically either way,
+  // and the unreached-edge counts must start from the warm labels.
+  KroneckerParams params;
+  params.scale = 10;
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_kronecker(comm, params);
+    const auto full = core::delta_stepping(comm, g, 1);
+    const float keep = median_reached_distance(comm, g, full);
+    core::WarmStart warm;
+    warm.dist = full.dist;
+    warm.parent = full.parent;
+    for (LocalId v = 0; v < g.csr.num_local(); ++v) {
+      if (warm.dist[v] > keep) {
+        warm.dist[v] = kInfDistance;
+        warm.parent[v] = kNoVertex;
+      } else {
+        warm.seeds.push_back(v);
+      }
+    }
+    expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig{}, &warm);
+    core::SsspConfig pull;
+    pull.pull_threshold = 0.0;
+    pull.pull_bias = 0.0;
+    EXPECT_EQ(core::delta_stepping_repair(comm, g, 1, warm, pull).dist,
+              full.dist);
+  });
+}
+
+TEST(DeltaStepping, PullBreaksTiesTowardTheSmallerSource) {
+  // Vertex 3 is reached at 0.75 from both 1 (0.25 + 0.5) and 2 (0.5 +
+  // 0.25).  Its row is weight-sorted, so 2's edge comes first; the pull
+  // must still pick 1, as the ascending-source order of coalescing does.
+  EdgeList list;
+  list.num_vertices = 4;
+  list.edges = {{0, 1, 0.25f}, {0, 2, 0.5f}, {1, 3, 0.5f}, {2, 3, 0.25f}};
+  for (const int ranks : {1, 2}) {
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const DistGraph g = build_distributed(
+          comm, slice_for_rank(list, comm.rank(), comm.size()),
+          list.num_vertices);
+      core::SsspConfig c;
+      c.delta = 1.0;
+      c.pull_threshold = 0.0;
+      c.pull_bias = 0.0;
+      core::SsspStats stats;
+      const auto mine = core::delta_stepping(comm, g, 0, c, &stats);
+      EXPECT_EQ(stats.pull_rounds, stats.light_iterations);
+      const auto whole = core::gather_result(comm, g, mine);
+      EXPECT_EQ(whole.dist[3], 0.75f);
+      EXPECT_EQ(whole.parent[3], 1u) << ranks << " ranks";
+    });
+  }
+}
+
+TEST(DeltaStepping, PullScansOnlyEdgesThatCanWin) {
+  // The same square with delta 0.3: the 0.25 edges are light, the 0.5
+  // edges heavy, and every round pulls.  Walking the rounds by hand, the
+  // scans read 3 + 2 edges in bucket 0's light rounds (the unreached rows'
+  // light parts), 2 in its heavy phase (rows 2 and 3), then 1 in bucket
+  // 1 (row 3's light edge, which ties) and none after: every other scan
+  // stops at its first edge.  With a lower bound of 1 at vertex 3 and a
+  // budget of 0.6, the pruning test rejects every candidate of vertex 3,
+  // so its scans stop at once: 2 + 1 + 1 edges in bucket 0, none after.
+  EdgeList list;
+  list.num_vertices = 4;
+  list.edges = {{0, 1, 0.25f}, {0, 2, 0.5f}, {1, 3, 0.5f}, {2, 3, 0.25f}};
+  for (const bool prune : {false, true}) {
+    for (const int ranks : {1, 2}) {
+      SCOPED_TRACE(std::to_string(ranks) +
+                   (prune ? " ranks, pruned" : " ranks"));
+      simmpi::World world(ranks);
+      world.run([&](simmpi::Comm& comm) {
+        const DistGraph g = build_distributed(
+            comm, slice_for_rank(list, comm.rank(), comm.size()),
+            list.num_vertices);
+        std::vector<Weight> lb;
+        for (LocalId v = 0; v < g.csr.num_local(); ++v) {
+          lb.push_back(g.part.begin(comm.rank()) + v == 3 ? 1.0f : 0.0f);
+        }
+        core::SsspConfig c;
+        c.delta = 0.3;
+        c.pull_threshold = 0.0;
+        c.pull_bias = 0.0;
+        if (prune) {
+          c.prune_lb = &lb;
+          c.prune_budget = 0.6f;
+        }
+        core::SsspStats stats;
+        const auto mine = core::delta_stepping(comm, g, 0, c, &stats);
+        EXPECT_EQ(stats.pull_rounds, prune ? 5u : 7u);
+        EXPECT_EQ(stats.push_rounds, 0u);
+        EXPECT_EQ(comm.allreduce_sum(stats.relax_generated), prune ? 4u : 8u);
+        const auto whole = core::gather_result(comm, g, mine);
+        EXPECT_EQ(whole.dist, (std::vector<float>{0.0f, 0.25f, 0.5f,
+                                                  prune ? kInfDistance
+                                                        : 0.75f}));
+        EXPECT_EQ(whole.parent,
+                  (std::vector<VertexId>{0, 0, 0, prune ? kNoVertex : 1}));
+      });
+    }
+  }
+}
+
+TEST(DeltaStepping, PullRejectsAnOutOfRangeRowTarget) {
+  // A mapped shard is not checked per edge.  Vertex 1's row names vertex
+  // 9 of 4; the owner scan reads that row in the first pulled round and
+  // must throw as the push path's owner() would, not read past its
+  // frontier table.
+  const std::string dir = ::testing::TempDir() + "/g500_pull_bad_target";
+  std::filesystem::create_directories(dir);
+  {
+    ShardWriter::Meta meta;
+    meta.num_vertices = 4;
+    meta.num_local = 4;
+    meta.num_input_edges = 2;
+    meta.num_edges = 2;
+    ShardWriter writer(shard_path(dir, 0, 1), meta);
+    const std::vector<std::uint64_t> offsets{0, 1, 2, 2, 2};
+    const std::vector<VertexId> dst{1, 9};
+    const std::vector<Weight> w{0.5f, 0.5f};
+    writer.append_offsets(offsets);
+    writer.append_dst(dst);
+    writer.append_w(w);
+    writer.finish();
+  }
+  simmpi::World world(1);
+  EXPECT_THROW(world.run([&](simmpi::Comm& comm) {
+                 const DistGraph g = load_sharded(comm, dir);
+                 core::SsspConfig c;
+                 c.delta = 1.0;
+                 c.pull_threshold = 0.0;
+                 c.pull_bias = 0.0;
+                 (void)core::delta_stepping(comm, g, 0, c);
+               }),
+               std::out_of_range);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -58,6 +58,43 @@ TEST(LocalCsr, SplitAtBoundaryIsHeavy) {
   EXPECT_EQ(csr.split_at(0, 0.25f), csr.edges_begin(0));
 }
 
+TEST(LocalCsr, SplitAtOnEmptyAllLightAndAllHeavyRows) {
+  // Vertex 0 has no edges, vertex 1 only light ones, vertex 2 only heavy
+  // ones, and vertex 3 an edge weighing exactly delta, which is heavy.
+  std::vector<WireEdge> edges = {{1, 7, 0.1f}, {1, 8, 0.2f}, {1, 9, 0.3f},
+                                 {2, 7, 0.6f}, {2, 8, 0.7f}, {3, 7, 0.1f},
+                                 {3, 8, 0.5f}, {3, 9, 0.5f}, {3, 6, 0.8f}};
+  const LocalCsr csr(4, std::move(edges));
+  EXPECT_EQ(csr.split_at(0, 0.5f), csr.edges_begin(0));
+  EXPECT_EQ(csr.split_at(0, 0.5f), csr.edges_end(0));
+  EXPECT_EQ(csr.split_at(1, 0.5f), csr.edges_end(1));
+  EXPECT_EQ(csr.split_at(2, 0.5f), csr.edges_begin(2));
+  EXPECT_EQ(csr.split_at(3, 0.5f) - csr.edges_begin(3), 1u);
+  EXPECT_EQ(csr.split_at(3, 0.1f), csr.edges_begin(3));
+  EXPECT_EQ(csr.split_at(3, 0.8f) - csr.edges_begin(3), 3u);
+}
+
+TEST(LocalCsr, GallopingSplitMatchesLowerBound) {
+  // Every light count of rows up to 40 edges, with runs of tied weights,
+  // against std::lower_bound over the row.
+  std::vector<Weight> w;
+  for (int i = 0; i < 40; ++i) w.push_back(0.025f * static_cast<float>(i / 3));
+  for (std::uint64_t first = 0; first < 5; ++first) {
+    for (std::uint64_t last = first; last <= w.size(); ++last) {
+      for (const Weight delta : w) {
+        const auto want = static_cast<std::uint64_t>(
+            std::lower_bound(w.begin() + static_cast<std::ptrdiff_t>(first),
+                             w.begin() + static_cast<std::ptrdiff_t>(last),
+                             delta) -
+            w.begin());
+        EXPECT_EQ(gallop_split(w, first, last, delta), want)
+            << "row [" << first << ", " << last << ") delta " << delta;
+      }
+      EXPECT_EQ(gallop_split(w, first, last, 1.0f), last);
+    }
+  }
+}
+
 TEST(LocalCsr, EmptyGraph) {
   LocalCsr csr(4, {});
   EXPECT_EQ(csr.num_edges(), 0u);

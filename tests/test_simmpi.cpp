@@ -327,6 +327,37 @@ TEST(SimMpi, MismatchedOperationsRaiseNamedError) {
   world.run([](simmpi::Comm& comm) { EXPECT_EQ(comm.allreduce_sum(1), 2); });
 }
 
+TEST(SimMpi, RankThatReturnedFailsItsPeersNextCollective) {
+  // Rank 0 returns while its peers enter another collective, which used to
+  // leave them waiting forever.  They must raise a named error instead,
+  // whether rank 0's last call was a one-phase barrier, a reduction with a
+  // release phase, or nothing at all, and the world must stay reusable.
+  for (const int ranks : {2, 3}) {
+    for (const int lead_in : {0, 1, 2}) {
+      simmpi::World world(ranks);
+      try {
+        world.run([lead_in](simmpi::Comm& comm) {
+          if (lead_in == 1) comm.barrier();
+          if (lead_in == 2) (void)comm.allreduce_sum(1);
+          if (comm.rank() == 0) return;
+          (void)comm.allreduce_min<std::uint64_t>(1);
+          ADD_FAILURE() << "no rank may finish a collective a peer left";
+        });
+        ADD_FAILURE() << "expected CollectiveMismatchError";
+      } catch (const simmpi::CollectiveMismatchError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("allreduce<8 B> while rank 0 had returned"),
+                  std::string::npos)
+            << what;
+      }
+      // A normal run's last collective is unaffected by the departures.
+      const auto sums = world.run_collect<int>(
+          [](simmpi::Comm& comm) { return comm.allreduce_sum(1); });
+      for (const int s : sums) EXPECT_EQ(s, ranks);
+    }
+  }
+}
+
 TEST(SimMpi, MismatchedVectorLengthsThrow) {
   simmpi::World world(2);
   EXPECT_THROW(world.run([](simmpi::Comm& comm) {
