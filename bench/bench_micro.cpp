@@ -11,8 +11,11 @@
 #include "gbench_report.hpp"
 
 #include "core/bucket_queue.hpp"
+#include "core/delta_stepping.hpp"
 #include "core/dijkstra.hpp"
 #include "core/relax.hpp"
+#include "core/runner.hpp"
+#include "core/validate.hpp"
 #include "dyn/mutable_graph.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -171,6 +174,47 @@ void BM_CommitBatch(benchmark::State& state) {
                           (kInserts + kDeletes));
 }
 BENCHMARK(BM_CommitBatch)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+void BM_ValidateSssp(benchmark::State& state) {
+  // What checking one Graph 500 search key costs: validate_sssp on a
+  // scale-14 Kronecker graph over 4 ranks.  The graph and one sampled
+  // root's result are built once.  Manual time: one validation, from a
+  // barrier to its return on rank 0; one item per edge it checks.
+  constexpr int kRanks = 4;
+  KroneckerParams params;
+  params.scale = 14;
+  simmpi::World world(kRanks);
+  std::vector<std::optional<DistGraph>> graphs(kRanks);
+  std::vector<core::SsspResult> results(kRanks);
+  VertexId root = 0;
+  world.run([&](simmpi::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    graphs[r].emplace(build_kronecker(comm, params));
+    const VertexId key = core::sample_roots(comm, *graphs[r], 1, 1).front();
+    results[r] = core::delta_stepping(comm, *graphs[r], key);
+    if (comm.rank() == 0) root = key;
+  });
+  core::ValidationReport report;
+  for (auto _ : state) {
+    double seconds = 0.0;
+    world.run([&](simmpi::Comm& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      comm.barrier();
+      const util::Timer timer;
+      auto mine = core::validate_sssp(comm, *graphs[r], root, results[r]);
+      benchmark::DoNotOptimize(mine.edges_checked);
+      if (comm.rank() == 0) {
+        seconds = timer.seconds();
+        report = std::move(mine);
+      }
+    });
+    state.SetIterationTime(seconds);
+  }
+  if (!report.ok) state.SkipWithError("validate_sssp rejected the result");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(report.edges_checked));
+}
+BENCHMARK(BM_ValidateSssp)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 void BM_SequentialDijkstra(benchmark::State& state) {
   const EdgeList g =

@@ -1,10 +1,8 @@
 #include "core/bfs.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
-#include "core/remote.hpp"
 #include "util/radix_sort.hpp"
 #include "util/timer.hpp"
 
@@ -171,135 +169,6 @@ BfsResult bfs(simmpi::Comm& comm, const graph::DistGraph& g, VertexId root,
 
   st.seconds = total.seconds();
   return result;
-}
-
-BfsValidationReport validate_bfs(simmpi::Comm& comm,
-                                 const graph::DistGraph& g, VertexId root,
-                                 const BfsResult& mine) {
-  const int rank = comm.rank();
-  const auto local_n = static_cast<LocalId>(g.part.count(rank));
-  const VertexId my_begin = g.part.begin(rank);
-
-  bool ok = true;
-  std::vector<std::string> errors;
-  auto fail = [&](const std::string& message) {
-    ok = false;
-    if (errors.size() < 4) errors.push_back(message);
-  };
-
-  std::vector<std::uint32_t> level = mine.level;
-  level.resize(local_n, BfsResult::kNoLevel);
-  std::vector<VertexId> parent = mine.parent;
-  parent.resize(local_n, kNoVertex);
-  if (mine.level.size() != local_n || mine.parent.size() != local_n) {
-    fail("result size does not match owned vertex count");
-  }
-
-  // ---- B1: local consistency -------------------------------------------
-  std::uint64_t reachable_local = 0;
-  std::uint32_t max_level_local = 0;
-  for (LocalId v = 0; v < local_n; ++v) {
-    const VertexId gv = my_begin + v;
-    const bool has_parent = parent[v] != kNoVertex;
-    const bool has_level = level[v] != BfsResult::kNoLevel;
-    if (has_level) {
-      ++reachable_local;
-      max_level_local = std::max(max_level_local, level[v]);
-    }
-    if (has_parent != has_level) {
-      fail("B1: vertex " + std::to_string(gv) +
-           " parent/level reachability mismatch");
-    }
-    if (gv == root) {
-      if (parent[v] != root || level[v] != 0) {
-        fail("B1: root must be its own parent at level 0");
-      }
-    } else if (has_parent && parent[v] == gv) {
-      fail("B1: non-root vertex " + std::to_string(gv) +
-           " is its own parent");
-    }
-  }
-
-  // ---- Fetch remote levels ----------------------------------------------
-  std::vector<VertexId> queries;
-  queries.reserve(g.csr.num_edges() + local_n);
-  for (std::uint64_t e = 0; e < g.csr.num_edges(); ++e) {
-    queries.push_back(g.csr.dst(e));
-  }
-  for (LocalId v = 0; v < local_n; ++v) {
-    if (parent[v] != kNoVertex) queries.push_back(parent[v]);
-  }
-  std::sort(queries.begin(), queries.end());
-  queries.erase(std::unique(queries.begin(), queries.end()), queries.end());
-  const auto fetched = fetch_values(comm, g.part, queries, level);
-  auto level_of = [&](VertexId v) {
-    const auto it = std::lower_bound(queries.begin(), queries.end(), v);
-    return fetched[static_cast<std::size_t>(it - queries.begin())];
-  };
-
-  // ---- B2: every edge spans at most one level; reachability agrees -------
-  for (LocalId u = 0; ok && u < local_n; ++u) {
-    if (level[u] == BfsResult::kNoLevel) continue;
-    for (std::uint64_t e = g.csr.edges_begin(u); e < g.csr.edges_end(u); ++e) {
-      const auto lv = level_of(g.csr.dst(e));
-      if (lv == BfsResult::kNoLevel) {
-        fail("B2: reachable vertex " + std::to_string(my_begin + u) +
-             " has unreached neighbour " + std::to_string(g.csr.dst(e)));
-        break;
-      }
-      const auto hi = std::max(level[u], lv);
-      const auto lo = std::min(level[u], lv);
-      if (hi - lo > 1) {
-        fail("B2: edge " + std::to_string(my_begin + u) + "->" +
-             std::to_string(g.csr.dst(e)) + " spans more than one level");
-        break;
-      }
-    }
-  }
-
-  // ---- B3: tree edges are graph edges spanning exactly one level ---------
-  for (LocalId v = 0; ok && v < local_n; ++v) {
-    const VertexId gv = my_begin + v;
-    const VertexId p = parent[v];
-    if (p == kNoVertex || gv == root) continue;
-    bool adjacent = false;
-    for (std::uint64_t e = g.csr.edges_begin(v); e < g.csr.edges_end(v); ++e) {
-      if (g.csr.dst(e) == p) {
-        adjacent = true;
-        break;
-      }
-    }
-    if (!adjacent) {
-      fail("B3: parent of " + std::to_string(gv) + " is not adjacent");
-      continue;
-    }
-    if (level_of(p) == BfsResult::kNoLevel) {
-      fail("B3: parent of " + std::to_string(gv) + " is unreached");
-      continue;
-    }
-    if (level_of(p) + 1 != level[v]) {
-      fail("B3: vertex " + std::to_string(gv) +
-           " level is not parent level + 1");
-    }
-  }
-
-  // ---- aggregate ----------------------------------------------------------
-  BfsValidationReport report;
-  report.ok = !comm.allreduce_or(!ok);
-  report.reachable = comm.allreduce_sum(reachable_local);
-  report.max_level = comm.allreduce_max(max_level_local);
-  struct ErrorLine {
-    char text[160];
-  };
-  std::vector<ErrorLine> lines;
-  for (const auto& msg : errors) {
-    ErrorLine line{};
-    msg.copy(line.text, sizeof(line.text) - 1);
-    lines.push_back(line);
-  }
-  const auto all = comm.allgatherv(lines);
-  for (const auto& line : all) report.errors.emplace_back(line.text);
-  return report;
 }
 
 }  // namespace g500::core

@@ -53,6 +53,8 @@ struct BfsStats {
 /// Graph 500 BFS result checks: root/level/parent consistency, tree edges
 /// are graph edges spanning exactly one level, every edge spans <= 1 level
 /// (so the labelling is a true BFS), and reachability agrees across edges.
+/// Defined in validate.cpp beside validate_sssp: both check one gathered
+/// copy of the result (here the levels) with local scans.
 struct BfsValidationReport {
   bool ok = true;
   std::vector<std::string> errors;

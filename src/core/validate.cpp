@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
-#include "core/remote.hpp"
+#include "core/bfs.hpp"
 
 namespace g500::core {
 
@@ -26,8 +27,25 @@ class Collector {
   }
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] const std::vector<std::string>& errors() const noexcept {
-    return errors_;
+
+  /// SPMD, two collectives: true unless some rank failed; `errors`
+  /// receives every rank's messages in rank order.
+  [[nodiscard]] bool verdict(simmpi::Comm& comm,
+                             std::vector<std::string>& errors) const {
+    struct ErrorLine {
+      char text[160];
+    };
+    std::vector<ErrorLine> lines;
+    for (const auto& msg : errors_) {
+      ErrorLine line{};
+      msg.copy(line.text, sizeof(line.text) - 1);
+      lines.push_back(line);
+    }
+    const bool ok = !comm.allreduce_or(!ok_);
+    for (const auto& line : comm.allgatherv(lines)) {
+      errors.emplace_back(line.text);
+    }
+    return ok;
   }
 
  private:
@@ -48,6 +66,7 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
                                double tolerance) {
   Collector c;
   const int rank = comm.rank();
+  const VertexId n = g.num_vertices;
   const VertexId my_begin = g.part.begin(rank);
   const auto local_n = static_cast<LocalId>(g.part.count(rank));
 
@@ -60,6 +79,10 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
   dist.resize(local_n, kInfDistance);
   std::vector<VertexId> parent = mine.parent;
   parent.resize(local_n, kNoVertex);
+  // Block partitions are contiguous in rank order, so the gathered slices
+  // are indexed by global vertex id.
+  const std::vector<Weight> all_dist = comm.allgatherv(dist);
+  const std::vector<VertexId> all_parent = comm.allgatherv(parent);
 
   // ---- V1: local consistency ------------------------------------------
   std::uint64_t reachable_local = 0;
@@ -78,31 +101,16 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
         }
       } else if (has_parent && parent[v] == gv) {
         c.fail(describe("V1", gv, "non-root vertex is its own parent"));
+      } else if (has_parent && parent[v] >= n) {
+        c.fail(describe("V1", gv,
+                        "parent " + std::to_string(parent[v]) +
+                            " is out of range"));
       }
       if (has_dist && !(dist[v] >= 0.0f)) {
         c.fail(describe("V1", gv, "negative distance"));
       }
     }
   }
-
-  // ---- Fetch remote distances for V2/V3 --------------------------------
-  // One query per adjacency entry plus one per parent; deduplicated.
-  std::vector<VertexId> queries;
-  queries.reserve(g.csr.num_edges() + local_n);
-  for (std::uint64_t e = 0; e < g.csr.num_edges(); ++e) {
-    queries.push_back(g.csr.dst(e));
-  }
-  for (LocalId v = 0; v < local_n; ++v) {
-    if (parent[v] != kNoVertex) queries.push_back(parent[v]);
-  }
-  std::sort(queries.begin(), queries.end());
-  queries.erase(std::unique(queries.begin(), queries.end()), queries.end());
-  const std::vector<Weight> fetched =
-      fetch_values(comm, g.part, queries, dist);
-  auto dist_of = [&](VertexId v) -> Weight {
-    const auto it = std::lower_bound(queries.begin(), queries.end(), v);
-    return fetched[static_cast<std::size_t>(it - queries.begin())];
-  };
 
   // ---- V2: no relaxable edge -------------------------------------------
   std::uint64_t edges_checked_local = 0;
@@ -116,7 +124,14 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
     }
     for (std::uint64_t e = g.csr.edges_begin(u); e < g.csr.edges_end(u); ++e) {
       ++edges_checked_local;
-      const Weight dv = dist_of(g.csr.dst(e));
+      const VertexId v = g.csr.dst(e);
+      if (v >= n) {
+        // Mapped shards are not checked per edge.
+        c.fail(describe("V2", my_begin + u,
+                        "edge to " + std::to_string(v) + " is out of range"));
+        break;
+      }
+      const Weight dv = all_dist[v];
       // Relax in float, as every engine does: the exact double sum would
       // reject a correct float32 result by the rounding of du + w, which
       // exceeds the tolerance once distances reach 256.
@@ -125,19 +140,19 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
           static_cast<double>(dv) - static_cast<double>(relaxed) >
               tolerance) {
         c.fail(describe("V2", my_begin + u,
-                        "edge to " + std::to_string(g.csr.dst(e)) +
-                            " is still relaxable"));
+                        "edge to " + std::to_string(v) + " is still relaxable"));
         break;
       }
     }
   }
 
   // ---- V3: tree edges are real edges with consistent distances ---------
+  // V1 passed on this rank, so every parent read here is in range.
   for (LocalId v = 0; c.ok() && v < local_n; ++v) {
     const VertexId gv = my_begin + v;
     const VertexId p = parent[v];
     if (p == kNoVertex || gv == root) continue;
-    const Weight dp = dist_of(p);
+    const Weight dp = all_dist[p];
     bool found = false;
     for (std::uint64_t e = g.csr.edges_begin(v); e < g.csr.edges_end(v); ++e) {
       if (g.csr.dst(e) != p) continue;
@@ -157,53 +172,152 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
   }
 
   // ---- V4: parent structure is a tree rooted at `root` ------------------
-  // Pointer doubling: anchor[v] <- anchor[anchor[v]] until every reachable
-  // vertex anchors at the root.  64 iterations cover any acyclic depth;
-  // non-convergence means a cycle or a stray forest.
+  // Follow each owned reachable vertex's parents through the gathered copy
+  // until a vertex known to reach the root.  A vertex joins a chain at most
+  // once, so the walk is O(n) and needs no collective.  Revisiting the
+  // chain (a cycle), leaving [0, n) or meeting kNoVertex (a stray forest)
+  // fails.  Other ranks' parents were not checked by V1 here, so every step
+  // is range-checked before it indexes.
   {
-    std::vector<VertexId> anchor(local_n);
+    enum : std::uint8_t { kUnknown, kRooted, kOnChain };
+    std::vector<std::uint8_t> state(n, kUnknown);
+    if (root < n && all_parent[root] == root) state[root] = kRooted;
+    std::vector<VertexId> chain;
+    bool rooted = true;
     for (LocalId v = 0; v < local_n; ++v) {
-      anchor[v] = parent[v] == kNoVertex ? my_begin + v : parent[v];
-    }
-    bool converged = false;
-    for (int iter = 0; iter < 64; ++iter) {
-      bool moving_local = false;
-      for (LocalId v = 0; v < local_n; ++v) {
-        if (parent[v] != kNoVertex && anchor[v] != root) {
-          moving_local = true;
-          break;
-        }
+      if (parent[v] == kNoVertex) continue;
+      chain.clear();
+      VertexId x = my_begin + v;
+      while (x < n && state[x] == kUnknown) {
+        state[x] = kOnChain;
+        chain.push_back(x);
+        x = all_parent[x];
       }
-      if (!comm.allreduce_or(moving_local)) {
-        converged = true;
+      if (x >= n || state[x] != kRooted) {
+        rooted = false;
         break;
       }
-      const std::vector<VertexId> next =
-          fetch_values(comm, g.part, anchor, anchor);
-      for (LocalId v = 0; v < local_n; ++v) anchor[v] = next[v];
+      for (const VertexId y : chain) state[y] = kRooted;
     }
-    if (!converged) {
+    if (!rooted) {
       c.fail("V4 failed: parent pointers do not converge to the root "
              "(cycle or disconnected tree)");
     }
   }
 
-  // ---- Aggregate the verdict --------------------------------------------
   ValidationReport report;
-  report.ok = !comm.allreduce_or(!c.ok());
   report.edges_checked = comm.allreduce_sum(edges_checked_local);
   report.reachable = comm.allreduce_sum(reachable_local);
-  struct ErrorLine {
-    char text[160];
-  };
-  std::vector<ErrorLine> lines;
-  for (const auto& msg : c.errors()) {
-    ErrorLine line{};
-    msg.copy(line.text, sizeof(line.text) - 1);
-    lines.push_back(line);
+  report.ok = c.verdict(comm, report.errors);
+  return report;
+}
+
+BfsValidationReport validate_bfs(simmpi::Comm& comm,
+                                 const graph::DistGraph& g, VertexId root,
+                                 const BfsResult& mine) {
+  constexpr std::uint32_t kNoLevel = BfsResult::kNoLevel;
+  Collector c;
+  const int rank = comm.rank();
+  const VertexId n = g.num_vertices;
+  const auto local_n = static_cast<LocalId>(g.part.count(rank));
+  const VertexId my_begin = g.part.begin(rank);
+
+  if (mine.level.size() != local_n || mine.parent.size() != local_n) {
+    c.fail("result size does not match owned vertex count");
   }
-  const std::vector<ErrorLine> all = comm.allgatherv(lines);
-  for (const auto& line : all) report.errors.emplace_back(line.text);
+  std::vector<std::uint32_t> level = mine.level;
+  level.resize(local_n, kNoLevel);
+  std::vector<VertexId> parent = mine.parent;
+  parent.resize(local_n, kNoVertex);
+  // B3's rule that a parent sits one level up rules out cycles, so the
+  // levels are the only gathered copy.
+  const std::vector<std::uint32_t> all_level = comm.allgatherv(level);
+
+  // ---- B1: local consistency -------------------------------------------
+  std::uint64_t reachable_local = 0;
+  std::uint32_t max_level_local = 0;
+  for (LocalId v = 0; v < local_n; ++v) {
+    const VertexId gv = my_begin + v;
+    const bool has_parent = parent[v] != kNoVertex;
+    const bool has_level = level[v] != kNoLevel;
+    if (has_level) {
+      ++reachable_local;
+      max_level_local = std::max(max_level_local, level[v]);
+    }
+    if (has_parent != has_level) {
+      c.fail("B1: vertex " + std::to_string(gv) +
+             " parent/level reachability mismatch");
+    }
+    if (gv == root) {
+      if (parent[v] != root || level[v] != 0) {
+        c.fail("B1: root must be its own parent at level 0");
+      }
+    } else if (has_parent && parent[v] == gv) {
+      c.fail("B1: non-root vertex " + std::to_string(gv) +
+             " is its own parent");
+    } else if (has_parent && parent[v] >= n) {
+      c.fail("B1: parent " + std::to_string(parent[v]) + " of " +
+             std::to_string(gv) + " is out of range");
+    }
+  }
+
+  // ---- B2: every edge spans at most one level; reachability agrees -------
+  for (LocalId u = 0; c.ok() && u < local_n; ++u) {
+    if (level[u] == kNoLevel) continue;
+    for (std::uint64_t e = g.csr.edges_begin(u); e < g.csr.edges_end(u); ++e) {
+      const VertexId v = g.csr.dst(e);
+      if (v >= n) {
+        c.fail("B2: edge " + std::to_string(my_begin + u) + "->" +
+               std::to_string(v) + " is out of range");
+        break;
+      }
+      const auto lv = all_level[v];
+      if (lv == kNoLevel) {
+        c.fail("B2: reachable vertex " + std::to_string(my_begin + u) +
+               " has unreached neighbour " + std::to_string(v));
+        break;
+      }
+      const auto hi = std::max(level[u], lv);
+      const auto lo = std::min(level[u], lv);
+      if (hi - lo > 1) {
+        c.fail("B2: edge " + std::to_string(my_begin + u) + "->" +
+               std::to_string(v) + " spans more than one level");
+        break;
+      }
+    }
+  }
+
+  // ---- B3: tree edges are graph edges spanning exactly one level ---------
+  // B1 passed on this rank, so every parent read here is in range.
+  for (LocalId v = 0; c.ok() && v < local_n; ++v) {
+    const VertexId gv = my_begin + v;
+    const VertexId p = parent[v];
+    if (p == kNoVertex || gv == root) continue;
+    bool adjacent = false;
+    for (std::uint64_t e = g.csr.edges_begin(v); e < g.csr.edges_end(v); ++e) {
+      if (g.csr.dst(e) == p) {
+        adjacent = true;
+        break;
+      }
+    }
+    if (!adjacent) {
+      c.fail("B3: parent of " + std::to_string(gv) + " is not adjacent");
+      continue;
+    }
+    if (all_level[p] == kNoLevel) {
+      c.fail("B3: parent of " + std::to_string(gv) + " is unreached");
+      continue;
+    }
+    if (all_level[p] + 1 != level[v]) {
+      c.fail("B3: vertex " + std::to_string(gv) +
+             " level is not parent level + 1");
+    }
+  }
+
+  BfsValidationReport report;
+  report.reachable = comm.allreduce_sum(reachable_local);
+  report.max_level = comm.allreduce_max(max_level_local);
+  report.ok = c.verdict(comm, report.errors);
   return report;
 }
 

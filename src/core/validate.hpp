@@ -9,11 +9,17 @@
 //       reachable, dist[v] <= dist[u] + w (up to float tolerance);
 //   V3  every reachable non-root vertex has a tree edge: an edge
 //       (parent[v], v, w) exists with dist[v] = dist[parent[v]] + w;
-//   V4  the parent pointers form a tree rooted at the SSSP root (verified
-//       by distributed pointer doubling — detects cycles and stray forests).
+//   V4  the parent pointers form a tree rooted at the SSSP root: each rank
+//       walks its owned vertices' parent chains over the gathered parents
+//       until they meet a vertex known to reach the root, so cycles and
+//       stray forests fail without a collective per tree level.
 //
-// All checks run SPMD over the distributed result; failures are aggregated
-// so every rank returns the same report.
+// Each rank gathers one copy of the whole result (distances and parents,
+// 13 B per global vertex with the walk's state byte) and checks its own
+// rows against it with plain scans.  A validation makes six collectives at
+// any tree depth.  Out-of-range parents and edge targets fail a check; they
+// are never used as an index.  validate_bfs (bfs.hpp) works the same way.
+// Failures are aggregated so every rank returns the same report.
 #pragma once
 
 #include <string>

@@ -196,13 +196,7 @@ CommitSummary MutableGraph::commit_batch() {
   for (const auto& w : applied_global) {
     summary.applied.push_back(AppliedEdge{w.u, w.v, w.old_weight, w.new_weight,
                                           w.had_old, w.removed});
-    summary.affected_vertices.push_back(w.u);
-    summary.affected_vertices.push_back(w.v);
   }
-  std::sort(summary.affected_vertices.begin(), summary.affected_vertices.end());
-  summary.affected_vertices.erase(std::unique(summary.affected_vertices.begin(),
-                                              summary.affected_vertices.end()),
-                                  summary.affected_vertices.end());
 
   // Splice the changes into the view.  The pull index is patched when it
   // indexes every edge, built when the base came without one, and dropped

@@ -87,8 +87,6 @@ struct CommitSummary {
   /// Effective undirected changes, canonical u < v, sorted; identical on
   /// every rank.
   std::vector<AppliedEdge> applied;
-  /// Sorted distinct endpoints of `applied`; identical on every rank.
-  std::vector<graph::VertexId> affected_vertices;
   /// Owned sources of inserted/decreased directed copies — warm-start
   /// seeds for incremental repair (this rank only, deduplicated).
   std::vector<graph::LocalId> decrease_seeds;

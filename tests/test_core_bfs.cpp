@@ -196,6 +196,24 @@ TEST(Bfs, ValidatorCatchesForgedParent) {
   });
 }
 
+TEST(Bfs, ValidatorCatchesOutOfRangeParent) {
+  // A parent past the last vertex fails B1 with a verdict; it must not
+  // escape as an exception from an owner lookup.
+  const EdgeList list = path_graph(16);
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(list, comm.rank(), comm.size()), 16);
+    core::BfsResult mine = core::bfs(comm, g, 0);
+    if (comm.rank() == 0) mine.parent[3] = 21;
+    const auto verdict = core::validate_bfs(comm, g, 0, mine);
+    EXPECT_FALSE(verdict.ok);
+    ASSERT_FALSE(verdict.errors.empty());
+    EXPECT_NE(verdict.errors.front().find("B1"), std::string::npos)
+        << verdict.errors.front();
+  });
+}
+
 TEST(Bfs, RootOutOfRangeThrows) {
   EdgeList list = path_graph(4);
   simmpi::World world(2);

@@ -2,11 +2,15 @@
 // result and reject each class of corruption.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "core/delta_stepping.hpp"
 #include "core/dijkstra.hpp"
 #include "core/validate.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/shard.hpp"
 #include "simmpi/comm.hpp"
 
 namespace {
@@ -108,6 +112,107 @@ TEST(Validate, DetectsParentCycle) {
     verdict = core::validate_sssp(comm, g, 0, mine);
   });
   EXPECT_FALSE(verdict.ok);
+}
+
+TEST(Validate, DetectsCrossRankParentCycle) {
+  // Vertices 1, 3 and 5 sit on ranks 0, 1 and 2, all at distance 1 from
+  // the root and joined by zero-weight edges.  A parent cycle through them
+  // passes V1-V3, so only V4's walk over the gathered parents can see it.
+  EdgeList list;
+  list.num_vertices = 6;
+  list.edges = {{0, 1, 1.0f}, {0, 3, 1.0f}, {0, 5, 1.0f},
+                {1, 3, 0.0f}, {3, 5, 0.0f}, {5, 1, 0.0f}};
+  core::ValidationReport verdict;
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(list, comm.rank(), comm.size()), 6);
+    core::SsspResult mine = core::delta_stepping(comm, g, 0);
+    ASSERT_EQ(g.part.count(comm.rank()), 2u);
+    ASSERT_EQ(mine.dist[1], 1.0f);
+    // Local slot 1 holds vertex 1, 3 or 5: point it at the one before it,
+    // wrapping from 1 to 5.
+    mine.parent[1] = comm.rank() == 0 ? 5 : g.part.begin(comm.rank()) - 1;
+    const auto v = core::validate_sssp(comm, g, 0, mine);
+    if (comm.rank() == 0) verdict = v;
+  });
+  EXPECT_FALSE(verdict.ok);
+  ASSERT_FALSE(verdict.errors.empty());
+  EXPECT_NE(verdict.errors.front().find("V4"), std::string::npos)
+      << verdict.errors.front();
+}
+
+TEST(Validate, DetectsOutOfRangeParent) {
+  // A parent past the last vertex fails V1 with a verdict; it must not
+  // escape as an exception from an owner lookup.
+  const auto verdict = corrupted_verdict(
+      kGrid, 0, [](core::SsspResult& r, const DistGraph& g) {
+        r.parent[2] = g.num_vertices + 5;
+      });
+  EXPECT_FALSE(verdict.ok);
+  ASSERT_FALSE(verdict.errors.empty());
+  EXPECT_NE(verdict.errors.front().find("V1"), std::string::npos)
+      << verdict.errors.front();
+}
+
+TEST(Validate, DetectsOutOfRangeEdgeTarget) {
+  // A mapped shard is not checked per edge.  Vertex 1's row names vertex 9
+  // of 4: V2 must fail there without reading past the gathered distances.
+  const std::string dir = ::testing::TempDir() + "/g500_validate_bad_target";
+  std::filesystem::create_directories(dir);
+  {
+    ShardWriter::Meta meta;
+    meta.num_vertices = 4;
+    meta.num_local = 4;
+    meta.num_input_edges = 2;
+    meta.num_edges = 2;
+    ShardWriter writer(shard_path(dir, 0, 1), meta);
+    const std::vector<std::uint64_t> offsets{0, 1, 2, 2, 2};
+    const std::vector<VertexId> dst{1, 9};
+    const std::vector<Weight> w{0.5f, 0.5f};
+    writer.append_offsets(offsets);
+    writer.append_dst(dst);
+    writer.append_w(w);
+    writer.finish();
+  }
+  core::ValidationReport verdict;
+  simmpi::World world(1);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = load_sharded(comm, dir);
+    core::SsspResult mine;
+    mine.dist = {0.0f, 0.5f, kInfDistance, kInfDistance};
+    mine.parent = {0, 0, kNoVertex, kNoVertex};
+    verdict = core::validate_sssp(comm, g, 0, mine);
+  });
+  std::filesystem::remove_all(dir);
+  EXPECT_FALSE(verdict.ok);
+  ASSERT_FALSE(verdict.errors.empty());
+  EXPECT_NE(verdict.errors.front().find("V2"), std::string::npos)
+      << verdict.errors.front();
+}
+
+TEST(Validate, CollectivesDoNotGrowWithTreeDepth) {
+  // Two gathers plus the verdict's four reductions, whether the parent
+  // tree is 3 or 599 hops deep.
+  auto collectives = [](VertexId n) {
+    const EdgeList path = path_graph(n, 3);
+    simmpi::World world(2);
+    const auto rounds =
+        world.run_collect<std::uint64_t>([&](simmpi::Comm& comm) {
+          const DistGraph g = build_distributed(
+              comm, slice_for_rank(path, comm.rank(), comm.size()), n);
+          const auto mine = core::delta_stepping(comm, g, 0);
+          const std::uint64_t before = comm.stats().rounds();
+          const auto verdict = core::validate_sssp(comm, g, 0, mine);
+          EXPECT_TRUE(verdict.ok);
+          return comm.stats().rounds() - before;
+        });
+    EXPECT_EQ(rounds[0], rounds[1]);
+    return rounds[0];
+  };
+  const std::uint64_t shallow = collectives(4);
+  EXPECT_EQ(shallow, 6u);
+  EXPECT_EQ(collectives(600), shallow);
 }
 
 TEST(Validate, DetectsWrongRootDistance) {
