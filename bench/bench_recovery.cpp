@@ -26,7 +26,7 @@ struct CkptMeasurement {
 
 CkptMeasurement measure_checkpointed(const graph::KroneckerParams& params,
                                      int ranks, const core::SsspConfig& config,
-                                     int roots_count) {
+                                     std::uint64_t interval, int roots_count) {
   simmpi::World world(ranks);
   CkptMeasurement m;
   world.run([&](simmpi::Comm& comm) {
@@ -36,11 +36,13 @@ CkptMeasurement measure_checkpointed(const graph::KroneckerParams& params,
     core::SsspStats merged;
     for (const auto root : roots) {
       core::CheckpointState ckpt;
+      core::RunControl control;
+      control.checkpoint = &ckpt;
+      control.checkpoint_interval = interval;
       core::SsspStats local;
       comm.barrier();
       util::Timer timer;
-      (void)core::delta_stepping_checkpointed(comm, g, root, config, &ckpt,
-                                              &local);
+      (void)core::delta_stepping(comm, g, root, config, &local, control);
       comm.barrier();
       seconds += comm.allreduce_max(timer.seconds());
       merged.merge(local);
@@ -80,9 +82,7 @@ int main(int argc, char** argv) {
                      "overhead", "slowdown"});
   double baseline_seconds = 0.0;
   for (const auto interval : intervals) {
-    core::SsspConfig config = base;
-    config.checkpoint_interval = interval;
-    const auto m = measure_checkpointed(params, ranks, config, roots);
+    const auto m = measure_checkpointed(params, ranks, base, interval, roots);
     if (interval == 0) baseline_seconds = m.seconds;
     const double per_root_ckpt_seconds =
         m.stats.checkpoint_seconds / static_cast<double>(roots);
@@ -116,8 +116,7 @@ int main(int argc, char** argv) {
                "amortize the snapshot cost toward zero.\n\n";
 
   // ---- Part 2: crash-recovery drill ------------------------------------
-  core::SsspConfig drill = base;
-  drill.checkpoint_interval = 4;
+  constexpr std::uint64_t kDrillInterval = 4;
 
   // Clean reference run (also provides the bit-identity baseline).
   std::vector<Weight> reference;
@@ -131,7 +130,7 @@ int main(int argc, char** argv) {
       if (sampled.empty()) throw std::runtime_error("no eligible roots");
       comm.barrier();
       util::Timer timer;
-      const auto result = core::delta_stepping(comm, g, sampled[0], drill);
+      const auto result = core::delta_stepping(comm, g, sampled[0], base);
       const double t = comm.allreduce_max(timer.seconds());
       const auto whole = core::gather_result(comm, g, result);
       if (comm.rank() == 0) {
@@ -160,7 +159,10 @@ int main(int argc, char** argv) {
       const auto g = graph::build_kronecker(comm, params);
       (void)core::sample_roots(comm, g, 1, 0x9500);
       core::CheckpointState ckpt;
-      (void)core::delta_stepping_checkpointed(comm, g, root, drill, &ckpt);
+      core::RunControl control;
+      control.checkpoint = &ckpt;
+      control.checkpoint_interval = kDrillInterval;
+      (void)core::delta_stepping(comm, g, root, base, nullptr, control);
     });
     total_calls = probe.injector()->collective_calls(victim);
   }
@@ -184,12 +186,14 @@ int main(int argc, char** argv) {
     world.run([&](simmpi::Comm& comm) {
       const auto g = graph::build_kronecker(comm, params);
       (void)core::sample_roots(comm, g, 1, 0x9500);
+      core::RunControl control;
+      control.checkpoint = &snapshots[static_cast<std::size_t>(comm.rank())];
+      control.checkpoint_interval = kDrillInterval;
       core::SsspStats local;
       comm.barrier();
       util::Timer timer;
-      const auto result = core::delta_stepping_checkpointed(
-          comm, g, root, drill,
-          &snapshots[static_cast<std::size_t>(comm.rank())], &local);
+      const auto result =
+          core::delta_stepping(comm, g, root, base, &local, control);
       const double t = comm.allreduce_max(timer.seconds());
       const auto whole = core::gather_result(comm, g, result);
       if (comm.rank() == 0) {
@@ -234,7 +238,8 @@ int main(int argc, char** argv) {
   drill_table.row()
       .add("bit-identical distances")
       .add(!recovered.empty() && recovered == reference ? "yes" : "NO");
-  drill_table.print(std::cout, "R1b: crash-recovery drill, interval 4");
+  drill_table.print(std::cout, "R1b: crash-recovery drill, interval " +
+                                   std::to_string(kDrillInterval));
   std::cout << "\nExpected shape: the recovery run restores from the last "
                "snapshot and re-drains only\nthe tail of the bucket "
                "schedule, so it runs faster than the clean sweep while\n"

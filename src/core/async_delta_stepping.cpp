@@ -20,6 +20,12 @@ using graph::Weight;
 
 namespace {
 
+/// Records buffered per destination before a capacity flush ships them.
+constexpr std::size_t kAggregatorCapacity = 512;
+/// Poll cycles a non-empty buffer may age before a timeout flush ships it
+/// regardless of fill level.
+constexpr std::uint64_t kAggregatorMaxAge = 4;
+
 /// One rank's asynchronous engine, templated on the wire record (see
 /// with_record; the same rule the sync engine uses).
 template <typename Msg>
@@ -40,17 +46,10 @@ class AsyncEngine {
         parent_(local_n_, kNoVertex),
         router_(g, comm.rank(), dist_, config.hub_cache, config.local_fusion,
                 stats),
-        agg_(comm, make_options(config)) {
+        agg_(comm, simmpi::AggregatorOptions{kAggregatorCapacity,
+                                             kAggregatorMaxAge}) {
     if (roots.empty()) {
       throw std::invalid_argument("async_delta_stepping: no roots");
-    }
-    if (config.prune_lb != nullptr) {
-      // Pruning drops candidates against a budget that only monotone
-      // (synchronized) execution keeps admissible; a chaotic schedule could
-      // prune a path the fixed point needs.
-      throw std::invalid_argument(
-          "async_delta_stepping: goal-directed pruning requires the "
-          "synchronous engine");
     }
     for (const auto root : roots) {
       if (root >= g.num_vertices) {
@@ -95,13 +94,6 @@ class AsyncEngine {
   }
 
  private:
-  static simmpi::AggregatorOptions make_options(const SsspConfig& config) {
-    simmpi::AggregatorOptions options;
-    options.capacity = std::max<std::size_t>(1, config.aggregator_capacity);
-    options.max_age = std::max<std::uint64_t>(1, config.aggregator_max_age);
-    return options;
-  }
-
   [[nodiscard]] std::uint64_t bucket_of(Weight d) const {
     return static_cast<std::uint64_t>(static_cast<double>(d) / delta_);
   }

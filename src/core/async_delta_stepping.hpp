@@ -16,17 +16,19 @@
 // point — evaluated in the same float arithmetic — is exactly what the
 // synchronous engine computes.  The distance array is therefore
 // BIT-IDENTICAL to delta_stepping's for any schedule (parents may differ:
-// several shortest paths can tie).  The one feature this argument excludes
-// is goal-directed pruning, whose correctness depends on a monotone
-// execution order; passing SsspConfig::prune_lb throws.
+// several shortest paths can tie).  The argument excludes goal-directed
+// pruning, whose correctness depends on a monotone execution order, so
+// this engine takes no core::RunControl: pruning, deadlines, checkpoints
+// and warm starts are delta_stepping's alone.
 //
 // Config knobs honoured: delta, coalesce (per-flush dedup), hub_cache
 // (send-side mirror, tightened locally instead of by allreduce),
-// local_fusion, compress, aggregator_capacity, aggregator_max_age,
-// max_buckets (counts per-rank bucket expansions here).  Ignored —
-// meaningless without synchronized rounds: direction_opt (pull needs a
-// globally agreed frontier), hierarchical_group (no alltoallv to
-// restructure), checkpoint_interval, collect_bucket_trace.
+// local_fusion, compress, max_buckets (counts per-rank bucket expansions
+// here).  The aggregator runs at a fixed capacity of 512 records and a
+// maximum age of 4 poll cycles.  Ignored — meaningless without
+// synchronized rounds: direction_opt (pull needs a globally agreed
+// frontier), hierarchical_group (no alltoallv to restructure),
+// collect_bucket_trace.
 #pragma once
 
 #include "core/dijkstra.hpp"
@@ -39,8 +41,7 @@ namespace g500::core {
 /// Run one asynchronous SSSP from `root`.  SPMD: call from every rank
 /// inside World::run.  Distances are bit-identical to delta_stepping();
 /// stats (when non-null) additionally reports global_collectives,
-/// sub_rounds and the aggregator flush split.  Throws std::invalid_argument
-/// when config.prune_lb is set (see header comment).
+/// sub_rounds and the aggregator flush split.
 [[nodiscard]] SsspResult async_delta_stepping(simmpi::Comm& comm,
                                               const graph::DistGraph& g,
                                               graph::VertexId root,

@@ -27,12 +27,12 @@ class Engine {
  public:
   Engine(simmpi::Comm& comm, const graph::DistGraph& g,
          const std::vector<VertexId>& roots, const SsspConfig& config,
-         SsspStats& stats, CheckpointState* ckpt = nullptr,
-         const WarmStart* warm = nullptr)
+         SsspStats& stats, const RunControl& control)
       : comm_(comm),
-        ckpt_(ckpt),
+        ckpt_(control.checkpoint),
         g_(g),
         config_(config),
+        control_(control),
         stats_(stats),
         local_n_(static_cast<std::size_t>(g.part.count(comm.rank()))),
         my_begin_(g.part.begin(comm.rank())),
@@ -47,7 +47,22 @@ class Engine {
     if (roots.empty()) {
       throw std::invalid_argument("delta_stepping: no roots");
     }
-    if (config.prune_lb != nullptr && config.prune_lb->size() != local_n_) {
+    // The one place that decides which per-run controls combine.  Warm
+    // labels come from another run, so a warm start is neither pruned,
+    // truncated nor resumed; a pruned run's state is exact only within its
+    // budget, so it must never become a snapshot a full run resumes from.
+    if (control.warm != nullptr &&
+        (control.prune_lb != nullptr || control.deadline_buckets != 0 ||
+         ckpt_ != nullptr)) {
+      throw std::invalid_argument(
+          "delta_stepping: a warm start excludes pruning, a deadline and a "
+          "checkpoint");
+    }
+    if (control.prune_lb != nullptr && ckpt_ != nullptr) {
+      throw std::invalid_argument(
+          "delta_stepping: a pruned run cannot checkpoint");
+    }
+    if (control.prune_lb != nullptr && control.prune_lb->size() != local_n_) {
       throw std::invalid_argument(
           "delta_stepping: prune_lb slice does not match the owned range");
     }
@@ -69,14 +84,8 @@ class Engine {
     roots_digest_ = util::hash64(roots_digest_, local_n_);
 
     precompute_splits();
-    if (warm != nullptr) {
+    if (const WarmStart* warm = control.warm) {
       // Repair mode: adopt the caller's labels and queue only its seeds.
-      // Checkpointing is mutually exclusive — a crashed repair is re-run
-      // from the (caller-held) pre-update labels, not resumed mid-wave.
-      if (ckpt_ != nullptr) {
-        throw std::invalid_argument(
-            "delta_stepping: warm start and checkpointing are exclusive");
-      }
       if (warm->dist.size() != local_n_ || warm->parent.size() != local_n_) {
         throw std::invalid_argument(
             "delta_stepping: warm-start slices do not match the owned range");
@@ -122,8 +131,8 @@ class Engine {
       // the same local bucket count (epochs are global), so this break is
       // taken (or not) by all ranks in lockstep — no collective skew.
       // Distances strictly below k * delta are already exactly settled.
-      if (config_.deadline_buckets != 0 &&
-          stats_.buckets_processed >= config_.deadline_buckets) {
+      if (control_.deadline_buckets != 0 &&
+          stats_.buckets_processed >= control_.deadline_buckets) {
         ++stats_.deadline_stops;
         stats_.settled_bound = static_cast<double>(k) * delta_;
         break;
@@ -190,8 +199,8 @@ class Engine {
   /// (an infinite bound at an unreachable v prunes; an infinite budget
   /// never does).
   [[nodiscard]] bool pruned(LocalId v, Weight base) const {
-    return config_.prune_lb != nullptr &&
-           base + (*config_.prune_lb)[v] > config_.prune_budget;
+    return control_.prune_lb != nullptr &&
+           base + (*control_.prune_lb)[v] > control_.prune_budget;
   }
 
   /// Apply a candidate to an owned vertex.  Returns true if it improved.
@@ -444,8 +453,8 @@ class Engine {
   /// every rank reaches the same decision at the same epoch, so the
   /// per-rank snapshots form a consistent global cut without a collective.
   void maybe_checkpoint(std::uint64_t k) {
-    if (ckpt_ == nullptr || config_.checkpoint_interval == 0) return;
-    if (++buckets_since_ckpt_ < config_.checkpoint_interval) return;
+    if (ckpt_ == nullptr || control_.checkpoint_interval == 0) return;
+    if (++buckets_since_ckpt_ < control_.checkpoint_interval) return;
     buckets_since_ckpt_ = 0;
     util::Timer timer;
     ckpt_->roots_digest = roots_digest_;
@@ -465,6 +474,7 @@ class Engine {
   CheckpointState* ckpt_;
   const graph::DistGraph& g_;
   const SsspConfig& config_;
+  const RunControl& control_;
   SsspStats& stats_;
   std::uint64_t roots_digest_ = 0;
   std::uint64_t buckets_since_ckpt_ = 0;
@@ -493,12 +503,11 @@ class Engine {
 SsspResult run_engine(simmpi::Comm& comm, const graph::DistGraph& g,
                       const std::vector<VertexId>& roots,
                       const SsspConfig& config, SsspStats* stats,
-                      CheckpointState* ckpt = nullptr,
-                      const WarmStart* warm = nullptr) {
+                      const RunControl& control) {
   SsspStats local_stats;
   SsspStats& s = stats != nullptr ? *stats : local_stats;
   return with_record(config, g.num_vertices, [&](auto record) {
-    Engine<decltype(record)> engine(comm, g, roots, config, s, ckpt, warm);
+    Engine<decltype(record)> engine(comm, g, roots, config, s, control);
     return engine.run();
   });
 }
@@ -507,34 +516,15 @@ SsspResult run_engine(simmpi::Comm& comm, const graph::DistGraph& g,
 
 SsspResult delta_stepping(simmpi::Comm& comm, const graph::DistGraph& g,
                           VertexId root, const SsspConfig& config,
-                          SsspStats* stats) {
-  return run_engine(comm, g, {root}, config, stats);
+                          SsspStats* stats, const RunControl& control) {
+  return run_engine(comm, g, {root}, config, stats, control);
 }
 
 SsspResult delta_stepping_multi(simmpi::Comm& comm, const graph::DistGraph& g,
                                 const std::vector<VertexId>& roots,
-                                const SsspConfig& config, SsspStats* stats) {
-  return run_engine(comm, g, roots, config, stats);
-}
-
-SsspResult delta_stepping_repair(simmpi::Comm& comm,
-                                 const graph::DistGraph& g, VertexId root,
-                                 const WarmStart& warm,
-                                 const SsspConfig& config, SsspStats* stats) {
-  if (config.checkpoint_interval != 0 || config.deadline_buckets != 0) {
-    throw std::invalid_argument(
-        "delta_stepping_repair: checkpoint/deadline features are rejected");
-  }
-  return run_engine(comm, g, {root}, config, stats, nullptr, &warm);
-}
-
-SsspResult delta_stepping_checkpointed(simmpi::Comm& comm,
-                                       const graph::DistGraph& g,
-                                       VertexId root,
-                                       const SsspConfig& config,
-                                       CheckpointState* ckpt,
-                                       SsspStats* stats) {
-  return run_engine(comm, g, {root}, config, stats, ckpt);
+                                const SsspConfig& config, SsspStats* stats,
+                                const RunControl& control) {
+  return run_engine(comm, g, roots, config, stats, control);
 }
 
 SequentialResult gather_result(simmpi::Comm& comm, const graph::DistGraph& g,

@@ -17,8 +17,9 @@
 //
 // Honoured SsspConfig fields: delta, coalesce, hierarchical_group (the
 // candidate exchange is the shared one of core/relax.hpp), max_buckets.
-// Hub caching, direction switching, fusion and compression are 1-D engine
-// features.
+// Hub caching, direction switching, fusion, compression and the bucket
+// trace are 1-D engine features, and so is every core::RunControl (warm
+// start, pruning, deadline, checkpoint): this engine takes none.
 #pragma once
 
 #include "core/dijkstra.hpp"

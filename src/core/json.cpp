@@ -13,11 +13,7 @@ util::Json to_json(const SsspConfig& config) {
   j["local_fusion"] = config.local_fusion;
   j["compress"] = config.compress;
   j["hierarchical_group"] = config.hierarchical_group;
-  j["aggregator_capacity"] = config.aggregator_capacity;
-  j["aggregator_max_age"] = config.aggregator_max_age;
   j["max_buckets"] = config.max_buckets;
-  j["deadline_buckets"] = config.deadline_buckets;
-  j["checkpoint_interval"] = config.checkpoint_interval;
   j["collect_bucket_trace"] = config.collect_bucket_trace;
   return j;
 }

@@ -1,8 +1,8 @@
 // Distributed value lookup: fetch per-vertex values owned by other ranks.
 //
-// The validation checks need remote tentative distances / parent anchors;
-// this helper turns "give me value[v] for these global ids" into two
-// alltoallv rounds (queries out, answers back) while preserving the
+// The serving layer and the reachability kernel need values owned by other
+// ranks; these helpers turn "give me value[v] for these global ids" into
+// two alltoallv rounds (queries out, answers back) while preserving the
 // caller's query order.
 #pragma once
 
@@ -17,21 +17,23 @@
 
 namespace g500::core {
 
-/// For each global vertex id in `queries` (any owner, duplicates fine),
-/// return the owner's `local_values[local(id)]`, in query order.
-/// `local_values` must hold this rank's owned values.  SPMD: every rank
-/// must call this, even with empty queries.
-template <typename T>
-std::vector<T> fetch_values(simmpi::Comm& comm,
+namespace detail {
+
+/// The exchange both fetches share: route each query to the owner of
+/// `vertex_of(query)`, answer it there with `answer(query, local index)`,
+/// and return the answers in query order (two alltoallv rounds).  SPMD:
+/// every rank must call it, even with empty queries.
+template <typename T, typename Query, typename VertexOf, typename Answer>
+std::vector<T> owner_lookup(simmpi::Comm& comm,
                             const graph::BlockPartition& part,
-                            const std::vector<graph::VertexId>& queries,
-                            const std::vector<T>& local_values) {
+                            const std::vector<Query>& queries,
+                            VertexOf vertex_of, Answer answer) {
   const int P = comm.size();
-  std::vector<std::vector<graph::VertexId>> ask(static_cast<std::size_t>(P));
+  std::vector<std::vector<Query>> ask(static_cast<std::size_t>(P));
   // Remember where each query goes so answers can be re-interleaved.
   std::vector<int> query_rank(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const int owner = part.owner(queries[i]);
+    const int owner = part.owner(vertex_of(queries[i]));
     query_rank[i] = owner;
     ask[static_cast<std::size_t>(owner)].push_back(queries[i]);
   }
@@ -43,12 +45,12 @@ std::vector<T> fetch_values(simmpi::Comm& comm,
   for (int s = 0; s < P; ++s) {
     answers[static_cast<std::size_t>(s)].reserve(
         incoming[static_cast<std::size_t>(s)].size());
-    for (const auto v : incoming[static_cast<std::size_t>(s)]) {
+    for (const auto& q : incoming[static_cast<std::size_t>(s)]) {
+      const graph::VertexId v = vertex_of(q);
       if (part.owner(v) != comm.rank()) {
         throw std::logic_error("fetch_values: query routed to wrong owner");
       }
-      answers[static_cast<std::size_t>(s)].push_back(
-          local_values.at(part.local(v)));
+      answers[static_cast<std::size_t>(s)].push_back(answer(q, part.local(v)));
     }
   }
 
@@ -63,6 +65,24 @@ std::vector<T> fetch_values(simmpi::Comm& comm,
     result[i] = replies[r].at(cursor[r]++);
   }
   return result;
+}
+
+}  // namespace detail
+
+/// For each global vertex id in `queries` (any owner, duplicates fine),
+/// return the owner's `local_values[local(id)]`, in query order.
+/// `local_values` must hold this rank's owned values.  SPMD: every rank
+/// must call this, even with empty queries.
+template <typename T>
+std::vector<T> fetch_values(simmpi::Comm& comm,
+                            const graph::BlockPartition& part,
+                            const std::vector<graph::VertexId>& queries,
+                            const std::vector<T>& local_values) {
+  return detail::owner_lookup<T>(
+      comm, part, queries, [](graph::VertexId v) { return v; },
+      [&](graph::VertexId, graph::LocalId local) {
+        return local_values.at(local);
+      });
 }
 
 /// One entry of a multi-slot batched fetch: "value of `vertex` in value
@@ -90,46 +110,19 @@ std::vector<T> fetch_values_batched(
     simmpi::Comm& comm, const graph::BlockPartition& part,
     const std::vector<SlotQuery>& queries,
     const std::vector<const std::vector<T>*>& slots) {
-  const int P = comm.size();
-  std::vector<std::vector<SlotQuery>> ask(static_cast<std::size_t>(P));
-  std::vector<int> query_rank(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (queries[i].slot >= slots.size()) {
+  for (const auto& q : queries) {
+    if (q.slot >= slots.size()) {
       throw std::out_of_range("fetch_values_batched: slot out of range");
     }
-    const int owner = part.owner(queries[i].vertex);
-    query_rank[i] = owner;
-    ask[static_cast<std::size_t>(owner)].push_back(queries[i]);
   }
-
-  const auto incoming = comm.alltoallv_by_src(ask);
-
-  std::vector<std::vector<T>> answers(static_cast<std::size_t>(P));
-  for (int s = 0; s < P; ++s) {
-    answers[static_cast<std::size_t>(s)].reserve(
-        incoming[static_cast<std::size_t>(s)].size());
-    for (const auto q : incoming[static_cast<std::size_t>(s)]) {
-      if (part.owner(q.vertex) != comm.rank()) {
-        throw std::logic_error(
-            "fetch_values_batched: query routed to wrong owner");
-      }
-      if (q.slot >= slots.size() || slots[q.slot] == nullptr) {
-        throw std::logic_error("fetch_values_batched: bad slot on owner");
-      }
-      answers[static_cast<std::size_t>(s)].push_back(
-          slots[q.slot]->at(part.local(q.vertex)));
-    }
-  }
-
-  const auto replies = comm.alltoallv_by_src(answers);
-
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(P), 0);
-  std::vector<T> result(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto r = static_cast<std::size_t>(query_rank[i]);
-    result[i] = replies[r].at(cursor[r]++);
-  }
-  return result;
+  return detail::owner_lookup<T>(
+      comm, part, queries, [](const SlotQuery& q) { return q.vertex; },
+      [&](const SlotQuery& q, graph::LocalId local) {
+        if (q.slot >= slots.size() || slots[q.slot] == nullptr) {
+          throw std::logic_error("fetch_values_batched: bad slot on owner");
+        }
+        return slots[q.slot]->at(local);
+      });
 }
 
 }  // namespace g500::core

@@ -240,9 +240,12 @@ BenchmarkReport run_benchmark_resilient(
           if (todo[i] != 0) continue;  // finished by an earlier attempt
           SsspStats local;
           util::Timer timer;
-          const SsspResult result = delta_stepping_checkpointed(
-              comm, g, sampled[i], options.config,
-              &snapshots[static_cast<std::size_t>(comm.rank())], &local);
+          RunControl control;
+          control.checkpoint =
+              &snapshots[static_cast<std::size_t>(comm.rank())];
+          control.checkpoint_interval = options.checkpoint_interval;
+          const SsspResult result = delta_stepping(
+              comm, g, sampled[i], options.config, &local, control);
           comm.barrier();
           const double local_seconds = timer.seconds();
 

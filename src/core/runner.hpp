@@ -37,6 +37,10 @@ struct RunnerOptions {
   /// Resilient protocol only (run_benchmark_resilient): total attempts a
   /// root gets before it degrades into an invalid report entry (min 1).
   int max_attempts = 3;
+  /// Resilient protocol only: bucket epochs between the per-rank snapshots
+  /// a retried root resumes from (RunControl::checkpoint_interval;
+  /// 0 = every retry restarts the root from scratch).
+  std::uint64_t checkpoint_interval = 0;
   /// Virtual delay charged per retry, mirroring a real machine's restart
   /// latency.  Recorded in BenchmarkReport::backoff_seconds, not slept.
   /// This is the BASE of a seeded exponential-backoff-with-jitter schedule
@@ -124,7 +128,7 @@ struct BenchmarkReport {
 /// so it can restart the world after a rank crash.  `build_graph` must be
 /// deterministic — it is re-invoked on every attempt to rebuild each
 /// rank's graph piece.  Roots run with checkpointing
-/// (config.checkpoint_interval); when an attempt dies, the next one
+/// (options.checkpoint_interval); when an attempt dies, the next one
 /// resumes the interrupted root from the per-rank snapshots ("stable
 /// storage" held by this driver) and the finished roots are not re-run.  A
 /// root that still fails after max_attempts degrades into an invalid

@@ -14,9 +14,10 @@
 
 namespace g500::core {
 
-/// Tuning knobs of the delta-stepping engine.  Defaults reproduce the
-/// fully-optimized configuration; the ablation benchmarks switch features
-/// off one at a time.
+/// Tuning knobs of the delta-stepping engine, fixed across a caller's runs.
+/// Defaults reproduce the fully-optimized configuration; the ablation
+/// benchmarks switch features off one at a time.  What a caller sets per
+/// run (warm start, pruning, deadline, checkpoint) is core::RunControl.
 struct SsspConfig {
   /// Bucket width.  <= 0 selects automatically: ~1/average-degree, the
   /// standard choice for uniform [0,1) weights (Meyer & Sanders).
@@ -51,13 +52,6 @@ struct SsspConfig {
   /// wide format automatically on larger graphs.
   bool compress = true;
 
-  /// Async engine only (async_delta_stepping): records buffered per
-  /// destination before the aggregator's capacity flush ships them.
-  std::size_t aggregator_capacity = 512;
-  /// Async engine only: poll cycles a non-empty aggregation buffer may age
-  /// before a timeout flush ships it regardless of fill level.
-  std::uint64_t aggregator_max_age = 4;
-
   /// Route relaxation exchanges through the two-level supernode-aggregated
   /// alltoallv with groups of this many consecutive ranks (<= 1 = flat).
   /// Cuts per-round message count from O(P^2) to O(P*G + P^2/G^2) at the
@@ -65,42 +59,8 @@ struct SsspConfig {
   /// topology-aware trade record runs make.
   int hierarchical_group = 0;
 
-  /// Goal-directed (ALT) pruning.  When `prune_lb` is non-null it points
-  /// at this rank's owned slice (indexed by local id) of an admissible
-  /// lower bound on the remaining distance to a query target:
-  /// prune_lb[local(v)] <= d(v, target).  The engine then drops work that
-  /// provably cannot improve the target's distance against `prune_budget`,
-  /// the best known upper bound on the answer: a vertex v is not expanded
-  /// when dist(v) + lb(v) > budget, and an incoming candidate is not
-  /// applied when cand + lb(v) > budget.  Every rank must pass slices of
-  /// the same global bound vector and an identical budget, and the slice
-  /// must outlive the call.  The resulting distance vector is exact at the
-  /// target (and at every vertex within budget) but stale beyond it — do
-  /// not reuse a pruned wave's slice for other targets.
-  const std::vector<graph::Weight>* prune_lb = nullptr;
-  /// Upper bound on the target's distance for the pruning test above
-  /// (infinity = no candidate is ever dropped even when prune_lb is set).
-  graph::Weight prune_budget = graph::kInfDistance;
-
   /// Safety valve: abort after this many global buckets (0 = unlimited).
   std::uint64_t max_buckets = 0;
-
-  /// Deadline budget: stop *gracefully* after this many global bucket
-  /// epochs (0 = unlimited).  Unlike max_buckets this is not an error —
-  /// the engine breaks out of the bucket loop at the allreduce-agreed
-  /// epoch (so every rank stops at the same point), records the settled
-  /// frontier in SsspStats::settled_bound, and returns the partial
-  /// distance vector.  Every vertex with dist < settled_bound holds its
-  /// exact distance; everything beyond is a (possibly infinite) upper
-  /// bound.  The serving layer uses this to honour per-query deadlines.
-  std::uint64_t deadline_buckets = 0;
-
-  /// Snapshot the engine state every N completed bucket epochs so a crashed
-  /// run can restart from the last checkpoint instead of from scratch
-  /// (0 = checkpointing off).  Only honoured by the checkpointed entry
-  /// point (delta_stepping_checkpointed); the snapshot cost is recorded in
-  /// SsspStats::checkpoint_seconds.
-  std::uint64_t checkpoint_interval = 0;
 
   /// Record a per-bucket execution log in SsspStats::bucket_trace
   /// (bucket index, rounds, frontier mass, wall time) — the time-series
@@ -165,7 +125,7 @@ struct SsspStats {
 
   std::uint64_t checkpoints = 0;       ///< snapshots taken this run
   std::uint64_t restores = 0;          ///< runs resumed from a snapshot
-  std::uint64_t deadline_stops = 0;    ///< runs truncated by deadline_buckets
+  std::uint64_t deadline_stops = 0;    ///< runs truncated by a deadline
 
   /// When the run stopped at its deadline budget, the bucket boundary
   /// k * delta at which it broke: distances strictly below this value are

@@ -139,13 +139,9 @@ void incremental_sssp_repair(simmpi::Comm& comm, const graph::DistGraph& g,
   // 4. Run the existing engine from the warm labels to quiescence.
   warm.dist = labels.dist;
   warm.parent = labels.parent;
-  core::SsspConfig cfg = config;
-  cfg.prune_lb = nullptr;
-  cfg.deadline_buckets = 0;
-  cfg.checkpoint_interval = 0;
-  core::SsspResult repaired =
-      core::delta_stepping_repair(comm, g, root, warm, cfg, &rs.sssp);
-  labels = std::move(repaired);
+  core::RunControl control;
+  control.warm = &warm;
+  labels = core::delta_stepping(comm, g, root, config, &rs.sssp, control);
 }
 
 }  // namespace g500::dyn

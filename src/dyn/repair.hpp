@@ -17,7 +17,8 @@
 //      attainable).
 //   3. Seeding — endpoints of inserted/decreased edges plus every
 //      finite-distance neighbor of an invalidated vertex.
-//   4. One core::delta_stepping_repair run from those seeds to quiescence.
+//   4. One warm-started core::delta_stepping run (RunControl::warm) from
+//      those seeds to quiescence.
 //
 // Call with the POST-commit graph view and the PRE-commit labels; labels
 // are updated in place.  Crash recovery is wholesale: a failed repair is
@@ -40,8 +41,8 @@ struct RepairStats {
 
 /// Repair `labels` (this rank's owned slice of an SSSP fixed point for
 /// `root` on the pre-commit graph) to the post-commit fixed point over
-/// `g` (the post-commit view).  SPMD collective.  `config` must not carry
-/// pruning/deadline/checkpoint features; they are cleared defensively.
+/// `g` (the post-commit view).  SPMD collective.  `config` holds the
+/// engine's tuning switches; the repair run takes no other control.
 void incremental_sssp_repair(simmpi::Comm& comm, const graph::DistGraph& g,
                              graph::VertexId root,
                              const CommitSummary& commit,

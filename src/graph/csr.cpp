@@ -360,16 +360,21 @@ PullIndex PullIndex::splice(std::span<const EdgeChange> changes) const {
       group.push_back(
           {by_group[i].src, by_group[i].weight, by_group[i].removed});
     }
-    std::size_t at = g;
-    const Range old = seek(s, at);  // at: where s is, or would be
+    // at: where s is, or would be.
+    const std::size_t at = static_cast<std::size_t>(
+        std::lower_bound(sources_.begin() + static_cast<std::ptrdiff_t>(g),
+                         sources_.end(), s) -
+        sources_.begin());
+    const bool present = at < sources_.size() && sources_[at] == s;
     copy_groups(g, at);
-    splice_group<LocalId>(dst_, w_, old.first, old.last, group, upserts,
+    splice_group<LocalId>(dst_, w_, present ? offsets_[at] : 0,
+                          present ? offsets_[at + 1] : 0, group, upserts,
                           next.dst_store_, next.w_store_);
     if (next.dst_store_.size() != next.offsets_store_.back()) {
       next.sources_store_.push_back(s);
       next.offsets_store_.push_back(next.dst_store_.size());
     }
-    g = at < sources_.size() && sources_[at] == s ? at + 1 : at;
+    g = present ? at + 1 : at;
   }
   copy_groups(g, sources_.size());
   next.bind_owned();
@@ -430,39 +435,6 @@ std::uint64_t PullIndex::resident_bytes() const noexcept {
          offsets_store_.capacity() * sizeof(std::uint64_t) +
          dst_store_.capacity() * sizeof(LocalId) +
          w_store_.capacity() * sizeof(Weight);
-}
-
-PullIndex::Range PullIndex::find(VertexId s, std::size_t* index) const {
-  std::size_t i = 0;
-  const Range r = seek(s, i);
-  if (index != nullptr && i < sources_.size() && sources_[i] == s) *index = i;
-  return r;
-}
-
-PullIndex::Range PullIndex::seek(VertexId s, std::size_t& cursor) const {
-  // Every source before lo is < s; double the step until the source just
-  // below lo + step is >= s or the end is near.
-  const std::size_t n = sources_.size();
-  std::size_t lo = cursor;
-  std::size_t step = 1;
-  while (lo + step <= n && sources_[lo + step - 1] < s) {
-    lo += step;
-    step *= 2;
-  }
-  const auto first = sources_.begin() + static_cast<std::ptrdiff_t>(lo);
-  const auto last =
-      sources_.begin() + static_cast<std::ptrdiff_t>(std::min(n, lo + step));
-  cursor = static_cast<std::size_t>(std::lower_bound(first, last, s) -
-                                    sources_.begin());
-  if (cursor == n || sources_[cursor] != s) return Range{};
-  return Range{offsets_[cursor], offsets_[cursor + 1]};
-}
-
-std::uint64_t PullIndex::split_at(Range r, Weight delta) const {
-  const auto first = w_.begin() + static_cast<std::ptrdiff_t>(r.first);
-  const auto last = w_.begin() + static_cast<std::ptrdiff_t>(r.last);
-  return static_cast<std::uint64_t>(std::lower_bound(first, last, delta) -
-                                    w_.begin());
 }
 
 }  // namespace g500::graph

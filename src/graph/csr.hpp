@@ -194,34 +194,6 @@ class PullIndex {
     return dst_.size();
   }
 
-  /// Locate the entry range of global source s; returns {0, 0} if s has no
-  /// edges into this rank.  If `index` is non-null and s is present, the
-  /// position of s within sources() is stored there (for split caching).
-  struct Range {
-    std::uint64_t first = 0;
-    std::uint64_t last = 0;
-    [[nodiscard]] bool empty() const noexcept { return first == last; }
-  };
-  [[nodiscard]] Range find(VertexId s, std::size_t* index = nullptr) const;
-
-  /// find for a sweep over ascending ids: search sources() forward from
-  /// `cursor` (galloping, then binary search) and leave `cursor` at the
-  /// first source >= s, which is s's position within sources() when s is
-  /// present.  Every source before `cursor` must be < s; start a sweep at
-  /// 0.  A query costs O(log gap) in the distance the cursor moves.
-  [[nodiscard]] Range seek(VertexId s, std::size_t& cursor) const;
-
-  /// Entry range of the i-th source group (i < num_sources()).
-  [[nodiscard]] Range range(std::size_t i) const {
-    return Range{offsets_[i], offsets_[i + 1]};
-  }
-
-  [[nodiscard]] LocalId dst(std::uint64_t e) const { return dst_[e]; }
-  [[nodiscard]] Weight weight(std::uint64_t e) const { return w_[e]; }
-
-  /// First entry in [r.first, r.last) with weight >= delta.
-  [[nodiscard]] std::uint64_t split_at(Range r, Weight delta) const;
-
   [[nodiscard]] std::span<const VertexId> sources() const noexcept {
     return sources_;
   }

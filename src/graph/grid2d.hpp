@@ -50,8 +50,9 @@ class ProcessGrid {
 
 /// Edge block keyed by *source* global id: distinct sources sorted, each
 /// group's (destination, weight) pairs weight-ascending so the light/heavy
-/// split for any delta is one binary search.  Like PullIndex, but
-/// destinations stay global — they belong to other ranks' blocks.
+/// split for any delta is one binary search.  The same grouping as
+/// PullIndex's arrays, but destinations stay global — they belong to other
+/// ranks' blocks — and the 2-D engine looks groups up by source.
 class SourceBlock {
  public:
   SourceBlock() = default;
@@ -73,7 +74,7 @@ class SourceBlock {
   };
   /// Entry range of `source` ({0, 0} if it has no edges here).  If `index`
   /// is non-null and the source is present, its position among the sources
-  /// is stored there (for split caching), as PullIndex::find does.
+  /// is stored there (for split caching).
   [[nodiscard]] Range find(VertexId source,
                            std::size_t* index = nullptr) const;
   [[nodiscard]] Range range(std::size_t i) const {

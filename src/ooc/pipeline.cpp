@@ -426,11 +426,9 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
         sorter.bytes += out.bytes();
         edges.clear();
         edges.shrink_to_fit();
-        budget.release(run_bytes);
       } catch (...) {
         sorter.error = std::current_exception();
         sorter.failed.store(true);
-        budget.release(run_bytes);
       }
     }
   });
@@ -463,9 +461,12 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   const std::uint64_t rounds = comm.allreduce_max(
       (slice_end - slice_begin + chunk - 1) / chunk);
 
+  // The three run buffers a depth-1 queue allows (staging, queued,
+  // sorting) are charged once for the whole bin stage, so the peak does not
+  // depend on whether the sorter has finished the previous run.
   std::vector<std::string> run_paths;
   std::vector<RunEdge> staging;
-  budget.acquire(run_bytes);
+  budget.acquire(3 * run_bytes);
   staging.reserve(run_capacity);
   const auto spill = [&] {
     if (staging.empty()) return;
@@ -473,7 +474,6 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
                                              run_paths.size())};
     run_paths.push_back(job.path);
     staging = {};
-    budget.acquire(run_bytes);
     staging.reserve(run_capacity);
     jobs.push(std::move(job));
   };
@@ -523,7 +523,7 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   spill();
   jobs.close();
   sort_thread.join();
-  budget.release(run_bytes);  // the final (empty) staging reservation
+  budget.release(3 * run_bytes);
   staging = {};
   if (sorter.failed.load()) std::rethrow_exception(sorter.error);
   bin.seconds = bin_timer.seconds();

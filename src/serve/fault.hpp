@@ -84,8 +84,8 @@ struct FaultToleranceConfig {
   /// resume keys, ledger bookkeeping.  Off = PR-4 behaviour.
   bool enabled = false;
 
-  /// Bucket epochs between wave snapshots (passed to the engine as
-  /// SsspConfig::checkpoint_interval when `enabled`).
+  /// Bucket epochs between wave snapshots (each wave's
+  /// core::RunControl::checkpoint_interval; read when `enabled`).
   std::uint64_t checkpoint_interval = 4;
 
   /// World launches a single wave key may consume before the driver
@@ -106,7 +106,7 @@ struct FaultToleranceConfig {
   std::uint64_t breaker_cooldown_ticks = 16;
 
   /// Deadline propagation into the engine: a dispatched wave's
-  /// SsspConfig::deadline_buckets = (ticks until the batch's tightest
+  /// core::RunControl::deadline_buckets = (ticks until the batch's tightest
   /// deadline) * this factor (0 = deadlines never truncate waves).
   std::uint64_t deadline_buckets_per_tick = 0;
 

@@ -43,11 +43,6 @@ LandmarkOracle::LandmarkOracle(simmpi::Comm& comm, const graph::DistGraph& g,
     throw std::invalid_argument(
         "LandmarkOracle: prune_slack must be in [0, 1)");
   }
-  // Precompute waves must never themselves be pruned or truncated.
-  sssp_.prune_lb = nullptr;
-  sssp_.prune_budget = graph::kInfDistance;
-  sssp_.deadline_buckets = 0;
-
   if (store != nullptr && store->valid()) {
     // Adoption must be all-or-nothing across ranks: slices feed
     // collective row fetches, and a rank recomputing while another

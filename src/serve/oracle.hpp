@@ -102,7 +102,7 @@ class LandmarkOracle {
   /// row `at_t`: entry local(v) = max_k |d(L_k, v) - at_t[k]|, scaled by
   /// (1 - prune_slack); infinite when some landmark proves v and the
   /// target live in different components.  Feed to
-  /// core::SsspConfig::prune_lb.
+  /// core::RunControl::prune_lb.
   [[nodiscard]] std::vector<graph::Weight> lb_slice(
       const std::vector<graph::Weight>& at_t) const;
 

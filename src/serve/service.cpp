@@ -61,13 +61,6 @@ DistanceService::DistanceService(simmpi::Comm& comm,
       throw std::out_of_range("DistanceService: facility out of range");
     }
   }
-  // Pruning, deadline truncation and checkpointing are owned by the
-  // service (per-batch decisions); caller-supplied values would dangle or
-  // desync the waves.
-  config_.sssp.prune_lb = nullptr;
-  config_.sssp.prune_budget = graph::kInfDistance;
-  config_.sssp.deadline_buckets = 0;
-  config_.sssp.checkpoint_interval = 0;
   graph_version_ = config_.graph_version;
   // The oracle's persistence digest pins the graph version: slices saved
   // before a streaming mutation can never be adopted after one.
@@ -203,7 +196,7 @@ void DistanceService::note_wave(const core::SsspStats& stats) {
 }
 
 Slice DistanceService::dispatch_wave(graph::VertexId key,
-                                     const core::SsspConfig& cfg,
+                                     core::RunControl control,
                                      bool cacheable, double* settled_bound) {
   *settled_bound = std::numeric_limits<double>::infinity();
   FaultLedger* ledger = fault_ != nullptr ? fault_->ledger : nullptr;
@@ -218,19 +211,14 @@ Slice DistanceService::dispatch_wave(graph::VertexId key,
   core::SsspResult result;
   core::SsspStats stats;
   if (key == facility_key()) {
-    result = core::delta_stepping_multi(comm_, g_, config_.facilities, cfg,
-                                        &stats);
-  } else if (core::CheckpointState* ckpt = snapshot_for(key);
-             ckpt != nullptr && cfg.prune_lb == nullptr) {
-    // Pruned waves never checkpoint: a snapshot's digest pins only the
-    // root/delta/shape, so a resume could mix full-wave and pruned-wave
-    // state and break bit-identity.
-    core::SsspConfig ck = cfg;
-    ck.checkpoint_interval = config_.fault.checkpoint_interval;
-    result = core::delta_stepping_checkpointed(comm_, g_, key, ck, ckpt,
-                                               &stats);
+    result = core::delta_stepping_multi(comm_, g_, config_.facilities,
+                                        config_.sssp, &stats, control);
   } else {
-    result = core::delta_stepping(comm_, g_, key, cfg, &stats);
+    // The engine refuses a pruned run a snapshot slot, so only full
+    // single-source waves checkpoint (and resume).
+    if (control.prune_lb == nullptr) control.checkpoint = snapshot_for(key);
+    result = core::delta_stepping(comm_, g_, key, config_.sssp, &stats,
+                                  control);
   }
   metrics_.wave_seconds += timer.seconds();
   ++metrics_.waves;
@@ -467,7 +455,8 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
   // tick: the engine stops cleanly after that many bucket epochs and
   // reports the settled bound (sweep above guarantees deadline_tick > now
   // for everything still queued, so `left` is always >= 1).
-  core::SsspConfig wave_cfg = config_.sssp;
+  core::RunControl wave_control;
+  wave_control.checkpoint_interval = config_.fault.checkpoint_interval;
   if (config_.fault.deadline_buckets_per_tick != 0) {
     std::uint64_t tightest = 0;
     for (const auto& q : batch) {
@@ -477,7 +466,7 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
       }
     }
     if (tightest != 0) {
-      wave_cfg.deadline_buckets =
+      wave_control.deadline_buckets =
           (tightest - now) * config_.fault.deadline_buckets_per_tick;
     }
   }
@@ -526,14 +515,16 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
           budget = std::max(budget, oracle_->budget(verdict[qi].ub));
         }
         metrics_.oracle_seconds += oracle_timer.seconds();
-        core::SsspConfig cfg = wave_cfg;
-        cfg.prune_lb = &lb;
-        cfg.prune_budget = budget;
-        slice = dispatch_wave(key, cfg, /*cacheable=*/false, &bound[gi]);
+        core::RunControl pruned_control = wave_control;
+        pruned_control.prune_lb = &lb;
+        pruned_control.prune_budget = budget;
+        slice = dispatch_wave(key, pruned_control, /*cacheable=*/false,
+                              &bound[gi]);
         ++metrics_.pruned_waves;
         group_pruned = true;
       } else {
-        slice = dispatch_wave(key, wave_cfg, /*cacheable=*/true, &bound[gi]);
+        slice = dispatch_wave(key, wave_control, /*cacheable=*/true,
+                              &bound[gi]);
       }
       wave_dispatched = true;
       if (probing) {

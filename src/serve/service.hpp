@@ -86,8 +86,8 @@ struct ServeConfig {
   std::size_t cache_budget_bytes = std::size_t{1} << 20;  ///< per rank
   std::vector<graph::VertexId> facilities;  ///< nearest-query source set
   core::SsspConfig sssp;           ///< engine knobs for dispatched waves
-                                   ///< (pruning/deadline/checkpoint fields
-                                   ///< are service-managed)
+                                   ///< (each wave's core::RunControl is
+                                   ///< the service's own)
   OracleConfig oracle;             ///< num_landmarks > 0 enables the oracle
   AdaptiveConfig adaptive;         ///< enabled = true activates the controller
   /// Bound on shed_log() entries; once full, further shed queries are
@@ -499,15 +499,15 @@ class DistanceService {
     return graph::kNoVertex;
   }
 
-  /// Run one wave for `key` under `cfg` (collective): the facility
-  /// multi-source wave for the reserved key, otherwise a (possibly
-  /// checkpointed, possibly resumed) single-source wave.  Handles ledger
-  /// bookkeeping and wave metrics.  The complete slice is cached when
-  /// `cacheable`; a deadline-truncated one never is, and
-  /// `*settled_bound` reports the exactness boundary (infinity when the
-  /// wave ran to completion).
+  /// Run one wave for `key` under `control` (collective): the facility
+  /// multi-source wave for the reserved key, otherwise a single-source
+  /// wave, which also gets the snapshot slot (checkpointed, possibly
+  /// resumed) unless it is pruned.  Handles ledger bookkeeping and wave
+  /// metrics.  The complete slice is cached when `cacheable`; a
+  /// deadline-truncated one never is, and `*settled_bound` reports the
+  /// exactness boundary (infinity when the wave ran to completion).
   [[nodiscard]] Slice dispatch_wave(graph::VertexId key,
-                                    const core::SsspConfig& cfg,
+                                    core::RunControl control,
                                     bool cacheable, double* settled_bound);
 
   /// Accumulate one wave's engine counters into the metrics.

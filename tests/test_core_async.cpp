@@ -82,14 +82,11 @@ TEST(AsyncDeltaStepping, MatchesSyncAcrossConfigVariants) {
   hub_off.hub_cache = false;
   core::SsspConfig fusion_off;
   fusion_off.local_fusion = false;
-  core::SsspConfig eager;  // degenerate flush policy: every send ships
-  eager.aggregator_capacity = 1;
-  eager.aggregator_max_age = 1;
   core::SsspConfig wide_delta;
   wide_delta.delta = 2.0;
 
   for (const auto& config : {core::SsspConfig{}, coalesce_off, compress_off,
-                             hub_off, fusion_off, eager, wide_delta}) {
+                             hub_off, fusion_off, wide_delta}) {
     expect_bit_identical(list, 4, {1}, config);
   }
 }
@@ -108,23 +105,6 @@ TEST(AsyncDeltaStepping, MultiSourceMatchesSync) {
     EXPECT_EQ(std::memcmp(sync.dist.data(), async.dist.data(),
                           sync.dist.size() * sizeof(graph::Weight)),
               0);
-  });
-}
-
-TEST(AsyncDeltaStepping, RejectsGoalDirectedPruning) {
-  // Pruning needs a monotone execution order; chaotic relaxation has none.
-  const auto list = graph::path_graph(16);
-  simmpi::World world(2);
-  world.run([&](simmpi::Comm& comm) {
-    const graph::DistGraph g = graph::build_distributed(
-        comm, graph::slice_for_rank(list, comm.rank(), comm.size()),
-        list.num_vertices);
-    const std::vector<graph::Weight> lb(
-        static_cast<std::size_t>(g.local_count()), 0.0f);
-    core::SsspConfig config;
-    config.prune_lb = &lb;
-    EXPECT_THROW((void)core::async_delta_stepping(comm, g, 0, config),
-                 std::invalid_argument);
   });
 }
 

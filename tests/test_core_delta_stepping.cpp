@@ -208,12 +208,12 @@ TEST(DeltaStepping, UnreachedEdgeGuardPushesUntilTheGraphIsReached) {
         dense.num_vertices);
     core::SsspConfig c;
     c.pull_threshold = 0.0;
-    c.deadline_buckets = 1;
+    core::RunControl first_bucket;
+    first_bucket.deadline_buckets = 1;
     core::SsspStats first;
-    (void)core::delta_stepping(comm, g, 0, c, &first);
+    (void)core::delta_stepping(comm, g, 0, c, &first, first_bucket);
     EXPECT_EQ(first.buckets_processed, 1u);
     EXPECT_EQ(first.pull_rounds, 0u);
-    c.deadline_buckets = 0;
     core::SsspStats whole;
     const auto mine = core::delta_stepping(comm, g, 0, c, &whole);
     EXPECT_GT(whole.pull_rounds, 0u);
@@ -614,17 +614,15 @@ TEST(DeltaStepping, PullsWithoutAPullIndex) {
   });
 }
 
-/// Solve from `root` twice, with every round that has edges to relax
-/// pulled and with pulling off, fresh or (given `warm`) as a repair.
+/// Solve from `root` twice under `control` (fresh, pruned or a repair),
+/// with every round that has edges to relax pulled and with pulling off.
 /// Distances must be equal, and so must parents wherever a single
 /// neighbour attains the vertex's distance.
 void expect_forced_pull_matches_push(simmpi::Comm& comm, const DistGraph& g,
                                      VertexId root, core::SsspConfig config,
-                                     const core::WarmStart* warm = nullptr) {
+                                     const core::RunControl& control = {}) {
   const auto solve = [&](core::SsspStats* stats) {
-    return warm != nullptr ? core::delta_stepping_repair(comm, g, root, *warm,
-                                                         config, stats)
-                           : core::delta_stepping(comm, g, root, config, stats);
+    return core::delta_stepping(comm, g, root, config, stats, control);
   };
   config.direction_opt = true;
   config.pull_threshold = 0.0;
@@ -713,15 +711,15 @@ TEST(DeltaStepping, ForcedPullMatchesPushUnderPruning) {
     const DistGraph g = build_kronecker(comm, params);
     const auto full = core::delta_stepping(comm, g, 1);
     const std::vector<Weight> lb(g.csr.num_local(), 0.0f);
-    core::SsspConfig config;
-    config.prune_lb = &lb;
-    config.prune_budget = median_reached_distance(comm, g, full);
+    core::RunControl control;
+    control.prune_lb = &lb;
+    control.prune_budget = median_reached_distance(comm, g, full);
     core::SsspStats stats;
-    const auto pruned = core::delta_stepping(comm, g, 1, config, &stats);
+    const auto pruned = core::delta_stepping(comm, g, 1, {}, &stats, control);
     EXPECT_GT(comm.allreduce_sum(stats.pruned_expand + stats.pruned_apply),
               0u);
     EXPECT_NE(pruned.dist, full.dist);
-    expect_forced_pull_matches_push(comm, g, 1, config);
+    expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig{}, control);
   });
 }
 
@@ -747,11 +745,13 @@ TEST(DeltaStepping, ForcedPullMatchesPushThroughRepair) {
         warm.seeds.push_back(v);
       }
     }
-    expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig{}, &warm);
+    core::RunControl repair;
+    repair.warm = &warm;
+    expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig{}, repair);
     core::SsspConfig pull;
     pull.pull_threshold = 0.0;
     pull.pull_bias = 0.0;
-    EXPECT_EQ(core::delta_stepping_repair(comm, g, 1, warm, pull).dist,
+    EXPECT_EQ(core::delta_stepping(comm, g, 1, pull, nullptr, repair).dist,
               full.dist);
   });
 }
@@ -812,12 +812,14 @@ TEST(DeltaStepping, PullScansOnlyEdgesThatCanWin) {
         c.delta = 0.3;
         c.pull_threshold = 0.0;
         c.pull_bias = 0.0;
+        core::RunControl control;
         if (prune) {
-          c.prune_lb = &lb;
-          c.prune_budget = 0.6f;
+          control.prune_lb = &lb;
+          control.prune_budget = 0.6f;
         }
         core::SsspStats stats;
-        const auto mine = core::delta_stepping(comm, g, 0, c, &stats);
+        const auto mine =
+            core::delta_stepping(comm, g, 0, c, &stats, control);
         EXPECT_EQ(stats.pull_rounds, prune ? 5u : 7u);
         EXPECT_EQ(stats.push_rounds, 0u);
         EXPECT_EQ(comm.allreduce_sum(stats.relax_generated), prune ? 4u : 8u);

@@ -25,16 +25,20 @@ KroneckerParams small_graph() {
   return params;
 }
 
-core::SsspConfig checkpointed_config(std::uint64_t interval) {
-  core::SsspConfig config;
-  config.checkpoint_interval = interval;
-  return config;
+/// A run that snapshots into `slot` every `interval` bucket epochs and
+/// resumes from a usable snapshot found there.
+core::RunControl checkpointed(core::CheckpointState* slot,
+                              std::uint64_t interval) {
+  core::RunControl control;
+  control.checkpoint = slot;
+  control.checkpoint_interval = interval;
+  return control;
 }
 
 /// Auto-delta drains this small graph in a couple of buckets; narrow the
 /// buckets so the sweep spans many checkpoint epochs worth crashing into.
-core::SsspConfig long_sweep_config(std::uint64_t interval) {
-  auto config = checkpointed_config(interval);
+core::SsspConfig long_sweep_config() {
+  core::SsspConfig config;
   config.delta = 0.01;
   return config;
 }
@@ -91,10 +95,10 @@ TEST(Checkpoint, CheckpointedRunMatchesPlainBitForBit) {
 
     core::CheckpointState ckpt;
     core::SsspStats stats;
-    const auto checkpointed = core::delta_stepping_checkpointed(
-        comm, g, root, checkpointed_config(1), &ckpt, &stats);
-    EXPECT_EQ(checkpointed.dist, plain.dist);
-    EXPECT_EQ(checkpointed.parent, plain.parent);
+    const auto resumable =
+        core::delta_stepping(comm, g, root, {}, &stats, checkpointed(&ckpt, 1));
+    EXPECT_EQ(resumable.dist, plain.dist);
+    EXPECT_EQ(resumable.parent, plain.parent);
     EXPECT_GT(stats.checkpoints, 0u);
     EXPECT_EQ(stats.restores, 0u);
     EXPECT_GE(stats.checkpoint_seconds, 0.0);
@@ -111,19 +115,19 @@ TEST(Checkpoint, RestoreRefusesSnapshotFromDifferentRun) {
     // Snapshot of one root's run, kept alive by killing the run via
     // max_buckets before it completes.
     core::CheckpointState ckpt;
-    auto config = long_sweep_config(1);
+    auto config = long_sweep_config();
     config.max_buckets = 2;
     core::SsspStats stats;
-    EXPECT_THROW((void)core::delta_stepping_checkpointed(
-                     comm, g, kConnectedRoot, config, &ckpt, &stats),
+    EXPECT_THROW((void)core::delta_stepping(comm, g, kConnectedRoot, config,
+                                            &stats, checkpointed(&ckpt, 1)),
                  std::runtime_error);
     ASSERT_TRUE(ckpt.valid);
 
     // A different root must ignore it and still be correct.
     core::SsspStats other_stats;
-    const auto result = core::delta_stepping_checkpointed(
-        comm, g, kOtherConnectedRoot, checkpointed_config(0), &ckpt,
-        &other_stats);
+    const auto result =
+        core::delta_stepping(comm, g, kOtherConnectedRoot, {}, &other_stats,
+                             checkpointed(&ckpt, 0));
     EXPECT_EQ(other_stats.restores, 0u);
     const auto verdict =
         core::validate_sssp(comm, g, kOtherConnectedRoot, result);
@@ -139,7 +143,7 @@ TEST(Checkpoint, EndToEndCrashRecoveryIsBitIdentical) {
   const VertexId root = kConnectedRoot;
   const int P = 4;
   const int victim = 2;
-  const auto config = long_sweep_config(2);
+  const auto config = long_sweep_config();
   const auto reference = clean_distances(params, root, P, config);
   ASSERT_FALSE(reference.empty());
 
@@ -155,7 +159,8 @@ TEST(Checkpoint, EndToEndCrashRecoveryIsBitIdentical) {
     probe.run([&](simmpi::Comm& comm) {
       const DistGraph g = build_kronecker(comm, params);
       core::CheckpointState ckpt;
-      (void)core::delta_stepping_checkpointed(comm, g, root, config, &ckpt);
+      (void)core::delta_stepping(comm, g, root, config, nullptr,
+                                 checkpointed(&ckpt, 2));
     });
     total_calls = probe.injector()->collective_calls(victim);
   }
@@ -176,9 +181,9 @@ TEST(Checkpoint, EndToEndCrashRecoveryIsBitIdentical) {
     world.run([&](simmpi::Comm& comm) {
       const DistGraph g = build_kronecker(comm, params);
       core::SsspStats stats;
-      const auto result = core::delta_stepping_checkpointed(
-          comm, g, root, config,
-          &snapshots[static_cast<std::size_t>(comm.rank())], &stats);
+      const auto result = core::delta_stepping(
+          comm, g, root, config, &stats,
+          checkpointed(&snapshots[static_cast<std::size_t>(comm.rank())], 2));
       const auto verdict = core::validate_sssp(comm, g, root, result);
       EXPECT_TRUE(verdict.ok);
       const auto whole = core::gather_result(comm, g, result);
@@ -208,7 +213,7 @@ TEST(ResilientRunner, RecoversFromMidBenchmarkCrash) {
   options.num_roots = 2;
   options.max_attempts = 3;
   options.retry_backoff_seconds = 0.5;
-  options.config.checkpoint_interval = 2;
+  options.checkpoint_interval = 2;
 
   const auto build = [&](simmpi::Comm& comm) {
     return build_kronecker(comm, params);
@@ -261,7 +266,7 @@ TEST(ResilientRunner, ExhaustedRootDegradesToInvalidEntry) {
   core::RunnerOptions options;
   options.num_roots = 2;
   options.max_attempts = 1;  // no second chances
-  options.config.checkpoint_interval = 2;
+  options.checkpoint_interval = 2;
 
   const auto build = [&](simmpi::Comm& comm) {
     return build_kronecker(comm, params);
@@ -346,17 +351,19 @@ TEST(Checkpoint, RestoreThrowsOnSnapshotBitRot) {
   world.run([&](simmpi::Comm& comm) {
     const DistGraph g = build_kronecker(comm, params);
     core::CheckpointState ckpt;
-    auto truncated = long_sweep_config(1);
+    auto truncated = long_sweep_config();
     truncated.max_buckets = 2;
-    EXPECT_THROW((void)core::delta_stepping_checkpointed(
-                     comm, g, kConnectedRoot, truncated, &ckpt),
+    EXPECT_THROW((void)core::delta_stepping(comm, g, kConnectedRoot, truncated,
+                                            nullptr, checkpointed(&ckpt, 1)),
                  std::runtime_error);
     ASSERT_TRUE(ckpt.valid);
     ASSERT_FALSE(ckpt.dist.empty());
     ckpt.dist[0] = -7.5f;  // rot one value; the checksum no longer matches
-    EXPECT_THROW((void)core::delta_stepping_checkpointed(
-                     comm, g, kConnectedRoot, long_sweep_config(1), &ckpt),
-                 core::CheckpointError);
+    EXPECT_THROW(
+        (void)core::delta_stepping(comm, g, kConnectedRoot,
+                                   long_sweep_config(), nullptr,
+                                   checkpointed(&ckpt, 1)),
+        core::CheckpointError);
   });
 }
 
@@ -364,7 +371,7 @@ TEST(Checkpoint, RestoreThrowsOnSnapshotBitRot) {
 // recovered sweep must still be bit-identical to an undisturbed one.
 TEST(Checkpoint, ResumeFromFirstEpochSnapshotIsBitIdentical) {
   const auto params = small_graph();
-  const auto config = long_sweep_config(1);
+  const auto config = long_sweep_config();
   const auto reference = clean_distances(params, kConnectedRoot, 2, config);
   ASSERT_FALSE(reference.empty());
   simmpi::World world(2);
@@ -373,15 +380,15 @@ TEST(Checkpoint, ResumeFromFirstEpochSnapshotIsBitIdentical) {
     core::CheckpointState ckpt;
     auto first = config;
     first.max_buckets = 1;  // die right after the first epoch's snapshot
-    EXPECT_THROW((void)core::delta_stepping_checkpointed(
-                     comm, g, kConnectedRoot, first, &ckpt),
+    EXPECT_THROW((void)core::delta_stepping(comm, g, kConnectedRoot, first,
+                                            nullptr, checkpointed(&ckpt, 1)),
                  std::runtime_error);
     ASSERT_TRUE(ckpt.valid);
     EXPECT_EQ(ckpt.buckets_done, 1u);
 
     core::SsspStats stats;
-    const auto result = core::delta_stepping_checkpointed(
-        comm, g, kConnectedRoot, config, &ckpt, &stats);
+    const auto result = core::delta_stepping(comm, g, kConnectedRoot, config,
+                                             &stats, checkpointed(&ckpt, 1));
     EXPECT_GE(stats.restores, 1u);
     const auto whole = core::gather_result(comm, g, result);
     if (comm.rank() == 0) {
@@ -394,7 +401,7 @@ TEST(Checkpoint, ResumeFromFirstEpochSnapshotIsBitIdentical) {
 // must not perturb the restored sweep.
 TEST(Checkpoint, RestoreUnderInjectedStallIsBitIdentical) {
   const auto params = small_graph();
-  const auto config = long_sweep_config(2);
+  const auto config = long_sweep_config();
   const auto reference = clean_distances(params, kConnectedRoot, 2, config);
   ASSERT_FALSE(reference.empty());
   simmpi::World world(2);
@@ -407,13 +414,13 @@ TEST(Checkpoint, RestoreUnderInjectedStallIsBitIdentical) {
     core::CheckpointState ckpt;
     auto truncated = config;
     truncated.max_buckets = 4;
-    EXPECT_THROW((void)core::delta_stepping_checkpointed(
-                     comm, g, kConnectedRoot, truncated, &ckpt),
+    EXPECT_THROW((void)core::delta_stepping(comm, g, kConnectedRoot, truncated,
+                                            nullptr, checkpointed(&ckpt, 2)),
                  std::runtime_error);
     ASSERT_TRUE(ckpt.valid);
     core::SsspStats stats;
-    const auto result = core::delta_stepping_checkpointed(
-        comm, g, kConnectedRoot, config, &ckpt, &stats);
+    const auto result = core::delta_stepping(comm, g, kConnectedRoot, config,
+                                             &stats, checkpointed(&ckpt, 2));
     EXPECT_GE(stats.restores, 1u);
     const auto whole = core::gather_result(comm, g, result);
     if (comm.rank() == 0) {
@@ -421,6 +428,71 @@ TEST(Checkpoint, RestoreUnderInjectedStallIsBitIdentical) {
     }
   });
   EXPECT_GT(world.aggregate_stats().stall_seconds, 0.0);
+}
+
+// The engine alone decides which per-run controls combine.  A pruned run's
+// labels are exact only within its budget, so it must not leave a snapshot
+// that a full run of the same root would resume from (the snapshot digest
+// pins the roots, delta and graph shape, not the pruning bound).  Warm
+// labels come from another run, so a warm start is neither pruned,
+// truncated nor checkpointed.
+TEST(Checkpoint, PrunedRunCannotCheckpoint) {
+  const auto params = small_graph();
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_kronecker(comm, params);
+    const std::vector<Weight> lb(g.csr.num_local(), 0.0f);
+    core::CheckpointState ckpt;
+    for (const std::uint64_t interval : {0, 1}) {
+      auto pruned = checkpointed(&ckpt, interval);
+      pruned.prune_lb = &lb;
+      pruned.prune_budget = 0.05f;
+      EXPECT_THROW((void)core::delta_stepping(comm, g, kConnectedRoot,
+                                              long_sweep_config(), nullptr,
+                                              pruned),
+                   std::invalid_argument);
+      EXPECT_FALSE(ckpt.valid);
+    }
+
+    const auto full = core::delta_stepping(comm, g, kConnectedRoot);
+    core::WarmStart warm;
+    warm.dist = full.dist;
+    warm.parent = full.parent;
+    core::RunControl warm_pruned;
+    warm_pruned.warm = &warm;
+    warm_pruned.prune_lb = &lb;
+    core::RunControl warm_deadline;
+    warm_deadline.warm = &warm;
+    warm_deadline.deadline_buckets = 1;
+    auto warm_checkpointed = checkpointed(&ckpt, 1);
+    warm_checkpointed.warm = &warm;
+    for (const auto& control : {warm_pruned, warm_deadline,
+                                warm_checkpointed}) {
+      EXPECT_THROW((void)core::delta_stepping(comm, g, kConnectedRoot, {},
+                                              nullptr, control),
+                   std::invalid_argument);
+    }
+
+    // Each control alone runs, and a deadline may checkpoint.
+    core::RunControl warm_only;
+    warm_only.warm = &warm;
+    EXPECT_EQ(
+        core::delta_stepping(comm, g, kConnectedRoot, {}, nullptr, warm_only)
+            .dist,
+        full.dist);
+    core::RunControl pruned_only;
+    pruned_only.prune_lb = &lb;
+    pruned_only.prune_budget = 0.05f;
+    (void)core::delta_stepping(comm, g, kConnectedRoot, {}, nullptr,
+                               pruned_only);
+    auto deadline_checkpointed = checkpointed(&ckpt, 1);
+    deadline_checkpointed.deadline_buckets = 2;
+    core::SsspStats stats;
+    (void)core::delta_stepping(comm, g, kConnectedRoot, long_sweep_config(),
+                               &stats, deadline_checkpointed);
+    EXPECT_EQ(stats.deadline_stops, 1u);
+    EXPECT_EQ(stats.checkpoints, 2u);
+  });
 }
 
 TEST(ResilientRunner, RejectsNonDeltaSteppingAlgorithms) {

@@ -230,11 +230,11 @@ TEST(GlobalStats, SumsTrafficAndAveragesRounds) {
     // without a real target.  The pruning counters are traffic-like.
     const std::vector<Weight> lb(static_cast<std::size_t>(g.local_count()),
                                  0.0f);
-    core::SsspConfig pruned;
+    core::RunControl pruned;
     pruned.prune_lb = &lb;
     pruned.prune_budget = 0.05f;
     core::SsspStats plocal;
-    (void)core::delta_stepping(comm, g, 1, pruned, &plocal);
+    (void)core::delta_stepping(comm, g, 1, {}, &plocal, pruned);
     const auto ptotal = core::global_stats(comm, plocal);
     EXPECT_EQ(ptotal.pruned_expand, comm.allreduce_sum(plocal.pruned_expand));
     EXPECT_EQ(ptotal.pruned_apply, comm.allreduce_sum(plocal.pruned_apply));

@@ -114,44 +114,26 @@ TEST(LocalCsr, TieWeightsOrderedByDestination) {
   EXPECT_EQ(csr.dst(2), 9u);
 }
 
+template <typename T>
+std::vector<T> to_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
 TEST(PullIndex, RegroupsBySource) {
   const LocalCsr csr = make_csr();
   const PullIndex pull = PullIndex::from_csr(csr);
   EXPECT_EQ(pull.num_entries(), csr.num_edges());
-  EXPECT_EQ(pull.num_sources(), 3u);  // neighbours 10, 11, 12
+  EXPECT_EQ(pull.num_sources(), 3u);
 
-  // Source 10 has in-edges to local 0 (w 0.5) and local 1 (w 0.3),
-  // weight-sorted.
-  const auto r = pull.find(10);
-  ASSERT_EQ(r.last - r.first, 2u);
-  EXPECT_EQ(pull.dst(r.first), 1u);
-  EXPECT_FLOAT_EQ(pull.weight(r.first), 0.3f);
-  EXPECT_EQ(pull.dst(r.first + 1), 0u);
-  EXPECT_FLOAT_EQ(pull.weight(r.first + 1), 0.5f);
-}
-
-TEST(PullIndex, FindMissingSourceIsEmpty) {
-  const PullIndex pull = PullIndex::from_csr(make_csr());
-  EXPECT_TRUE(pull.find(999).empty());
-  EXPECT_TRUE(pull.find(0).empty());  // 0 is a local vertex, not a neighbour
-}
-
-TEST(PullIndex, FindReportsIndexForSplitCache) {
-  const PullIndex pull = PullIndex::from_csr(make_csr());
-  std::size_t idx = 99;
-  const auto r = pull.find(11, &idx);
-  ASSERT_FALSE(r.empty());
-  EXPECT_EQ(pull.range(idx).first, r.first);
-  EXPECT_EQ(pull.range(idx).last, r.last);
-}
-
-TEST(PullIndex, SplitAtMatchesWeights) {
-  const PullIndex pull = PullIndex::from_csr(make_csr());
-  const auto r = pull.find(10);
-  // Weights in range: {0.3, 0.5}; delta 0.4 keeps one light entry.
-  EXPECT_EQ(pull.split_at(r, 0.4f) - r.first, 1u);
-  EXPECT_EQ(pull.split_at(r, 0.1f), r.first);
-  EXPECT_EQ(pull.split_at(r, 0.9f), r.last);
+  // Neighbours 10, 11 and 12 (local vertices are never sources).  Source
+  // 10 has in-edges to local 1 (w 0.3) and local 0 (w 0.5), weight-sorted;
+  // 11 and 12 one each, to local 0.
+  EXPECT_EQ(to_vector(pull.sources()), (std::vector<VertexId>{10, 11, 12}));
+  EXPECT_EQ(to_vector(pull.offsets()),
+            (std::vector<std::uint64_t>{0, 2, 3, 4}));
+  EXPECT_EQ(to_vector(pull.destinations()), (std::vector<LocalId>{1, 0, 0, 0}));
+  EXPECT_EQ(to_vector(pull.weights()),
+            (std::vector<Weight>{0.3f, 0.5f, 0.1f, 0.9f}));
 }
 
 TEST(PullIndex, EmptyCsrGivesEmptyIndex) {
@@ -159,7 +141,10 @@ TEST(PullIndex, EmptyCsrGivesEmptyIndex) {
   const PullIndex pull = PullIndex::from_csr(csr);
   EXPECT_EQ(pull.num_sources(), 0u);
   EXPECT_EQ(pull.num_entries(), 0u);
-  EXPECT_TRUE(pull.find(0).empty());
+  EXPECT_TRUE(pull.sources().empty());
+  EXPECT_EQ(to_vector(pull.offsets()), (std::vector<std::uint64_t>{0}));
+  EXPECT_TRUE(pull.destinations().empty());
+  EXPECT_TRUE(pull.weights().empty());
 }
 
 TEST(PullIndex, SourcesAreSortedUnique) {
@@ -170,86 +155,64 @@ TEST(PullIndex, SourcesAreSortedUnique) {
   }
 }
 
-
-/// Sweep `queries` (ascending) with one seek cursor and require every
-/// answer to equal find's: the same range and, for a present source, the
-/// same group index.  For an absent id the cursor rests on the first
-/// larger source.
-void expect_seek_matches_find(const PullIndex& pull,
-                              const std::vector<VertexId>& queries) {
-  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
-  std::size_t cursor = 0;
-  for (const VertexId s : queries) {
-    std::size_t index = kUnset;
-    const auto want = pull.find(s, &index);
-    const auto got = pull.seek(s, cursor);
-    ASSERT_EQ(got.first, want.first) << "id " << s;
-    ASSERT_EQ(got.last, want.last) << "id " << s;
-    if (index != kUnset) {
-      ASSERT_EQ(cursor, index) << "id " << s;
-    } else {
-      ASSERT_TRUE(cursor == pull.num_sources() || pull.sources()[cursor] > s)
-          << "id " << s;
-      ASSERT_TRUE(cursor == 0 || pull.sources()[cursor - 1] < s) << "id " << s;
+/// The invariants every reader of the four arrays relies on: offsets has
+/// one entry per source plus one and rises from 0 to the entry count with
+/// no empty group, and each group is weight-sorted with ties ordered by
+/// destination.
+void expect_well_formed(const PullIndex& pull) {
+  const auto offsets = pull.offsets();
+  ASSERT_EQ(offsets.size(), pull.num_sources() + 1);
+  EXPECT_EQ(offsets.front(), 0u);
+  EXPECT_EQ(offsets.back(), pull.num_entries());
+  ASSERT_EQ(pull.weights().size(), pull.num_entries());
+  for (std::size_t i = 0; i < pull.num_sources(); ++i) {
+    ASSERT_LT(offsets[i], offsets[i + 1]) << "group " << i;
+    for (std::uint64_t e = offsets[i] + 1; e < offsets[i + 1]; ++e) {
+      const auto key = [&](std::uint64_t k) {
+        return std::pair(pull.weights()[k], pull.destinations()[k]);
+      };
+      ASSERT_LT(key(e - 1), key(e)) << "group " << i << " entry " << e;
     }
   }
 }
 
-/// Sweeps that hit every source, every absent id between sources, ids
-/// before the first source and after the last, and strides long enough to
-/// make the search gallop.
-void expect_sweeps_match_find(const PullIndex& pull, VertexId last_id) {
-  for (const VertexId stride : {1, 2, 7, 97, 1000}) {
-    std::vector<VertexId> queries;
-    for (VertexId s = 0; s <= last_id + stride; s += stride) {
-      queries.push_back(s);
-    }
-    expect_seek_matches_find(pull, queries);
-  }
-  // Sources only, skipping ever more of them; then one id asked twice.
-  for (std::size_t skip : {1, 3, 40}) {
-    std::vector<VertexId> queries;
-    for (std::size_t i = 0; i < pull.num_sources(); i += skip) {
-      queries.push_back(pull.sources()[i]);
-    }
-    expect_seek_matches_find(pull, queries);
-  }
-  expect_seek_matches_find(pull, {5, 5, 6, 6});
-}
-
-TEST(PullIndex, SeekSweepMatchesFind) {
+TEST(PullIndex, GroupsAreWeightSortedAndViewsReadTheSameArrays) {
   // Sources 5 + i(i+1)/2 (gaps growing from 1 to ~120) and a run of
-  // consecutive ids; some sources have two entries.
+  // consecutive ids; some sources have two entries, some weights tie.
   std::vector<WireEdge> edges;
-  VertexId last = 0;
   for (VertexId i = 0; i < 120; ++i) {
-    last = 5 + i * (i + 1) / 2;
-    edges.push_back({i % 3, last, 0.05f + 0.1f * static_cast<float>(i % 7)});
-    if (i % 4 == 0) edges.push_back({2, last, 0.95f});
+    const VertexId s = 5 + i * (i + 1) / 2;
+    edges.push_back({i % 3, s, 0.05f + 0.1f * static_cast<float>(i % 7)});
+    if (i % 4 == 0) edges.push_back({2, s, 0.95f});
+    if (i % 5 == 0) edges.push_back({(i + 1) % 2, s, 0.95f});
   }
-  for (VertexId s = 8000; s < 8032; ++s) {
-    edges.push_back({s % 3, s, 0.5f});
-    last = s;
-  }
+  for (VertexId s = 8000; s < 8032; ++s) edges.push_back({s % 3, s, 0.5f});
+  const std::size_t num_edges = edges.size();
   const PullIndex pull = PullIndex::from_csr(LocalCsr(3, std::move(edges)));
   ASSERT_EQ(pull.num_sources(), 152u);
-  expect_sweeps_match_find(pull, last);
+  EXPECT_EQ(pull.num_entries(), num_edges);
+  expect_well_formed(pull);
 
-  // The same sweeps over a non-owning view of those arrays, as a mapped
-  // shard provides.
+  // A non-owning view of those arrays, as a mapped shard provides, reads
+  // them in place.
   const PullIndex view = PullIndex::view(pull.sources(), pull.offsets(),
                                          pull.destinations(), pull.weights());
   ASSERT_FALSE(view.owns_storage());
-  expect_sweeps_match_find(view, last);
+  EXPECT_EQ(view.sources().data(), pull.sources().data());
+  EXPECT_EQ(view.offsets().data(), pull.offsets().data());
+  EXPECT_EQ(view.destinations().data(), pull.destinations().data());
+  EXPECT_EQ(view.weights().data(), pull.weights().data());
+  EXPECT_EQ(view.num_sources(), pull.num_sources());
+  EXPECT_EQ(view.num_entries(), pull.num_entries());
+  expect_well_formed(view);
 }
 
-TEST(PullIndex, SeekOnEmptyIndexFindsNothing) {
-  const PullIndex empty = PullIndex::from_csr(LocalCsr(2, {}));
-  expect_sweeps_match_find(empty, 50);
-  std::size_t cursor = 0;
-  EXPECT_TRUE(empty.seek(7, cursor).empty());
-  EXPECT_EQ(cursor, 0u);
-  expect_sweeps_match_find(PullIndex{}, 50);
+TEST(PullIndex, DefaultIndexHasNoArrays) {
+  const PullIndex empty;
+  EXPECT_EQ(empty.num_sources(), 0u);
+  EXPECT_EQ(empty.num_entries(), 0u);
+  EXPECT_TRUE(empty.offsets().empty());
+  EXPECT_TRUE(empty.weights().empty());
 }
 
 // A splice equals a rebuild of the changed edges, for the CSR and for its

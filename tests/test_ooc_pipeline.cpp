@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <vector>
 
 #include "core/delta_stepping.hpp"
 #include "core/graph_view.hpp"
@@ -114,6 +115,32 @@ TEST(OocPipeline, MultiRunSpillsMergeLosslessly) {
     comm.barrier();
   });
   fs::remove_all(dir);
+}
+
+TEST(OocPipeline, PeakResidentBytesIsDeterministic) {
+  // The bin stage charges the three run buffers its depth-1 sort queue
+  // allows once, so the high-water mark cannot depend on whether the sort
+  // thread finished the previous run before the next spill.
+  KroneckerParams params;
+  params.scale = 11;
+  const std::string dir = ::testing::TempDir() + "/g500_ooc_peak";
+  simmpi::World world(2);
+  std::vector<std::uint64_t> peaks;
+  for (int build = 0; build < 3; ++build) {
+    fs::remove_all(dir);
+    world.run([&](simmpi::Comm& comm) {
+      ooc::PipelineOptions opts;
+      opts.resident_budget_bytes = 640u << 10;
+      opts.chunk_edges = 512;
+      const auto stats = ooc::build_sharded_kronecker(comm, params, dir, opts);
+      EXPECT_GE(stats.runs_spilled, 8u);
+      if (comm.rank() == 0) peaks.push_back(stats.peak_resident_bytes);
+    });
+  }
+  fs::remove_all(dir);
+  ASSERT_EQ(peaks.size(), 3u);
+  EXPECT_EQ(peaks[1], peaks[0]);
+  EXPECT_EQ(peaks[2], peaks[0]);
 }
 
 TEST(OocPipeline, ResidentBudgetIsAHardCap) {
