@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"metric", "value"});
   table.row().add("buckets processed").add(m.stats.buckets_processed);
+  table.row().add("hub syncs").add(m.stats.hub_syncs);
   table.row().add("light inner rounds").add(m.stats.light_iterations);
   table.row()
       .add("rounds per bucket")

@@ -216,6 +216,50 @@ void BM_ValidateSssp(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateSssp)->UseManualTime()->Unit(benchmark::kMillisecond);
 
+void BM_DeltaStepping(benchmark::State& state) {
+  // What one engine solve costs: delta_stepping with the default switches
+  // on a scale-14 Kronecker graph over 4 ranks, cycling through 16 sampled
+  // roots.  The graph is built once.  Manual time: one solve, from a
+  // barrier to its return on rank 0; one item per input edge.
+  constexpr int kRanks = 4;
+  constexpr int kRoots = 16;
+  KroneckerParams params;
+  params.scale = 14;
+  simmpi::World world(kRanks);
+  std::vector<std::optional<DistGraph>> graphs(kRanks);
+  std::vector<VertexId> roots;
+  world.run([&](simmpi::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    graphs[r].emplace(build_kronecker(comm, params));
+    auto keys = core::sample_roots(comm, *graphs[r], kRoots, 1);
+    if (comm.rank() == 0) roots = std::move(keys);
+  });
+  std::size_t next = 0;
+  bool valid = true;
+  for (auto _ : state) {
+    const VertexId root = roots[next++ % roots.size()];
+    double seconds = 0.0;
+    world.run([&](simmpi::Comm& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      comm.barrier();
+      const util::Timer timer;
+      const auto mine = core::delta_stepping(comm, *graphs[r], root);
+      benchmark::DoNotOptimize(mine.dist.data());
+      if (comm.rank() == 0) seconds = timer.seconds();
+      if (next <= roots.size()) {  // check each root's first solve, untimed
+        const bool ok = core::validate_sssp(comm, *graphs[r], root, mine).ok;
+        if (comm.rank() == 0) valid = valid && ok;
+      }
+    });
+    state.SetIterationTime(seconds);
+  }
+  if (!valid) state.SkipWithError("validate_sssp rejected a solve");
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(graphs[0]->num_input_edges));
+}
+BENCHMARK(BM_DeltaStepping)->UseManualTime()->Unit(benchmark::kMillisecond);
+
 void BM_SequentialDijkstra(benchmark::State& state) {
   const EdgeList g =
       random_graph(static_cast<VertexId>(state.range(0)),

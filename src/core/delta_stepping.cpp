@@ -1,6 +1,7 @@
 #include "core/delta_stepping.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -122,10 +123,15 @@ class Engine {
     util::Timer total;
     const std::uint64_t rounds_at_start = comm_.stats().rounds();
     std::uint64_t k_hint = try_restore();
+    std::uint64_t done = BucketQueue::kNone;  // the bucket processed last
     count_unreached();
     while (true) {
       const std::uint64_t k_local = queue_.next_nonempty(k_hint);
       const std::uint64_t k = comm_.allreduce_min(k_local);
+      // A restore never processes a snapshot's bucket again, so bucket
+      // `done` is sealed only once the agreed scan has moved past it (kNone
+      // is past every bucket).
+      if (done != BucketQueue::kNone && k > done) maybe_checkpoint(done);
       if (k == BucketQueue::kNone) break;
       // Deadline budget: every rank sees the same allreduce-agreed k and
       // the same local bucket count (epochs are global), so this break is
@@ -143,8 +149,10 @@ class Engine {
         throw std::runtime_error("delta_stepping: max_buckets exceeded");
       }
       process_bucket(k);
-      maybe_checkpoint(k);
-      k_hint = k + 1;
+      // The scan resumes at k: a heavy edge of weight float(delta) or more
+      // can still yield a candidate that bucket_of, dividing in double,
+      // places in bucket k, and then bucket k runs again.
+      done = k_hint = k;
     }
     stats_.total_seconds = total.seconds();
     stats_.global_collectives = comm_.stats().rounds() - rounds_at_start;
@@ -160,10 +168,23 @@ class Engine {
  private:
   // -------------------------------------------------------------- setup
 
+  /// Find each owned row's light/heavy split.  A run that can pull also
+  /// lists, in ascending order, the vertices whose light part is not empty
+  /// and those whose heavy part is not empty, each with the part's first
+  /// weight: the only rows a pulled round may open.
   void precompute_splits() {
     split_.resize(local_n_);
     for (LocalId u = 0; u < static_cast<LocalId>(local_n_); ++u) {
-      split_[u] = g_.csr.split_at(u, static_cast<Weight>(delta_));
+      const std::uint64_t split =
+          g_.csr.split_at(u, static_cast<Weight>(delta_));
+      split_[u] = split;
+      if (!config_.direction_opt) continue;
+      if (split > g_.csr.edges_begin(u)) {
+        light_rows_.push_back({u, g_.csr.weight(g_.csr.edges_begin(u))});
+      }
+      if (split < g_.csr.edges_end(u)) {
+        heavy_rows_.push_back({u, g_.csr.weight(split)});
+      }
     }
   }
 
@@ -191,6 +212,17 @@ class Engine {
 
   [[nodiscard]] std::uint64_t bucket_of(Weight d) const {
     return static_cast<std::uint64_t>(static_cast<double>(d) / delta_);
+  }
+
+  /// The least distance bucket_of places in bucket k or beyond.  It is
+  /// monotone, so while bucket k runs every distance below this is final.
+  [[nodiscard]] Weight bucket_floor(std::uint64_t k) const {
+    auto d = static_cast<Weight>(static_cast<double>(k) * delta_);
+    while (d > 0.0f && bucket_of(std::nextafter(d, 0.0f)) >= k) {
+      d = std::nextafter(d, 0.0f);
+    }
+    while (bucket_of(d) < k) d = std::nextafter(d, kInfDistance);
+    return d;
   }
 
   /// Goal-directed pruning test: can a path reaching owned vertex `v` at
@@ -271,13 +303,17 @@ class Engine {
              config_.hierarchical_group, stats_, apply);
   }
 
-  /// Broadcast `active` (less pruned vertices); then every rank relaxes
-  /// each owned vertex from the frontier through the light or heavy part
-  /// of its own row, which lists its incoming edges because the graph is
-  /// symmetric.  Rows are weight-sorted, so a scan stops at the first edge
-  /// on which even the nearest frontier vertex cannot reach the best
-  /// candidate.  Among equal candidates the smallest source wins.
-  void pull_round(const std::vector<LocalId>& active, bool light) {
+  /// Broadcast `active` (less pruned vertices) of bucket k; then every
+  /// rank relaxes each owned vertex from the frontier through the light or
+  /// heavy part of its own row, which lists its incoming edges because the
+  /// graph is symmetric.  Rows are weight-sorted, so a scan stops at the
+  /// first edge on which even the nearest frontier vertex cannot reach the
+  /// best candidate.  Among equal candidates the smallest source wins.
+  /// Only the phase's row list is walked: a final vertex leaves it for the
+  /// rest of the run, and a row whose first edge already fails the stop
+  /// rule is not opened.  Both would scan nothing.
+  void pull_round(std::uint64_t k, const std::vector<LocalId>& active,
+                  bool light) {
     std::vector<FrontierEntry> frontier;
     frontier.reserve(active.size());
     for (const auto v : active) {
@@ -296,11 +332,20 @@ class Engine {
       front_dist_[fe.vertex] = fe.dist;
       dmin = std::min(dmin, fe.dist);
     }
+    const Weight settled_below = bucket_floor(k);
+    std::vector<PullRow>& rows = light ? light_rows_ : heavy_rows_;
+    std::size_t kept = 0;
     std::uint64_t scanned = 0;
-    for (LocalId v = 0; v < static_cast<LocalId>(local_n_); ++v) {
+    for (const PullRow row : rows) {
+      const LocalId v = row.v;
+      Weight best = dist_[v];
+      // Final: every frontier distance lies in bucket k, above best.
+      if (best < settled_below) continue;
+      rows[kept++] = row;
+      // The stop rule below, tested on the part's first edge.
+      if (dmin + row.w0 > best || pruned(v, dmin + row.w0)) continue;
       const std::uint64_t first = light ? g_.csr.edges_begin(v) : split_[v];
       const std::uint64_t last = light ? split_[v] : g_.csr.edges_end(v);
-      Weight best = dist_[v];
       VertexId via = kNoVertex;
       std::uint64_t e = first;
       for (; e < last; ++e) {
@@ -327,6 +372,7 @@ class Engine {
       scanned += e - first;
       if (via != kNoVertex) relax_local(v, best, via);
     }
+    rows.resize(kept);
     stats_.relax_generated += scanned;
     for (const auto& fe : global) front_dist_[fe.vertex] = kInfDistance;
   }
@@ -337,6 +383,7 @@ class Engine {
     std::vector<LocalId> settled;     // the R set for the heavy phase
     std::uint64_t settled_heavy = 0;  // heavy edges out of R
     bool heavy_pull = false;
+    bool sync_hubs = false;
     BucketTraceRow row;
     row.bucket = k;
 
@@ -354,17 +401,20 @@ class Engine {
       // R's global size and heavy-edge count ride along for the heavy
       // phase's direction choice, and the unreached vertices' light and
       // heavy edges for both choices; the drained round carries their final
-      // values.  Only runs that can pull pay for them.
+      // values.  Only runs that can pull pay for them.  With the hub cache
+      // on, the last word counts the ranks whose mirror contribution moved.
       std::vector<std::uint64_t> sums{active.size(), active_light};
       if (config_.direction_opt) {
         sums.insert(sums.end(), {settled.size(), settled_heavy,
                                  unreached_light_, unreached_heavy_});
       }
+      if (router_.caches_hubs()) sums.push_back(router_.stale() ? 1 : 0);
       const auto totals = comm_.allreduce_vec<std::uint64_t>(
           sums, [](std::uint64_t a, std::uint64_t b) { return a + b; });
       if (totals[0] == 0) {  // bucket k drained everywhere
         heavy_pull = config_.direction_opt &&
                      choose_pull(totals[2], totals[3], totals[5]);
+        sync_hubs = router_.caches_hubs() && totals.back() != 0;
         break;
       }
       ++stats_.light_iterations;
@@ -376,7 +426,7 @@ class Engine {
       if (config_.direction_opt &&
           choose_pull(totals[0], totals[1], totals[4])) {
         ++stats_.pull_rounds;
-        pull_round(active, /*light=*/true);
+        pull_round(k, active, /*light=*/true);
       } else {
         ++stats_.push_rounds;
         push_round(active, /*light=*/true);
@@ -384,18 +434,17 @@ class Engine {
     }
     stats_.light_seconds += phase.seconds();
 
-    router_.tighten(comm_);
+    if (sync_hubs) router_.tighten(comm_);
 
     phase.reset();
     ++stats_.heavy_phases;
     ++stats_.sub_rounds;
     // Pulling applies heavy candidates on their owners with no routing or
-    // coalescing.  That is safe: R's distances are final, and every heavy
-    // candidate lands above bucket k, so none of them can change another's
-    // source distance.
+    // coalescing.  That is safe: the scans read R's broadcast distances,
+    // so no candidate applied can change a source distance of the phase.
     if (heavy_pull) {
       ++stats_.pull_rounds;
-      pull_round(settled, /*light=*/false);
+      pull_round(k, settled, /*light=*/false);
     } else {
       ++stats_.push_rounds;
       push_round(settled, /*light=*/false);
@@ -434,7 +483,7 @@ class Engine {
 
     dist_ = ckpt_->dist;
     parent_ = ckpt_->parent;
-    router_.mirror() = ckpt_->hub_mirror;
+    router_.restore_mirror(ckpt_->hub_mirror);
     // The queue is a function of the distances: pending vertices are
     // exactly those whose bucket lies beyond the last drained epoch.
     // Entries the constructor queued below the cursor go stale harmlessly
@@ -488,6 +537,14 @@ class Engine {
   std::vector<VertexId> parent_;
   std::vector<std::uint64_t> r_tag_;
   std::vector<std::uint64_t> split_;  // light/heavy boundary per vertex
+  // The rows a pulled round may open (see precompute_splits); pulls drop
+  // the vertices whose distances are final.
+  struct PullRow {
+    LocalId v;
+    Weight w0;
+  };
+  std::vector<PullRow> light_rows_;
+  std::vector<PullRow> heavy_rows_;
   // Broadcast distance per global vertex during a pull, +inf elsewhere;
   // allocated by the first pull of a run.
   std::vector<Weight> front_dist_;

@@ -69,7 +69,9 @@ class Engine2D {
         throw std::runtime_error("delta_stepping_2d: max_buckets exceeded");
       }
       process_bucket(k);
-      k_hint = k + 1;
+      // Resume at k: a heavy candidate can round back into it (see
+      // delta_stepping), and then bucket k runs again.
+      k_hint = k;
     }
     stats_.total_seconds = total.seconds();
 

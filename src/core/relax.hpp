@@ -16,8 +16,8 @@
 //     a compile-time record parameter that with_record picks at run time;
 //   * Router — hub filter, then local fusion, then the caller's sink; it
 //     owns the hub index (a flat open-addressing table with linear
-//     probing) and mirror, and computes each candidate's owner and
-//     owner-local index once;
+//     probing) and mirror, knows when a tighten would move the mirror, and
+//     computes each candidate's owner and owner-local index once;
 //   * exchange — one bulk-synchronous round: coalesce, flat or two-level
 //     alltoallv, decode, apply.
 #pragma once
@@ -127,9 +127,13 @@ class Router {
                   HubSlot{graph::kNoVertex, 0});
     shift_ = 64 - std::countr_zero(slots_.size());
     for (std::size_t i = 0; i < g.hubs.size(); ++i) {
+      const auto index = static_cast<std::uint32_t>(i);
       std::size_t s = home(g.hubs[i]);
       while (slots_[s].hub != graph::kNoVertex) s = (s + 1) & mask();
-      slots_[s] = HubSlot{g.hubs[i], static_cast<std::uint32_t>(i)};
+      slots_[s] = HubSlot{g.hubs[i], index};
+      if (g.part.owner(g.hubs[i]) == rank) {
+        owned_.push_back(OwnedHub{g.part.local(g.hubs[i]), index});
+      }
     }
   }
 
@@ -161,7 +165,10 @@ class Router {
           ++stats_.filtered_hub;
           return;
         }
-        if (!is_local) mirror_[hub] = cand;
+        if (!is_local) {
+          mirror_[hub] = cand;
+          lowered_ = true;
+        }
       }
     }
 
@@ -173,28 +180,57 @@ class Router {
     sink(owner, encode<Msg>(target, local, cand, via));
   }
 
+  /// Whether hub caching is on (the router holds a mirror).
+  [[nodiscard]] bool caches_hubs() const { return !mirror_.empty(); }
+
   /// Mirrored tentative distance of g.hubs[i] (empty when hub caching is
-  /// off).  Checkpoints save and restore it with the run.
-  std::vector<graph::Weight>& mirror() { return mirror_; }
+  /// off).  Checkpoints save it with the run.
+  [[nodiscard]] const std::vector<graph::Weight>& mirror() const {
+    return mirror_;
+  }
+
+  /// Adopt a checkpoint's mirror.  It may hold entries a route lowered
+  /// after the last tighten, so the router counts as stale.
+  void restore_mirror(const std::vector<graph::Weight>& mirror) {
+    mirror_ = mirror;
+    lowered_ = true;
+  }
+
+  /// Would this rank's tighten contribution differ from the mirror every
+  /// rank agreed on at the last tighten?  Only if route lowered an entry
+  /// since, or an owned hub's distance fell below its entry.  An owned
+  /// hub's distance can also sit above its entry, when a pruned run's
+  /// owner rejected the lowered value; another rank still contributes that
+  /// value, so the minimum stays put.  When no rank is stale, the
+  /// allreduce would return the mirror unchanged.
+  [[nodiscard]] bool stale() const {
+    if (lowered_) return true;
+    for (const OwnedHub& h : owned_) {
+      if (dist_[h.local] < mirror_[h.index]) return true;
+    }
+    return false;
+  }
 
   /// Tighten every mirror entry to its owner's authoritative distance:
-  /// one H-length min-allreduce.  Collective; a no-op without a mirror.
+  /// one H-length min-allreduce, counted in hub_syncs.  Collective; the
+  /// caller runs it only when some rank is stale().
   void tighten(simmpi::Comm& comm) {
-    if (mirror_.empty()) return;
-    std::vector<graph::Weight> contribution(mirror_.size());
-    for (std::size_t i = 0; i < g_.hubs.size(); ++i) {
-      const graph::VertexId h = g_.hubs[i];
-      contribution[i] = g_.part.owner(h) == rank_ ? dist_[g_.part.local(h)]
-                                                   : mirror_[i];
-    }
+    std::vector<graph::Weight> contribution = mirror_;
+    for (const OwnedHub& h : owned_) contribution[h.index] = dist_[h.local];
     mirror_ = comm.allreduce_vec<graph::Weight>(
         contribution,
         [](graph::Weight a, graph::Weight b) { return b < a ? b : a; });
+    lowered_ = false;
+    ++stats_.hub_syncs;
   }
 
  private:
   struct HubSlot {
     graph::VertexId hub;
+    std::uint32_t index;  // into g.hubs and mirror_
+  };
+  struct OwnedHub {
+    graph::LocalId local;
     std::uint32_t index;  // into g.hubs and mirror_
   };
   static constexpr std::uint32_t kNotHub =
@@ -222,8 +258,10 @@ class Router {
   SsspStats& stats_;
   std::vector<graph::VertexId> block_begin_;  // part.begin(r) per rank r
   std::vector<HubSlot> slots_;                // empty: hub cache off
+  std::vector<OwnedHub> owned_;               // the hubs this rank owns
   int shift_ = 0;
   std::vector<graph::Weight> mirror_;
+  bool lowered_ = false;  // route lowered an entry since the last tighten
 };
 
 // --------------------------------------------------------------- exchange

@@ -107,6 +107,9 @@ SequentialResult seq_delta_stepping(const graph::EdgeList& graph,
   result.parent[root] = root;
   queue.update(static_cast<LocalId>(root), 0);
 
+  // The scan resumes at the bucket just processed: a heavy candidate can
+  // round back into it (w >= float(delta), but bucket_of divides in
+  // double), and then that bucket runs again.
   std::uint64_t k = 0;
   while ((k = queue.next_nonempty(k)) != BucketQueue::kNone) {
     ++st.buckets_processed;
@@ -132,7 +135,6 @@ SequentialResult seq_delta_stepping(const graph::EdgeList& graph,
         relax(adj[e].dst, d + adj[e].w, v);
       }
     }
-    ++k;
   }
   st.seconds = total.seconds();
   return result;

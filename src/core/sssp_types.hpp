@@ -109,6 +109,9 @@ struct SsspStats {
   /// pushes).
   std::uint64_t push_rounds = 0;
   std::uint64_t pull_rounds = 0;
+  /// Hub mirror tightens (one min-allreduce each): buckets whose light
+  /// loop found some rank's mirror contribution stale.
+  std::uint64_t hub_syncs = 0;
 
   std::uint64_t relax_generated = 0;   ///< candidate relaxations produced
   std::uint64_t relax_sent = 0;        ///< survived filters, left this rank
@@ -185,6 +188,7 @@ inline constexpr SsspStatsField<std::uint64_t> kSsspCounterFields[] = {
     {"heavy_phases", &SsspStats::heavy_phases, RankReduce::kMean},
     {"push_rounds", &SsspStats::push_rounds, RankReduce::kMean},
     {"pull_rounds", &SsspStats::pull_rounds, RankReduce::kMean},
+    {"hub_syncs", &SsspStats::hub_syncs, RankReduce::kMean},
     {"relax_generated", &SsspStats::relax_generated, RankReduce::kSum},
     {"relax_sent", &SsspStats::relax_sent, RankReduce::kSum},
     {"relax_received", &SsspStats::relax_received, RankReduce::kSum},

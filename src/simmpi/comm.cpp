@@ -71,16 +71,17 @@ bool World::PhaseBarrier::arrive(std::uint32_t phase) {
   return true;
 }
 
-void World::PhaseBarrier::arrive_and_wait() {
+std::uint32_t World::PhaseBarrier::arrive_and_wait() {
   // The phase cannot advance before this rank arrives, so the value read
   // here is the phase being entered.
   const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
-  if (arrive(phase)) return;
+  if (arrive(phase)) return phase;
   for (int i = 0; i < kPollBudget; ++i) {
-    if (phase_.load(std::memory_order_acquire) != phase) return;
+    if (phase_.load(std::memory_order_acquire) != phase) return phase;
     std::this_thread::yield();
   }
   phase_.wait(phase, std::memory_order_acquire);
+  return phase;
 }
 
 void World::PhaseBarrier::arrive_and_drop() {
@@ -91,8 +92,15 @@ void World::PhaseBarrier::arrive_and_drop() {
 }
 
 void World::sync() {
-  barrier_.arrive_and_wait();
-  if (failed_.load(std::memory_order_acquire)) throw AbortedError{};
+  const std::uint32_t phase = barrier_.arrive_and_wait();
+  // Abort from the phase that was open when the run failed on.  A slow rank
+  // still leaving an earlier phase runs on to its next collective, so every
+  // rank does the same work between two collectives, snapshots included.
+  // The unsigned difference stays right when the phase word wraps.
+  if (failed_.load(std::memory_order_acquire) &&
+      phase - failed_phase_.load(std::memory_order_relaxed) < (1u << 31)) {
+    throw AbortedError{};
+  }
 }
 
 void Comm::barrier() {
@@ -211,7 +219,10 @@ void Comm::release() { world_->sync(); }
 void World::mark_failed(std::exception_ptr ep) {
   {
     const std::lock_guard<std::mutex> lock(error_mutex_);
-    if (!first_error_) first_error_ = ep;
+    if (!first_error_) {
+      first_error_ = ep;
+      failed_phase_.store(barrier_.phase(), std::memory_order_relaxed);
+    }
   }
   failed_.store(true, std::memory_order_release);
 }
@@ -275,11 +286,7 @@ void World::run(const std::function<void(Comm&)>& fn) {
       barrier_.arrive_and_drop();
       return;
     } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      failed_.store(true, std::memory_order_release);
+      mark_failed(std::current_exception());
       barrier_.arrive_and_drop();
       return;
     }

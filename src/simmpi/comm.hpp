@@ -330,7 +330,12 @@ class World {
 
     /// Start over with `count` participants (between runs only).
     void reset(int count);
-    void arrive_and_wait();
+    /// Returns the phase this call completed.
+    std::uint32_t arrive_and_wait();
+    /// The phase open now.
+    [[nodiscard]] std::uint32_t phase() const {
+      return phase_.load(std::memory_order_relaxed);
+    }
     /// Arrive at the current phase and leave every later one.
     void arrive_and_drop();
 
@@ -346,7 +351,7 @@ class World {
   };
 
   /// Barrier phase used by every collective; throws AbortedError in
-  /// surviving ranks once any rank has failed.
+  /// surviving ranks from the phase that was open when a rank failed.
   void sync();
 
   /// Record `ep` as the run's first error and flip the failed flag (the
@@ -373,6 +378,7 @@ class World {
   // into the next.
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<bool> failed_{false};
+  std::atomic<std::uint32_t> failed_phase_{0};  // open when first_error_ set
   std::exception_ptr first_error_;
   std::mutex error_mutex_;
 

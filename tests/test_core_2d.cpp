@@ -244,4 +244,27 @@ TEST(TwoD, DisconnectedAndEdgeless) {
   });
 }
 
+TEST(TwoD, HeavyCandidateRoundingIntoItsBucketIsExpanded) {
+  // Weight 0.7f is heavy at delta 0.7, yet bucket_of(0.7f) is bucket 0:
+  // bucket 0's heavy phase queues vertex 1 back into bucket 0, and the
+  // scan must return to it (see the 1-D engine's test of the same path).
+  EdgeList list;
+  list.num_vertices = 3;
+  list.edges = {{0, 1, 0.7f}, {1, 2, 0.7f}};
+  for (const int ranks : {1, 4}) {
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const auto slice = slice_for_rank(list, comm.rank(), comm.size());
+      const DistGraph one_d = build_distributed(comm, slice, 3);
+      const Dist2DGraph two_d = build_2d(comm, slice, 3);
+      core::SsspConfig config;
+      config.delta = 0.7;
+      const auto mine = core::delta_stepping_2d(comm, two_d, 0, config);
+      const auto dist = comm.allgatherv(mine.dist);
+      EXPECT_EQ(dist[2], 0.7f + 0.7f) << ranks << " ranks";
+      EXPECT_TRUE(core::validate_sssp(comm, one_d, 0, mine).ok);
+    });
+  }
+}
+
 }  // namespace

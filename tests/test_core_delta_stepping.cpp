@@ -614,13 +614,14 @@ TEST(DeltaStepping, PullsWithoutAPullIndex) {
   });
 }
 
-/// Solve from `root` twice under `control` (fresh, pruned or a repair),
-/// with every round that has edges to relax pulled and with pulling off.
-/// Distances must be equal, and so must parents wherever a single
-/// neighbour attains the vertex's distance.
-void expect_forced_pull_matches_push(simmpi::Comm& comm, const DistGraph& g,
-                                     VertexId root, core::SsspConfig config,
-                                     const core::RunControl& control = {}) {
+/// Solve from `root` twice under `control` (fresh, pruned, a repair or a
+/// restore), with every round that has edges to relax pulled and with
+/// pulling off.  Distances must be equal, and so must parents wherever a
+/// single neighbour attains the vertex's distance.  Returns the pulled
+/// run's stats.
+core::SsspStats expect_forced_pull_matches_push(
+    simmpi::Comm& comm, const DistGraph& g, VertexId root,
+    core::SsspConfig config, const core::RunControl& control = {}) {
   const auto solve = [&](core::SsspStats* stats) {
     return core::delta_stepping(comm, g, root, config, stats, control);
   };
@@ -652,6 +653,7 @@ void expect_forced_pull_matches_push(simmpi::Comm& comm, const DistGraph& g,
     }
   }
   EXPECT_GT(comm.allreduce_sum(compared), 0u);
+  return pull_stats;
 }
 
 /// The median finite distance of a solve, identical on every rank.
@@ -753,6 +755,36 @@ TEST(DeltaStepping, ForcedPullMatchesPushThroughRepair) {
     pull.pull_bias = 0.0;
     EXPECT_EQ(core::delta_stepping(comm, g, 1, pull, nullptr, repair).dist,
               full.dist);
+  });
+}
+
+TEST(DeltaStepping, ForcedPullMatchesPushAfterARestore) {
+  // The pull row lists are built before a restore replaces the distances,
+  // so they start with vertices the snapshot already settled.  The first
+  // pulls must drop those and still reach every vertex the push-only run
+  // reaches.
+  KroneckerParams params;
+  params.scale = 10;
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_kronecker(comm, params);
+    core::SsspConfig config;
+    config.delta = 0.02;
+    core::CheckpointState slot;
+    core::RunControl control;
+    control.checkpoint = &slot;
+    control.checkpoint_interval = 1;
+    core::SsspConfig truncated = config;
+    truncated.max_buckets = 8;
+    EXPECT_THROW(
+        (void)core::delta_stepping(comm, g, 1, truncated, nullptr, control),
+        std::runtime_error);
+    ASSERT_TRUE(slot.valid);
+    const core::SsspStats pulled =
+        expect_forced_pull_matches_push(comm, g, 1, config, control);
+    EXPECT_EQ(pulled.restores, 1u);
+    EXPECT_EQ(pulled.pull_rounds + pulled.push_rounds,
+              pulled.light_iterations + pulled.heavy_phases);
   });
 }
 
@@ -867,6 +899,139 @@ TEST(DeltaStepping, PullRejectsAnOutOfRangeRowTarget) {
                }),
                std::out_of_range);
   std::filesystem::remove_all(dir);
+}
+
+TEST(DeltaStepping, HeavyCandidateRoundingIntoItsBucketIsExpanded) {
+  // At delta 0.7 the weight 0.7f is heavy (0.7f >= float(0.7)), yet
+  // bucket_of(0.7f) divides in double and gives bucket 0.  So bucket 0's
+  // heavy phase queues vertex 1 into bucket 0 itself, and the scan must
+  // come back to it or vertex 2 is never reached.
+  EdgeList list;
+  list.num_vertices = 3;
+  list.edges = {{0, 1, 0.7f}, {1, 2, 0.7f}};
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const DistGraph g = build_distributed(
+          comm, slice_for_rank(list, comm.rank(), comm.size()),
+          list.num_vertices);
+      core::SsspConfig config;
+      config.delta = 0.7;
+      core::SsspConfig pull = config;
+      pull.pull_threshold = 0.0;
+      pull.pull_bias = 0.0;
+      for (const auto& c : {config, pull}) {
+        const auto mine = core::delta_stepping(comm, g, 0, c);
+        const auto whole = core::gather_result(comm, g, mine);
+        EXPECT_EQ(whole.dist[2], 0.7f + 0.7f);
+        EXPECT_EQ(whole.parent[2], 1u);
+        EXPECT_TRUE(core::validate_sssp(comm, g, 0, mine).ok);
+      }
+      // Bucket 0 runs twice, so a run stopped after its first pass must
+      // leave no snapshot: one naming bucket 0 would resume past vertex 1,
+      // and the second truncated run would restore it and finish without
+      // reaching vertex 2.  Stopped after the second pass, the snapshot
+      // names bucket 0 and resumes correctly.
+      core::CheckpointState slot;
+      core::RunControl control;
+      control.checkpoint = &slot;
+      control.checkpoint_interval = 1;
+      for (const std::uint64_t max_buckets : {1, 2}) {
+        core::SsspConfig truncated = config;
+        truncated.max_buckets = max_buckets;
+        EXPECT_THROW((void)core::delta_stepping(comm, g, 0, truncated,
+                                                nullptr, control),
+                     std::runtime_error);
+      }
+      ASSERT_TRUE(slot.valid);
+      EXPECT_EQ(slot.last_bucket, 0u);
+      EXPECT_EQ(slot.buckets_done, 2u);
+      core::SsspStats stats;
+      const auto resumed =
+          core::delta_stepping(comm, g, 0, config, &stats, control);
+      EXPECT_EQ(stats.restores, 1u);
+      EXPECT_EQ(core::gather_result(comm, g, resumed).dist[2], 0.7f + 0.7f);
+    });
+  }
+}
+
+TEST(DeltaStepping, HubSyncsRunOnlyWhenAMirrorMoved) {
+  // A tighten runs only after a bucket in which some rank lowered a mirror
+  // entry or an owned hub's distance fell below its entry.  On a star the
+  // centre settles early; on a Kronecker graph most buckets leave every
+  // hub alone.  Skipping the other tightens changes no distance.  A run
+  // that pulls every round routes nothing, so only the owners' hub
+  // distances can make it stale, and they still must.
+  KroneckerParams params;
+  params.scale = 10;
+  const EdgeList star = star_graph(256, 33);
+  simmpi::World world(4);
+  world.run([&](simmpi::Comm& comm) {
+    BuildOptions opts;
+    opts.hub_count = 4;
+    const DistGraph star_g = build_distributed(
+        comm, slice_for_rank(star, comm.rank(), comm.size()),
+        star.num_vertices, opts);
+    const DistGraph kron_g = build_kronecker(comm, params);
+    core::SsspConfig on;
+    on.delta = 0.05;
+    core::SsspConfig off = on;
+    off.hub_cache = false;
+    for (const auto& [g, root] : {std::pair{&star_g, VertexId{5}},
+                                  std::pair{&kron_g, VertexId{1}}}) {
+      core::SsspStats stats;
+      const auto cached = core::delta_stepping(comm, *g, root, on, &stats);
+      EXPECT_GE(stats.hub_syncs, 1u);
+      EXPECT_LT(stats.hub_syncs, stats.buckets_processed);
+      EXPECT_EQ(cached.dist, core::delta_stepping(comm, *g, root, off).dist);
+      EXPECT_TRUE(core::validate_sssp(comm, *g, root, cached).ok);
+      core::SsspStats uncached;
+      (void)core::delta_stepping(comm, *g, root, off, &uncached);
+      EXPECT_EQ(uncached.hub_syncs, 0u);
+    }
+    core::SsspConfig pull = on;
+    pull.pull_threshold = 0.0;
+    pull.pull_bias = 0.0;
+    core::SsspStats pulled;
+    (void)core::delta_stepping(comm, kron_g, 1, pull, &pulled);
+    EXPECT_EQ(comm.allreduce_sum(pulled.relax_sent), 0u);
+    EXPECT_GE(pulled.hub_syncs, 1u);
+  });
+}
+
+TEST(DeltaStepping, StaleWordRidesTheLightAllreduceOnlyWithTheHubCache) {
+  // With the hub cache on, every light allreduce carries 8 bytes more: the
+  // count of ranks whose mirror contribution moved.  A tighten, one float
+  // per hub, runs only after a drained round where that count is
+  // non-zero; hub_syncs counts them.
+  KroneckerParams params;
+  params.scale = 10;
+  for (const bool hub_cache : {false, true}) {
+    for (const bool direction_opt : {false, true}) {
+      SCOPED_TRACE(std::string(hub_cache ? "hub cache" : "no hub cache") +
+                   (direction_opt ? ", direction_opt" : ""));
+      simmpi::World world(3);
+      world.run([&](simmpi::Comm& comm) {
+        const DistGraph g = build_kronecker(comm, params);
+        ASSERT_FALSE(g.hubs.empty());
+        core::SsspConfig config = core::SsspConfig::plain();
+        config.hub_cache = hub_cache;
+        config.direction_opt = direction_opt;
+        core::SsspStats stats;
+        const std::uint64_t before = comm.stats().allreduce.bytes;
+        (void)core::delta_stepping(comm, g, 1, config, &stats);
+        const std::uint64_t bytes = comm.stats().allreduce.bytes - before;
+        const std::uint64_t light_bytes =
+            (direction_opt ? 48u : 16u) + (hub_cache ? 8u : 0u);
+        EXPECT_EQ(bytes, 8 * (stats.buckets_processed + 1) +
+                             light_bytes * (stats.light_iterations +
+                                            stats.buckets_processed) +
+                             sizeof(Weight) * g.hubs.size() * stats.hub_syncs);
+        EXPECT_EQ(stats.hub_syncs > 0, hub_cache);
+      });
+    }
+  }
 }
 
 }  // namespace

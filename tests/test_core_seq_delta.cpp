@@ -85,4 +85,17 @@ TEST(SeqDelta, UnreachableStayInfinite) {
   EXPECT_EQ(got.parent[4], kNoVertex);
 }
 
+TEST(SeqDelta, HeavyCandidateRoundingIntoItsBucketIsExpanded) {
+  // Weight 0.7f is heavy at delta 0.7, yet bucket_of(0.7f) is bucket 0:
+  // bucket 0's heavy phase queues vertex 1 back into bucket 0, and the
+  // scan must return to it.
+  EdgeList list;
+  list.num_vertices = 3;
+  list.edges = {{0, 1, 0.7f}, {1, 2, 0.7f}};
+  const auto got = core::seq_delta_stepping(list, 0, 0.7);
+  EXPECT_EQ(got.dist[2], 0.7f + 0.7f);
+  EXPECT_EQ(got.parent[2], 1u);
+  EXPECT_EQ(got.dist, core::dijkstra(list, 0).dist);
+}
+
 }  // namespace

@@ -3,7 +3,9 @@
 // one-shot properties the checkpoint/restart layer relies on.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "simmpi/comm.hpp"
@@ -117,6 +119,28 @@ TEST(FaultInjection, CrashLandsWhilePeersAreMidAllgatherv) {
                  (void)comm.allgatherv(mine);
                }),
                simmpi::InjectedCrashError);
+}
+
+TEST(FaultInjection, PeersFinishTheWorkBeforeTheCollectiveTheVictimDied) {
+  // Rank 0 parks in call 1 until rank 1 completes it, and rank 1 dies at
+  // the entry of call 2 at once.  Rank 0 usually wakes after that failure;
+  // it must still run the code between the two calls, as a snapshot taken
+  // there would be, and abort only in call 2.
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    simmpi::World world(2);
+    world.set_fault_plan(simmpi::FaultPlan{}.crash(1, 2));
+    bool between = false;
+    EXPECT_THROW(world.run([&](simmpi::Comm& comm) {
+                   if (comm.rank() == 1) {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                   }
+                   comm.barrier();  // call 1
+                   if (comm.rank() == 0) between = true;
+                   comm.barrier();  // call 2: rank 1 dies at entry
+                 }),
+                 simmpi::InjectedCrashError);
+    EXPECT_TRUE(between) << "attempt " << attempt;
+  }
 }
 
 TEST(FaultInjection, StallIsChargedNotSlept) {
