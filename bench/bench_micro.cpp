@@ -260,6 +260,46 @@ void BM_DeltaStepping(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaStepping)->UseManualTime()->Unit(benchmark::kMillisecond);
 
+void BM_DeltaSplitBuild(benchmark::State& state) {
+  // What a graph's first solve at a delta adds: every rank derives its
+  // graph::DeltaSplit, on BM_DeltaStepping's graph (scale 14, 4 ranks) at
+  // the automatic delta.  Later solves at that delta reuse the memoized
+  // split, so BM_DeltaStepping never times this.  Manual time: one
+  // derivation per rank, from a barrier to rank 0's return; one item per
+  // edge of rank 0's rows, and `split_bytes` is the size of its split.
+  constexpr int kRanks = 4;
+  KroneckerParams params;
+  params.scale = 14;
+  simmpi::World world(kRanks);
+  std::vector<std::optional<DistGraph>> graphs(kRanks);
+  world.run([&](simmpi::Comm& comm) {
+    graphs[static_cast<std::size_t>(comm.rank())].emplace(
+        build_kronecker(comm, params));
+  });
+  const auto width = static_cast<Weight>(core::auto_delta(*graphs[0]));
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    double seconds = 0.0;
+    world.run([&](simmpi::Comm& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      comm.barrier();
+      const util::Timer timer;
+      const DeltaSplit split(graphs[r]->csr, width);
+      benchmark::DoNotOptimize(split.light_dst.data());
+      if (comm.rank() == 0) {
+        seconds = timer.seconds();
+        bytes = split.bytes();
+      }
+    });
+    state.SetIterationTime(seconds);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(graphs[0]->csr.num_edges()));
+  state.counters["split_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_DeltaSplitBuild)->UseManualTime()->Unit(benchmark::kMillisecond);
+
 void BM_SequentialDijkstra(benchmark::State& state) {
   const EdgeList g =
       random_graph(static_cast<VertexId>(state.range(0)),

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "core/bucket_queue.hpp"
@@ -38,6 +40,7 @@ class Engine {
         local_n_(static_cast<std::size_t>(g.part.count(comm.rank()))),
         my_begin_(g.part.begin(comm.rank())),
         delta_(config.delta > 0.0 ? config.delta : auto_delta(g)),
+        split_(g.csr.delta_split(static_cast<Weight>(delta_))),
         queue_(local_n_),
         dist_(local_n_, kInfDistance),
         parent_(local_n_, kNoVertex),
@@ -84,7 +87,6 @@ class Engine {
     roots_digest_ = util::hash64(roots_digest_, g.num_vertices);
     roots_digest_ = util::hash64(roots_digest_, local_n_);
 
-    precompute_splits();
     if (const WarmStart* warm = control.warm) {
       // Repair mode: adopt the caller's labels and queue only its seeds.
       if (warm->dist.size() != local_n_ || warm->parent.size() != local_n_) {
@@ -128,10 +130,6 @@ class Engine {
     while (true) {
       const std::uint64_t k_local = queue_.next_nonempty(k_hint);
       const std::uint64_t k = comm_.allreduce_min(k_local);
-      // A restore never processes a snapshot's bucket again, so bucket
-      // `done` is sealed only once the agreed scan has moved past it (kNone
-      // is past every bucket).
-      if (done != BucketQueue::kNone && k > done) maybe_checkpoint(done);
       if (k == BucketQueue::kNone) break;
       // Deadline budget: every rank sees the same allreduce-agreed k and
       // the same local bucket count (epochs are global), so this break is
@@ -143,6 +141,11 @@ class Engine {
         stats_.settled_bound = static_cast<double>(k) * delta_;
         break;
       }
+      // A restore never processes a snapshot's bucket again, so bucket
+      // `done` is sealed only once the agreed scan has moved past it, and
+      // only while the run goes on: a run that ended or stopped above
+      // clears the slot unread.
+      if (done != BucketQueue::kNone && k > done) maybe_checkpoint(done);
       ++stats_.buckets_processed;
       if (config_.max_buckets != 0 &&
           stats_.buckets_processed > config_.max_buckets) {
@@ -168,31 +171,15 @@ class Engine {
  private:
   // -------------------------------------------------------------- setup
 
-  /// Find each owned row's light/heavy split.  A run that can pull also
-  /// lists, in ascending order, the vertices whose light part is not empty
-  /// and those whose heavy part is not empty, each with the part's first
-  /// weight: the only rows a pulled round may open.
-  void precompute_splits() {
-    split_.resize(local_n_);
-    for (LocalId u = 0; u < static_cast<LocalId>(local_n_); ++u) {
-      const std::uint64_t split =
-          g_.csr.split_at(u, static_cast<Weight>(delta_));
-      split_[u] = split;
-      if (!config_.direction_opt) continue;
-      if (split > g_.csr.edges_begin(u)) {
-        light_rows_.push_back({u, g_.csr.weight(g_.csr.edges_begin(u))});
-      }
-      if (split < g_.csr.edges_end(u)) {
-        heavy_rows_.push_back({u, g_.csr.weight(split)});
-      }
-    }
-  }
-
   [[nodiscard]] std::uint64_t light_edges(LocalId v) const {
-    return split_[v] - g_.csr.edges_begin(v);
+    return split_->light_degree(v);
+  }
+  /// First heavy edge index of owned vertex v's row.
+  [[nodiscard]] std::uint64_t heavy_begin(LocalId v) const {
+    return g_.csr.edges_begin(v) + split_->light_degree(v);
   }
   [[nodiscard]] std::uint64_t heavy_edges(LocalId v) const {
-    return g_.csr.edges_end(v) - split_[v];
+    return g_.csr.edges_end(v) - heavy_begin(v);
   }
 
   /// Count the light and heavy edges of the owned vertices no path reaches
@@ -206,6 +193,24 @@ class Engine {
         unreached_heavy_ += heavy_edges(v);
       }
     }
+  }
+
+  /// The light or heavy part of owned vertex v's row: the light part from
+  /// the split's packed arrays, the heavy part from the CSR itself.
+  struct RowPart {
+    const VertexId* dst;
+    const Weight* w;
+    std::uint64_t size;
+  };
+  [[nodiscard]] RowPart row_part(LocalId v, bool light) const {
+    if (light) {
+      const std::uint64_t first = split_->light_offsets[v];
+      return {split_->light_dst.data() + first, split_->light_w.data() + first,
+              split_->light_offsets[v + 1] - first};
+    }
+    const std::uint64_t first = heavy_begin(v);
+    return {g_.csr.adjacency().data() + first, g_.csr.weights().data() + first,
+            g_.csr.edges_end(v) - first};
   }
 
   // ------------------------------------------------------------ relaxing
@@ -291,12 +296,11 @@ class Engine {
         ++stats_.pruned_expand;
         continue;
       }
-      const std::uint64_t first = light ? g_.csr.edges_begin(v) : split_[v];
-      const std::uint64_t last = light ? split_[v] : g_.csr.edges_end(v);
+      const RowPart part = row_part(v, light);
       const Weight d = dist_[v];
       const VertexId via = my_begin_ + v;
-      for (std::uint64_t e = first; e < last; ++e) {
-        router_.route(g_.csr.dst(e), d + g_.csr.weight(e), via, apply, send);
+      for (std::uint64_t i = 0; i < part.size; ++i) {
+        router_.route(part.dst[i], d + part.w[i], via, apply, send);
       }
     }
     exchange(comm_, g_.part, outbox_, config_.coalesce,
@@ -333,7 +337,9 @@ class Engine {
       dmin = std::min(dmin, fe.dist);
     }
     const Weight settled_below = bucket_floor(k);
-    std::vector<PullRow>& rows = light ? light_rows_ : heavy_rows_;
+    auto& own = light ? light_rows_ : heavy_rows_;
+    if (!own) own = light ? split_->light_rows : split_->heavy_rows;
+    std::vector<PullRow>& rows = *own;
     std::size_t kept = 0;
     std::uint64_t scanned = 0;
     for (const PullRow row : rows) {
@@ -344,19 +350,18 @@ class Engine {
       rows[kept++] = row;
       // The stop rule below, tested on the part's first edge.
       if (dmin + row.w0 > best || pruned(v, dmin + row.w0)) continue;
-      const std::uint64_t first = light ? g_.csr.edges_begin(v) : split_[v];
-      const std::uint64_t last = light ? split_[v] : g_.csr.edges_end(v);
+      const RowPart part = row_part(v, light);
       VertexId via = kNoVertex;
-      std::uint64_t e = first;
-      for (; e < last; ++e) {
-        const Weight w = g_.csr.weight(e);
+      std::uint64_t i = 0;
+      for (; i < part.size; ++i) {
+        const Weight w = part.w[i];
         // Float addition rounds monotonically, so from here on no frontier
         // vertex reaches best, over this edge or a heavier one.  A tie at
         // best is still scanned: it may come from a smaller source.  The
         // pruning test is monotone too: once it rejects dmin + w, it
         // rejects every candidate left in the row.
         if (dmin + w > best || pruned(v, dmin + w)) break;
-        const VertexId u = g_.csr.dst(e);
+        const VertexId u = part.dst[i];
         // The push path's owner() check, for the same CSR destinations.
         if (u >= g_.num_vertices) {
           throw std::out_of_range("delta_stepping: edge target out of range");
@@ -369,7 +374,7 @@ class Engine {
           via = u;
         }
       }
-      scanned += e - first;
+      scanned += i;
       if (via != kNoVertex) relax_local(v, best, via);
     }
     rows.resize(kept);
@@ -532,19 +537,17 @@ class Engine {
   VertexId my_begin_;
   double delta_;
 
+  // The graph's rows split at delta, shared by every solve at that delta.
+  std::shared_ptr<const graph::DeltaSplit> split_;
   BucketQueue queue_;
   std::vector<Weight> dist_;
   std::vector<VertexId> parent_;
   std::vector<std::uint64_t> r_tag_;
-  std::vector<std::uint64_t> split_;  // light/heavy boundary per vertex
-  // The rows a pulled round may open (see precompute_splits); pulls drop
-  // the vertices whose distances are final.
-  struct PullRow {
-    LocalId v;
-    Weight w0;
-  };
-  std::vector<PullRow> light_rows_;
-  std::vector<PullRow> heavy_rows_;
+  // This run's copies of the split's pull row lists, made by the phase's
+  // first pull; pulls drop the vertices whose distances are final.
+  using PullRow = graph::DeltaSplit::PullRow;
+  std::optional<std::vector<PullRow>> light_rows_;
+  std::optional<std::vector<PullRow>> heavy_rows_;
   // Broadcast distance per global vertex during a pull, +inf elsewhere;
   // allocated by the first pull of a run.
   std::vector<Weight> front_dist_;

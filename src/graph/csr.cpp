@@ -1,6 +1,7 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -203,6 +204,11 @@ void LocalCsr::bind_owned() {
 
 LocalCsr& LocalCsr::operator=(const LocalCsr& other) {
   if (this == &other) return *this;
+  {
+    // Equal rows split equally, so a copy may share the other's split.
+    const std::lock_guard lock(other.split_mutex_);
+    split_ = other.split_;
+  }
   num_local_ = other.num_local_;
   if (other.owned_) {
     offsets_store_ = other.offsets_store_;
@@ -233,6 +239,7 @@ LocalCsr& LocalCsr::operator=(LocalCsr&& other) noexcept {
   offsets_ = other.offsets_;
   adj_dst_ = other.adj_dst_;
   adj_w_ = other.adj_w_;
+  split_ = std::move(other.split_);
   other.num_local_ = 0;
   other.owned_ = true;
   other.offsets_ = {};
@@ -266,6 +273,58 @@ std::uint64_t gallop_split(std::span<const Weight> w, std::uint64_t first,
 
 std::uint64_t LocalCsr::split_at(LocalId u, Weight delta) const {
   return gallop_split(adj_w_, offsets_[u], offsets_[u + 1], delta);
+}
+
+std::shared_ptr<const DeltaSplit> LocalCsr::delta_split(Weight delta) const {
+  const std::lock_guard lock(split_mutex_);
+  if (split_ == nullptr ||
+      std::bit_cast<std::uint32_t>(split_->delta) !=
+          std::bit_cast<std::uint32_t>(delta)) {
+    split_ = std::make_shared<const DeltaSplit>(*this, delta);
+  }
+  return split_;
+}
+
+DeltaSplit::DeltaSplit(const LocalCsr& csr, Weight width) : delta(width) {
+  // Two passes, so that every array is allocated once at its final size
+  // (growing them in one pass and trimming them costs several times more):
+  // the first finds the splits and sizes, the second copies.
+  const LocalId n = csr.num_local();
+  light_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  std::size_t num_light_rows = 0;
+  std::size_t num_heavy_rows = 0;
+  for (LocalId u = 0; u < n; ++u) {
+    const std::uint64_t split = csr.split_at(u, delta);
+    const std::uint64_t light = split - csr.edges_begin(u);
+    light_offsets[u + 1] = light_offsets[u] + light;
+    num_light_rows += light != 0 ? 1 : 0;
+    num_heavy_rows += split != csr.edges_end(u) ? 1 : 0;
+  }
+  light_dst.resize(light_offsets[n]);
+  light_w.resize(light_offsets[n]);
+  light_rows.reserve(num_light_rows);
+  heavy_rows.reserve(num_heavy_rows);
+  const auto dst = csr.adjacency();
+  const auto w = csr.weights();
+  for (LocalId u = 0; u < n; ++u) {
+    const std::uint64_t first = csr.edges_begin(u);
+    const std::uint64_t light = light_degree(u);
+    if (light != 0) {
+      const auto at = static_cast<std::ptrdiff_t>(light_offsets[u]);
+      std::ranges::copy(dst.subspan(first, light), light_dst.begin() + at);
+      std::ranges::copy(w.subspan(first, light), light_w.begin() + at);
+      light_rows.push_back({u, w[first]});
+    }
+    const std::uint64_t split = first + light;
+    if (split != csr.edges_end(u)) heavy_rows.push_back({u, w[split]});
+  }
+}
+
+std::uint64_t DeltaSplit::bytes() const noexcept {
+  return light_offsets.capacity() * sizeof(std::uint64_t) +
+         light_dst.capacity() * sizeof(VertexId) +
+         light_w.capacity() * sizeof(Weight) +
+         (light_rows.capacity() + heavy_rows.capacity()) * sizeof(PullRow);
 }
 
 PullIndex PullIndex::from_csr(const LocalCsr& csr) {

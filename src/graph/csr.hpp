@@ -22,9 +22,19 @@
 // rows and groups are copied in bulk and only the touched ones re-sorted,
 // so a mutable graph's commit costs one copy of the arrays plus the batch
 // and still yields a fresh build's arrays exactly.
+//
+// DeltaSplit: what the delta-stepping engine derives from a LocalCsr and a
+// bucket width delta — each row's light/heavy split, the light parts packed
+// into arrays of their own and the rows a pulled round may open.  It
+// depends on nothing else, so a LocalCsr memoizes the last one asked for
+// and every solve at that delta reuses it.  A splice, a view and
+// a fresh build start without one, so a changed graph never sees a stale
+// split.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -65,6 +75,45 @@ struct EdgeChange {
   bool removed = false;
 };
 
+class LocalCsr;
+
+/// A LocalCsr's rows split at `delta`: edges with w < delta are light, the
+/// rest heavy.  Immutable once derived.
+struct DeltaSplit {
+  /// Derive from `csr`: one pass over the rows finds the splits, a second
+  /// copies the light edges.
+  DeltaSplit(const LocalCsr& csr, Weight delta);
+
+  /// A row a pulled round may open: owned vertex v and the first weight of
+  /// the part it would scan.
+  struct PullRow {
+    LocalId v;
+    Weight w0;
+  };
+
+  Weight delta;
+  /// The light parts packed: row u's light edges, in the CSR's own
+  /// (weight, dst) order, are [light_offsets[u], light_offsets[u + 1]) of
+  /// light_dst and light_w.
+  std::vector<std::uint64_t> light_offsets;
+  std::vector<VertexId> light_dst;
+  std::vector<Weight> light_w;
+  /// Ascending by v: the rows with a non-empty light part (w0 their first
+  /// light weight) and those with a non-empty heavy part (w0 their first
+  /// heavy weight).
+  std::vector<PullRow> light_rows;
+  std::vector<PullRow> heavy_rows;
+
+  /// Row u's light edge count, so its split: [edges_begin(u), edges_begin(u)
+  /// + light_degree(u)) is light, the rest of the row heavy.
+  [[nodiscard]] std::uint64_t light_degree(LocalId u) const {
+    return light_offsets[u + 1] - light_offsets[u];
+  }
+
+  /// Heap bytes of the arrays above.
+  [[nodiscard]] std::uint64_t bytes() const noexcept;
+};
+
 class LocalCsr {
  public:
   LocalCsr() = default;
@@ -102,7 +151,8 @@ class LocalCsr {
   /// into a mapped shard or other external storage).
   [[nodiscard]] bool owns_storage() const noexcept { return owned_; }
 
-  /// Heap bytes this object keeps resident (0 for a mapped view).
+  /// Heap bytes of the arrays this object keeps resident (0 for a mapped
+  /// view); the memoized split is not counted.
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
 
   [[nodiscard]] LocalId num_local() const noexcept { return num_local_; }
@@ -129,6 +179,13 @@ class LocalCsr {
   /// so [edges_begin, split) are light and [split, edges_end) are heavy).
   [[nodiscard]] std::uint64_t split_at(LocalId u, Weight delta) const;
 
+  /// These rows split at `delta`, derived at the first call and kept until
+  /// a call with a delta of other bits replaces it.  Safe to call from
+  /// several threads; the result stays valid for as long as it is held.
+  /// Copies share it, and it lives on the heap even over a mapped view.
+  [[nodiscard]] std::shared_ptr<const DeltaSplit> delta_split(
+      Weight delta) const;
+
   [[nodiscard]] std::span<const std::uint64_t> offsets() const noexcept {
     return offsets_;
   }
@@ -152,6 +209,9 @@ class LocalCsr {
   std::span<const std::uint64_t> offsets_;
   std::span<const VertexId> adj_dst_;
   std::span<const Weight> adj_w_;
+  // The last split delta_split derived (null until the first call).
+  mutable std::mutex split_mutex_;
+  mutable std::shared_ptr<const DeltaSplit> split_;
 };
 
 class PullIndex {

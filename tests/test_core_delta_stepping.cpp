@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <string>
 
+#include "core/runner.hpp"
+#include "dyn/mutable_graph.hpp"
+#include "dyn_reference.hpp"
 #include "graph/shard.hpp"
 #include "sssp_test_util.hpp"
 
@@ -1031,6 +1035,210 @@ TEST(DeltaStepping, StaleWordRidesTheLightAllreduceOnlyWithTheHubCache) {
         EXPECT_EQ(stats.hub_syncs > 0, hub_cache);
       });
     }
+  }
+}
+
+// --------------------------------------------------------------------------
+// The split memo: the solves on one graph at one delta share its DeltaSplit.
+// --------------------------------------------------------------------------
+
+TEST(DeltaSplitMemo, SecondSolveReusesTheSplitAndANewDeltaDerivesOne) {
+  KroneckerParams params;
+  params.scale = 10;
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_kronecker(comm, params);
+    const auto auto_width = static_cast<Weight>(core::auto_delta(g));
+    ASSERT_NE(auto_width, 0.1f);
+    core::SsspConfig tenth;
+    tenth.delta = 0.1;
+    (void)core::delta_stepping(comm, g, 1);
+    const auto first = g.csr.delta_split(auto_width);
+    (void)core::delta_stepping(comm, g, 517);
+    EXPECT_EQ(g.csr.delta_split(auto_width), first);
+    (void)core::delta_stepping(comm, g, 1, tenth);
+    const auto second = g.csr.delta_split(0.1f);
+    EXPECT_NE(second, first);
+    (void)core::delta_stepping(comm, g, 517, tenth);
+    EXPECT_EQ(g.csr.delta_split(0.1f), second);
+    // Held, the first split is still alive, so a split derived anew for
+    // the automatic delta has another address.
+    (void)core::delta_stepping(comm, g, 1);
+    EXPECT_NE(g.csr.delta_split(auto_width), first);
+  });
+}
+
+/// Solve on `g`, whose split earlier solves may have derived, and on a
+/// graph `build` makes just now: labels must agree bit for bit.  `solve`
+/// may run several engine calls (a truncated run, then its resume).
+void expect_same_as_fresh_build(
+    const DistGraph& g, const std::function<DistGraph()>& build,
+    const std::function<core::SsspResult(const DistGraph&)>& solve,
+    const std::string& where) {
+  const DistGraph fresh = build();
+  const core::SsspResult want = solve(fresh);
+  const core::SsspResult got = solve(g);
+  EXPECT_EQ(got.dist, want.dist) << where;
+  EXPECT_EQ(got.parent, want.parent) << where;
+}
+
+TEST(DeltaSplitMemo, SolvesMatchAFreshBuildWhereverTheSplitCameFrom) {
+  KroneckerParams params;
+  params.scale = 9;
+  const EdgeList list = kronecker_graph(params);
+  core::SsspConfig tenth;
+  tenth.delta = 0.1;
+  const std::vector<std::pair<std::string, core::SsspConfig>> configs = {
+      {"delta 0.1", tenth}, {"auto", {}}, {"delta 0.1 again", tenth},
+      {"auto again", {}}};
+  const std::string dir = ::testing::TempDir() + "/g500_split_memo";
+  for (int ranks = 1; ranks <= 5; ++ranks) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    std::filesystem::create_directories(dir);
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const auto build = [&] {
+        return build_distributed(
+            comm, slice_for_rank(list, comm.rank(), comm.size()),
+            list.num_vertices);
+      };
+      const DistGraph g = build();
+      const auto roots = core::sample_roots(comm, g, 2, 7);
+      const auto check = [&](const DistGraph& on, const std::string& where) {
+        for (const auto& [name, config] : configs) {
+          for (const VertexId root : roots) {
+            expect_same_as_fresh_build(
+                on, build,
+                [&](const DistGraph& graph) {
+                  return core::delta_stepping(comm, graph, root, config);
+                },
+                where + ", " + name + ", root " + std::to_string(root));
+          }
+        }
+      };
+      // One graph across explicit and automatic deltas, then its copy.
+      check(g, "alternation");
+      const DistGraph copy = g;
+      check(copy, "copy");
+
+      // Mapped shard views start without a split and derive one.
+      write_shard(shard_path(dir, comm.rank(), comm.size()), g, comm.rank());
+      comm.barrier();
+      check(load_sharded(comm, dir), "shards");
+
+      // A warm-start repair and a checkpoint restore recount the unreached
+      // edges from the labels they adopt.
+      for (const auto& [name, config] : configs) {
+        const VertexId root = roots.front();
+        const auto full = core::delta_stepping(comm, g, root, config);
+        core::WarmStart warm;
+        warm.dist = full.dist;
+        warm.parent = full.parent;
+        for (LocalId v = 0; v < g.csr.num_local(); ++v) {
+          if ((g.part.begin(comm.rank()) + v) % 3 == 0 && full.dist[v] != 0) {
+            warm.dist[v] = kInfDistance;
+            warm.parent[v] = kNoVertex;
+          } else if (warm.dist[v] != kInfDistance) {
+            warm.seeds.push_back(v);
+          }
+        }
+        core::RunControl repair;
+        repair.warm = &warm;
+        expect_same_as_fresh_build(
+            g, build,
+            [&](const DistGraph& graph) {
+              return core::delta_stepping(comm, graph, root, config, nullptr,
+                                          repair);
+            },
+            "repair, " + name);
+        expect_same_as_fresh_build(
+            g, build,
+            [&](const DistGraph& graph) {
+              core::CheckpointState slot;
+              core::RunControl control;
+              control.checkpoint = &slot;
+              control.checkpoint_interval = 1;
+              core::SsspConfig truncated = config;
+              truncated.max_buckets = 3;
+              EXPECT_THROW((void)core::delta_stepping(comm, graph, root,
+                                                      truncated, nullptr,
+                                                      control),
+                           std::runtime_error);
+              EXPECT_TRUE(slot.valid);
+              core::SsspStats stats;
+              auto resumed = core::delta_stepping(comm, graph, root, config,
+                                                  &stats, control);
+              EXPECT_EQ(stats.restores, 1u);
+              return resumed;
+            },
+            "restore, " + name);
+      }
+    });
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(DeltaSplitMemo, CommittedGraphMatchesAFreshBuild) {
+  // Solves derive splits on the view, the last at delta 0.1; then a batch
+  // inserts light edges, reweights some to light and deletes others.  The
+  // commit splices a new CSR, and the solves on it, first at delta 0.1
+  // (the automatic delta moves with the edge count), must see its own
+  // split.
+  KroneckerParams params;
+  params.scale = 9;
+  const EdgeList list = kronecker_graph(params);
+  core::SsspConfig tenth;
+  tenth.delta = 0.1;
+  for (int ranks = 1; ranks <= 5; ++ranks) {
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      dyn::MutableGraph mg(
+          comm, build_distributed(
+                    comm, slice_for_rank(list, comm.rank(), comm.size()),
+                    list.num_vertices));
+      g500::test::RefGraph ref(list);
+      util::SplitMix64 rng(0xC0FFEE);
+      for (int commit = 0; commit < 2; ++commit) {
+        const auto roots = core::sample_roots(comm, mg.view(), 2, 11);
+        for (const auto& config : {core::SsspConfig{}, tenth}) {
+          (void)core::delta_stepping(comm, mg.view(), roots.front(), config);
+        }
+        std::vector<dyn::EdgeUpdate> batch;
+        for (int i = 0; i < 24; ++i) {
+          const VertexId u = rng.next_below(list.num_vertices);
+          const VertexId v = rng.next_below(list.num_vertices);
+          const auto op = static_cast<dyn::UpdateOp>(rng.next_below(3));
+          batch.push_back({u, v, 0.01f * static_cast<Weight>(i % 5), op});
+        }
+        for (int i = 0; i < 24; ++i) {  // existing edges, made light or gone
+          const Edge& e = list.edges[rng.next_below(list.edges.size())];
+          batch.push_back({e.src, e.dst, 0.02f,
+                           i % 2 == 0 ? dyn::UpdateOp::kSet
+                                      : dyn::UpdateOp::kDelete});
+        }
+        (void)g500::test::commit_spread(comm, mg, ref, batch);
+        mg.compact();  // hubs as a fresh build selects them
+        const auto build = [&] {
+          return build_distributed(
+              comm,
+              slice_for_rank(ref.edge_list(list.num_vertices), comm.rank(),
+                             comm.size()),
+              list.num_vertices);
+        };
+        for (const auto& config : {tenth, core::SsspConfig{}}) {
+          for (const VertexId root : roots) {
+            expect_same_as_fresh_build(
+                mg.view(), build,
+                [&](const DistGraph& graph) {
+                  return core::delta_stepping(comm, graph, root, config);
+                },
+                "commit " + std::to_string(commit) + ", root " +
+                    std::to_string(root));
+          }
+        }
+      }
+    });
   }
 }
 
