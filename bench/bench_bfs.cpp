@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     simmpi::World world(ranks);
     world.run([&](simmpi::Comm& comm) {
       const graph::DistGraph g = graph::build_kronecker(comm, params);
-      const auto roots = core::sample_roots(comm, g, 2, 0x9500);
+      const auto roots = core::sample_roots(comm, g, 2, core::kRootSeed);
       for (const bool direction : {false, true}) {
         core::BfsConfig config;
         config.direction_opt = direction;

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     world.run([&](simmpi::Comm& comm) {
       const graph::DistGraph g = graph::build_kronecker(comm, params);
       const graph::VertexId root =
-          core::sample_roots(comm, g, 1, 0x9500).front();
+          core::sample_roots(comm, g, 1, core::kRootSeed).front();
       core::SsspStats stats;
       (void)core::delta_stepping(comm, g, root, config, &stats);
       if (comm.rank() == 0) {
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     simmpi::World world(ranks);
     world.run([&](simmpi::Comm& comm) {
       const graph::DistGraph g = graph::build_kronecker(comm, params);
-      const auto roots = core::sample_roots(comm, g, 3, 0x9500);
+      const auto roots = core::sample_roots(comm, g, 3, core::kRootSeed);
       bool mismatch = false;
       core::SsspStats merged_sync;
       core::SsspStats merged_async;

@@ -31,7 +31,8 @@ CkptMeasurement measure_checkpointed(const graph::KroneckerParams& params,
   CkptMeasurement m;
   world.run([&](simmpi::Comm& comm) {
     const graph::DistGraph g = graph::build_kronecker(comm, params);
-    const auto roots = core::sample_roots(comm, g, roots_count, 0x9500);
+    const auto roots =
+        core::sample_roots(comm, g, roots_count, core::kRootSeed);
     double seconds = 0.0;
     core::SsspStats merged;
     for (const auto root : roots) {
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
     simmpi::World world(ranks);
     world.run([&](simmpi::Comm& comm) {
       const auto g = graph::build_kronecker(comm, params);
-      const auto sampled = core::sample_roots(comm, g, 1, 0x9500);
+      const auto sampled = core::sample_roots(comm, g, 1, core::kRootSeed);
       if (sampled.empty()) throw std::runtime_error("no eligible roots");
       comm.barrier();
       util::Timer timer;
@@ -157,7 +158,7 @@ int main(int argc, char** argv) {
     build_calls = probe.injector()->collective_calls(victim);
     probe.run([&](simmpi::Comm& comm) {
       const auto g = graph::build_kronecker(comm, params);
-      (void)core::sample_roots(comm, g, 1, 0x9500);
+      (void)core::sample_roots(comm, g, 1, core::kRootSeed);
       core::CheckpointState ckpt;
       core::RunControl control;
       control.checkpoint = &ckpt;
@@ -185,7 +186,7 @@ int main(int argc, char** argv) {
                            core::SsspStats* out_stats, double* out_seconds) {
     world.run([&](simmpi::Comm& comm) {
       const auto g = graph::build_kronecker(comm, params);
-      (void)core::sample_roots(comm, g, 1, 0x9500);
+      (void)core::sample_roots(comm, g, 1, core::kRootSeed);
       core::RunControl control;
       control.checkpoint = &snapshots[static_cast<std::size_t>(comm.rank())];
       control.checkpoint_interval = kDrillInterval;

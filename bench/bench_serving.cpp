@@ -520,7 +520,6 @@ int main(int argc, char** argv) {
           static_cast<std::ptrdiff_t>(std::min<std::size_t>(
               4, chaos_roots.size())));
   chaos_cfg.oracle.num_landmarks = static_cast<std::size_t>(landmarks);
-  chaos_cfg.fault.enabled = true;
   chaos_cfg.fault.checkpoint_interval = 2;
   chaos_cfg.fault.max_wave_attempts = 3;
   chaos_cfg.fault.degraded_answers = true;

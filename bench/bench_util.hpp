@@ -169,7 +169,8 @@ inline Measurement measure_sssp(const graph::KroneckerParams& params,
   Measurement m;
   world.run([&](simmpi::Comm& comm) {
     const graph::DistGraph g = graph::build_kronecker(comm, params, build_opts);
-    const auto roots = core::sample_roots(comm, g, roots_count, 0x9500);
+    const auto roots =
+        core::sample_roots(comm, g, roots_count, core::kRootSeed);
 
     struct Snap {
       std::uint64_t bytes, messages, rounds, p2p_bytes, p2p_flushes;

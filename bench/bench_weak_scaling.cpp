@@ -94,7 +94,8 @@ int run_ooc_phase(const util::Options& options, bench::RunReport& report,
           graph::load_sharded(comm, dir + "/identity");
       bool same = graphs_identical(g_mem, g_map) &&
                   g_map.backing == graph::GraphBacking::kMapped;
-      const auto sample = core::sample_roots(comm, g_mem, roots, 0x9500);
+      const auto sample =
+          core::sample_roots(comm, g_mem, roots, core::kRootSeed);
       for (const auto root : sample) {
         const auto a = core::delta_stepping(comm, g_mem, root, {});
         const auto b = core::delta_stepping(comm, g_map, root, {});
@@ -133,7 +134,7 @@ int run_ooc_phase(const util::Options& options, bench::RunReport& report,
           comm, params, dir + "/cap", popts);
       const graph::DistGraph g = graph::load_sharded(comm, dir + "/cap");
       const auto residency = core::graph_residency(g);
-      const auto sample = core::sample_roots(comm, g, 1, 0x9500);
+      const auto sample = core::sample_roots(comm, g, 1, core::kRootSeed);
       bool ok = true;
       util::Timer timer;
       const auto result = core::delta_stepping(comm, g, sample.front(), {});

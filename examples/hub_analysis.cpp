@@ -14,6 +14,7 @@
 #include "core/delta_stepping.hpp"
 #include "graph/builder.hpp"
 #include "simmpi/comm.hpp"
+#include "util/histogram.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 
@@ -31,9 +32,14 @@ int main(int argc, char** argv) {
     const graph::DistGraph g = graph::build_kronecker(comm, params, build);
 
     // --- degree distribution -------------------------------------------
-    // Merge the per-rank histograms through fixed-width buckets.
+    // Histogram the owned degrees, then merge the per-rank histograms
+    // through fixed-width buckets.
+    util::Log2Histogram degrees;
+    for (graph::LocalId u = 0; u < g.csr.num_local(); ++u) {
+      degrees.add(g.csr.degree(u));
+    }
     std::vector<std::uint64_t> buckets(64, 0);
-    const auto& local = g.degree_hist.buckets();
+    const auto& local = degrees.buckets();
     for (std::size_t i = 0; i < local.size() && i < 64; ++i) {
       buckets[i] = local[i];
     }

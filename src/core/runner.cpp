@@ -108,7 +108,7 @@ BenchmarkReport run_benchmark(simmpi::Comm& comm, const graph::DistGraph& g,
   report.num_ranks = comm.size();
 
   const std::vector<VertexId> roots =
-      sample_roots(comm, g, options.num_roots, options.root_seed);
+      sample_roots(comm, g, options.num_roots, kRootSeed);
 
   for (const VertexId root : roots) {
     SsspStats local;
@@ -180,10 +180,9 @@ BenchmarkReport run_benchmark_resilient(
 
   // Shared backoff schedule (jittered, deterministic in the seed): one
   // global retry counter drives the exponential ramp across both phases.
-  const util::BackoffPolicy backoff = options.backoff_policy();
   std::uint64_t retries = 0;
   auto charge_backoff = [&]() {
-    const double d = backoff.delay(++retries);
+    const double d = options.retry_backoff.delay(++retries);
     report.backoff_seconds += d;
     report.attempt_backoffs.push_back(d);
   };
@@ -196,7 +195,7 @@ BenchmarkReport run_benchmark_resilient(
       world.run([&](simmpi::Comm& comm) {
         const graph::DistGraph g = build_graph(comm);
         const std::vector<VertexId> sampled =
-            sample_roots(comm, g, options.num_roots, options.root_seed);
+            sample_roots(comm, g, options.num_roots, kRootSeed);
         if (comm.rank() == 0) {
           roots = sampled;
           report.num_vertices = g.num_vertices;
@@ -235,7 +234,7 @@ BenchmarkReport run_benchmark_resilient(
       world.run([&](simmpi::Comm& comm) {
         const graph::DistGraph g = build_graph(comm);
         const std::vector<VertexId> sampled =
-            sample_roots(comm, g, options.num_roots, options.root_seed);
+            sample_roots(comm, g, options.num_roots, kRootSeed);
         for (std::size_t i = 0; i < sampled.size(); ++i) {
           if (todo[i] != 0) continue;  // finished by an earlier attempt
           SsspStats local;

@@ -27,9 +27,12 @@ enum class Algorithm {
   kBfs,  ///< the Graph 500 BFS kernel (hop distances, no weights)
 };
 
+/// Search-key sampling seed of the protocol, shared by every harness that
+/// samples the runner's roots.
+inline constexpr std::uint64_t kRootSeed = 0x9500;
+
 struct RunnerOptions {
   int num_roots = 64;
-  std::uint64_t root_seed = 0x9500;  ///< search-key sampling seed
   bool validate = true;
   Algorithm algorithm = Algorithm::kDeltaStepping;
   SsspConfig config;
@@ -42,27 +45,11 @@ struct RunnerOptions {
   /// 0 = every retry restarts the root from scratch).
   std::uint64_t checkpoint_interval = 0;
   /// Virtual delay charged per retry, mirroring a real machine's restart
-  /// latency.  Recorded in BenchmarkReport::backoff_seconds, not slept.
-  /// This is the BASE of a seeded exponential-backoff-with-jitter schedule
-  /// (util::BackoffPolicy) shared with bench_recovery and the serving
-  /// layer's wave retry; the knobs below shape it.
-  double retry_backoff_seconds = 0.0;
-  /// Growth factor per consecutive retry.
-  double retry_backoff_multiplier = 2.0;
-  /// Cap on the un-jittered delay.
-  double retry_backoff_max_seconds = 60.0;
-  /// Fraction of each delay subject to deterministic jitter ([0, 1]);
-  /// 0 reproduces the old fixed-backoff behaviour exactly.
-  double retry_backoff_jitter = 0.5;
-  /// Seed of the jitter stream (pure function of (seed, attempt)).
-  std::uint64_t retry_backoff_seed = 0x0b0f;
-
-  /// The schedule the resilient driver charges retries against.
-  [[nodiscard]] util::BackoffPolicy backoff_policy() const {
-    return {retry_backoff_seconds, retry_backoff_multiplier,
-            retry_backoff_max_seconds, retry_backoff_jitter,
-            retry_backoff_seed};
-  }
+  /// latency: the seeded exponential schedule shared with bench_recovery
+  /// and the serving layer's wave retry.  Recorded in
+  /// BenchmarkReport::backoff_seconds, not slept; a zero base charges
+  /// nothing.
+  util::BackoffPolicy retry_backoff{.base_seconds = 0.0};
 };
 
 /// Outcome of one root.

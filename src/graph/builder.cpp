@@ -118,11 +118,6 @@ DistGraph build_distributed(simmpi::Comm& comm, const EdgeList& input_slice,
 
 void finish_local(simmpi::Comm& comm, DistGraph& g) {
   g.num_directed_edges = comm.allreduce_sum<std::uint64_t>(g.csr.num_edges());
-  g.degree_hist = util::Log2Histogram{};
-  for (LocalId u = 0; u < g.csr.num_local(); ++u) {
-    g.degree_hist.add(g.csr.degree(u));
-  }
-
   g.backing = GraphBacking::kResident;
   g.mapped_bytes = 0;
   g.mapping.reset();

@@ -18,7 +18,6 @@
 #include "graph/kronecker.hpp"
 #include "graph/partition.hpp"
 #include "simmpi/comm.hpp"
-#include "util/histogram.hpp"
 
 namespace g500::graph {
 
@@ -64,9 +63,6 @@ struct DistGraph {
   /// Degrees matching `hubs` entry-wise.
   std::vector<std::uint64_t> hub_degrees;
 
-  /// Histogram of owned-vertex degrees (merge across ranks for global).
-  util::Log2Histogram degree_hist;
-
   /// Storage backing of csr/pull.  When kMapped, `mapping` keeps the shard
   /// file mapped for the lifetime of the views and `mapped_bytes` counts
   /// the file-backed section bytes (not resident heap).
@@ -89,11 +85,10 @@ struct DistGraph {
 
 /// The rank-local fields a fresh build derives once g.csr and g.pull are
 /// on the heap: num_directed_edges (one allreduce, so this is a
-/// collective), the degree histogram, and the resident backing, which
-/// releases any shard mapping.  build_distributed and dyn::MutableGraph's
-/// commits both end with it, so a committed view matches a fresh build in
-/// these fields by construction.  Hubs and num_input_edges are left to
-/// the caller.
+/// collective) and the resident backing, which releases any shard
+/// mapping.  build_distributed and dyn::MutableGraph's commits both end
+/// with it, so a committed view matches a fresh build in these fields by
+/// construction.  Hubs and num_input_edges are left to the caller.
 void finish_local(simmpi::Comm& comm, DistGraph& g);
 
 /// Convenience: generate this rank's Kronecker slice internally, then build.

@@ -395,10 +395,6 @@ DistGraph load_sharded(simmpi::Comm& comm, const std::string& dir,
   agree(g.num_vertices, "num_vertices");
   agree(g.num_input_edges, "num_input_edges");
   g.num_directed_edges = comm.allreduce_sum<std::uint64_t>(g.csr.num_edges());
-
-  for (LocalId u = 0; u < shard.num_local(); ++u) {
-    g.degree_hist.add(g.csr.degree(u));
-  }
   select_hubs(comm, g.part, g.csr,
               resolved_hub_count(opts, g.num_vertices), g.hubs,
               g.hub_degrees);

@@ -27,7 +27,7 @@
 // the OS may evict them under pressure, so resident memory stays bounded
 // by the engine's own per-vertex state instead of the edge count.
 // load_sharded() is the SPMD entry point that assembles a full DistGraph
-// (partition, hubs, degree histogram) from per-rank shard files.
+// (partition, hubs) from per-rank shard files.
 //
 // Every field read from disk is untrusted until validated: map() checks
 // magic/version/checksum, section bounds against the real file size, and
@@ -162,8 +162,8 @@ void write_shard(const std::string& path, const DistGraph& g, int rank);
 /// SPMD: map this rank's shard from `dir` and assemble the DistGraph the
 /// engines run over — partition, mapped CSR/pull views, hubs re-selected
 /// collectively from the mapped degrees (identical to the in-memory
-/// build's), degree histogram.  The returned graph carries the mapping
-/// handle (DistGraph::mapping) and reports GraphBacking::kMapped.
+/// build's).  The returned graph carries the mapping handle
+/// (DistGraph::mapping) and reports GraphBacking::kMapped.
 [[nodiscard]] DistGraph load_sharded(simmpi::Comm& comm,
                                      const std::string& dir,
                                      const BuildOptions& opts = {});

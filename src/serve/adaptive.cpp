@@ -6,6 +6,13 @@
 
 namespace g500::serve {
 
+namespace {
+/// EWMA smoothing of the arrival rate: the newest tick's weight.
+constexpr double kEwmaAlpha = 0.25;
+/// The knobs are re-derived every this many observed ticks.
+constexpr std::uint64_t kAdjustPeriod = 4;
+}  // namespace
+
 AdaptiveBatchController::AdaptiveBatchController(const AdaptiveConfig& config,
                                                 std::size_t batch0,
                                                 std::uint64_t wait0)
@@ -17,14 +24,6 @@ AdaptiveBatchController::AdaptiveBatchController(const AdaptiveConfig& config,
   if (config_.min_wait_ticks > config_.max_wait_ticks) {
     throw std::invalid_argument(
         "AdaptiveBatchController: need min_wait_ticks <= max_wait_ticks");
-  }
-  if (!(config_.ewma_alpha > 0.0) || config_.ewma_alpha > 1.0) {
-    throw std::invalid_argument(
-        "AdaptiveBatchController: ewma_alpha must be in (0, 1]");
-  }
-  if (config_.adjust_period == 0) {
-    throw std::invalid_argument(
-        "AdaptiveBatchController: adjust_period must be >= 1");
   }
   if (!(config_.target_wait_ticks > 0.0)) {
     throw std::invalid_argument(
@@ -40,9 +39,9 @@ void AdaptiveBatchController::observe(std::uint64_t arrivals) {
     rate_ = x;
     primed_ = true;
   } else {
-    rate_ = config_.ewma_alpha * x + (1.0 - config_.ewma_alpha) * rate_;
+    rate_ = kEwmaAlpha * x + (1.0 - kEwmaAlpha) * rate_;
   }
-  if (++ticks_since_adjust_ < config_.adjust_period) return;
+  if (++ticks_since_adjust_ < kAdjustPeriod) return;
   ticks_since_adjust_ = 0;
 
   const auto want_batch = static_cast<std::size_t>(std::llround(

@@ -3,8 +3,9 @@
 // A fixed batch_size only fits one arrival rate: too small and the queue
 // grows without bound under load, too large and sparse traffic waits out
 // the full deadline every time.  The controller tracks the observed
-// arrival rate with an EWMA and periodically re-derives both dispatch
-// knobs from it:
+// arrival rate with an EWMA and, every few ticks, re-derives both
+// dispatch knobs from it (the smoothing weight and the period are
+// constants in adaptive.cpp):
 //
 //   batch_size     = clamp(round(rate * target_wait_ticks))
 //   max_wait_ticks = clamp(round(batch_size / rate))
@@ -35,20 +36,13 @@ struct AdaptiveConfig {
 
   /// Queueing delay (ticks) a full batch should take to accumulate.
   double target_wait_ticks = 4.0;
-
-  /// EWMA smoothing for the arrival rate (weight of the newest tick).
-  double ewma_alpha = 0.25;
-
-  /// Re-derive the knobs every this many observed ticks.
-  std::uint64_t adjust_period = 4;
 };
 
 class AdaptiveBatchController {
  public:
   /// `batch0` / `wait0` seed the knobs until the first adjustment (they
   /// are clamped into the configured ranges).  Throws std::invalid_argument
-  /// on an inconsistent config (empty ranges, alpha outside (0, 1], zero
-  /// adjust_period, non-positive target).
+  /// on an inconsistent config (empty ranges, non-positive target).
   AdaptiveBatchController(const AdaptiveConfig& config, std::size_t batch0,
                           std::uint64_t wait0);
 

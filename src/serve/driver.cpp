@@ -109,7 +109,6 @@ ServingRunReport run_workload_resilient(
   FaultLedger ledger;
   BreakerStatus breaker;
   std::vector<graph::VertexId> abandoned;
-  bool facility_abandoned = false;
   bool has_resume = false;
   graph::VertexId resume_key = graph::kNoVertex;
   std::uint64_t resume_tick = 0;
@@ -125,9 +124,8 @@ ServingRunReport run_workload_resilient(
   std::vector<std::uint8_t> resolved(trace.size(), 0);
   std::vector<std::uint8_t> shed_marks(trace.size(), 0);
 
-  // Per-key retry ledger.
+  // Per-key retry ledger (the facility wave's key is kNoVertex).
   std::vector<std::pair<graph::VertexId, int>> wave_failures;
-  int facility_failures = 0;
 
   ServingRunReport report;
   AvailabilityStats avail;
@@ -153,7 +151,6 @@ ServingRunReport run_workload_resilient(
         ctx.has_resume = has_resume;
         ctx.resume_key = resume_key;
         ctx.abandoned = abandoned;
-        ctx.facility_abandoned = facility_abandoned;
         ctx.breaker = breaker;
         ctx.ledger = &ledger;
         DistanceService service(comm, g, config, &ctx);
@@ -240,29 +237,19 @@ ServingRunReport run_workload_resilient(
     avail.recovery_ticks +=
         1 + static_cast<std::uint64_t>(std::ceil(delay));
     if (ledger.wave_open) {
-      int failures = 0;
-      if (ledger.wave_facility) {
-        failures = ++facility_failures;
-      } else {
-        auto it = std::find_if(
-            wave_failures.begin(), wave_failures.end(),
-            [&](const auto& e) { return e.first == ledger.wave_key; });
-        if (it == wave_failures.end()) {
-          wave_failures.emplace_back(ledger.wave_key, 0);
-          it = std::prev(wave_failures.end());
-        }
-        failures = ++it->second;
+      auto it = std::find_if(
+          wave_failures.begin(), wave_failures.end(),
+          [&](const auto& e) { return e.first == ledger.wave_key; });
+      if (it == wave_failures.end()) {
+        wave_failures.emplace_back(ledger.wave_key, 0);
+        it = std::prev(wave_failures.end());
       }
-      if (failures >= config.fault.max_wave_attempts) {
-        if (ledger.wave_facility) {
-          facility_abandoned = true;
-        } else {
-          abandoned.push_back(ledger.wave_key);
-        }
+      if (++it->second >= config.fault.max_wave_attempts) {
+        abandoned.push_back(ledger.wave_key);
         ++avail.waves_abandoned;
         has_resume = false;
         for (auto& s : snapshots) s.clear();
-      } else if (!ledger.wave_facility) {
+      } else if (ledger.wave_key != graph::kNoVertex) {
         // The crashed wave resumes from its last checkpointed epoch (the
         // facility multi-wave has no checkpointed variant — it simply
         // reruns).

@@ -11,14 +11,17 @@
 //     last bucket epoch instead of from scratch;
 //   * OracleSliceStore persists the landmark oracle's distance slices in
 //     a versioned, digest-gated format so a restarted service skips the
-//     precompute waves entirely;
+//     precompute waves entirely (BlobWriter / BlobReader frame both of
+//     its blobs);
 //   * FaultLedger records which wave was in flight (rank-0 bookkeeping
 //     between collectives, so a crash never tears it) — the driver uses
 //     it to attribute the failure, budget per-key retries, and drive the
 //     circuit breaker;
 //   * FaultContext is the per-attempt view the driver hands each rank's
 //     DistanceService: the snapshot/store slots, the resume key, the
-//     abandoned-key list and the breaker state at attempt start.
+//     abandoned-key list and the breaker state at attempt start.  A
+//     service handed a snapshot slot checkpoints its full single-source
+//     waves into it; one without a FaultContext (or a slot) never does.
 //
 // The circuit breaker itself follows the classic three-state protocol:
 // closed (waves dispatch normally) -> open after K consecutive wave
@@ -30,12 +33,15 @@
 // sequence, so every rank computes them identically.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "graph/types.hpp"
 #include "util/backoff.hpp"
+#include "util/random.hpp"
 
 namespace g500::serve {
 
@@ -65,6 +71,70 @@ struct OracleSliceStore {
   }
 };
 
+/// Writes the framing both OracleSliceStore blobs share: a leading
+/// kFormatVersion word, then the blob's own header words and payload,
+/// then a trailing util::hash_bytes checksum over everything before it.
+class BlobWriter {
+ public:
+  /// Starts `out` afresh with the version word.
+  explicit BlobWriter(std::vector<std::uint8_t>& out) : out_(out) {
+    out_.clear();
+    put(OracleSliceStore::kFormatVersion);
+  }
+
+  void put(std::uint64_t word) { put_bytes(&word, sizeof(word)); }
+  void put_bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    out_.insert(out_.end(), p, p + size);
+  }
+
+  /// Appends the checksum; the blob is complete.
+  void seal() { put(util::hash_bytes(out_.data(), out_.size())); }
+
+ private:
+  std::vector<std::uint8_t>& out_;
+};
+
+/// Reads a blob BlobWriter framed.  Every read fails once the blob runs
+/// short, and all of them fail when its version word is not
+/// kFormatVersion (an empty blob included).
+class BlobReader {
+ public:
+  explicit BlobReader(const std::vector<std::uint8_t>& in) : in_(in) {
+    std::uint64_t version = 0;
+    ok_ = get(version) && version == OracleSliceStore::kFormatVersion;
+  }
+
+  [[nodiscard]] bool get(std::uint64_t& word) noexcept {
+    return get_bytes(&word, sizeof(word));
+  }
+  [[nodiscard]] bool get_bytes(void* out, std::size_t size) noexcept {
+    if (!ok_ || size > in_.size() - pos_) {
+      ok_ = false;
+      return false;
+    }
+    if (size > 0) std::memcpy(out, in_.data() + pos_, size);
+    pos_ += size;
+    return true;
+  }
+
+  /// True when exactly `payload_bytes` are left before the trailing
+  /// checksum and the checksum matches the rest of the blob.
+  [[nodiscard]] bool sealed(std::size_t payload_bytes) const noexcept {
+    constexpr std::size_t kSum = sizeof(std::uint64_t);
+    const std::size_t left = in_.size() - pos_;
+    if (!ok_ || left < kSum || left - kSum != payload_bytes) return false;
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, in_.data() + in_.size() - kSum, kSum);
+    return util::hash_bytes(in_.data(), in_.size() - kSum) == stored;
+  }
+
+ private:
+  const std::vector<std::uint8_t>& in_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
+
 enum class BreakerState : std::uint8_t {
   kClosed,    ///< waves dispatch normally
   kOpen,      ///< cache/oracle-only; wave-needing queries degrade or fail
@@ -78,14 +148,13 @@ struct BreakerStatus {
   int consecutive_failures = 0;      ///< crash streak feeding the threshold
 };
 
-/// Fault-tolerance knobs of the serving layer (ServeConfig::fault).
+/// Fault-tolerance knobs of the serving layer (ServeConfig::fault).  The
+/// retry machinery itself runs only for a service handed a FaultContext
+/// (see FaultContext::snapshot).
 struct FaultToleranceConfig {
-  /// Master switch for the wave retry machinery: checkpointed waves,
-  /// resume keys, ledger bookkeeping.  Off = PR-4 behaviour.
-  bool enabled = false;
-
   /// Bucket epochs between wave snapshots (each wave's
-  /// core::RunControl::checkpoint_interval; read when `enabled`).
+  /// core::RunControl::checkpoint_interval; used by waves that get the
+  /// FaultContext's snapshot slot).
   std::uint64_t checkpoint_interval = 4;
 
   /// World launches a single wave key may consume before the driver
@@ -122,10 +191,9 @@ struct FaultToleranceConfig {
 struct FaultLedger {
   /// The wave dispatched most recently and not yet completed.  When the
   /// attempt dies with `wave_open` set, that key's retry budget is
-  /// charged; `wave_facility` disambiguates the facility wave (whose
-  /// cache key is the kNoVertex sentinel).
+  /// charged.  The facility wave's key is graph::kNoVertex, which no root
+  /// can take.
   bool wave_open = false;
-  bool wave_facility = false;
   graph::VertexId wave_key = graph::kNoVertex;
 
   /// Breaker state as of the last completed tick (rank-0 harvest).
@@ -136,11 +204,11 @@ struct FaultLedger {
 /// pointers refer to driver-owned stable storage and must outlive the
 /// service.
 struct FaultContext {
-  /// This rank's wave snapshot slot.  The service passes it only to the
-  /// wave whose key matches `resume_key` (a mismatched wave would clear
-  /// the snapshot on its digest check and destroy the crashed wave's
-  /// progress); other waves run with checkpointing into the slot once it
-  /// is free again.
+  /// This rank's wave snapshot slot (nullptr = waves never checkpoint).
+  /// Every full single-source wave checkpoints into it, except that
+  /// while it holds a crashed wave's progress the service passes it only
+  /// to the wave whose key matches `resume_key` (a mismatched wave would
+  /// clear the snapshot on its digest check and destroy that progress).
   core::CheckpointState* snapshot = nullptr;
 
   /// This rank's oracle persistence slot (nullptr = no persistence).
@@ -150,10 +218,10 @@ struct FaultContext {
   bool has_resume = false;
   graph::VertexId resume_key = graph::kNoVertex;
 
-  /// Keys whose retry budget is exhausted: their queries skip the wave
-  /// and degrade or fail.  Identical on every rank.
+  /// Keys whose retry budget is exhausted (graph::kNoVertex for the
+  /// facility wave): their queries skip the wave and degrade or fail.
+  /// Identical on every rank.
   std::vector<graph::VertexId> abandoned;
-  bool facility_abandoned = false;
 
   /// Breaker state at attempt start (each rank copies it; transitions
   /// from here are deterministic).

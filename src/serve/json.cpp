@@ -49,7 +49,6 @@ util::Json to_json(const ServeConfig& config) {
   util::Json oracle = util::Json::object();
   oracle["num_landmarks"] =
       static_cast<std::uint64_t>(config.oracle.num_landmarks);
-  oracle["prune_slack"] = config.oracle.prune_slack;
   j["oracle"] = std::move(oracle);
   util::Json adaptive = util::Json::object();
   adaptive["enabled"] = config.adaptive.enabled;
@@ -58,12 +57,8 @@ util::Json to_json(const ServeConfig& config) {
   adaptive["min_wait_ticks"] = config.adaptive.min_wait_ticks;
   adaptive["max_wait_ticks"] = config.adaptive.max_wait_ticks;
   adaptive["target_wait_ticks"] = config.adaptive.target_wait_ticks;
-  adaptive["ewma_alpha"] = config.adaptive.ewma_alpha;
-  adaptive["adjust_period"] = config.adaptive.adjust_period;
   j["adaptive"] = std::move(adaptive);
-  j["shed_log_cap"] = static_cast<std::uint64_t>(config.shed_log_cap);
   util::Json fault = util::Json::object();
-  fault["enabled"] = config.fault.enabled;
   fault["checkpoint_interval"] = config.fault.checkpoint_interval;
   fault["max_wave_attempts"] =
       static_cast<std::int64_t>(config.fault.max_wave_attempts);
@@ -74,17 +69,10 @@ util::Json to_json(const ServeConfig& config) {
   fault["deadline_buckets_per_tick"] = config.fault.deadline_buckets_per_tick;
   util::Json backoff = util::Json::object();
   backoff["base_seconds"] = config.fault.backoff.base_seconds;
-  backoff["multiplier"] = config.fault.backoff.multiplier;
-  backoff["max_seconds"] = config.fault.backoff.max_seconds;
-  backoff["jitter"] = config.fault.backoff.jitter;
   backoff["seed"] = config.fault.backoff.seed;
   fault["backoff"] = std::move(backoff);
   j["fault"] = std::move(fault);
   util::Json analytics = util::Json::object();
-  analytics["queue_depth"] =
-      static_cast<std::uint64_t>(config.analytics_queue_depth);
-  analytics["slo_ticks"] = config.analytics_slo_ticks;
-  analytics["defer_ticks"] = config.analytics_defer_ticks;
   analytics["deadline_iters_per_tick"] = config.deadline_iters_per_tick;
   util::Json pagerank = util::Json::object();
   pagerank["damping"] = config.analytics.pagerank.damping;

@@ -34,14 +34,15 @@ Candidate better(Candidate a, Candidate b) {
 LandmarkOracle::LandmarkOracle(simmpi::Comm& comm, const graph::DistGraph& g,
                                const OracleConfig& config,
                                const core::SsspConfig& sssp,
+                               std::uint64_t graph_version,
                                OracleSliceStore* store)
-    : comm_(comm), g_(g), config_(config), sssp_(sssp) {
+    : comm_(comm),
+      g_(g),
+      config_(config),
+      sssp_(sssp),
+      graph_version_(graph_version) {
   if (config_.num_landmarks == 0) {
     throw std::invalid_argument("LandmarkOracle: num_landmarks must be >= 1");
-  }
-  if (!(config_.prune_slack >= 0.0) || config_.prune_slack >= 1.0) {
-    throw std::invalid_argument(
-        "LandmarkOracle: prune_slack must be in [0, 1)");
   }
   if (store != nullptr && store->valid()) {
     // Adoption must be all-or-nothing across ranks: slices feed
@@ -126,7 +127,7 @@ std::uint64_t LandmarkOracle::identity_digest() const {
                        static_cast<std::int64_t>(sssp_.hierarchical_group)));
   // Streaming mutations bump the graph version; slices solved on an older
   // version answer a different graph and must never pass the adopt gate.
-  h = util::hash64(h, config_.graph_version);
+  h = util::hash64(h, graph_version_);
   return h;
 }
 
@@ -144,64 +145,38 @@ std::uint64_t LandmarkOracle::refresh_slices(
     slices_[k] = std::move(wave.dist);
     ++waves;
   }
-  config_.graph_version = new_version;
+  graph_version_ = new_version;
   return waves;
 }
 
 void LandmarkOracle::save(OracleSliceStore& store) const {
-  auto& b = store.blob;
-  b.clear();
-  const auto put_u64 = [&b](std::uint64_t v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    b.insert(b.end(), p, p + sizeof(v));
-  };
-  put_u64(OracleSliceStore::kFormatVersion);
-  put_u64(identity_digest());
-  put_u64(landmarks_.size());
+  BlobWriter out(store.blob);
+  out.put(identity_digest());
+  out.put(landmarks_.size());
   const std::uint64_t local_n =
       slices_.empty() ? 0 : static_cast<std::uint64_t>(slices_[0].size());
-  put_u64(local_n);
-  for (const auto lm : landmarks_) put_u64(static_cast<std::uint64_t>(lm));
+  out.put(local_n);
+  for (const auto lm : landmarks_) out.put(static_cast<std::uint64_t>(lm));
   for (const auto& slice : slices_) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(slice.data());
-    b.insert(b.end(), p, p + slice.size() * sizeof(graph::Weight));
+    out.put_bytes(slice.data(), slice.size() * sizeof(graph::Weight));
   }
-  // Trailing checksum over everything above guards against bit rot.
-  put_u64(util::hash_bytes(b.data(), b.size()));
+  // The trailing checksum guards against bit rot.
+  out.seal();
 }
 
 bool LandmarkOracle::try_adopt(const OracleSliceStore& store) {
-  const auto& b = store.blob;
-  std::size_t off = 0;
-  const auto get_u64 = [&b, &off](std::uint64_t& v) {
-    if (off + sizeof(v) > b.size()) return false;
-    std::memcpy(&v, b.data() + off, sizeof(v));
-    off += sizeof(v);
-    return true;
-  };
-  std::uint64_t version = 0;
+  BlobReader in(store.blob);
   std::uint64_t identity = 0;
   std::uint64_t K = 0;
   std::uint64_t local_n = 0;
-  if (!get_u64(version) || version != OracleSliceStore::kFormatVersion) {
-    return false;
-  }
-  if (!get_u64(identity) || identity != identity_digest()) return false;
-  if (!get_u64(K) || !get_u64(local_n)) return false;
+  if (!in.get(identity) || identity != identity_digest()) return false;
+  if (!in.get(K) || !in.get(local_n)) return false;
   if (K == 0 || K > config_.num_landmarks ||
       local_n != static_cast<std::uint64_t>(g_.csr.num_local())) {
     return false;
   }
-  const std::size_t expected = 4 * sizeof(std::uint64_t) +
-                               K * sizeof(std::uint64_t) +
-                               K * local_n * sizeof(graph::Weight) +
-                               sizeof(std::uint64_t);
-  if (b.size() != expected) return false;
-  std::uint64_t stored_sum = 0;
-  std::memcpy(&stored_sum, b.data() + b.size() - sizeof(stored_sum),
-              sizeof(stored_sum));
-  if (util::hash_bytes(b.data(), b.size() - sizeof(stored_sum)) !=
-      stored_sum) {
+  if (!in.sealed(K * sizeof(std::uint64_t) +
+                 K * local_n * sizeof(graph::Weight))) {
     return false;
   }
 
@@ -209,16 +184,14 @@ bool LandmarkOracle::try_adopt(const OracleSliceStore& store) {
   landmarks_.reserve(K);
   for (std::uint64_t k = 0; k < K; ++k) {
     std::uint64_t lm = 0;
-    (void)get_u64(lm);
+    (void)in.get(lm);
     if (lm >= g_.num_vertices) return false;
     landmarks_.push_back(static_cast<graph::VertexId>(lm));
   }
   slices_.assign(K, {});
-  for (std::uint64_t k = 0; k < K; ++k) {
-    slices_[k].resize(local_n);
-    std::memcpy(slices_[k].data(), b.data() + off,
-                local_n * sizeof(graph::Weight));
-    off += local_n * sizeof(graph::Weight);
+  for (auto& slice : slices_) {
+    slice.resize(local_n);
+    (void)in.get_bytes(slice.data(), local_n * sizeof(graph::Weight));
   }
   return true;
 }
@@ -294,7 +267,7 @@ std::vector<graph::Weight> LandmarkOracle::lb_slice(
     const std::vector<graph::Weight>& at_t) const {
   const auto local_n = static_cast<std::size_t>(g_.csr.num_local());
   std::vector<graph::Weight> lb(local_n, 0.0f);
-  const auto scale = static_cast<graph::Weight>(1.0 - config_.prune_slack);
+  const auto scale = static_cast<graph::Weight>(1.0 - kPruneSlack);
   for (std::size_t k = 0; k < slices_.size(); ++k) {
     const auto& slice = slices_[k];
     const graph::Weight dt = at_t[k];
@@ -324,7 +297,7 @@ void LandmarkOracle::min_into_lb_slice(
 }
 
 graph::Weight LandmarkOracle::budget(graph::Weight ub) const {
-  return ub * static_cast<graph::Weight>(1.0 + config_.prune_slack);
+  return ub * static_cast<graph::Weight>(1.0 + kPruneSlack);
 }
 
 }  // namespace g500::serve

@@ -44,23 +44,19 @@ struct OracleConfig {
   /// Landmark count K.  0 disables the oracle at the service level; the
   /// constructor itself requires K >= 1.  Clamped to the vertex count.
   std::size_t num_landmarks = 0;
+};
 
+class LandmarkOracle {
+ public:
   /// Relative safety margin for the goal-directed pruning test: lower
   /// bounds are scaled by (1 - slack) and the budget by (1 + slack), so
   /// float rounding accumulated along long paths can never prune a
   /// relaxation the unpruned wave would have kept.  1/256 dwarfs the
   /// worst-case accumulation at any materializable diameter while costing
-  /// a negligible slice of pruning power.
-  double prune_slack = 1.0 / 256.0;
+  /// a negligible slice of pruning power.  The service's scoped
+  /// invalidation widens its brackets by the same margin.
+  static constexpr double kPruneSlack = 1.0 / 256.0;
 
-  /// Graph version the slices are solved on.  Part of the persistence
-  /// identity digest, so slices persisted before a streaming mutation can
-  /// never be adopted after one.
-  std::uint64_t graph_version = 0;
-};
-
-class LandmarkOracle {
- public:
   /// Triangle-inequality verdict on one (s, t) pair.  When `exact` is set
   /// the answer is `ub` verbatim and it is bit-identical to what a fresh
   /// unpruned wave from s would report at t (0 for s == t, the landmark
@@ -74,7 +70,10 @@ class LandmarkOracle {
 
   /// Collective: selects the landmarks and runs one wave per landmark to
   /// precompute this rank's owned distance slices.  `sssp` supplies the
-  /// engine knobs for those waves (any pruning fields are ignored).
+  /// engine knobs for those waves (any pruning fields are ignored), and
+  /// `graph_version` is the version of the graph `g` views (part of the
+  /// persistence digest, so slices persisted before a streaming mutation
+  /// can never be adopted after one).
   ///
   /// When `store` is non-null it is this rank's persistence slot: a valid
   /// blob whose digest gate passes (format version, graph shape, landmark
@@ -84,6 +83,7 @@ class LandmarkOracle {
   /// recomputed and saved back into the slot.
   LandmarkOracle(simmpi::Comm& comm, const graph::DistGraph& g,
                  const OracleConfig& config, const core::SsspConfig& sssp,
+                 std::uint64_t graph_version,
                  OracleSliceStore* store = nullptr);
 
   /// Landmark-distance rows for `vertices`: out[i][k] = d(L_k,
@@ -100,7 +100,7 @@ class LandmarkOracle {
 
   /// This rank's owned lower-bound slice toward a target with landmark
   /// row `at_t`: entry local(v) = max_k |d(L_k, v) - at_t[k]|, scaled by
-  /// (1 - prune_slack); infinite when some landmark proves v and the
+  /// (1 - kPruneSlack); infinite when some landmark proves v and the
   /// target live in different components.  Feed to
   /// core::RunControl::prune_lb.
   [[nodiscard]] std::vector<graph::Weight> lb_slice(
@@ -112,7 +112,7 @@ class LandmarkOracle {
   void min_into_lb_slice(std::vector<graph::Weight>& slice,
                          const std::vector<graph::Weight>& at_t) const;
 
-  /// Pruning budget for an upper bound: ub * (1 + prune_slack).
+  /// Pruning budget for an upper bound: ub * (1 + kPruneSlack).
   [[nodiscard]] graph::Weight budget(graph::Weight ub) const;
 
   [[nodiscard]] const std::vector<graph::VertexId>& landmarks()
@@ -141,7 +141,7 @@ class LandmarkOracle {
 
   /// Graph version the slices are currently solved on.
   [[nodiscard]] std::uint64_t graph_version() const noexcept {
-    return config_.graph_version;
+    return graph_version_;
   }
 
   /// Collective: re-solve the slices whose index appears in `flagged`
@@ -168,6 +168,7 @@ class LandmarkOracle {
   const graph::DistGraph& g_;
   OracleConfig config_;
   core::SsspConfig sssp_;  ///< wave knobs with pruning fields cleared
+  std::uint64_t graph_version_ = 0;  ///< version the slices are solved on
 
   std::vector<graph::VertexId> landmarks_;
   /// Per landmark, this rank's owned distance slice (indexed by local id).

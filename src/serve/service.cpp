@@ -18,6 +18,17 @@ namespace {
 /// slot_of sentinel for queries the oracle settles without a fetch.
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
+/// Admission bound of the analytics queue; the distance class keeps
+/// ServeConfig::queue_depth to itself, so analytics jobs can never crowd
+/// out distance reads at admission.
+constexpr std::size_t kAnalyticsQueueDepth = 16;
+/// Latency objective of the analytics class (its violations are counted
+/// apart from the distance class's ServeConfig::slo_ticks).
+constexpr std::uint64_t kAnalyticsSloTicks = 256;
+/// Scheduler aging bound: an analytics job waits behind distance traffic
+/// for at most this many ticks before it runs anyway.
+constexpr std::uint64_t kAnalyticsDeferTicks = 8;
+
 /// The root store charges every slice the widest owned slice, so its
 /// capacity (and every residency decision) is rank-independent.
 VersionedStore<graph::VertexId, Slice> root_store(std::size_t budget_bytes,
@@ -45,16 +56,9 @@ DistanceService::DistanceService(simmpi::Comm& comm,
   if (config_.batch_size == 0) {
     throw std::invalid_argument("DistanceService: batch_size must be >= 1");
   }
-  if (config_.shed_log_cap == 0) {
-    throw std::invalid_argument("DistanceService: shed_log_cap must be >= 1");
-  }
   if (config_.fault.max_wave_attempts < 1) {
     throw std::invalid_argument(
         "DistanceService: max_wave_attempts must be >= 1");
-  }
-  if (config_.analytics_queue_depth == 0) {
-    throw std::invalid_argument(
-        "DistanceService: analytics_queue_depth must be >= 1");
   }
   for (const auto f : config_.facilities) {
     if (f >= g_.num_vertices) {
@@ -62,11 +66,8 @@ DistanceService::DistanceService(simmpi::Comm& comm,
     }
   }
   graph_version_ = config_.graph_version;
-  // The oracle's persistence digest pins the graph version: slices saved
-  // before a streaming mutation can never be adopted after one.
-  config_.oracle.graph_version = config_.graph_version;
   if (config_.oracle.num_landmarks > 0) {
-    oracle_.emplace(comm_, g_, config_.oracle, config_.sssp,
+    oracle_.emplace(comm_, g_, config_.oracle, config_.sssp, graph_version_,
                     fault_ != nullptr ? fault_->oracle_store : nullptr);
   }
   if (config_.adaptive.enabled) {
@@ -112,7 +113,7 @@ bool DistanceService::submit(const Query& q) {
     // Analytics jobs have their own bounded queue so they can never crowd
     // distance reads out of admission (and vice versa).
     ++metrics_.analytics_arrived;
-    if (analytics_queue_.size() >= config_.analytics_queue_depth) {
+    if (analytics_queue_.size() >= kAnalyticsQueueDepth) {
       ++metrics_.shed;
       ++metrics_.analytics_shed;
       if (config_.shed_policy == ShedPolicy::kRejectNew) {
@@ -144,7 +145,7 @@ bool DistanceService::submit(const Query& q) {
 }
 
 void DistanceService::log_shed(const Query& q) {
-  if (shed_log_.size() >= config_.shed_log_cap) {
+  if (shed_log_.size() >= kShedLogCap) {
     ++metrics_.shed_log_overflow;
     return;
   }
@@ -166,18 +167,14 @@ void DistanceService::restore_backlog(const std::vector<Query>& backlog) {
 }
 
 bool DistanceService::is_abandoned(graph::VertexId key) const noexcept {
-  if (fault_ == nullptr) return false;
-  if (key == facility_key()) return fault_->facility_abandoned;
-  return std::find(fault_->abandoned.begin(), fault_->abandoned.end(), key) !=
-         fault_->abandoned.end();
+  return fault_ != nullptr &&
+         std::find(fault_->abandoned.begin(), fault_->abandoned.end(), key) !=
+             fault_->abandoned.end();
 }
 
 core::CheckpointState* DistanceService::snapshot_for(
     graph::VertexId key) const noexcept {
-  if (fault_ == nullptr || fault_->snapshot == nullptr ||
-      !config_.fault.enabled) {
-    return nullptr;
-  }
+  if (fault_ == nullptr || fault_->snapshot == nullptr) return nullptr;
   // The slot holds a crashed wave's progress: only the matching wave may
   // touch it (any other wave's digest check would clear it).  Once the
   // resume consumed it (the engine clears a completed run's snapshot),
@@ -204,7 +201,6 @@ Slice DistanceService::dispatch_wave(graph::VertexId key,
     // Rank-0 write between collectives: a crash inside the wave leaves
     // this record intact for the driver's retry attribution.
     ledger->wave_open = true;
-    ledger->wave_facility = key == facility_key();
     ledger->wave_key = key;
   }
   util::Timer timer;
@@ -638,8 +634,8 @@ void DistanceService::run_analytics_stage(std::uint64_t now, bool flush,
   // defer bound, the distance queue has gone idle, or the tick is a flush
   // — and never more than one per tick, so a burst of jobs cannot lock
   // the wave engine away from distance batches.
-  const bool aged = now >= analytics_queue_.front().arrival_tick +
-                              config_.analytics_defer_ticks;
+  const bool aged =
+      now >= analytics_queue_.front().arrival_tick + kAnalyticsDeferTicks;
   if (!flush && !aged && !queue_.empty()) {
     ++metrics_.analytics_deferred_ticks;
     return;
@@ -709,7 +705,7 @@ void DistanceService::run_analytics_stage(std::uint64_t now, bool flush,
     ++metrics_.answered;
     ++metrics_.analytics_answered;
     metrics_.analytics_latency_ticks.add(a.latency_ticks());
-    if (a.latency_ticks() > config_.analytics_slo_ticks) {
+    if (a.latency_ticks() > kAnalyticsSloTicks) {
       ++metrics_.analytics_slo_violations;
     }
   }
@@ -821,11 +817,11 @@ void DistanceService::note_graph_update(const dyn::CommitSummary& commit) {
   // absorb float rounding; infinite or absent bounds fail the test, so
   // uncertainty always lands on the invalidate side.  An edge both of
   // whose endpoints are PROVEN outside r's component can never matter.
-  const double slack = config_.oracle.prune_slack;
-  const auto lo = [slack](graph::Weight lb) {
+  constexpr double slack = LandmarkOracle::kPruneSlack;
+  const auto lo = [](graph::Weight lb) {
     return static_cast<double>(lb) * (1.0 - slack);
   };
-  const auto hi = [slack](graph::Weight ub) {
+  const auto hi = [](graph::Weight ub) {
     return static_cast<double>(ub) * (1.0 + slack);
   };
   const auto bracket = [&](graph::VertexId r) {
@@ -893,67 +889,41 @@ void DistanceService::note_graph_update(const dyn::CommitSummary& commit) {
 }
 
 void DistanceService::persist_point_cache(OracleSliceStore& store) {
-  auto& b = store.point_blob;
-  b.clear();
-  const auto put_u64 = [&b](std::uint64_t v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    b.insert(b.end(), p, p + sizeof(v));
-  };
-  put_u64(OracleSliceStore::kFormatVersion);
-  put_u64(util::hash64(OracleSliceStore::kFormatVersion, g_.num_vertices,
+  BlobWriter out(store.point_blob);
+  out.put(util::hash64(OracleSliceStore::kFormatVersion, g_.num_vertices,
                        graph_version_));
   const std::size_t count = points_.stats().resident_entries;
-  put_u64(count);
+  out.put(count);
   // Least recent first, so adoption's in-order inserts rebuild recency.
-  points_.for_each([&put_u64](const PointKey& key, graph::Weight distance) {
-    put_u64(static_cast<std::uint64_t>(key.first));
-    put_u64(static_cast<std::uint64_t>(key.second));
+  points_.for_each([&out](const PointKey& key, graph::Weight distance) {
+    out.put(static_cast<std::uint64_t>(key.first));
+    out.put(static_cast<std::uint64_t>(key.second));
     std::uint64_t w_bits = 0;
     std::memcpy(&w_bits, &distance, sizeof(graph::Weight));
-    put_u64(w_bits);
+    out.put(w_bits);
   });
-  put_u64(util::hash_bytes(b.data(), b.size()));
+  out.seal();
   metrics_.point_persisted += count;
 }
 
 bool DistanceService::try_adopt_points(const OracleSliceStore& store) {
-  const auto& b = store.point_blob;
-  if (b.empty()) return false;
-  std::size_t off = 0;
-  const auto get_u64 = [&b, &off](std::uint64_t& v) {
-    if (off + sizeof(v) > b.size()) return false;
-    std::memcpy(&v, b.data() + off, sizeof(v));
-    off += sizeof(v);
-    return true;
-  };
-  std::uint64_t version = 0;
+  BlobReader in(store.point_blob);
   std::uint64_t digest = 0;
   std::uint64_t count = 0;
-  if (!get_u64(version) || version != OracleSliceStore::kFormatVersion) {
-    return false;
-  }
-  if (!get_u64(digest) ||
+  if (!in.get(digest) ||
       digest != util::hash64(OracleSliceStore::kFormatVersion,
                              g_.num_vertices, config_.graph_version)) {
     return false;
   }
-  if (!get_u64(count) || count > config_.point_cache_cap) return false;
-  const std::size_t expected = (4 + 3 * count) * sizeof(std::uint64_t);
-  if (b.size() != expected) return false;
-  std::uint64_t stored_sum = 0;
-  std::memcpy(&stored_sum, b.data() + b.size() - sizeof(stored_sum),
-              sizeof(stored_sum));
-  if (util::hash_bytes(b.data(), b.size() - sizeof(stored_sum)) !=
-      stored_sum) {
-    return false;
-  }
+  if (!in.get(count) || count > config_.point_cache_cap) return false;
+  if (!in.sealed(3 * count * sizeof(std::uint64_t))) return false;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t r = 0;
     std::uint64_t t = 0;
     std::uint64_t w_bits = 0;
-    (void)get_u64(r);
-    (void)get_u64(t);
-    (void)get_u64(w_bits);
+    (void)in.get(r);
+    (void)in.get(t);
+    (void)in.get(w_bits);
     if (r >= g_.num_vertices || t >= g_.num_vertices) return false;
     graph::Weight w = 0.0f;
     std::memcpy(&w, &w_bits, sizeof(w));

@@ -28,11 +28,11 @@
 //     store so a repeated point query costs a lookup instead of a wave;
 //     and the analytics memo;
 //   * analytics class — kAnalytics queries queue separately (bounded by
-//     analytics_queue_depth) and run through the kernel registry
-//     (kernels.hpp: PageRank, k-core, components, reachability).  The
-//     scheduler keeps cheap distance batches flowing: every tick serves
-//     the distance batch first, then at most ONE analytics job, and only
-//     when the job has aged past analytics_defer_ticks, the distance
+//     kAnalyticsQueueDepth in service.cpp) and run through the kernel
+//     registry (kernels.hpp: PageRank, k-core, components, reachability).
+//     The scheduler keeps cheap distance batches flowing: every tick
+//     serves the distance batch first, then at most ONE analytics job, and
+//     only when the job has aged past kAnalyticsDeferTicks, the distance
 //     queue is idle, or the tick is a flush.  Whole-graph results are
 //     memoized per graph version, and a job's deadline budget maps
 //     onto a PageRank iteration cap through deadline_iters_per_tick the
@@ -90,24 +90,10 @@ struct ServeConfig {
                                    ///< the service's own)
   OracleConfig oracle;             ///< num_landmarks > 0 enables the oracle
   AdaptiveConfig adaptive;         ///< enabled = true activates the controller
-  /// Bound on shed_log() entries; once full, further shed queries are
-  /// still counted and rejected but their records are dropped
-  /// (ServiceMetrics::shed_log_overflow counts the drops).  Must be >= 1.
-  std::size_t shed_log_cap = 4096;
   FaultToleranceConfig fault;      ///< retry/degradation/breaker knobs
 
   // ---- analytics class -------------------------------------------------
   AnalyticsConfig analytics;       ///< kernel-registry knobs
-  /// Admission bound of the analytics queue (>= 1); the distance class
-  /// keeps queue_depth to itself so analytics jobs can never crowd out
-  /// distance reads at admission.
-  std::size_t analytics_queue_depth = 16;
-  /// Per-class latency objective for analytics jobs (violations counted
-  /// separately from the distance-class slo_ticks).
-  std::uint64_t analytics_slo_ticks = 256;
-  /// Scheduler aging bound: an analytics job may be deferred behind
-  /// distance traffic for at most this many ticks before it runs anyway.
-  std::uint64_t analytics_defer_ticks = 8;
   /// Deadline budget for analytics jobs: remaining ticks x this = the
   /// PageRank iteration cap (0 disables; the analogue of
   /// fault.deadline_buckets_per_tick for distance waves).
@@ -193,7 +179,7 @@ struct ServiceMetrics {
   std::uint64_t oracle_unreachable = 0;  ///< subset proven unreachable
   std::uint64_t adaptive_adjustments = 0;  ///< controller knob changes
 
-  // Fault-tolerance outcomes and machinery (zero unless enabled).
+  // Fault-tolerance outcomes and machinery.
   std::uint64_t deadline_exceeded = 0;  ///< expired in queue or truncated wave
   std::uint64_t degraded = 0;           ///< answered from oracle lb/ub
   std::uint64_t failed_queries = 0;     ///< completed with no usable answer
@@ -212,7 +198,7 @@ struct ServiceMetrics {
   std::uint64_t analytics_admitted = 0;
   std::uint64_t analytics_shed = 0;
   std::uint64_t analytics_answered = 0;
-  std::uint64_t analytics_slo_violations = 0;  ///< vs analytics_slo_ticks
+  std::uint64_t analytics_slo_violations = 0;  ///< vs kAnalyticsSloTicks
   std::uint64_t analytics_deadline_exceeded = 0;
   std::uint64_t analytics_degraded = 0;  ///< truncated (iteration-capped) kernels
   std::uint64_t analytics_failed = 0;    ///< refused by an open breaker
@@ -417,8 +403,14 @@ class DistanceService {
     return queue_.size() + analytics_queue_.size();
   }
 
+  /// Bound on shed_log() entries: once full, further shed queries are
+  /// still counted and rejected but their records are dropped
+  /// (ServiceMetrics::shed_log_overflow counts the drops).
+  static constexpr std::size_t kShedLogCap = 4096;
+
   /// Queries shed so far (either bounced arrivals or drop-oldest
-  /// victims), in shed order; the caller may re-submit them later.
+  /// victims), in shed order, up to kShedLogCap; the caller may re-submit
+  /// them later.
   [[nodiscard]] const std::vector<Query>& shed_log() const noexcept {
     return shed_log_;
   }

@@ -169,7 +169,6 @@ inline void expect_fresh_build(simmpi::Comm& comm, const DistGraph& view,
       << where;
   EXPECT_TRUE(same(view.pull.weights(), fresh.pull.weights())) << where;
   EXPECT_EQ(view.num_directed_edges, fresh.num_directed_edges) << where;
-  EXPECT_EQ(view.degree_hist.buckets(), fresh.degree_hist.buckets()) << where;
   if (with_hubs) {
     EXPECT_EQ(view.hubs, fresh.hubs) << where;
     EXPECT_EQ(view.hub_degrees, fresh.hub_degrees) << where;

@@ -237,7 +237,7 @@ TEST(ResilientRunner, RecoversFromMidBenchmarkCrash) {
   core::RunnerOptions options;
   options.num_roots = 2;
   options.max_attempts = 3;
-  options.retry_backoff_seconds = 0.5;
+  options.retry_backoff.base_seconds = 0.5;
   options.checkpoint_interval = 2;
 
   const auto build = [&](simmpi::Comm& comm) {
@@ -253,7 +253,7 @@ TEST(ResilientRunner, RecoversFromMidBenchmarkCrash) {
     probe.set_fault_plan(simmpi::FaultPlan{});
     probe.run([&](simmpi::Comm& comm) {
       const DistGraph g = build(comm);
-      (void)core::sample_roots(comm, g, options.num_roots, options.root_seed);
+      (void)core::sample_roots(comm, g, options.num_roots, core::kRootSeed);
     });
     setup_calls = probe.injector()->collective_calls(0);
     const auto clean = core::run_benchmark_resilient(probe, build, options);
@@ -311,7 +311,7 @@ TEST(ResilientRunner, ExhaustedRootDegradesToInvalidEntry) {
     probe.set_fault_plan(simmpi::FaultPlan{});
     probe.run([&](simmpi::Comm& comm) {
       const DistGraph g = build(comm);
-      (void)core::sample_roots(comm, g, options.num_roots, options.root_seed);
+      (void)core::sample_roots(comm, g, options.num_roots, core::kRootSeed);
     });
     setup_calls = probe.injector()->collective_calls(0);
   }
@@ -359,7 +359,7 @@ TEST(ResilientRunner, CleanWorldMatchesStandardProtocol) {
   world.run([&](simmpi::Comm& comm) {
     const DistGraph g = build(comm);
     const auto roots =
-        core::sample_roots(comm, g, options.num_roots, options.root_seed);
+        core::sample_roots(comm, g, options.num_roots, core::kRootSeed);
     if (comm.rank() == 0) standard_roots = roots;
   });
   ASSERT_EQ(standard_roots.size(), 3u);

@@ -327,16 +327,6 @@ TEST(Builder, PullIndexOptional) {
   });
 }
 
-TEST(Builder, DegreeHistogramCountsOwnedVertices) {
-  const EdgeList path = path_graph(16);
-  simmpi::World world(4);
-  world.run([&](simmpi::Comm& comm) {
-    const DistGraph g = build_distributed(
-        comm, slice_for_rank(path, comm.rank(), comm.size()), 16);
-    EXPECT_EQ(g.degree_hist.total_count(), g.csr.num_local());
-  });
-}
-
 TEST(Builder, SliceForRankTilesInput) {
   const EdgeList whole = path_graph(100);
   std::size_t total = 0;

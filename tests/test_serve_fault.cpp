@@ -51,7 +51,6 @@ TEST(ServeFault, BreakerRefusesThenProbeCloses) {
     const auto g = build_test_graph(comm, list);
     ServeConfig config;
     config.batch_size = 1;
-    config.fault.enabled = true;
     config.fault.breaker_threshold = 2;
     config.fault.breaker_cooldown_ticks = 4;
 
@@ -115,7 +114,6 @@ TEST(ServeFault, DegradedAnswersAreOptInOracleBrackets) {
     ServeConfig config;
     config.batch_size = 1;
     config.oracle.num_landmarks = 2;
-    config.fault.enabled = true;
     config.fault.degraded_answers = true;
 
     // Pick a root the oracle cannot settle exactly (not a landmark).
@@ -172,6 +170,39 @@ TEST(ServeFault, DegradedAnswersAreOptInOracleBrackets) {
   });
 }
 
+/// The facility wave is one more key of the retry ledger: once its key
+/// (graph::kNoVertex) is abandoned, nearest-facility queries skip the wave
+/// and fail like the queries of any abandoned root.
+TEST(ServeFault, AbandonedFacilityKeyRefusesTheFacilityWave) {
+  const auto list = graph::path_graph(16, 6);
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    const auto g = build_test_graph(comm, list);
+    ServeConfig config;
+    config.batch_size = 2;
+    config.facilities = {0, 9};
+
+    FaultContext ctx;
+    ctx.abandoned = {graph::kNoVertex};
+    DistanceService service(comm, g, config, &ctx);
+    Query q;
+    q.kind = serve::QueryKind::kNearestFacility;
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      q.id = i;
+      q.target = 3 + i;
+      ASSERT_TRUE(service.submit(q));
+    }
+    const auto answers = service.tick(0);
+    ASSERT_EQ(answers.size(), 2u);
+    for (const auto& a : answers) {
+      EXPECT_EQ(a.outcome, Outcome::kFailed) << "query " << a.id;
+      EXPECT_TRUE(std::isinf(a.distance)) << "query " << a.id;
+    }
+    EXPECT_EQ(service.metrics().failed_queries, 2u);
+    EXPECT_EQ(service.metrics().waves, 0u);
+  });
+}
+
 /// The resilient driver survives a mid-serving crash: it backs off,
 /// restarts the world, re-admits the backlog, resumes the interrupted
 /// wave from its checkpoint — and every answer is bit-identical to an
@@ -197,7 +228,6 @@ TEST(ServeFault, ResilientDriverSurvivesCrashBitIdentical) {
   config.batch_size = 4;
   config.max_wait_ticks = 2;
   config.queue_depth = 256;  // no shedding: fates must match exactly
-  config.fault.enabled = true;
   config.fault.checkpoint_interval = 2;
   config.fault.backoff.base_seconds = 0.001;
 
@@ -276,7 +306,6 @@ TEST(ServeFault, ResilientRestartAdoptsPersistedOracleSlices) {
   ServeConfig config;
   config.queue_depth = 256;
   config.oracle.num_landmarks = 2;
-  config.fault.enabled = true;
 
   std::vector<serve::OracleSliceStore> stores;
   serve::ResilientServeOptions opts;

@@ -1,4 +1,5 @@
-// Unit tests for histogram, table printer, CLI options and timers.
+// Unit tests for histogram, table printer, CLI options, timers and the
+// retry backoff schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +7,9 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <vector>
 
+#include "util/backoff.hpp"
 #include "util/histogram.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -306,6 +309,54 @@ TEST(Accumulator, TracksTotalsAndMax) {
   EXPECT_EQ(acc.count(), 3u);
   acc.clear();
   EXPECT_EQ(acc.count(), 0u);
+}
+
+// ------------------------------------------------------------ BackoffPolicy
+
+TEST(BackoffPolicy, AttemptZeroAndZeroBaseChargeNothing) {
+  BackoffPolicy policy;
+  EXPECT_EQ(policy.delay(0), 0.0);
+  EXPECT_GT(policy.delay(1), 0.0);
+  policy.base_seconds = 0.0;
+  for (std::uint64_t attempt = 0; attempt < 10; ++attempt) {
+    EXPECT_EQ(policy.delay(attempt), 0.0) << "attempt " << attempt;
+  }
+}
+
+// The jitter factor of an attempt depends only on (seed, attempt), so a
+// policy whose base already sits at the cap reads it off directly: its
+// un-jittered delay is kMaxSeconds on every attempt.
+TEST(BackoffPolicy, DelaysDoubleToTheCapInsideTheJitterBand) {
+  BackoffPolicy policy;
+  policy.base_seconds = 0.75;
+  BackoffPolicy capped = policy;
+  capped.base_seconds = BackoffPolicy::kMaxSeconds;
+  double plain = policy.base_seconds;  // un-jittered delay of `attempt`
+  for (std::uint64_t attempt = 1; attempt <= 12; ++attempt) {
+    const double factor = capped.delay(attempt) / BackoffPolicy::kMaxSeconds;
+    EXPECT_GE(factor, 1.0 - BackoffPolicy::kJitter) << "attempt " << attempt;
+    EXPECT_LT(factor, 1.0) << "attempt " << attempt;
+    const double d = policy.delay(attempt);
+    EXPECT_DOUBLE_EQ(d / factor, plain) << "attempt " << attempt;
+    EXPECT_GE(d, 0.5 * plain) << "attempt " << attempt;
+    EXPECT_LT(d, plain) << "attempt " << attempt;
+    plain = std::min(2.0 * plain, 60.0);
+  }
+  EXPECT_EQ(plain, 60.0);  // the loop reached the cap
+}
+
+TEST(BackoffPolicy, OneSeedRepeatsItsSequenceAnotherDoesNot) {
+  const auto sequence = [](std::uint64_t seed) {
+    BackoffPolicy policy;
+    policy.seed = seed;
+    std::vector<double> delays;
+    for (std::uint64_t attempt = 1; attempt <= 8; ++attempt) {
+      delays.push_back(policy.delay(attempt));
+    }
+    return delays;
+  };
+  EXPECT_EQ(sequence(0x0b0f), sequence(0x0b0f));
+  EXPECT_NE(sequence(0x0b0f), sequence(0x0b10));
 }
 
 }  // namespace
