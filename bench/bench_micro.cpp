@@ -109,24 +109,6 @@ void BM_CsrConstruction(benchmark::State& state) {
 BENCHMARK(BM_CsrConstruction)->Arg(1 << 10)->Arg(1 << 14)
     ->Unit(benchmark::kMillisecond);
 
-void BM_PullIndexBuild(benchmark::State& state) {
-  const auto n = static_cast<LocalId>(state.range(0));
-  util::SplitMix64 rng(4);
-  std::vector<WireEdge> edges(static_cast<std::size_t>(n) * 16);
-  for (auto& e : edges) {
-    e.src = static_cast<VertexId>(rng.next_below(n));
-    e.dst = rng.next_below(n * 8);  // mostly remote neighbours
-    e.weight = static_cast<float>(rng.next_double());
-  }
-  const LocalCsr csr(n, std::move(edges));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(PullIndex::from_csr(csr));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(csr.num_edges()));
-}
-BENCHMARK(BM_PullIndexBuild)->Arg(1 << 12)->Unit(benchmark::kMillisecond);
-
 void BM_CommitBatch(benchmark::State& state) {
   // What one MutableGraph commit costs: a scale-14 Kronecker graph on 2
   // ranks takes batches of 16 random inserts plus 8 deletes of earlier

@@ -6,7 +6,8 @@
 //       query set at batch sizes 1..16: batching amortizes the per-batch
 //       answer-extraction exchange (and, cold, dedupes roots into shared
 //       waves), so throughput must rise with the batch size — the run
-//       fails unless batch 8 reaches --min-speedup x batch 1.
+//       fails unless batch 8's median over kWarmSamples drains reaches
+//       --min-speedup x batch 1's.
 //   (b) What does the root-result cache buy?  The cold sweep (budget 0)
 //       isolates the dedup-only effect; the open-loop run reports the
 //       cache hit rate a Zipf workload sustains.
@@ -44,6 +45,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "serve/kernels.hpp"
 
@@ -60,6 +62,17 @@ struct SweepRow {
   std::size_t batch = 0;
   serve::ServingRunReport run;
 };
+
+/// Warm drains timed per batch size.  One drain takes milliseconds, so a
+/// single one swings with whatever else the host runs; the table and the
+/// speedup gate read the median.
+constexpr int kWarmSamples = 5;
+
+double median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
 
 /// One service per batch size: prime the cache with every universe root
 /// (counted separately), then measure a drain of `queries` arrivals.
@@ -132,8 +145,8 @@ int main(int argc, char** argv) {
   params.scale = scale;
 
   bench::RunReport report("serving", options);
-  util::Table warm_table({"batch", "qps", "speedup", "waves", "fetch rounds",
-                          "hit rate", "p50", "p99"});
+  util::Table warm_table({"batch", "median qps", "speedup", "waves",
+                          "fetch rounds", "hit rate", "p50", "p99"});
   util::Table cold_table({"batch", "qps", "waves", "waves/query"});
   util::Table oracle_table({"oracle", "waves", "pruned waves", "direct",
                             "relax generated", "wire bytes"});
@@ -141,6 +154,8 @@ int main(int argc, char** argv) {
                               "answered"});
   const std::size_t batches[] = {1, 2, 4, 8, 16};
 
+  // Rank 0's warm drain throughput, kWarmSamples per batch size.
+  std::vector<std::vector<double>> warm_qps(std::size(batches));
   double qps_b1 = 0.0;
   double qps_b8 = 0.0;
   double openloop_hit_rate = 0.0;
@@ -197,11 +212,24 @@ int main(int argc, char** argv) {
         g.part.count(0) * sizeof(graph::Weight) * (roots.size() + 1);
 
     // ---- (a) warm batch sweep ---------------------------------------
-    for (const auto b : batches) {
-      const auto row = measure_batch(comm, g, base, wl, b, /*warm=*/true);
+    // The sizes take turns, so a slow spell of the host falls on all of
+    // them.  Everything but the wall-clock rate repeats sample to sample,
+    // so the table takes the rest from the last drain.
+    std::vector<SweepRow> last(std::size(batches));
+    for (int sample = 0; sample < kWarmSamples; ++sample) {
+      for (std::size_t i = 0; i < std::size(batches); ++i) {
+        last[i] = measure_batch(comm, g, base, wl, batches[i], /*warm=*/true);
+        if (comm.rank() == 0) {
+          warm_qps[i].push_back(last[i].run.throughput_qps());
+        }
+      }
+    }
+    for (std::size_t i = 0; i < std::size(batches); ++i) {
+      const auto b = batches[i];
+      const auto& row = last[i];
       const auto& m = row.run.metrics;
       if (comm.rank() == 0) {
-        const double qps = row.run.throughput_qps();
+        const double qps = median(warm_qps[i]);
         if (b == 1) qps_b1 = qps;
         if (b == 8) qps_b8 = qps;
         const auto p = m.latency_ticks.slo_percentiles();
@@ -862,8 +890,9 @@ int main(int argc, char** argv) {
             << mixed_ana_p[1] << "/" << mixed_ana_p[2] << " ticks).\n\n";
 
   const double speedup = qps_b1 > 0.0 ? qps_b8 / qps_b1 : 0.0;
-  std::cout << "batch-8 vs batch-1 warm throughput: " << speedup
-            << "x (required >= " << min_speedup << "x)\n";
+  std::cout << "batch-8 vs batch-1 warm throughput (medians of "
+            << kWarmSamples << "): " << speedup << "x (required >= "
+            << min_speedup << "x)\n";
   std::cout << "open-loop cache hit rate: " << openloop_hit_rate
             << " (required > 0)\n";
   std::cout << "oracle answers bit-identical: "
@@ -894,6 +923,13 @@ int main(int argc, char** argv) {
   ok = speedup >= min_speedup && openloop_hit_rate > 0.0 && oracle_ok &&
        adaptive_ok && chaos_ok && kernels_validated;
 
+  util::Json samples = util::Json::object();
+  for (std::size_t i = 0; i < std::size(batches); ++i) {
+    util::Json qps = util::Json::array();
+    for (const double q : warm_qps[i]) qps.push_back(q);
+    samples[std::to_string(batches[i])] = std::move(qps);
+  }
+  report.doc()["warm_qps_samples"] = std::move(samples);
   report.doc()["speedup_batch8_vs_batch1"] = speedup;
   report.doc()["min_speedup"] = min_speedup;
   report.doc()["acceptance_ok"] = ok;

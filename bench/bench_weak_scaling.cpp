@@ -37,10 +37,6 @@ bool graphs_identical(const graph::DistGraph& a, const graph::DistGraph& b) {
   return spans_equal(a.csr.offsets(), b.csr.offsets()) &&
          spans_equal(a.csr.adjacency(), b.csr.adjacency()) &&
          spans_equal(a.csr.weights(), b.csr.weights()) &&
-         spans_equal(a.pull.sources(), b.pull.sources()) &&
-         spans_equal(a.pull.offsets(), b.pull.offsets()) &&
-         spans_equal(a.pull.destinations(), b.pull.destinations()) &&
-         spans_equal(a.pull.weights(), b.pull.weights()) &&
          a.hubs == b.hubs && a.hub_degrees == b.hub_degrees &&
          a.num_input_edges == b.num_input_edges &&
          a.num_directed_edges == b.num_directed_edges;

@@ -7,7 +7,7 @@ namespace g500::core {
 GraphResidency graph_residency(const graph::DistGraph& g) {
   GraphResidency r;
   r.backing = g.backing;
-  r.resident_bytes = g.csr.resident_bytes() + g.pull.resident_bytes();
+  r.resident_bytes = g.csr.resident_bytes();
   r.mapped_bytes = g.mapped_bytes;
   return r;
 }

@@ -21,8 +21,7 @@ namespace g500::core {
 /// Where a DistGraph's bytes live.
 struct GraphResidency {
   graph::GraphBacking backing = graph::GraphBacking::kResident;
-  /// Heap bytes pinned by the adjacency structures (csr + pull).  Zero
-  /// adjacency heap for a mapped graph.
+  /// Heap bytes pinned by the CSR arrays.  Zero for a mapped graph.
   std::uint64_t resident_bytes = 0;
   /// File-backed bytes behind the views (0 for a resident graph).  The OS
   /// pages these in on demand and may evict them under pressure.

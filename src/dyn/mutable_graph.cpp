@@ -198,20 +198,10 @@ CommitSummary MutableGraph::commit_batch() {
                                           w.had_old, w.removed});
   }
 
-  // Splice the changes into the view.  The pull index is patched when it
-  // indexes every edge, built when the base came without one, and dropped
-  // when the options say so: each way yields a fresh build's index.  Hubs
-  // keep their (possibly stale) selection until compaction: the hub filter
-  // is correct for any vertex set, staleness only costs traffic.
-  const bool patch_pull = view_.pull.num_entries() == csr.num_edges();
+  // Splice the changes into the view.  Hubs keep their (possibly stale)
+  // selection until compaction: the hub filter is correct for any vertex
+  // set, staleness only costs traffic.
   view_.csr = csr.splice(changes);
-  if (!config_.build.build_pull_index) {
-    view_.pull = graph::PullIndex{};
-  } else if (patch_pull) {
-    view_.pull = view_.pull.splice(changes);
-  } else {
-    view_.pull = graph::PullIndex::from_csr(view_.csr);
-  }
   graph::finish_local(comm_, view_);
 
   // Keep the TEPS normalizer in step with the effective edge set

@@ -1,8 +1,8 @@
 // Streaming mutations over the distributed CSR.
 //
 // Production graph services mutate under live traffic, but the engine (and
-// every structure derived from the graph — hub lists, pull index, oracle
-// slices, caches) assumes a frozen DistGraph.  MutableGraph bridges the
+// every structure derived from the graph — hub lists, oracle slices,
+// caches) assumes a frozen DistGraph.  MutableGraph bridges the
 // two with a batched delta log:
 //
 //   * stage() buffers edge updates locally (the delta log);
@@ -10,11 +10,10 @@
 //     staged update to the owning ranks (exactly like the builder), merges
 //     conflicting ops deterministically, reads each op's old weight from
 //     the committed CSR row, splices the effective changes into the
-//     rank-local view (graph::LocalCsr::splice and PullIndex::splice copy
-//     untouched rows and pull groups in bulk and re-sort only the touched
-//     ones, so a commit costs one copy of the arrays plus the batch, not a
-//     sort of the graph), and agrees a new monotonically increasing
-//     graph_version by allreduce;
+//     rank-local view (graph::LocalCsr::splice copies untouched rows in
+//     bulk and re-sorts only the touched ones, so a commit costs one copy
+//     of the CSR plus the batch, not a sort of the graph), and agrees a
+//     new monotonically increasing graph_version by allreduce;
 //   * the committed CSR is the only copy of the edges, and after a commit
 //     the view equals a fresh build of its edges except for the hub list,
 //     so periodic compaction just re-selects hubs from the current degrees.
@@ -115,11 +114,8 @@ class MutableGraph {
   struct Config {
     /// Compact every N commits (0 = only on explicit compact()).
     std::uint64_t compact_every = 0;
-    /// The options a fresh build of the view would use.  Under
-    /// build_pull_index a commit patches the pull index, or builds it from
-    /// the CSR when the base came without one (built or loaded without
-    /// it); otherwise it drops the index.  Compaction re-selects
-    /// resolved_hub_count(build, n) hubs.
+    /// The options a fresh build of the view would use: compaction
+    /// re-selects resolved_hub_count(build, n) hubs.
     graph::BuildOptions build;
   };
 

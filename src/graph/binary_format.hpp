@@ -4,8 +4,9 @@
 // Both file families open with the same 32-byte G500EDGE header; the
 // version field tells them apart:
 //   * version 1 — flat edge-list payload (BinaryEdge records),
-//   * version 2 — CSR shard (ShardHeader + packed adjacency sections,
-//     see shard.hpp).
+//   * version 3 — CSR shard (ShardHeader + packed adjacency sections,
+//     see shard.hpp).  Version 2 was the shard layout that also carried a
+//     pull index; nothing reads it any more.
 //
 // Every on-disk file is a trust boundary: readers must validate counts
 // against the actual stream length and endpoints against num_vertices
@@ -18,7 +19,7 @@ namespace g500::graph::binfmt {
 
 inline constexpr char kMagic[8] = {'G', '5', '0', '0', 'E', 'D', 'G', 'E'};
 inline constexpr std::uint32_t kEdgeListVersion = 1;
-inline constexpr std::uint32_t kShardVersion = 2;
+inline constexpr std::uint32_t kShardVersion = 3;
 
 /// Common file prologue (both versions).
 struct BinaryHeader {
@@ -26,7 +27,7 @@ struct BinaryHeader {
   std::uint32_t version;
   std::uint32_t reserved;
   std::uint64_t num_vertices;
-  /// v1: edge records that follow; v2: directed edges of this shard.
+  /// v1: edge records that follow; v3: directed edges of this shard.
   std::uint64_t num_edges;
 };
 static_assert(sizeof(BinaryHeader) == 32);

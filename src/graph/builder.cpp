@@ -108,7 +108,6 @@ DistGraph build_distributed(simmpi::Comm& comm, const EdgeList& input_slice,
   }
   g.csr = LocalCsr(static_cast<LocalId>(g.part.count(comm.rank())),
                    std::move(mine));
-  if (opts.build_pull_index) g.pull = PullIndex::from_csr(g.csr);
   finish_local(comm, g);
 
   select_hubs(comm, g.part, g.csr, resolved_hub_count(opts, num_vertices),

@@ -4,13 +4,13 @@
 // the undirected input tuples; the builder routes both directions of every
 // tuple to the owner of its source vertex (1-D block partition), drops
 // self-loops, deduplicates parallel edges keeping the minimum weight (the
-// SSSP-relevant one), and produces the rank-local CSR plus the auxiliary
-// structures the optimized engine needs (pull index, hub list, degree
-// statistics).
+// SSSP-relevant one), and produces the rank-local CSR plus the hub list
+// the optimized engine needs.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -32,8 +32,6 @@ struct BuildOptions {
   /// every rank).  0 disables hub selection; explicit values are honored
   /// as-is; the default picks automatically per the graph size.
   std::size_t hub_count = kAutoHubCount;
-  /// Build the pull index (costs one extra copy of the local edges).
-  bool build_pull_index = true;
 };
 
 /// How a DistGraph's adjacency arrays are backed: heap vectors built in
@@ -54,8 +52,18 @@ struct DistGraph {
   /// Directed edges after cleaning, summed over ranks.
   std::uint64_t num_directed_edges = 0;
 
-  LocalCsr csr;     ///< out-edges of owned vertices
-  PullIndex pull;   ///< same edges regrouped by source (may be empty)
+  LocalCsr csr;  ///< out-edges of owned vertices
+
+  /// Always empty: the pull index is gone, and these four arrays stay only
+  /// because perfbench/ooc_build.cpp's same_graph still compares them.  The
+  /// benchmark change that drops that comparison deletes this.
+  struct NoPullIndex {
+    std::span<const VertexId> sources() const noexcept { return {}; }
+    std::span<const std::uint64_t> offsets() const noexcept { return {}; }
+    std::span<const LocalId> destinations() const noexcept { return {}; }
+    std::span<const Weight> weights() const noexcept { return {}; }
+  };
+  static constexpr NoPullIndex pull{};
 
   /// Global ids of the top-degree vertices, highest degree first (ties by
   /// id ascending); identical on all ranks.
@@ -63,7 +71,7 @@ struct DistGraph {
   /// Degrees matching `hubs` entry-wise.
   std::vector<std::uint64_t> hub_degrees;
 
-  /// Storage backing of csr/pull.  When kMapped, `mapping` keeps the shard
+  /// Storage backing of csr.  When kMapped, `mapping` keeps the shard
   /// file mapped for the lifetime of the views and `mapped_bytes` counts
   /// the file-backed section bytes (not resident heap).
   GraphBacking backing = GraphBacking::kResident;
@@ -83,12 +91,12 @@ struct DistGraph {
                                           VertexId num_vertices,
                                           const BuildOptions& opts = {});
 
-/// The rank-local fields a fresh build derives once g.csr and g.pull are
-/// on the heap: num_directed_edges (one allreduce, so this is a
-/// collective) and the resident backing, which releases any shard
-/// mapping.  build_distributed and dyn::MutableGraph's commits both end
-/// with it, so a committed view matches a fresh build in these fields by
-/// construction.  Hubs and num_input_edges are left to the caller.
+/// The rank-local fields a fresh build derives once g.csr is on the heap:
+/// num_directed_edges (one allreduce, so this is a collective) and the
+/// resident backing, which releases any shard mapping.  build_distributed
+/// and dyn::MutableGraph's commits both end with it, so a committed view
+/// matches a fresh build in these fields by construction.  Hubs and
+/// num_input_edges are left to the caller.
 void finish_local(simmpi::Comm& comm, DistGraph& g);
 
 /// Convenience: generate this rank's Kronecker slice internally, then build.

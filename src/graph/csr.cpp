@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "util/radix_sort.hpp"
@@ -38,55 +37,51 @@ void sort_by_source_weight(std::vector<WireEdge>& edges) {
 
 namespace {
 
-/// One change to a group of (id, weight) entries: `id` now weighs
-/// `weight`, or is gone when `removed`.
-template <typename Id>
-struct GroupChange {
-  Id id;
+/// One change to a row: edge to `dst` now weighs `weight`, or is gone when
+/// `removed`.
+struct RowChange {
+  VertexId dst;
   Weight weight;
   bool removed;
 };
 
-/// (weight, id): the order of every LocalCsr row and PullIndex group.
-template <typename Id>
-bool lighter(Weight wa, Id a, Weight wb, Id b) {
+/// (weight, dst): the order of every LocalCsr row.
+bool lighter(Weight wa, VertexId a, Weight wb, VertexId b) {
   return wa != wb ? wa < wb : a < b;
 }
 
-/// Append entries [first, last) of (ids, ws), a group in (weight, id)
-/// order, to (out_ids, out_w) with `changes` (sorted by id) applied.  The
-/// entries no change names keep their order, so only the upserts are
-/// sorted, then merged in.  `upserts` is scratch.
-template <typename Id>
-void splice_group(std::span<const Id> ids, std::span<const Weight> ws,
-                  std::uint64_t first, std::uint64_t last,
-                  std::span<const GroupChange<Id>> changes,
-                  std::vector<GroupChange<Id>>& upserts,
-                  std::vector<Id>& out_ids, std::vector<Weight>& out_w) {
+/// Append edges [first, last) of (dst, ws), a row in (weight, dst) order,
+/// to (out_dst, out_w) with `changes` (sorted by dst) applied.  The edges
+/// no change names keep their order, so only the upserts are sorted, then
+/// merged in.  `upserts` is scratch.
+void splice_row(std::span<const VertexId> dst, std::span<const Weight> ws,
+                std::uint64_t first, std::uint64_t last,
+                std::span<const RowChange> changes,
+                std::vector<RowChange>& upserts, std::vector<VertexId>& out_dst,
+                std::vector<Weight>& out_w) {
   upserts.clear();
   for (const auto& c : changes) {
     if (!c.removed) upserts.push_back(c);
   }
   std::sort(upserts.begin(), upserts.end(),
-            [](const GroupChange<Id>& a, const GroupChange<Id>& b) {
-              return lighter(a.weight, a.id, b.weight, b.id);
+            [](const RowChange& a, const RowChange& b) {
+              return lighter(a.weight, a.dst, b.weight, b.dst);
             });
   auto next = upserts.begin();
   const auto emit_next = [&] {
-    out_ids.push_back(next->id);
+    out_dst.push_back(next->dst);
     out_w.push_back(next->weight);
     ++next;
   };
   for (std::uint64_t e = first; e < last; ++e) {
-    if (std::ranges::binary_search(changes, ids[e], {},
-                                   &GroupChange<Id>::id)) {
+    if (std::ranges::binary_search(changes, dst[e], {}, &RowChange::dst)) {
       continue;  // reweighted or removed
     }
     while (next != upserts.end() &&
-           lighter(next->weight, next->id, ws[e], ids[e])) {
+           lighter(next->weight, next->dst, ws[e], dst[e])) {
       emit_next();
     }
-    out_ids.push_back(ids[e]);
+    out_dst.push_back(dst[e]);
     out_w.push_back(ws[e]);
   }
   while (next != upserts.end()) emit_next();
@@ -99,14 +94,13 @@ void append(std::vector<T>& out, std::span<const T> in, std::uint64_t first,
              in.begin() + static_cast<std::ptrdiff_t>(last));
 }
 
-void require_sorted(std::span<const EdgeChange> changes, const char* what) {
+void require_sorted(std::span<const EdgeChange> changes) {
   for (std::size_t i = 1; i < changes.size(); ++i) {
     const EdgeChange& a = changes[i - 1];
     const EdgeChange& b = changes[i];
     if (a.src > b.src || (a.src == b.src && a.dst >= b.dst)) {
-      throw std::invalid_argument(std::string(what) +
-                                  ": changes not sorted by distinct "
-                                  "(src, dst)");
+      throw std::invalid_argument(
+          "LocalCsr::splice: changes not sorted by distinct (src, dst)");
     }
   }
 }
@@ -155,7 +149,7 @@ LocalCsr LocalCsr::view(LocalId num_local,
 }
 
 LocalCsr LocalCsr::splice(std::span<const EdgeChange> changes) const {
-  require_sorted(changes, "LocalCsr::splice");
+  require_sorted(changes);
   if (!changes.empty() && changes.back().src >= num_local_) {
     throw std::out_of_range("LocalCsr::splice: source is not a local index");
   }
@@ -176,7 +170,7 @@ LocalCsr LocalCsr::splice(std::span<const EdgeChange> changes) const {
     append(next.dst_store_, adj_dst_, first, offsets_[end]);
     append(next.w_store_, adj_w_, first, offsets_[end]);
   };
-  std::vector<GroupChange<VertexId>> row, upserts;
+  std::vector<RowChange> row, upserts;
   LocalId u = 0;  // the first row not yet written
   for (std::size_t i = 0; i < changes.size();) {
     const LocalId src = changes[i].src;
@@ -185,8 +179,8 @@ LocalCsr LocalCsr::splice(std::span<const EdgeChange> changes) const {
       row.push_back({changes[i].dst, changes[i].weight, changes[i].removed});
     }
     copy_rows(u, src);
-    splice_group<VertexId>(adj_dst_, adj_w_, offsets_[src], offsets_[src + 1],
-                           row, upserts, next.dst_store_, next.w_store_);
+    splice_row(adj_dst_, adj_w_, offsets_[src], offsets_[src + 1], row,
+               upserts, next.dst_store_, next.w_store_);
     next.offsets_store_[src + 1] = next.dst_store_.size();
     u = src + 1;
   }
@@ -325,175 +319,6 @@ std::uint64_t DeltaSplit::bytes() const noexcept {
          light_dst.capacity() * sizeof(VertexId) +
          light_w.capacity() * sizeof(Weight) +
          (light_rows.capacity() + heavy_rows.capacity()) * sizeof(PullRow);
-}
-
-PullIndex PullIndex::from_csr(const LocalCsr& csr) {
-  struct Entry {
-    VertexId src;
-    LocalId dst;
-    Weight w;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(csr.num_edges());
-  for (LocalId u = 0; u < csr.num_local(); ++u) {
-    for (std::uint64_t e = csr.edges_begin(u); e < csr.edges_end(u); ++e) {
-      entries.push_back(Entry{csr.dst(e), u, csr.weight(e)});
-    }
-  }
-  util::radix_sort(
-      entries.begin(), entries.end(), [](const Entry& e) { return e.src; },
-      [](const Entry& a, const Entry& b) {
-        if (a.w != b.w) return a.w < b.w;
-        return a.dst < b.dst;
-      });
-
-  PullIndex index;
-  index.dst_store_.reserve(entries.size());
-  index.w_store_.reserve(entries.size());
-  for (const auto& e : entries) {
-    if (index.sources_store_.empty() || index.sources_store_.back() != e.src) {
-      index.sources_store_.push_back(e.src);
-      index.offsets_store_.push_back(index.dst_store_.size());
-    }
-    index.dst_store_.push_back(e.dst);
-    index.w_store_.push_back(e.w);
-  }
-  index.offsets_store_.push_back(index.dst_store_.size());
-  index.bind_owned();
-  return index;
-}
-
-PullIndex PullIndex::view(std::span<const VertexId> sources,
-                          std::span<const std::uint64_t> offsets,
-                          std::span<const LocalId> dst,
-                          std::span<const Weight> w) {
-  if (offsets.size() != sources.size() + 1 ||
-      (offsets.empty() ? !dst.empty()
-                       : (offsets.front() != 0 || offsets.back() != dst.size())) ||
-      dst.size() != w.size()) {
-    throw std::invalid_argument("PullIndex::view: inconsistent array shapes");
-  }
-  PullIndex index;
-  index.owned_ = false;
-  index.sources_ = sources;
-  index.offsets_ = offsets;
-  index.dst_ = dst;
-  index.w_ = w;
-  return index;
-}
-
-PullIndex PullIndex::splice(std::span<const EdgeChange> changes) const {
-  require_sorted(changes, "PullIndex::splice");
-  // Edge src -> dst is entry dst -> (src, w): regroup the changes by dst.
-  std::vector<EdgeChange> by_group(changes.begin(), changes.end());
-  std::sort(by_group.begin(), by_group.end(),
-            [](const EdgeChange& a, const EdgeChange& b) {
-              return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-            });
-
-  PullIndex next;
-  next.sources_store_.reserve(sources_.size() + by_group.size());
-  next.offsets_store_.reserve(sources_.size() + by_group.size() + 1);
-  next.dst_store_.reserve(num_entries() + by_group.size());
-  next.w_store_.reserve(num_entries() + by_group.size());
-  next.offsets_store_.push_back(0);
-
-  // Groups [g, end) move as one block, like LocalCsr::splice's rows.
-  const auto copy_groups = [&](std::size_t g, std::size_t end) {
-    if (g == end) return;
-    const std::uint64_t first = offsets_[g];
-    const std::uint64_t base = next.dst_store_.size();
-    append(next.sources_store_, sources_, g, end);
-    for (std::size_t k = g + 1; k <= end; ++k) {
-      next.offsets_store_.push_back(offsets_[k] - first + base);
-    }
-    append(next.dst_store_, dst_, first, offsets_[end]);
-    append(next.w_store_, w_, first, offsets_[end]);
-  };
-  std::vector<GroupChange<LocalId>> group, upserts;
-  std::size_t g = 0;  // the first old group not yet written
-  for (std::size_t i = 0; i < by_group.size();) {
-    const VertexId s = by_group[i].dst;
-    group.clear();
-    for (; i < by_group.size() && by_group[i].dst == s; ++i) {
-      group.push_back(
-          {by_group[i].src, by_group[i].weight, by_group[i].removed});
-    }
-    // at: where s is, or would be.
-    const std::size_t at = static_cast<std::size_t>(
-        std::lower_bound(sources_.begin() + static_cast<std::ptrdiff_t>(g),
-                         sources_.end(), s) -
-        sources_.begin());
-    const bool present = at < sources_.size() && sources_[at] == s;
-    copy_groups(g, at);
-    splice_group<LocalId>(dst_, w_, present ? offsets_[at] : 0,
-                          present ? offsets_[at + 1] : 0, group, upserts,
-                          next.dst_store_, next.w_store_);
-    if (next.dst_store_.size() != next.offsets_store_.back()) {
-      next.sources_store_.push_back(s);
-      next.offsets_store_.push_back(next.dst_store_.size());
-    }
-    g = present ? at + 1 : at;
-  }
-  copy_groups(g, sources_.size());
-  next.bind_owned();
-  return next;
-}
-
-void PullIndex::bind_owned() {
-  owned_ = true;
-  sources_ = sources_store_;
-  offsets_ = offsets_store_;
-  dst_ = dst_store_;
-  w_ = w_store_;
-}
-
-PullIndex& PullIndex::operator=(const PullIndex& other) {
-  if (this == &other) return *this;
-  if (other.owned_) {
-    sources_store_ = other.sources_store_;
-    offsets_store_ = other.offsets_store_;
-    dst_store_ = other.dst_store_;
-    w_store_ = other.w_store_;
-    bind_owned();
-  } else {
-    sources_store_.clear();
-    offsets_store_.clear();
-    dst_store_.clear();
-    w_store_.clear();
-    owned_ = false;
-    sources_ = other.sources_;
-    offsets_ = other.offsets_;
-    dst_ = other.dst_;
-    w_ = other.w_;
-  }
-  return *this;
-}
-
-PullIndex& PullIndex::operator=(PullIndex&& other) noexcept {
-  if (this == &other) return *this;
-  owned_ = other.owned_;
-  sources_store_ = std::move(other.sources_store_);
-  offsets_store_ = std::move(other.offsets_store_);
-  dst_store_ = std::move(other.dst_store_);
-  w_store_ = std::move(other.w_store_);
-  sources_ = other.sources_;
-  offsets_ = other.offsets_;
-  dst_ = other.dst_;
-  w_ = other.w_;
-  other.owned_ = true;
-  other.sources_ = {};
-  other.offsets_ = {};
-  other.dst_ = {};
-  other.w_ = {};
-  return *this;
-}
-
-std::uint64_t PullIndex::resident_bytes() const noexcept {
-  return sources_store_.capacity() * sizeof(VertexId) +
-         offsets_store_.capacity() * sizeof(std::uint64_t) +
-         dst_store_.capacity() * sizeof(LocalId) +
-         w_store_.capacity() * sizeof(Weight);
 }
 
 }  // namespace g500::graph

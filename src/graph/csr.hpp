@@ -8,20 +8,16 @@
 // engine's direction-optimized "pull" scans owned rows, lightest edge
 // first, against the broadcast frontier.
 //
-// PullIndex: the same edges regrouped by (global) source id.  No engine
-// reads it any more; the builder, the shard format and the out-of-core
-// pipeline still produce it.
+// A LocalCsr is a *view* over its arrays: the normal construction path
+// owns them as heap vectors, while the out-of-core path (shard.hpp) binds
+// them to an mmap'd CSR shard so the engine runs with the adjacency paged
+// in on demand instead of resident.  Accessors are identical either way;
+// engines never see the difference.
 //
-// Both structures are *views* over their arrays: the normal construction
-// path owns them as heap vectors, while the out-of-core path (shard.hpp)
-// binds them to an mmap'd CSR shard so the engine runs with the adjacency
-// paged in on demand instead of resident.  Accessors are identical either
-// way; engines never see the difference.
-//
-// splice() applies a batch of edge changes to either structure: untouched
-// rows and groups are copied in bulk and only the touched ones re-sorted,
-// so a mutable graph's commit costs one copy of the arrays plus the batch
-// and still yields a fresh build's arrays exactly.
+// splice() applies a batch of edge changes: untouched rows are copied in
+// bulk and only the touched ones re-sorted, so a mutable graph's commit
+// costs one copy of the arrays plus the batch and still yields a fresh
+// build's arrays exactly.
 //
 // DeltaSplit: what the delta-stepping engine derives from a LocalCsr and a
 // bucket width delta — each row's light/heavy split, the light parts packed
@@ -65,9 +61,9 @@ void sort_by_source_weight(std::vector<WireEdge>& edges);
                                          std::uint64_t first,
                                          std::uint64_t last, Weight delta);
 
-/// One change to a rank's edges, as LocalCsr::splice and PullIndex::splice
-/// take it: edge src -> dst (src a local index) now weighs `weight`, or is
-/// gone when `removed`.
+/// One change to a rank's edges, as LocalCsr::splice takes it: edge
+/// src -> dst (src a local index) now weighs `weight`, or is gone when
+/// `removed`.
 struct EdgeChange {
   LocalId src = 0;
   VertexId dst = 0;
@@ -212,73 +208,6 @@ class LocalCsr {
   // The last split delta_split derived (null until the first call).
   mutable std::mutex split_mutex_;
   mutable std::shared_ptr<const DeltaSplit> split_;
-};
-
-class PullIndex {
- public:
-  PullIndex() = default;
-
-  /// Build from the local CSR: edge u->v (u local) becomes an entry
-  /// v -> (u, w) keyed by the *global* neighbour id v.  Within each source
-  /// group, destinations are weight-sorted (same reason as LocalCsr).
-  static PullIndex from_csr(const LocalCsr& csr);
-
-  /// Non-owning view over externally-owned pull arrays (mapped shard);
-  /// same lifetime contract as LocalCsr::view.  `sources` are sorted
-  /// distinct global ids; `offsets` has sources.size() + 1 entries.
-  [[nodiscard]] static PullIndex view(std::span<const VertexId> sources,
-                                      std::span<const std::uint64_t> offsets,
-                                      std::span<const LocalId> dst,
-                                      std::span<const Weight> w);
-
-  /// This index with the same `changes` LocalCsr::splice takes applied to
-  /// its entries (edge src -> dst is entry dst -> (src, weight)), equal to
-  /// from_csr of the spliced CSR when this index covers every edge of the
-  /// CSR it came from.  Untouched groups are copied in bulk and only the
-  /// touched ones re-sorted; a group appears with its first entry and
-  /// vanishes with its last.
-  [[nodiscard]] PullIndex splice(std::span<const EdgeChange> changes) const;
-
-  PullIndex(const PullIndex& other) { *this = other; }
-  PullIndex& operator=(const PullIndex& other);
-  PullIndex(PullIndex&& other) noexcept { *this = std::move(other); }
-  PullIndex& operator=(PullIndex&& other) noexcept;
-
-  [[nodiscard]] bool owns_storage() const noexcept { return owned_; }
-  [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
-
-  [[nodiscard]] std::size_t num_sources() const noexcept {
-    return sources_.size();
-  }
-  [[nodiscard]] std::uint64_t num_entries() const noexcept {
-    return dst_.size();
-  }
-
-  [[nodiscard]] std::span<const VertexId> sources() const noexcept {
-    return sources_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> offsets() const noexcept {
-    return offsets_;
-  }
-  [[nodiscard]] std::span<const LocalId> destinations() const noexcept {
-    return dst_;
-  }
-  [[nodiscard]] std::span<const Weight> weights() const noexcept {
-    return w_;
-  }
-
- private:
-  void bind_owned();
-
-  bool owned_ = true;
-  std::vector<VertexId> sources_store_;       // sorted distinct global ids
-  std::vector<std::uint64_t> offsets_store_;  // sources_.size() + 1
-  std::vector<LocalId> dst_store_;
-  std::vector<Weight> w_store_;
-  std::span<const VertexId> sources_;
-  std::span<const std::uint64_t> offsets_;
-  std::span<const LocalId> dst_;
-  std::span<const Weight> w_;
 };
 
 }  // namespace g500::graph

@@ -50,9 +50,9 @@ class ProcessGrid {
 
 /// Edge block keyed by *source* global id: distinct sources sorted, each
 /// group's (destination, weight) pairs weight-ascending so the light/heavy
-/// split for any delta is one binary search.  The same grouping as
-/// PullIndex's arrays, but destinations stay global — they belong to other
-/// ranks' blocks — and the 2-D engine looks groups up by source.
+/// split for any delta is one binary search.  Destinations stay global —
+/// they belong to other ranks' blocks — and the 2-D engine looks groups up
+/// by source.
 class SourceBlock {
  public:
   SourceBlock() = default;

@@ -76,7 +76,8 @@ EdgeList read_edge_list_binary(std::istream& in) {
     io_fail("bad magic (not a G500EDGE file)");
   }
   if (header.version == binfmt::kShardVersion) {
-    io_fail("version 2 is a CSR shard, not an edge list (use graph/shard.hpp)");
+    io_fail("version " + std::to_string(header.version) +
+            " is a CSR shard, not an edge list (use graph/shard.hpp)");
   }
   if (header.version != binfmt::kEdgeListVersion) {
     io_fail("unsupported version " + std::to_string(header.version));

@@ -28,23 +28,15 @@ struct ShardHeader {
   std::uint32_t num_ranks;
   std::uint64_t num_local;
   std::uint64_t num_input_edges;  // global undirected input tuples
-  std::uint32_t flags;            // bit 0: pull sections present
-  std::uint32_t reserved;
-  std::uint64_t num_pull_sources;
-  std::uint64_t num_pull_entries;
   std::uint64_t offsets_off;
   std::uint64_t dst_off;
   std::uint64_t w_off;
-  std::uint64_t pull_sources_off;
-  std::uint64_t pull_offsets_off;
-  std::uint64_t pull_dst_off;
-  std::uint64_t pull_w_off;
   std::uint64_t file_bytes;
   std::uint64_t checksum;  // FNV over both headers with this field zeroed
 };
-static_assert(sizeof(ShardHeader) == 120);
+static_assert(sizeof(ShardHeader) == 64);
 
-constexpr std::uint32_t kFlagPull = 1u;
+constexpr int kSections = 3;  // offsets, dst, w
 
 [[noreturn]] void shard_fail(const std::string& what) {
   throw std::runtime_error("CSR shard: " + what);
@@ -128,12 +120,11 @@ std::string shard_path(const std::string& dir, int rank, int num_ranks) {
 struct ShardWriter::Impl {
   std::ofstream out;
   std::string path;
-  // Section order: offsets, dst, w, pull_sources, pull_offsets, pull_dst,
-  // pull_w — indexed 0..6 below.
-  std::uint64_t section_off[7] = {};
-  std::uint64_t expected[7] = {};  // element counts declared by Meta
-  std::uint64_t written[7] = {};
-  std::size_t elem_size[7] = {};
+  // Indexed by section, in file order.
+  std::uint64_t section_off[kSections] = {};
+  std::uint64_t expected[kSections] = {};  // element counts declared by Meta
+  std::uint64_t written[kSections] = {};
+  std::size_t elem_size[kSections] = {};
   std::uint64_t file_bytes = 0;
   int cursor = 0;  // all sections before this one are complete
 
@@ -167,10 +158,6 @@ struct ShardWriter::Impl {
 
 ShardWriter::ShardWriter(const std::string& path, const Meta& meta)
     : impl_(std::make_unique<Impl>()) {
-  if (!meta.has_pull &&
-      (meta.num_pull_sources != 0 || meta.num_pull_entries != 0)) {
-    shard_fail("meta declares pull elements without has_pull");
-  }
   BinaryHeader bin{};
   std::memcpy(bin.magic, binfmt::kMagic, sizeof(binfmt::kMagic));
   bin.version = binfmt::kShardVersion;
@@ -182,9 +169,6 @@ ShardWriter::ShardWriter(const std::string& path, const Meta& meta)
   sh.num_ranks = static_cast<std::uint32_t>(meta.num_ranks);
   sh.num_local = meta.num_local;
   sh.num_input_edges = meta.num_input_edges;
-  sh.flags = meta.has_pull ? kFlagPull : 0u;
-  sh.num_pull_sources = meta.num_pull_sources;
-  sh.num_pull_entries = meta.num_pull_entries;
 
   Impl& im = *impl_;
   im.path = path;
@@ -194,27 +178,15 @@ ShardWriter::ShardWriter(const std::string& path, const Meta& meta)
   im.elem_size[1] = sizeof(VertexId);
   im.expected[2] = meta.num_edges;
   im.elem_size[2] = sizeof(Weight);
-  im.expected[3] = meta.num_pull_sources;
-  im.elem_size[3] = sizeof(VertexId);
-  im.expected[4] = meta.has_pull ? meta.num_pull_sources + 1 : 0;
-  im.elem_size[4] = sizeof(std::uint64_t);
-  im.expected[5] = meta.num_pull_entries;
-  im.elem_size[5] = sizeof(LocalId);
-  im.expected[6] = meta.num_pull_entries;
-  im.elem_size[6] = sizeof(Weight);
 
   std::uint64_t off = sizeof(BinaryHeader) + sizeof(ShardHeader);
-  for (int k = 0; k < 7; ++k) {
+  for (int k = 0; k < kSections; ++k) {
     im.section_off[k] = off = align8(off);
     off += im.expected[k] * im.elem_size[k];
   }
   sh.offsets_off = im.section_off[0];
   sh.dst_off = im.section_off[1];
   sh.w_off = im.section_off[2];
-  sh.pull_sources_off = im.section_off[3];
-  sh.pull_offsets_off = im.section_off[4];
-  sh.pull_dst_off = im.section_off[5];
-  sh.pull_w_off = im.section_off[6];
   sh.file_bytes = im.file_bytes = off;
   sh.checksum = header_checksum(bin, sh);
 
@@ -235,22 +207,10 @@ void ShardWriter::append_dst(std::span<const VertexId> data) {
 void ShardWriter::append_w(std::span<const Weight> data) {
   impl_->append(2, "w", data.data(), data.size());
 }
-void ShardWriter::append_pull_sources(std::span<const VertexId> data) {
-  impl_->append(3, "pull_sources", data.data(), data.size());
-}
-void ShardWriter::append_pull_offsets(std::span<const std::uint64_t> data) {
-  impl_->append(4, "pull_offsets", data.data(), data.size());
-}
-void ShardWriter::append_pull_dst(std::span<const LocalId> data) {
-  impl_->append(5, "pull_dst", data.data(), data.size());
-}
-void ShardWriter::append_pull_w(std::span<const Weight> data) {
-  impl_->append(6, "pull_w", data.data(), data.size());
-}
 
 void ShardWriter::finish() {
   Impl& im = *impl_;
-  for (int k = 0; k < 7; ++k) {
+  for (int k = 0; k < kSections; ++k) {
     if (im.written[k] != im.expected[k]) {
       shard_fail("finish with section " + std::to_string(k) + " short (" +
                  std::to_string(im.written[k]) + " of " +
@@ -265,7 +225,6 @@ void ShardWriter::finish() {
 
 void write_shard(const std::string& path, const DistGraph& g, int rank) {
   const LocalCsr& csr = g.csr;
-  const PullIndex& pull = g.pull;
 
   ShardWriter::Meta meta;
   meta.rank = rank;
@@ -274,20 +233,11 @@ void write_shard(const std::string& path, const DistGraph& g, int rank) {
   meta.num_local = csr.num_local();
   meta.num_input_edges = g.num_input_edges;
   meta.num_edges = csr.num_edges();
-  meta.has_pull = pull.num_entries() > 0 || pull.num_sources() > 0;
-  meta.num_pull_sources = meta.has_pull ? pull.num_sources() : 0;
-  meta.num_pull_entries = meta.has_pull ? pull.num_entries() : 0;
 
   ShardWriter writer(path, meta);
   writer.append_offsets(csr.offsets());
   writer.append_dst(csr.adjacency());
   writer.append_w(csr.weights());
-  if (meta.has_pull) {
-    writer.append_pull_sources(pull.sources());
-    writer.append_pull_offsets(pull.offsets());
-    writer.append_pull_dst(pull.destinations());
-    writer.append_pull_w(pull.weights());
-  }
   writer.finish();
 }
 
@@ -339,21 +289,6 @@ ShardedCsr ShardedCsr::map(const std::string& path) {
   shard.num_local_ = static_cast<LocalId>(sh.num_local);
   shard.num_input_edges_ = sh.num_input_edges;
   shard.csr_ = LocalCsr::view(shard.num_local_, offsets, dst, w);
-
-  shard.has_pull_ = (sh.flags & kFlagPull) != 0;
-  if (shard.has_pull_) {
-    const auto pull_sources = map_section<VertexId>(
-        file, sh.pull_sources_off, sh.num_pull_sources, "pull_sources");
-    const auto pull_offsets = map_section<std::uint64_t>(
-        file, sh.pull_offsets_off, sh.num_pull_sources + 1, "pull_offsets");
-    const auto pull_dst = map_section<LocalId>(
-        file, sh.pull_dst_off, sh.num_pull_entries, "pull_dst");
-    const auto pull_w = map_section<Weight>(file, sh.pull_w_off,
-                                            sh.num_pull_entries, "pull_w");
-    check_monotone(pull_offsets, sh.num_pull_entries, "pull_offsets");
-    shard.pull_ =
-        PullIndex::view(pull_sources, pull_offsets, pull_dst, pull_w);
-  }
   return shard;
 }
 
@@ -379,9 +314,6 @@ DistGraph load_sharded(simmpi::Comm& comm, const std::string& dir,
   }
   g.num_input_edges = shard.num_input_edges();
   g.csr = shard.csr();
-  if (opts.build_pull_index && shard.has_pull()) {
-    g.pull = shard.pull();
-  }
   g.backing = GraphBacking::kMapped;
   g.mapped_bytes = shard.mapped_bytes();
   g.mapping = shard.mapping();

@@ -3,27 +3,23 @@
 // A shard is one rank's slice of the distributed graph — exactly what
 // graph::build_distributed would have produced in memory — serialized as
 // packed CSR arrays behind the shared G500EDGE header (binary_format.hpp)
-// at version 2:
+// at version 3:
 //
-//   BinaryHeader   magic "G500EDGE", version 2, num_vertices (global),
+//   BinaryHeader   magic "G500EDGE", version 3, num_vertices (global),
 //                  num_edges (directed edges of THIS shard)
 //   ShardHeader    rank / num_ranks, num_local, global undirected input
 //                  tuple count, section offsets, file size, checksum
 //   offsets        (num_local + 1) x u64          — CSR row offsets
 //   dst            num_edges x u64                — neighbour global ids
 //   w              num_edges x f32                — weights
-//   pull_sources   num_pull_sources x u64         — optional pull index
-//   pull_offsets   (num_pull_sources + 1) x u64     (flags bit 0)
-//   pull_dst       num_pull_entries x u32
-//   pull_w         num_pull_entries x f32
 //
 // Sections are 8-byte aligned.  Adjacency within a vertex is weight-sorted
-// (ties by destination) and the pull index is grouped by global source —
-// the exact invariants LocalCsr / PullIndex promise — so a mapped shard is
-// byte-identical to the arrays the in-memory builder would hold.
+// (ties by destination) — the exact invariant LocalCsr promises — so a
+// mapped shard is byte-identical to the arrays the in-memory builder would
+// hold.  Version 2 shards also carried a pull index; map() refuses them.
 //
-// ShardedCsr::map mmap()s a shard and exposes LocalCsr / PullIndex views
-// into the mapping: the engine's adjacency accesses page in on demand and
+// ShardedCsr::map mmap()s a shard and exposes a LocalCsr view into the
+// mapping: the engine's adjacency accesses page in on demand and
 // the OS may evict them under pressure, so resident memory stays bounded
 // by the engine's own per-vertex state instead of the edge count.
 // load_sharded() is the SPMD entry point that assembles a full DistGraph
@@ -65,8 +61,8 @@ class MappedFile {
 [[nodiscard]] std::string shard_path(const std::string& dir, int rank,
                                      int num_ranks);
 
-/// One rank's mapped shard: metadata plus CSR / pull views into the
-/// mapping.  Copyable (copies share the mapping).
+/// One rank's mapped shard: metadata plus a CSR view into the mapping.
+/// Copyable (copies share the mapping).
 class ShardedCsr {
  public:
   /// Map and validate `path`.  Throws std::runtime_error on any
@@ -83,12 +79,10 @@ class ShardedCsr {
   [[nodiscard]] std::uint64_t num_input_edges() const noexcept {
     return num_input_edges_;
   }
-  [[nodiscard]] bool has_pull() const noexcept { return has_pull_; }
 
-  /// Views into the mapping — valid while this object (or a copy of the
+  /// View into the mapping — valid while this object (or a copy of the
   /// mapping handle) is alive.
   [[nodiscard]] const LocalCsr& csr() const noexcept { return csr_; }
-  [[nodiscard]] const PullIndex& pull() const noexcept { return pull_; }
 
   [[nodiscard]] std::uint64_t mapped_bytes() const noexcept;
   [[nodiscard]] std::shared_ptr<const MappedFile> mapping() const noexcept {
@@ -102,9 +96,7 @@ class ShardedCsr {
   VertexId num_vertices_ = 0;
   LocalId num_local_ = 0;
   std::uint64_t num_input_edges_ = 0;
-  bool has_pull_ = false;
   LocalCsr csr_;
-  PullIndex pull_;
 };
 
 /// Streaming shard serializer: all counts are declared up front (the
@@ -122,9 +114,6 @@ class ShardWriter {
     std::uint64_t num_local = 0;
     std::uint64_t num_input_edges = 0;
     std::uint64_t num_edges = 0;
-    std::uint64_t num_pull_sources = 0;
-    std::uint64_t num_pull_entries = 0;
-    bool has_pull = false;
   };
 
   /// Opens `path` and writes the headers.  Throws std::runtime_error on
@@ -140,10 +129,6 @@ class ShardWriter {
   void append_offsets(std::span<const std::uint64_t> data);
   void append_dst(std::span<const VertexId> data);
   void append_w(std::span<const Weight> data);
-  void append_pull_sources(std::span<const VertexId> data);
-  void append_pull_offsets(std::span<const std::uint64_t> data);
-  void append_pull_dst(std::span<const LocalId> data);
-  void append_pull_w(std::span<const Weight> data);
 
   /// Verifies every section is complete, pads to the declared file size
   /// and flushes.  Throws if any section is short or the stream failed.
@@ -160,7 +145,7 @@ class ShardWriter {
 void write_shard(const std::string& path, const DistGraph& g, int rank);
 
 /// SPMD: map this rank's shard from `dir` and assemble the DistGraph the
-/// engines run over — partition, mapped CSR/pull views, hubs re-selected
+/// engines run over — partition, mapped CSR view, hubs re-selected
 /// collectively from the mapped degrees (identical to the in-memory
 /// build's).  The returned graph carries the mapping handle
 /// (DistGraph::mapping) and reports GraphBacking::kMapped.

@@ -24,7 +24,6 @@ namespace g500::ooc {
 namespace {
 
 namespace fs = std::filesystem;
-using graph::LocalId;
 using graph::VertexId;
 using graph::Weight;
 
@@ -49,23 +48,6 @@ constexpr auto run_less = [](const RunEdge& a, const RunEdge& b) {
   return a.w < b.w;
 };
 constexpr auto run_key = [](const RunEdge& e) { return e.src; };
-
-/// The same edge keyed by its global neighbour — the pull-index record.
-struct PullEntry {
-  std::uint64_t src;  // global neighbour id
-  std::uint32_t dst;  // local index
-  float w;
-};
-static_assert(sizeof(PullEntry) == 16);
-
-/// Pull order (src, w, dst): exactly PullIndex::from_csr's sort, and like
-/// it radix-sorted by source.
-constexpr auto pull_less = [](const PullEntry& a, const PullEntry& b) {
-  if (a.src != b.src) return a.src < b.src;
-  if (a.w != b.w) return a.w < b.w;
-  return a.dst < b.dst;
-};
-constexpr auto pull_key = [](const PullEntry& e) { return e.src; };
 
 /// Charges every pipeline allocation against the per-rank budget.  The
 /// pipeline throws the moment it would exceed the cap — out-of-core means
@@ -356,8 +338,7 @@ util::Json to_json(const BuildPipelineStats& stats) {
 BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
                                            const graph::KroneckerParams& params,
                                            const std::string& shard_dir,
-                                           const PipelineOptions& opts,
-                                           const graph::BuildOptions& build_opts) {
+                                           const PipelineOptions& opts) {
   const int P = comm.size();
   const int r = comm.rank();
   const VertexId n = params.num_vertices();
@@ -532,10 +513,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   // ---- pack stage: merge runs, dedup, re-sort per vertex, write shard ----
   StageStats pack;
   util::Timer pack_timer;
-  const bool has_pull = build_opts.build_pull_index;
   const std::size_t read_items = 1024;  // 16 KiB per open run
   const std::size_t csr_block = 256;    // 3 KiB for the CSR sections
-  const std::size_t pull_block = 1024;  // 8 KiB for the pull sections
 
   std::vector<std::uint64_t> offsets(num_local + 1, 0);
   budget.acquire(offsets.size() * sizeof(std::uint64_t));
@@ -543,25 +522,6 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
                                   budget);
   SectionWriter<Weight> w_tmp(tmp_name(scratch, r, "w", 0), csr_block,
                               budget);
-
-  std::vector<std::string> pull_run_paths;
-  std::vector<PullEntry> pull_stage;
-  std::uint64_t pull_spilled_bytes = 0;
-  if (has_pull) {
-    budget.acquire(run_bytes);
-    pull_stage.reserve(run_capacity);
-  }
-  const auto spill_pull = [&] {
-    if (pull_stage.empty()) return;
-    util::radix_sort(pull_stage.begin(), pull_stage.end(), pull_key,
-                     pull_less);
-    TempWriter out(tmp_name(scratch, r, "pullrun", pull_run_paths.size()));
-    out.append(pull_stage.data(), pull_stage.size());
-    out.close();
-    pull_spilled_bytes += out.bytes();
-    pull_run_paths.push_back(out.path());
-    pull_stage.clear();
-  };
 
   std::uint64_t num_edges = 0;
   {
@@ -606,10 +566,6 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       group.push_back({head.w, head.dst});
       charge_growth(budget, group, group_charged);
       ++num_edges;
-      if (has_pull) {
-        if (pull_stage.size() == run_capacity) spill_pull();
-        pull_stage.push_back(PullEntry{head.dst, head.src, head.w});
-      }
     }
     flush_group();
     budget.release(group_charged);
@@ -623,48 +579,6 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   w_tmp.close();
   for (const auto& path : run_paths) fs::remove(path);
 
-  // Pull sections: merge the pull runs into (sources, offsets) in memory
-  // (distinct neighbours, vertex-bounded) plus streamed dst/w temps.
-  std::vector<VertexId> pull_sources;
-  std::vector<std::uint64_t> pull_offsets;
-  std::uint64_t pull_sources_charged = 0;
-  std::uint64_t pull_offsets_charged = 0;
-  SectionWriter<LocalId> pull_dst_tmp(tmp_name(scratch, r, "pulldst", 0),
-                                      pull_block, budget);
-  SectionWriter<Weight> pull_w_tmp(tmp_name(scratch, r, "pullw", 0),
-                                   pull_block, budget);
-  std::uint64_t num_pull_entries = 0;
-  if (has_pull) {
-    spill_pull();
-    pull_stage = {};
-    budget.release(run_bytes);
-    std::vector<std::unique_ptr<RunReader<PullEntry>>> readers;
-    readers.reserve(pull_run_paths.size());
-    for (const auto& path : pull_run_paths) {
-      readers.push_back(
-          std::make_unique<RunReader<PullEntry>>(path, read_items, budget));
-    }
-    RunMerger<PullEntry, decltype(pull_less)> merger(
-        std::move(readers), pull_less);
-    while (!merger.empty()) {
-      const PullEntry head = merger.head();
-      merger.advance();
-      if (pull_sources.empty() || pull_sources.back() != head.src) {
-        pull_sources.push_back(head.src);
-        pull_offsets.push_back(num_pull_entries);
-        charge_growth(budget, pull_sources, pull_sources_charged);
-        charge_growth(budget, pull_offsets, pull_offsets_charged);
-      }
-      pull_dst_tmp.push(head.dst);
-      pull_w_tmp.push(head.w);
-      ++num_pull_entries;
-    }
-    pull_offsets.push_back(num_pull_entries);
-  }
-  pull_dst_tmp.close();
-  pull_w_tmp.close();
-  for (const auto& path : pull_run_paths) fs::remove(path);
-
   // Assemble the shard from the section temporaries.
   graph::ShardWriter::Meta meta;
   meta.rank = r;
@@ -673,9 +587,6 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   meta.num_local = num_local;
   meta.num_input_edges = total_edges;
   meta.num_edges = num_edges;
-  meta.num_pull_sources = pull_sources.size();
-  meta.num_pull_entries = num_pull_entries;
-  meta.has_pull = has_pull;
   const std::string shard_file = graph::shard_path(shard_dir, r, P);
   {
     graph::ShardWriter writer(shard_file, meta);
@@ -688,27 +599,12 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
                            [&](std::span<const Weight> s) {
                              writer.append_w(s);
                            });
-    if (has_pull) {
-      writer.append_pull_sources(pull_sources);
-      writer.append_pull_offsets(pull_offsets);
-      stream_section<LocalId>(pull_dst_tmp.path(), budget, read_items,
-                              [&](std::span<const LocalId> s) {
-                                writer.append_pull_dst(s);
-                              });
-      stream_section<Weight>(pull_w_tmp.path(), budget, read_items,
-                             [&](std::span<const Weight> s) {
-                               writer.append_pull_w(s);
-                             });
-    }
     writer.finish();
   }
   fs::remove(dst_tmp.path());
   fs::remove(w_tmp.path());
-  fs::remove(pull_dst_tmp.path());
-  fs::remove(pull_w_tmp.path());
   budget.release(offsets.size() * sizeof(std::uint64_t));
-  budget.release(pull_sources_charged + pull_offsets_charged);
-  pack.edges = num_edges + num_pull_entries;
+  pack.edges = num_edges;
   pack.bytes = fs::file_size(shard_file);
   pack.seconds = pack_timer.seconds();
 
@@ -723,10 +619,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   stats.pack = StageStats{comm.allreduce_sum(pack.edges),
                           comm.allreduce_sum(pack.bytes),
                           comm.allreduce_max(pack.seconds)};
-  stats.runs_spilled = comm.allreduce_sum<std::uint64_t>(
-      run_paths.size() + pull_run_paths.size());
-  stats.spilled_bytes =
-      comm.allreduce_sum(sorter.bytes + pull_spilled_bytes);
+  stats.runs_spilled = comm.allreduce_sum<std::uint64_t>(run_paths.size());
+  stats.spilled_bytes = comm.allreduce_sum(sorter.bytes);
   stats.shard_bytes = comm.allreduce_sum(pack.bytes);
   stats.peak_resident_bytes = comm.allreduce_max(budget.peak());
   stats.budget_bytes = opts.resident_budget_bytes;

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <string>
 
-#include "graph/builder.hpp"
 #include "graph/kronecker.hpp"
 #include "simmpi/comm.hpp"
 #include "util/json.hpp"
@@ -57,7 +56,7 @@ struct BuildPipelineStats {
   StageStats sort;   ///< sort staged runs and spill them (worker thread)
   StageStats pack;   ///< merge, dedup, per-vertex re-sort, shard write
   std::uint64_t runs_spilled = 0;        ///< run files written, all ranks
-  std::uint64_t spilled_bytes = 0;       ///< run + temp bytes written
+  std::uint64_t spilled_bytes = 0;       ///< run-file bytes, all ranks
   std::uint64_t shard_bytes = 0;         ///< final shard files, all ranks
   std::uint64_t peak_resident_bytes = 0; ///< max over ranks of the true peak
   std::uint64_t budget_bytes = 0;        ///< the enforced per-rank cap
@@ -71,13 +70,10 @@ struct BuildPipelineStats {
 /// bin/sort/pack pipeline and write shard `comm.rank()` of `comm.size()`
 /// into `shard_dir` (created if needed).  Collective: every rank must
 /// call with identical params/options.  Returns identical stats on every
-/// rank.  `build_opts.build_pull_index` decides whether the pull-index
-/// sections are written, as it does for the in-memory builders.  Throws
-/// std::runtime_error if the resident budget is exceeded or any file
-/// operation fails.
+/// rank.  Throws std::runtime_error if the resident budget is exceeded or
+/// any file operation fails.
 BuildPipelineStats build_sharded_kronecker(
     simmpi::Comm& comm, const graph::KroneckerParams& params,
-    const std::string& shard_dir, const PipelineOptions& opts = {},
-    const graph::BuildOptions& build_opts = {});
+    const std::string& shard_dir, const PipelineOptions& opts = {});
 
 }  // namespace g500::ooc

@@ -4,8 +4,7 @@
 //
 //   * radix_sort — order a range ascending by key, ties broken by a
 //     comparator.  Graph construction sorts its edges with it: the
-//     builders' dedup, LocalCsr, PullIndex, SourceBlock and the
-//     out-of-core sorter.
+//     builders' dedup, LocalCsr, SourceBlock and the out-of-core sorter.
 //   * keep_least — keep only the least record of each key, ascending by
 //     key: the coalescer behind the SSSP, BFS and components engines.
 //

@@ -163,11 +163,6 @@ inline void expect_fresh_build(simmpi::Comm& comm, const DistGraph& view,
   EXPECT_TRUE(same(view.csr.offsets(), fresh.csr.offsets())) << where;
   EXPECT_TRUE(same(view.csr.adjacency(), fresh.csr.adjacency())) << where;
   EXPECT_TRUE(same(view.csr.weights(), fresh.csr.weights())) << where;
-  EXPECT_TRUE(same(view.pull.sources(), fresh.pull.sources())) << where;
-  EXPECT_TRUE(same(view.pull.offsets(), fresh.pull.offsets())) << where;
-  EXPECT_TRUE(same(view.pull.destinations(), fresh.pull.destinations()))
-      << where;
-  EXPECT_TRUE(same(view.pull.weights(), fresh.pull.weights())) << where;
   EXPECT_EQ(view.num_directed_edges, fresh.num_directed_edges) << where;
   if (with_hubs) {
     EXPECT_EQ(view.hubs, fresh.hubs) << where;

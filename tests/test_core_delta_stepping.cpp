@@ -280,15 +280,13 @@ TEST(DeltaStepping, PullSumsRideTheLightAllreduceOnlyWhenPullIsOn) {
   // possible.  Every run pays 8 bytes per bucket minimum (one per bucket
   // plus the final one); a light allreduce (one per light round plus the
   // drained one) carries 16 bytes with direction_opt off and 48 with it
-  // on.  Pulling needs no pull index, so no agreement on one comes first.
+  // on.
   KroneckerParams params;
   params.scale = 10;
   for (const bool direction_opt : {false, true}) {
     simmpi::World world(3);
     world.run([&](simmpi::Comm& comm) {
-      BuildOptions opts;
-      opts.build_pull_index = !direction_opt;
-      const DistGraph g = build_kronecker(comm, params, opts);
+      const DistGraph g = build_kronecker(comm, params);
       core::SsspConfig config = core::SsspConfig::plain();
       config.direction_opt = direction_opt;
       core::SsspStats stats;
@@ -589,17 +587,14 @@ TEST(DeltaStepping, CompressionHalvesRequestBytes) {
   EXPECT_EQ(packed * 2, wide);
 }
 
-TEST(DeltaStepping, PullsWithoutAPullIndex) {
-  // The owner-side pull reads only the CSR, so a graph built without a
-  // pull index still pulls, sends no record, and matches push-only.
+TEST(DeltaStepping, PullReadsOnlyTheCsr) {
+  // The owner-side pull reads only the CSR rows, so a pulled solve sends
+  // no record, moves no alltoallv byte, and matches push-only.
   KroneckerParams params;
   params.scale = 7;
   simmpi::World world(2);
   world.run([&](simmpi::Comm& comm) {
-    BuildOptions opts;
-    opts.build_pull_index = false;
-    const DistGraph g = build_kronecker(comm, params, opts);
-    ASSERT_EQ(g.pull.num_entries(), 0u);
+    const DistGraph g = build_kronecker(comm, params);
     core::SsspConfig c;
     c.pull_threshold = 0.0;
     c.pull_bias = 0.0;
@@ -687,21 +682,18 @@ TEST(DeltaStepping, ForcedPullMatchesPushOnly) {
   }
 }
 
-TEST(DeltaStepping, ForcedPullMatchesPushOnAShardWithoutPullSection) {
+TEST(DeltaStepping, ForcedPullMatchesPushOnAMappedShard) {
   KroneckerParams params;
   params.scale = 10;
-  const std::string dir = ::testing::TempDir() + "/g500_pull_no_index";
+  const std::string dir = ::testing::TempDir() + "/g500_pull_mapped";
   std::filesystem::create_directories(dir);
   simmpi::World world(3);
   world.run([&](simmpi::Comm& comm) {
-    BuildOptions opts;
-    opts.build_pull_index = false;
     write_shard(shard_path(dir, comm.rank(), comm.size()),
-                build_kronecker(comm, params, opts), comm.rank());
+                build_kronecker(comm, params), comm.rank());
     comm.barrier();
     const DistGraph g = load_sharded(comm, dir);
     ASSERT_EQ(g.backing, GraphBacking::kMapped);
-    ASSERT_EQ(g.pull.num_entries(), 0u);
     expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig{});
   });
   std::filesystem::remove_all(dir);

@@ -326,101 +326,10 @@ TEST(MutableGraph, CommitOverMappedShardsIsResident) {
   std::filesystem::remove_all(dir);
 }
 
-/// This rank's piece of `input` built with `opts`, or, when `mapped`, the
-/// same piece spilled to a shard in `dir` and loaded back (a shard of a
-/// graph built without a pull index has no pull section).
-DistGraph adopted_base(simmpi::Comm& comm, const EdgeList& input,
-                       const BuildOptions& opts, bool mapped,
-                       const std::string& dir) {
-  DistGraph g = build_distributed(
-      comm, slice_for_rank(input, comm.rank(), comm.size()),
-      input.num_vertices, opts);
-  if (!mapped) return g;
-  write_shard(shard_path(dir, comm.rank(), comm.size()), g, comm.rank());
-  return load_sharded(comm, dir);
-}
-
-// A base without a pull index gets the fresh build's index at its first
-// commit: patching the empty index would leave it holding only the batch.
-TEST(MutableGraph, CommitBuildsMissingPullIndex) {
-  const auto input = test_graph(64);
-  const std::string dir = ::testing::TempDir() + "/g500_dyn_no_pull";
-  std::filesystem::create_directories(dir);
-  BuildOptions no_pull;
-  no_pull.build_pull_index = false;
-  for (const int P : {1, 2, 3}) {
-    for (const bool mapped : {false, true}) {
-      simmpi::World world(P);
-      world.run([&](simmpi::Comm& comm) {
-        MutableGraph mg(comm, adopted_base(comm, input, no_pull, mapped, dir));
-        EXPECT_EQ(mg.view().pull.num_entries(), 0u);
-        RefGraph ref(input);
-        for (int round = 0; round < 3; ++round) {
-          commit_spread(comm, mg, ref,
-                        random_batch(0xF11 + round, 64,
-                                     gather_view_edges(comm, mg.view())));
-          expect_fresh_build(comm, mg.view(), ref, /*with_hubs=*/false,
-                             "P=" + std::to_string(P) +
-                                 (mapped ? " mapped" : " in-memory") +
-                                 " round " + std::to_string(round));
-        }
-      });
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// Under build_pull_index = false a commit leaves no pull index, whether the
-// base had one or not, and the CSR still equals a fresh build.
-TEST(MutableGraph, CommitDropsPullIndexWhenOptionIsOff) {
-  const auto input = test_graph(64);
-  const std::string dir = ::testing::TempDir() + "/g500_dyn_drop_pull";
-  std::filesystem::create_directories(dir);
-  MutableGraph::Config cfg;
-  cfg.build.build_pull_index = false;
-  for (const int P : {1, 2, 3}) {
-    for (const bool mapped : {false, true}) {
-      simmpi::World world(P);
-      world.run([&](simmpi::Comm& comm) {
-        // The in-memory base carries a pull index; the shard has none.
-        MutableGraph mg(comm,
-                        adopted_base(comm, input, mapped ? cfg.build
-                                                         : BuildOptions{},
-                                     mapped, dir),
-                        cfg);
-        RefGraph ref(input);
-        for (int round = 0; round < 3; ++round) {
-          commit_spread(comm, mg, ref,
-                        random_batch(0xD20 + round, 64,
-                                     gather_view_edges(comm, mg.view())));
-          const std::string where = "P=" + std::to_string(P) +
-                                    (mapped ? " mapped" : " in-memory") +
-                                    " round " + std::to_string(round);
-          const DistGraph& view = mg.view();
-          EXPECT_TRUE(view.pull.sources().empty()) << where;
-          EXPECT_TRUE(view.pull.offsets().empty()) << where;
-          EXPECT_EQ(view.pull.num_entries(), 0u) << where;
-          const DistGraph fresh = build_distributed(
-              comm, slice_for_rank(ref.edge_list(64), comm.rank(), P), 64,
-              cfg.build);
-          const auto same = [](auto a, auto b) {
-            return std::ranges::equal(a, b);
-          };
-          EXPECT_TRUE(same(view.csr.offsets(), fresh.csr.offsets())) << where;
-          EXPECT_TRUE(same(view.csr.adjacency(), fresh.csr.adjacency()))
-              << where;
-          EXPECT_TRUE(same(view.csr.weights(), fresh.csr.weights())) << where;
-        }
-      });
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-
 // The corners of a splice, each held to a fresh build: only the first and
-// last rows of each rank touched, a pull group that appears and then
-// vanishes, a batch whose every op merges to nothing, and ranks that own
-// no vertex at all.
+// last rows of each rank touched, the first edge between an isolated
+// vertex and a rank that appears and then vanishes, a batch whose every op
+// merges to nothing, and ranks that own no vertex at all.
 TEST(MutableGraph, SpliceEdgeCasesMatchFreshBuild) {
   // Vertices 64..79 start isolated, so an edge to one of them is the first
   // edge from it into any rank.
@@ -471,7 +380,8 @@ TEST(MutableGraph, SpliceEdgeCasesMatchFreshBuild) {
       commit_spread(comm, mg, ref, rim);
       check("first and last rows");
 
-      // Edge 65 + r -> first row of rank r: a new pull group on rank r.
+      // Edge 65 + r -> first row of rank r: the isolated vertex's first
+      // edge into rank r.
       std::vector<EdgeUpdate> link, unlink;
       for (int r = 0; r < P; ++r) {
         link.push_back(EdgeUpdate{65 + static_cast<VertexId>(r),
@@ -480,16 +390,19 @@ TEST(MutableGraph, SpliceEdgeCasesMatchFreshBuild) {
                                     part.begin(r), 0.0f, UpdateOp::kDelete});
       }
       const VertexId mine = 65 + static_cast<VertexId>(me);
-      const auto has_group = [&] {
-        return std::ranges::binary_search(mg.view().pull.sources(), mine);
+      const auto linked = [&] {
+        const LocalCsr& csr = mg.view().csr;
+        const auto row = csr.adjacency().subspan(csr.edges_begin(0),
+                                                 csr.degree(0));
+        return std::ranges::find(row, mine) != row.end();
       };
-      EXPECT_FALSE(has_group());
+      EXPECT_FALSE(linked());
       commit_spread(comm, mg, ref, link);
-      EXPECT_TRUE(has_group());
-      check("pull group created");
+      EXPECT_TRUE(linked());
+      check("isolated vertex linked");
       commit_spread(comm, mg, ref, unlink);
-      EXPECT_FALSE(has_group());
-      check("pull group emptied");
+      EXPECT_FALSE(linked());
+      check("isolated vertex unlinked");
 
       // A heavier insert of an existing edge, a set to its own weight, a
       // delete of a missing edge and a self-loop: the version moves, the
@@ -500,7 +413,6 @@ TEST(MutableGraph, SpliceEdgeCasesMatchFreshBuild) {
       const auto offsets = copy(mg.view().csr.offsets());
       const auto adjacency = copy(mg.view().csr.adjacency());
       const auto weights = copy(mg.view().csr.weights());
-      const auto pull_dst = copy(mg.view().pull.destinations());
       const auto version = mg.version();
       const auto edges = ref.directed();
       const auto [u, v, w] = edges.front();
@@ -516,7 +428,6 @@ TEST(MutableGraph, SpliceEdgeCasesMatchFreshBuild) {
       EXPECT_TRUE(std::ranges::equal(mg.view().csr.offsets(), offsets));
       EXPECT_TRUE(std::ranges::equal(mg.view().csr.adjacency(), adjacency));
       EXPECT_TRUE(std::ranges::equal(mg.view().csr.weights(), weights));
-      EXPECT_TRUE(std::ranges::equal(mg.view().pull.destinations(), pull_dst));
       check("version-only batch");
 
       // Three vertices: on 5 ranks, two ranks own an empty CSR.

@@ -63,18 +63,14 @@ TEST(Builder, DropsSelfLoopsAndDedupsToMinWeight) {
   });
 }
 
-/// One rank's CSR, pull index and hubs as the comparator build made them
-/// before construction sorted with util::radix_sort: dedup by std::sort on
-/// (src, dst, weight), CSR order (src, weight, dst), pull order
-/// (neighbour, weight, local source), hubs by nth_element and sort.
+/// One rank's CSR and hubs as the comparator build made them before
+/// construction sorted with util::radix_sort: dedup by std::sort on
+/// (src, dst, weight), CSR order (src, weight, dst), hubs by nth_element
+/// and sort.
 struct ComparatorBuild {
   std::vector<std::uint64_t> offsets;
   std::vector<VertexId> dst;
   std::vector<Weight> w;
-  std::vector<VertexId> pull_sources;
-  std::vector<std::uint64_t> pull_offsets;
-  std::vector<LocalId> pull_dst;
-  std::vector<Weight> pull_w;
   std::vector<VertexId> hubs;
 };
 
@@ -118,31 +114,6 @@ ComparatorBuild comparator_build(simmpi::Comm& comm, const EdgeList& slice,
   for (std::size_t i = 1; i < ref.offsets.size(); ++i) {
     ref.offsets[i] += ref.offsets[i - 1];
   }
-
-  struct Entry {
-    VertexId src;
-    LocalId dst;
-    Weight w;
-  };
-  std::vector<Entry> entries;
-  for (const auto& e : mine) {
-    entries.push_back(
-        Entry{e.dst, static_cast<LocalId>(e.src - my_begin), e.weight});
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.src != b.src) return a.src < b.src;
-    if (a.w != b.w) return a.w < b.w;
-    return a.dst < b.dst;
-  });
-  for (const auto& x : entries) {
-    if (ref.pull_sources.empty() || ref.pull_sources.back() != x.src) {
-      ref.pull_sources.push_back(x.src);
-      ref.pull_offsets.push_back(ref.pull_dst.size());
-    }
-    ref.pull_dst.push_back(x.dst);
-    ref.pull_w.push_back(x.w);
-  }
-  ref.pull_offsets.push_back(ref.pull_dst.size());
 
   struct Candidate {
     VertexId vertex;
@@ -218,10 +189,6 @@ TEST(Builder, MatchesComparatorReference) {
       EXPECT_EQ(to_vector(g.csr.offsets()), want.offsets) << where;
       EXPECT_EQ(to_vector(g.csr.adjacency()), want.dst) << where;
       EXPECT_EQ(to_vector(g.csr.weights()), want.w) << where;
-      EXPECT_EQ(to_vector(g.pull.sources()), want.pull_sources) << where;
-      EXPECT_EQ(to_vector(g.pull.offsets()), want.pull_offsets) << where;
-      EXPECT_EQ(to_vector(g.pull.destinations()), want.pull_dst) << where;
-      EXPECT_EQ(to_vector(g.pull.weights()), want.pull_w) << where;
       EXPECT_EQ(g.hubs, want.hubs) << where;
       EXPECT_FALSE(want.hubs.empty()) << where;
     });
@@ -309,21 +276,6 @@ TEST(Builder, HubCountZeroDisablesHubs) {
     opts.hub_count = 0;
     const DistGraph g = build_kronecker(comm, params, opts);
     EXPECT_TRUE(g.hubs.empty());
-  });
-}
-
-TEST(Builder, PullIndexOptional) {
-  KroneckerParams params;
-  params.scale = 7;
-  simmpi::World world(2);
-  world.run([&](simmpi::Comm& comm) {
-    BuildOptions opts;
-    opts.build_pull_index = false;
-    const DistGraph g = build_kronecker(comm, params, opts);
-    EXPECT_EQ(g.pull.num_entries(), 0u);
-    BuildOptions with;
-    const DistGraph g2 = build_kronecker(comm, params, with);
-    EXPECT_EQ(g2.pull.num_entries(), g2.csr.num_edges());
   });
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for LocalCsr, its DeltaSplit and PullIndex.
+// Unit tests for LocalCsr and its DeltaSplit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,110 +118,9 @@ TEST(LocalCsr, TieWeightsOrderedByDestination) {
   EXPECT_EQ(csr.dst(2), 9u);
 }
 
-template <typename T>
-std::vector<T> to_vector(std::span<const T> s) {
-  return {s.begin(), s.end()};
-}
-
-TEST(PullIndex, RegroupsBySource) {
-  const LocalCsr csr = make_csr();
-  const PullIndex pull = PullIndex::from_csr(csr);
-  EXPECT_EQ(pull.num_entries(), csr.num_edges());
-  EXPECT_EQ(pull.num_sources(), 3u);
-
-  // Neighbours 10, 11 and 12 (local vertices are never sources).  Source
-  // 10 has in-edges to local 1 (w 0.3) and local 0 (w 0.5), weight-sorted;
-  // 11 and 12 one each, to local 0.
-  EXPECT_EQ(to_vector(pull.sources()), (std::vector<VertexId>{10, 11, 12}));
-  EXPECT_EQ(to_vector(pull.offsets()),
-            (std::vector<std::uint64_t>{0, 2, 3, 4}));
-  EXPECT_EQ(to_vector(pull.destinations()), (std::vector<LocalId>{1, 0, 0, 0}));
-  EXPECT_EQ(to_vector(pull.weights()),
-            (std::vector<Weight>{0.3f, 0.5f, 0.1f, 0.9f}));
-}
-
-TEST(PullIndex, EmptyCsrGivesEmptyIndex) {
-  LocalCsr csr(2, {});
-  const PullIndex pull = PullIndex::from_csr(csr);
-  EXPECT_EQ(pull.num_sources(), 0u);
-  EXPECT_EQ(pull.num_entries(), 0u);
-  EXPECT_TRUE(pull.sources().empty());
-  EXPECT_EQ(to_vector(pull.offsets()), (std::vector<std::uint64_t>{0}));
-  EXPECT_TRUE(pull.destinations().empty());
-  EXPECT_TRUE(pull.weights().empty());
-}
-
-TEST(PullIndex, SourcesAreSortedUnique) {
-  const PullIndex pull = PullIndex::from_csr(make_csr());
-  const auto sources = pull.sources();
-  for (std::size_t i = 1; i < sources.size(); ++i) {
-    EXPECT_LT(sources[i - 1], sources[i]);
-  }
-}
-
-/// The invariants every reader of the four arrays relies on: offsets has
-/// one entry per source plus one and rises from 0 to the entry count with
-/// no empty group, and each group is weight-sorted with ties ordered by
-/// destination.
-void expect_well_formed(const PullIndex& pull) {
-  const auto offsets = pull.offsets();
-  ASSERT_EQ(offsets.size(), pull.num_sources() + 1);
-  EXPECT_EQ(offsets.front(), 0u);
-  EXPECT_EQ(offsets.back(), pull.num_entries());
-  ASSERT_EQ(pull.weights().size(), pull.num_entries());
-  for (std::size_t i = 0; i < pull.num_sources(); ++i) {
-    ASSERT_LT(offsets[i], offsets[i + 1]) << "group " << i;
-    for (std::uint64_t e = offsets[i] + 1; e < offsets[i + 1]; ++e) {
-      const auto key = [&](std::uint64_t k) {
-        return std::pair(pull.weights()[k], pull.destinations()[k]);
-      };
-      ASSERT_LT(key(e - 1), key(e)) << "group " << i << " entry " << e;
-    }
-  }
-}
-
-TEST(PullIndex, GroupsAreWeightSortedAndViewsReadTheSameArrays) {
-  // Sources 5 + i(i+1)/2 (gaps growing from 1 to ~120) and a run of
-  // consecutive ids; some sources have two entries, some weights tie.
-  std::vector<WireEdge> edges;
-  for (VertexId i = 0; i < 120; ++i) {
-    const VertexId s = 5 + i * (i + 1) / 2;
-    edges.push_back({i % 3, s, 0.05f + 0.1f * static_cast<float>(i % 7)});
-    if (i % 4 == 0) edges.push_back({2, s, 0.95f});
-    if (i % 5 == 0) edges.push_back({(i + 1) % 2, s, 0.95f});
-  }
-  for (VertexId s = 8000; s < 8032; ++s) edges.push_back({s % 3, s, 0.5f});
-  const std::size_t num_edges = edges.size();
-  const PullIndex pull = PullIndex::from_csr(LocalCsr(3, std::move(edges)));
-  ASSERT_EQ(pull.num_sources(), 152u);
-  EXPECT_EQ(pull.num_entries(), num_edges);
-  expect_well_formed(pull);
-
-  // A non-owning view of those arrays, as a mapped shard provides, reads
-  // them in place.
-  const PullIndex view = PullIndex::view(pull.sources(), pull.offsets(),
-                                         pull.destinations(), pull.weights());
-  ASSERT_FALSE(view.owns_storage());
-  EXPECT_EQ(view.sources().data(), pull.sources().data());
-  EXPECT_EQ(view.offsets().data(), pull.offsets().data());
-  EXPECT_EQ(view.destinations().data(), pull.destinations().data());
-  EXPECT_EQ(view.weights().data(), pull.weights().data());
-  EXPECT_EQ(view.num_sources(), pull.num_sources());
-  EXPECT_EQ(view.num_entries(), pull.num_entries());
-  expect_well_formed(view);
-}
-
-TEST(PullIndex, DefaultIndexHasNoArrays) {
-  const PullIndex empty;
-  EXPECT_EQ(empty.num_sources(), 0u);
-  EXPECT_EQ(empty.num_entries(), 0u);
-  EXPECT_TRUE(empty.offsets().empty());
-  EXPECT_TRUE(empty.weights().empty());
-}
-
-// A splice equals a rebuild of the changed edges, for the CSR and for its
-// pull index, on random rows with weight ties (weights are quarters, so
-// equal weights are common and the destination breaks them).
+// A splice equals a rebuild of the changed edges, on random rows with
+// weight ties (weights are quarters, so equal weights are common and the
+// destination breaks them).
 TEST(LocalCsr, SpliceMatchesRebuildOfChangedEdges) {
   g500::util::SplitMix64 rng(0x5911CE);
   const auto quarter = [&] {
@@ -272,31 +171,17 @@ TEST(LocalCsr, SpliceMatchesRebuildOfChangedEdges) {
     EXPECT_TRUE(same(got.offsets(), want.offsets())) << "trial " << trial;
     EXPECT_TRUE(same(got.adjacency(), want.adjacency())) << "trial " << trial;
     EXPECT_TRUE(same(got.weights(), want.weights())) << "trial " << trial;
-
-    const PullIndex got_pull = PullIndex::from_csr(before).splice(changes);
-    const PullIndex want_pull = PullIndex::from_csr(want);
-    EXPECT_TRUE(same(got_pull.sources(), want_pull.sources()))
-        << "trial " << trial;
-    EXPECT_TRUE(same(got_pull.offsets(), want_pull.offsets()))
-        << "trial " << trial;
-    EXPECT_TRUE(same(got_pull.destinations(), want_pull.destinations()))
-        << "trial " << trial;
-    EXPECT_TRUE(same(got_pull.weights(), want_pull.weights()))
-        << "trial " << trial;
   }
 }
 
 TEST(LocalCsr, SpliceRejectsMalformedChanges) {
   const LocalCsr csr = make_csr();
-  const PullIndex pull = PullIndex::from_csr(csr);
   const std::vector<EdgeChange> unsorted = {{1, 10, 0.5f, false},
                                             {0, 11, 0.5f, false}};
   const std::vector<EdgeChange> repeated = {{0, 11, 0.5f, false},
                                             {0, 11, 0.2f, true}};
   EXPECT_THROW((void)csr.splice(unsorted), std::invalid_argument);
   EXPECT_THROW((void)csr.splice(repeated), std::invalid_argument);
-  EXPECT_THROW((void)pull.splice(unsorted), std::invalid_argument);
-  EXPECT_THROW((void)pull.splice(repeated), std::invalid_argument);
   const std::vector<EdgeChange> remote_source = {{3, 10, 0.5f, false}};
   EXPECT_THROW((void)csr.splice(remote_source), std::out_of_range);
 }

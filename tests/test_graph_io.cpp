@@ -1,6 +1,7 @@
-// Tests for edge-list I/O (binary and TSV) and the v2 CSR shard format.
+// Tests for edge-list I/O (binary and TSV) and the v3 CSR shard format.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -214,7 +215,7 @@ TEST(TsvIo, RejectsUnparseableWeightField) {
   EXPECT_THROW((void)read_edge_list_tsv(overflow), std::runtime_error);
 }
 
-// --- v2 CSR shard format ---
+// --- v3 CSR shard format ---
 
 TEST(ShardIo, RoundTripsThroughShardFile) {
   KroneckerParams params;
@@ -233,7 +234,6 @@ TEST(ShardIo, RoundTripsThroughShardFile) {
     EXPECT_EQ(shard.num_vertices(), g.num_vertices);
     EXPECT_EQ(shard.num_local(), g.csr.num_local());
     EXPECT_EQ(shard.num_input_edges(), g.num_input_edges);
-    ASSERT_TRUE(shard.has_pull());
     const auto eq = [](auto a, auto b) {
       return a.size() == b.size() &&
              std::memcmp(a.data(), b.data(),
@@ -242,10 +242,6 @@ TEST(ShardIo, RoundTripsThroughShardFile) {
     EXPECT_TRUE(eq(shard.csr().offsets(), g.csr.offsets()));
     EXPECT_TRUE(eq(shard.csr().adjacency(), g.csr.adjacency()));
     EXPECT_TRUE(eq(shard.csr().weights(), g.csr.weights()));
-    EXPECT_TRUE(eq(shard.pull().sources(), g.pull.sources()));
-    EXPECT_TRUE(eq(shard.pull().offsets(), g.pull.offsets()));
-    EXPECT_TRUE(eq(shard.pull().destinations(), g.pull.destinations()));
-    EXPECT_TRUE(eq(shard.pull().weights(), g.pull.weights()));
     EXPECT_FALSE(shard.csr().owns_storage());
     EXPECT_EQ(shard.csr().resident_bytes(), 0u);
   });
@@ -295,6 +291,40 @@ TEST(ShardIo, MapRejectsCorruption) {
     out << make_binary(binfmt::kEdgeListVersion, 4, 0, {});
   }
   EXPECT_THROW((void)ShardedCsr::map(path), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+// A version 2 shard (the layout that also carried a pull index) is refused
+// by name, both when mapped directly and when loaded as a shard set.
+TEST(ShardIo, MapRejectsVersionTwoShard) {
+  KroneckerParams params;
+  params.scale = 5;
+  const std::string dir = ::testing::TempDir() + "/g500_shard_v2";
+  std::filesystem::create_directories(dir);
+  const std::string path = shard_path(dir, 0, 1);
+  simmpi::World world(1);
+  world.run([&](simmpi::Comm& comm) {
+    write_shard(path, build_kronecker(comm, params), 0);
+  });
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t old_version = 2;
+    file.seekp(offsetof(binfmt::BinaryHeader, version));
+    file.write(reinterpret_cast<const char*>(&old_version),
+               sizeof(old_version));
+  }
+  try {
+    (void)ShardedCsr::map(path);
+    ADD_FAILURE() << "a version 2 shard mapped";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported shard version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(world.run([&](simmpi::Comm& comm) {
+    (void)load_sharded(comm, dir);
+  }),
+               std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 

@@ -35,11 +35,6 @@ void expect_identical(const DistGraph& mem, const DistGraph& mapped) {
   EXPECT_TRUE(bytes_equal(mem.csr.offsets(), mapped.csr.offsets()));
   EXPECT_TRUE(bytes_equal(mem.csr.adjacency(), mapped.csr.adjacency()));
   EXPECT_TRUE(bytes_equal(mem.csr.weights(), mapped.csr.weights()));
-  EXPECT_TRUE(bytes_equal(mem.pull.sources(), mapped.pull.sources()));
-  EXPECT_TRUE(bytes_equal(mem.pull.offsets(), mapped.pull.offsets()));
-  EXPECT_TRUE(
-      bytes_equal(mem.pull.destinations(), mapped.pull.destinations()));
-  EXPECT_TRUE(bytes_equal(mem.pull.weights(), mapped.pull.weights()));
   EXPECT_EQ(mem.hubs, mapped.hubs);
   EXPECT_EQ(mem.hub_degrees, mapped.hub_degrees);
   EXPECT_EQ(mem.num_input_edges, mapped.num_input_edges);
@@ -175,36 +170,6 @@ TEST(OocPipeline, LoadRejectsMismatchedRankCount) {
     (void)graph::load_sharded(comm, dir);
   }),
                std::runtime_error);
-  fs::remove_all(dir);
-}
-
-TEST(OocPipeline, PullIndexCanBeSkipped) {
-  KroneckerParams params;
-  params.scale = 6;
-  const std::string dir = ::testing::TempDir() + "/g500_ooc_nopull";
-  fs::remove_all(dir);
-  simmpi::World world(2);
-  world.run([&](simmpi::Comm& comm) {
-    graph::BuildOptions bopts;
-    bopts.build_pull_index = false;
-    (void)ooc::build_sharded_kronecker(comm, params, dir, {}, bopts);
-    const ShardedCsr shard =
-        ShardedCsr::map(shard_path(dir, comm.rank(), comm.size()));
-    EXPECT_FALSE(shard.has_pull());
-    // The mapped graph still solves correctly without the pull index.
-    const DistGraph mapped = graph::load_sharded(comm, dir);
-    const DistGraph mem = build_kronecker(comm, params, bopts);
-    const auto roots = core::sample_roots(comm, mem, 1, 0x0c);
-    core::SsspConfig config;
-    config.direction_opt = false;
-    const auto a = core::delta_stepping(comm, mem, roots.front(), config);
-    const auto b = core::delta_stepping(comm, mapped, roots.front(), config);
-    ASSERT_EQ(a.dist.size(), b.dist.size());
-    EXPECT_EQ(std::memcmp(a.dist.data(), b.dist.data(),
-                          a.dist.size() * sizeof(Weight)),
-              0);
-    comm.barrier();
-  });
   fs::remove_all(dir);
 }
 
