@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     steps.push_back({"+fusion", core::Algorithm::kDeltaStepping, c});
     c.hub_cache = true;
     steps.push_back({"+hub cache", core::Algorithm::kDeltaStepping, c});
-    c.direction_opt = true;
+    c.direction = core::Direction::kAuto;
     steps.push_back({"+direction (full)", core::Algorithm::kDeltaStepping, c});
   }
 

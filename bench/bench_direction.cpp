@@ -4,10 +4,11 @@
 // and each owner scans its own weight-sorted rows, in light rounds and
 // heavy phases, stopping at the first edge that cannot win.  Pull wins
 // when frontiers are dense relative to the rank count.  This harness
-// sweeps the edgefactor (frontier density knob) and reports, for
-// direction-opt on/off, the traffic, where the engine actually chose to
-// pull and the candidates it checked (edges scanned by a pull, relaxed by
-// a push).  Every row is validated; an invalid one makes the harness exit
+// sweeps the edgefactor (frontier density knob) and reports, for each
+// core::Direction (push every round, pull every round that has edges to
+// relax, and the engine's own choice), the traffic, the rounds each way
+// and the candidates checked (edges scanned by a pull, relaxed by a
+// push).  Every row is validated; an invalid one makes the harness exit
 // nonzero.
 #include <iostream>
 
@@ -30,15 +31,15 @@ int main(int argc, char** argv) {
     params.scale = scale;
     params.edgefactor = edgefactor;
 
-    for (const bool direction : {false, true}) {
+    for (const auto direction : {core::Direction::kPush, core::Direction::kPull,
+                                 core::Direction::kAuto}) {
       core::SsspConfig config;
-      config.direction_opt = direction;
-      config.pull_threshold = 0.01;
+      config.direction = direction;
       const auto m = bench::measure_sssp(params, ranks, config);
       all_valid = all_valid && m.valid;
       table.row()
           .add(edgefactor)
-          .add(direction ? "push+pull" : "push only")
+          .add(core::direction_name(direction))
           .add(m.stats.pull_rounds)
           .add(m.stats.push_rounds)
           .add_si(static_cast<double>(m.wire_bytes))
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
       c["scale"] = scale;
       c["ranks"] = ranks;
       c["edgefactor"] = edgefactor;
-      c["mode"] = direction ? "push+pull" : "push only";
+      c["mode"] = core::direction_name(direction);
       c["measurement"] = bench::to_json(m);
       report.add_case(std::move(c));
     }
@@ -58,10 +59,12 @@ int main(int argc, char** argv) {
   table.print(std::cout, "F8: push/pull crossover, Kronecker scale " +
                              std::to_string(scale) + ", " +
                              std::to_string(ranks) + " ranks");
-  std::cout << "\nExpected shape: the engine pulls at every edgefactor, "
-               "in light rounds and in the\nheavy phases of the buckets that "
-               "settle much of the graph; the push+pull rows\nundercut "
-               "push-only wire bytes and candidates at every edgefactor.\n";
+  std::cout << "\nExpected shape: pull rows send fewer wire bytes than push "
+               "rows but check the most\ncandidates, since a pulled round "
+               "reads every unreached row in full.  The\nauto rows pull at "
+               "every edgefactor, in light rounds and in the heavy phases\nof "
+               "the buckets that settle much of the graph, and undercut push "
+               "wire bytes and\ncandidates at every edgefactor.\n";
   bench::write_report(report, table);
   if (!all_valid) {
     std::cerr << "VALIDATION FAILED: a row's distances are invalid\n";

@@ -129,6 +129,7 @@ SERVING_MIXED_KEYS = (
 SERVING_MIXED_KERNELS = ("pagerank", "kcore", "components", "reachability")
 # Per-class carve-out inside every serving metrics block
 # (docs/telemetry.md): the distance class is global-minus-analytics.
+# Only distance reads degrade, so the analytics class has no "degraded".
 SERVING_CLASS_KEYS = (
     "arrived",
     "admitted",
@@ -441,6 +442,8 @@ def check_serving_classes(metrics, where, path, errors):
                 errors.append(f"{path}: {where} classes missing '{cls}'")
                 continue
             for key in SERVING_CLASS_KEYS:
+                if cls == "analytics" and key == "degraded":
+                    continue
                 if key not in block:
                     errors.append(
                         f"{path}: {where} classes.{cls} missing '{key}'")

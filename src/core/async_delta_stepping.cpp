@@ -232,6 +232,9 @@ class AsyncEngine {
 SsspResult dispatch(simmpi::Comm& comm, const graph::DistGraph& g,
                     const std::vector<VertexId>& roots,
                     const SsspConfig& config, SsspStats* stats) {
+  refuse_one_d_switches(config, "async_delta_stepping");
+  refuse_switch(config.hierarchical_group > 1, "async_delta_stepping",
+                "hierarchical_group > 1");
   SsspStats local_stats;
   SsspStats& s = stats != nullptr ? *stats : local_stats;
   return with_record(config, g.num_vertices, [&](auto record) {

@@ -24,11 +24,11 @@
 // Config knobs honoured: delta, coalesce (per-flush dedup), hub_cache
 // (send-side mirror, tightened locally instead of by allreduce),
 // local_fusion, compress, max_buckets (counts per-rank bucket expansions
-// here).  The aggregator runs at a fixed capacity of 512 records and a
-// maximum age of 4 poll cycles.  Ignored — meaningless without
-// synchronized rounds: direction_opt (pull needs a globally agreed
-// frontier), hierarchical_group (no alltoallv to restructure),
-// collect_bucket_trace.
+// here), direction kAuto or kPush (it always pushes).  Refused, being
+// meaningless without synchronized rounds: kPull (pull needs a globally
+// agreed frontier), hierarchical_group > 1 (no alltoallv to restructure)
+// and collect_bucket_trace.  The aggregator runs at a fixed capacity of
+// 512 records and a maximum age of 4 poll cycles.
 #pragma once
 
 #include "core/dijkstra.hpp"

@@ -16,6 +16,9 @@ using graph::Weight;
 SsspResult bellman_ford(simmpi::Comm& comm, const graph::DistGraph& g,
                         VertexId root, const SsspConfig& config,
                         SsspStats* stats) {
+  refuse_one_d_switches(config, "bellman_ford");
+  refuse_switch(config.delta > 0.0, "bellman_ford", "delta > 0");
+  refuse_switch(config.max_buckets != 0, "bellman_ford", "max_buckets");
   if (root >= g.num_vertices) {
     throw std::out_of_range("bellman_ford: root out of range");
   }

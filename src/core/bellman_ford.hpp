@@ -11,10 +11,11 @@
 
 namespace g500::core {
 
-/// Options: Bellman-Ford honours the coalesce, local_fusion and
-/// hierarchical_group knobs of SsspConfig, which it shares with the other
-/// engines through core/relax.hpp (hub caching and direction switching are
-/// delta-stepping features and are ignored here).
+/// Options: Bellman-Ford honours coalesce, local_fusion, hierarchical_group
+/// (shared with the other engines through core/relax.hpp) and direction
+/// kAuto or kPush (it always pushes).  Bucket-less, it refuses a positive
+/// delta, max_buckets, kPull and the bucket trace; hub_cache and compress,
+/// on by default, are ignored.
 [[nodiscard]] SsspResult bellman_ford(simmpi::Comm& comm,
                                       const graph::DistGraph& g,
                                       graph::VertexId root,

@@ -83,7 +83,7 @@ BfsResult bfs(simmpi::Comm& comm, const graph::DistGraph& g, VertexId root,
   frontier.swap(next);
 
   std::vector<std::vector<Visit>> outbox(static_cast<std::size_t>(comm.size()));
-  bool bottom_up = false;
+  bool bottom_up = config.direction == Direction::kPull;
   std::uint32_t level = 0;
 
   while (true) {
@@ -97,15 +97,17 @@ BfsResult bfs(simmpi::Comm& comm, const graph::DistGraph& g, VertexId root,
     ++st.rounds;
     ++level;
 
-    if (config.direction_opt) {
-      // Beamer's switch: go bottom-up when the frontier's edges outnumber
-      // a 1/alpha share of what is left to explore; return to top-down
-      // when the frontier thins below n/beta.
-      if (!bottom_up && totals[1] > totals[2] / config.alpha) {
+    if (config.direction == Direction::kAuto) {
+      // Beamer's switch, with his values for power-law graphs: go
+      // bottom-up when the frontier's edges outnumber a 1/alpha share of
+      // what is left to explore; return to top-down when the frontier
+      // thins below n/beta.
+      constexpr double kAlpha = 14.0;
+      constexpr double kBeta = 24.0;
+      if (!bottom_up && totals[1] > totals[2] / kAlpha) {
         bottom_up = true;
       } else if (bottom_up &&
-                 totals[0] < static_cast<double>(g.num_vertices) /
-                                 config.beta) {
+                 totals[0] < static_cast<double>(g.num_vertices) / kBeta) {
         bottom_up = false;
       }
     }

@@ -12,19 +12,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/sssp_types.hpp"
 #include "graph/builder.hpp"
 #include "simmpi/comm.hpp"
 
 namespace g500::core {
 
 struct BfsConfig {
-  /// Enable bottom-up rounds at all.
-  bool direction_opt = true;
-  /// Switch top-down -> bottom-up when frontier edges exceed (unexplored
-  /// edges / alpha); Beamer's heuristic, alpha ~ 14 on power-law graphs.
-  double alpha = 14.0;
-  /// Switch back to top-down when the frontier shrinks below n / beta.
-  double beta = 24.0;
+  /// kAuto switches by Beamer's heuristic each round, kPush runs top-down
+  /// and kPull bottom-up every round.
+  Direction direction = Direction::kAuto;
 };
 
 /// Per-rank BFS output for owned vertices: parent in the BFS tree

@@ -263,21 +263,24 @@ class Engine {
   /// Should a round pull instead of push?  Decided from global totals, so
   /// all ranks agree: the frontier's size, the edges a push would relax
   /// from it, and the edges of the still-unreached vertices, whose rows the
-  /// owner scan reads in full.
+  /// owner scan reads in full.  kPull pulls whenever there is an edge to
+  /// relax; kPush never asks.
   [[nodiscard]] bool choose_pull(std::uint64_t active_global,
                                  std::uint64_t push_edges_global,
                                  std::uint64_t unreached_edges_global) const {
+    constexpr double kPullThreshold = 0.02;  // least frontier share to pull
+    constexpr double kPullBias = 1.0;  // push/pull byte ratio; >1 favours push
+    if (config_.direction == Direction::kPull) return push_edges_global != 0;
     const double fraction = static_cast<double>(active_global) /
                             static_cast<double>(g_.num_vertices);
-    if (fraction < config_.pull_threshold) return false;
+    if (fraction < kPullThreshold) return false;
     const double push_edges = static_cast<double>(push_edges_global);
     const double push_bytes = push_edges * sizeof(RelaxRequest);
     const double pull_bytes = static_cast<double>(active_global) *
                               sizeof(FrontierEntry) *
                               static_cast<double>(comm_.size());
-    return push_bytes > pull_bytes * config_.pull_bias &&
-           push_edges >
-               static_cast<double>(unreached_edges_global) * config_.pull_bias;
+    return push_bytes > pull_bytes * kPullBias &&
+           push_edges > static_cast<double>(unreached_edges_global);
   }
 
   void push_round(const std::vector<LocalId>& active, bool light) {
@@ -387,6 +390,7 @@ class Engine {
     util::Timer bucket_timer;
     std::vector<LocalId> settled;     // the R set for the heavy phase
     std::uint64_t settled_heavy = 0;  // heavy edges out of R
+    const bool can_pull = config_.direction != Direction::kPush;
     bool heavy_pull = false;
     bool sync_hubs = false;
     BucketTraceRow row;
@@ -409,7 +413,7 @@ class Engine {
       // values.  Only runs that can pull pay for them.  With the hub cache
       // on, the last word counts the ranks whose mirror contribution moved.
       std::vector<std::uint64_t> sums{active.size(), active_light};
-      if (config_.direction_opt) {
+      if (can_pull) {
         sums.insert(sums.end(), {settled.size(), settled_heavy,
                                  unreached_light_, unreached_heavy_});
       }
@@ -417,8 +421,7 @@ class Engine {
       const auto totals = comm_.allreduce_vec<std::uint64_t>(
           sums, [](std::uint64_t a, std::uint64_t b) { return a + b; });
       if (totals[0] == 0) {  // bucket k drained everywhere
-        heavy_pull = config_.direction_opt &&
-                     choose_pull(totals[2], totals[3], totals[5]);
+        heavy_pull = can_pull && choose_pull(totals[2], totals[3], totals[5]);
         sync_hubs = router_.caches_hubs() && totals.back() != 0;
         break;
       }
@@ -428,8 +431,7 @@ class Engine {
       row.frontier_total += totals[0];
       stats_.frontier_hist.add(totals[0]);
 
-      if (config_.direction_opt &&
-          choose_pull(totals[0], totals[1], totals[4])) {
+      if (can_pull && choose_pull(totals[0], totals[1], totals[4])) {
         ++stats_.pull_rounds;
         pull_round(k, active, /*light=*/true);
       } else {

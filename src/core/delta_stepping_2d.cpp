@@ -186,6 +186,7 @@ class Engine2D {
 SsspResult delta_stepping_2d(simmpi::Comm& comm, const graph::Dist2DGraph& g,
                              VertexId root, const SsspConfig& config,
                              SsspStats* stats) {
+  refuse_one_d_switches(config, "delta_stepping_2d");
   SsspStats scratch;
   Engine2D engine(comm, g, root, config, stats != nullptr ? *stats : scratch);
   return engine.run();

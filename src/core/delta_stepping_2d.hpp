@@ -16,10 +16,10 @@
 // `bench_partition2d` quantifies the trade against the 1-D engine.
 //
 // Honoured SsspConfig fields: delta, coalesce, hierarchical_group (the
-// candidate exchange is the shared one of core/relax.hpp), max_buckets.
-// Hub caching, direction switching, fusion, compression and the bucket
-// trace are 1-D engine features, and so is every core::RunControl (warm
-// start, pruning, deadline, checkpoint): this engine takes none.
+// candidate exchange is the shared one of core/relax.hpp), max_buckets
+// and direction kAuto or kPush (it always pushes).  It refuses kPull and
+// the bucket trace, and ignores the default-on hub_cache, local_fusion and
+// compress.  It takes no core::RunControl: those are 1-D engine features.
 #pragma once
 
 #include "core/dijkstra.hpp"

@@ -7,9 +7,7 @@ util::Json to_json(const SsspConfig& config) {
   j["delta"] = config.delta;
   j["coalesce"] = config.coalesce;
   j["hub_cache"] = config.hub_cache;
-  j["direction_opt"] = config.direction_opt;
-  j["pull_threshold"] = config.pull_threshold;
-  j["pull_bias"] = config.pull_bias;
+  j["direction"] = direction_name(config.direction);
   j["local_fusion"] = config.local_fusion;
   j["compress"] = config.compress;
   j["hierarchical_group"] = config.hierarchical_group;

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -13,6 +15,28 @@
 #include "util/histogram.hpp"
 
 namespace g500::core {
+
+/// Which way a round of SSSP or BFS moves distances: push sends a candidate
+/// to the owner of each frontier edge's target (top-down); pull broadcasts
+/// the frontier and has each owner scan its own rows (bottom-up).
+enum class Direction : std::uint8_t {
+  kAuto,  ///< the engine chooses per round
+  kPush,  ///< push every round
+  kPull,  ///< pull every round
+};
+
+[[nodiscard]] constexpr const char* direction_name(Direction d) {
+  constexpr const char* kNames[] = {"auto", "push", "pull"};
+  return kNames[static_cast<int>(d)];
+}
+
+/// The config contract of an engine that lacks a switch whose default is
+/// off or automatic: a caller that sets it gets std::invalid_argument
+/// naming the engine and the switch, never a silent fallback.
+inline void refuse_switch(bool set, const char* engine, const char* name) {
+  if (!set) return;
+  throw std::invalid_argument(std::string(engine) + ": cannot honour " + name);
+}
 
 /// Tuning knobs of the delta-stepping engine, fixed across a caller's runs.
 /// Defaults reproduce the fully-optimized configuration; the ablation
@@ -31,16 +55,10 @@ struct SsspConfig {
   /// local mirror of their tentative distance.  Requires graph.hubs.
   bool hub_cache = true;
 
-  /// Enable the push->pull direction switch for dense frontiers, in light
-  /// rounds and heavy phases alike.
-  bool direction_opt = true;
-  /// Only consider pulling when the round's frontier (the active set, or
-  /// the settled set for a heavy phase) is at least this fraction of all
-  /// vertices.
-  double pull_threshold = 0.02;
-  /// Pull is chosen when estimated push bytes exceed pull bytes times this
-  /// factor (>1 biases toward push).
-  double pull_bias = 1.0;
+  /// Push or pull, in light rounds and heavy phases alike.  kAuto lets the
+  /// 1-D engine pull dense frontiers by its byte model; kPull pulls every
+  /// round that has edges to relax.  The other engines only push.
+  Direction direction = Direction::kAuto;
 
   /// Apply relaxations that target locally-owned vertices immediately
   /// instead of routing them through the exchange.
@@ -72,12 +90,19 @@ struct SsspConfig {
     SsspConfig c;
     c.coalesce = false;
     c.hub_cache = false;
-    c.direction_opt = false;
+    c.direction = Direction::kPush;
     c.local_fusion = false;
     c.compress = false;
     return c;
   }
 };
+
+/// Refuses, for a comparison engine, the off-by-default or automatic
+/// switches only the 1-D delta-stepping engine honours.
+inline void refuse_one_d_switches(const SsspConfig& c, const char* engine) {
+  refuse_switch(c.direction == Direction::kPull, engine, "direction kPull");
+  refuse_switch(c.collect_bucket_trace, engine, "collect_bucket_trace");
+}
 
 /// Per-rank SSSP output: tentative distance and parent for owned vertices
 /// (indexed by local id).  Reachable vertices satisfy

@@ -13,6 +13,11 @@ namespace {
 
 constexpr int kFeistelRounds = 4;
 
+/// The specification's initiator probabilities A, B and C (D = 1 - A - B - C).
+constexpr double kA = 0.57;
+constexpr double kB = 0.19;
+constexpr double kC = 0.19;
+
 /// Smallest positive weight: keeps every weight strictly > 0 so tree edges
 /// strictly increase distance and parent chains cannot cycle.
 constexpr double kMinWeight = 1e-9;
@@ -79,11 +84,8 @@ Edge kronecker_edge(const KroneckerParams& params, std::uint64_t index) {
   if (params.scale < 1 || params.scale > 62) {
     throw std::invalid_argument("kronecker scale must be in [1, 62]");
   }
-  const double ab = params.a + params.b;
-  const double abc = ab + params.c;
-  if (!(abc < 1.0) || params.a <= 0.0 || params.b < 0.0 || params.c < 0.0) {
-    throw std::invalid_argument("kronecker initiator probabilities invalid");
-  }
+  constexpr double ab = kA + kB;
+  constexpr double abc = ab + kC;
   const std::uint64_t stream = hash64(params.seed1, params.seed2);
 
   VertexId u = 0;
@@ -93,14 +95,12 @@ Edge kronecker_edge(const KroneckerParams& params, std::uint64_t index) {
         hash64(stream, index, static_cast<std::uint64_t>(level)));
     // Quadrant choice per the initiator matrix.
     const std::uint64_t ubit = r >= ab ? 1u : 0u;
-    const std::uint64_t vbit = (r >= params.a && r < ab) || r >= abc ? 1u : 0u;
+    const std::uint64_t vbit = (r >= kA && r < ab) || r >= abc ? 1u : 0u;
     u = (u << 1) | ubit;
     v = (v << 1) | vbit;
   }
-  if (params.scramble) {
-    u = scramble_vertex(u, params.scale, params.seed1, params.seed2);
-    v = scramble_vertex(v, params.scale, params.seed1, params.seed2);
-  }
+  u = scramble_vertex(u, params.scale, params.seed1, params.seed2);
+  v = scramble_vertex(v, params.scale, params.seed1, params.seed2);
   double w = to_unit_double(hash64(stream ^ 0x5eedba5eULL, index));
   if (w < kMinWeight) w = kMinWeight;
   return Edge{u, v, static_cast<Weight>(w)};

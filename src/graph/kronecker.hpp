@@ -29,10 +29,6 @@ struct KroneckerParams {
   int edgefactor = 16;     ///< edges per vertex (undirected input tuples)
   std::uint64_t seed1 = 2; ///< Graph 500 default user seeds
   std::uint64_t seed2 = 3;
-  double a = 0.57;
-  double b = 0.19;
-  double c = 0.19;
-  bool scramble = true;    ///< permute vertex labels (spec requires it)
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
     return VertexId{1} << scale;

@@ -73,7 +73,6 @@ util::Json to_json(const ServeConfig& config) {
   fault["backoff"] = std::move(backoff);
   j["fault"] = std::move(fault);
   util::Json analytics = util::Json::object();
-  analytics["deadline_iters_per_tick"] = config.deadline_iters_per_tick;
   util::Json pagerank = util::Json::object();
   pagerank["damping"] = config.analytics.pagerank.damping;
   pagerank["max_iters"] = config.analytics.pagerank.max_iters;
@@ -98,7 +97,6 @@ util::Json to_json(const WorkloadConfig& config) {
   util::Json weights = util::Json::array();
   for (const auto w : config.kernel_weights) weights.push_back(w);
   j["kernel_weights"] = std::move(weights);
-  j["analytics_deadline_ticks"] = config.analytics_deadline_ticks;
   j["root_universe"] = static_cast<std::uint64_t>(config.roots.size());
   j["num_vertices"] = config.num_vertices;
   return j;
@@ -159,7 +157,8 @@ util::Json to_json(const ServiceMetrics& metrics) {
   j["cache"] = to_json(metrics.cache);
   // Per-class carve-out: the top-level counters cover BOTH classes; the
   // distance class is the difference (slo_violations is already
-  // distance-only — the analytics class counts against its own target).
+  // distance-only — the analytics class counts against its own target —
+  // and only distance reads degrade).
   util::Json dist = util::Json::object();
   dist["arrived"] = metrics.arrived - metrics.analytics_arrived;
   dist["admitted"] = metrics.admitted - metrics.analytics_admitted;
@@ -168,7 +167,7 @@ util::Json to_json(const ServiceMetrics& metrics) {
   dist["slo_violations"] = metrics.slo_violations;
   dist["deadline_exceeded"] =
       metrics.deadline_exceeded - metrics.analytics_deadline_exceeded;
-  dist["degraded"] = metrics.degraded - metrics.analytics_degraded;
+  dist["degraded"] = metrics.degraded;
   dist["failed"] = metrics.failed_queries - metrics.analytics_failed;
   dist["latency_ticks"] = hist_with_percentiles(metrics.latency_ticks);
   j["classes"]["distance"] = std::move(dist);

@@ -1,6 +1,6 @@
 #include "serve/kernels.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 #include "core/components.hpp"
 #include "core/kcore.hpp"
@@ -53,22 +53,22 @@ AnalyticsOutcome KernelRegistry::run(simmpi::Comm& comm,
                                      graph::VertexId target,
                                      LandmarkOracle* oracle,
                                      std::uint64_t iter_budget) const {
+  if (iter_budget != 0) {
+    throw std::invalid_argument(
+        "KernelRegistry::run: no kernel takes an iteration budget");
+  }
   AnalyticsOutcome out;
   util::Timer timer;
   switch (kernel) {
     case AnalyticsKernel::kPageRank: {
-      core::PageRankConfig cfg = config_.pagerank;
-      if (iter_budget > 0) cfg.max_iters = std::min(cfg.max_iters, iter_budget);
       core::PageRankStats stats;
-      const std::vector<double> mine = core::pagerank(comm, g, cfg, &stats);
+      const std::vector<double> mine =
+          core::pagerank(comm, g, config_.pagerank, &stats);
       const std::vector<double> full = comm.allgatherv(mine);
       out.digest = digest_vector(full);
       double mass = 0.0;
       for (const auto v : full) mass += v;
       out.value = mass;
-      out.truncated = iter_budget > 0 &&
-                      iter_budget < config_.pagerank.max_iters &&
-                      !stats.converged;
       out.rounds = stats.iterations;
       out.items_sent = stats.contribs_gathered;
       out.items_applied = stats.iterations * g.csr.num_edges();

@@ -5,8 +5,6 @@
 // substrate (GBBS-style — one bucketing/frontier toolkit, many kernels):
 //
 //   * kPageRank     — core::pagerank, iteration-count/L1-residual stop;
-//                     the only kernel that honours a deadline iteration
-//                     budget (a capped run completes as *truncated*);
 //   * kKCore        — core::kcore bucketed peeling;
 //   * kComponents   — core::connected_components min-label propagation;
 //   * kReachability — single-pair: the landmark oracle's bounds settle
@@ -48,9 +46,6 @@ struct AnalyticsOutcome {
   /// FNV-1a digest of the canonical global result (identical on every
   /// rank; bit-comparable against a sequential reference).
   std::uint64_t digest = 0;
-  /// PageRank stopped at an iteration budget before converging — the
-  /// analytics analogue of a deadline-truncated wave.
-  bool truncated = false;
   /// The oracle settled reachability without dispatching a BFS wave.
   bool oracle_short_circuit = false;
   /// Kernel-agnostic cost: collective rounds/iterations (identical on
@@ -80,10 +75,9 @@ class KernelRegistry {
   /// identical arguments.  `root`/`target` parameterize kReachability
   /// (whole-graph kernels ignore them).  `oracle` (nullable) provides the
   /// reachability short-circuit; its landmark_distances call is itself
-  /// collective.  `iter_budget` caps PageRank iterations when non-zero
-  /// (deadline budgeting; other kernels run to completion — truncating a
-  /// peeling or labelling schedule would change the answer, not degrade
-  /// it).
+  /// collective.  `iter_budget` must be 0 (std::invalid_argument
+  /// otherwise): every kernel runs to completion.  The parameter stays
+  /// only for existing callers.
   [[nodiscard]] AnalyticsOutcome run(simmpi::Comm& comm,
                                      const graph::DistGraph& g,
                                      AnalyticsKernel kernel,

@@ -117,9 +117,10 @@ std::uint64_t LandmarkOracle::identity_digest() const {
   static_assert(sizeof(delta_bits) == sizeof(sssp_.delta));
   std::memcpy(&delta_bits, &sssp_.delta, sizeof(delta_bits));
   h = util::hash64(h, delta_bits);
+  const bool may_pull = sssp_.direction != core::Direction::kPush;
   const std::uint64_t flags = (sssp_.coalesce ? 1u : 0u) |
                               (sssp_.hub_cache ? 2u : 0u) |
-                              (sssp_.direction_opt ? 4u : 0u) |
+                              (may_pull ? 4u : 0u) |
                               (sssp_.local_fusion ? 8u : 0u) |
                               (sssp_.compress ? 16u : 0u);
   h = util::hash64(h, flags,

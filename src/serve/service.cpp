@@ -668,20 +668,13 @@ void DistanceService::run_analytics_stage(std::uint64_t now, bool flush,
       memoizable ? memo_.lookup(q.kernel, graph_version_) : nullptr;
   AnalyticsOutcome out;
   if (memo != nullptr) {
-    // A completed untruncated whole-graph run on this graph version
-    // answers every later job of the same kernel without a collective.
+    // A completed whole-graph run on this graph version answers every
+    // later job of the same kernel without a collective.
     out = *memo;
     a.from_cache = true;
   } else {
-    // Deadline budget: remaining ticks map onto a PageRank iteration cap
-    // exactly how distance deadlines map onto bucket budgets (the sweep
-    // guarantees deadline_tick > now for anything still queued).
-    std::uint64_t iter_budget = 0;
-    if (config_.deadline_iters_per_tick != 0 && q.deadline_tick != 0) {
-      iter_budget = (q.deadline_tick - now) * config_.deadline_iters_per_tick;
-    }
     out = registry_.run(comm_, g_, q.kernel, q.root, q.target,
-                        oracle_ ? &*oracle_ : nullptr, iter_budget);
+                        oracle_ ? &*oracle_ : nullptr, /*iter_budget=*/0);
     ++metrics_.analytics_jobs;
     ++metrics_.kernel_jobs[static_cast<std::size_t>(q.kernel)];
     metrics_.analytics_rounds += out.rounds;
@@ -689,25 +682,17 @@ void DistanceService::run_analytics_stage(std::uint64_t now, bool flush,
     metrics_.analytics_items_applied += out.items_applied;
     metrics_.analytics_seconds += out.seconds;
     if (out.oracle_short_circuit) ++metrics_.reachability_cutoffs;
-    if (memoizable && !out.truncated) {
-      memo_.insert(q.kernel, out, graph_version_);
-    }
+    if (memoizable) memo_.insert(q.kernel, out, graph_version_);
   }
 
   a.value = out.value;
   a.digest = out.digest;
   a.lb = a.ub = a.distance;
-  if (out.truncated) {
-    a.outcome = Outcome::kDegraded;
-    ++metrics_.degraded;
-    ++metrics_.analytics_degraded;
-  } else {
-    ++metrics_.answered;
-    ++metrics_.analytics_answered;
-    metrics_.analytics_latency_ticks.add(a.latency_ticks());
-    if (a.latency_ticks() > kAnalyticsSloTicks) {
-      ++metrics_.analytics_slo_violations;
-    }
+  ++metrics_.answered;
+  ++metrics_.analytics_answered;
+  metrics_.analytics_latency_ticks.add(a.latency_ticks());
+  if (a.latency_ticks() > kAnalyticsSloTicks) {
+    ++metrics_.analytics_slo_violations;
   }
   answers.push_back(a);
 }

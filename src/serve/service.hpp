@@ -34,9 +34,8 @@
 //     serves the distance batch first, then at most ONE analytics job, and
 //     only when the job has aged past kAnalyticsDeferTicks, the distance
 //     queue is idle, or the tick is a flush.  Whole-graph results are
-//     memoized per graph version, and a job's deadline budget maps
-//     onto a PageRank iteration cap through deadline_iters_per_tick the
-//     same way distance deadlines map onto bucket budgets;
+//     memoized per graph version; a job still queued at its deadline
+//     expires like a distance read;
 //   * SLO telemetry — PER-CLASS latency (in ticks) histograms with
 //     interpolated p50/p90/p99 and per-class SLO targets, queue depth,
 //     batch occupancy, shed and cache counters.
@@ -94,10 +93,6 @@ struct ServeConfig {
 
   // ---- analytics class -------------------------------------------------
   AnalyticsConfig analytics;       ///< kernel-registry knobs
-  /// Deadline budget for analytics jobs: remaining ticks x this = the
-  /// PageRank iteration cap (0 disables; the analogue of
-  /// fault.deadline_buckets_per_tick for distance waves).
-  std::uint64_t deadline_iters_per_tick = 0;
   /// Entry bound of the exact point cache (LRU; 0 disables it).
   std::size_t point_cache_cap = 1024;
 
@@ -141,7 +136,7 @@ struct Answer {
   bool from_point_cache = false;
   /// Analytics fields (valid when kind == kAnalytics): which kernel ran,
   /// its headline scalar (see AnalyticsOutcome::value) and its validation
-  /// digest.  kDegraded here means a deadline-capped (truncated) kernel.
+  /// digest.  An analytics job is never kDegraded.
   AnalyticsKernel kernel = AnalyticsKernel::kPageRank;
   double value = 0.0;
   std::uint64_t digest = 0;
@@ -191,16 +186,15 @@ struct ServiceMetrics {
 
   // ---- analytics class (zero unless kAnalytics queries arrive) --------
   // The global counters above cover BOTH classes (arrived/admitted/shed/
-  // answered/deadline_exceeded/degraded/failed_queries include analytics
-  // jobs); the analytics_* fields carve out the analytics share, so the
-  // distance class is always the difference.
+  // answered/deadline_exceeded/failed_queries include analytics jobs);
+  // the analytics_* fields carve out the analytics share, so the distance
+  // class is always the difference.  Only distance reads degrade.
   std::uint64_t analytics_arrived = 0;
   std::uint64_t analytics_admitted = 0;
   std::uint64_t analytics_shed = 0;
   std::uint64_t analytics_answered = 0;
   std::uint64_t analytics_slo_violations = 0;  ///< vs kAnalyticsSloTicks
   std::uint64_t analytics_deadline_exceeded = 0;
-  std::uint64_t analytics_degraded = 0;  ///< truncated (iteration-capped) kernels
   std::uint64_t analytics_failed = 0;    ///< refused by an open breaker
   std::uint64_t analytics_jobs = 0;      ///< kernel executions (memo misses)
   std::uint64_t analytics_memo_hits = 0; ///< memo-store hits: results reused
@@ -310,7 +304,6 @@ inline constexpr ServiceMetricsField<std::uint64_t> kServiceCounterFields[] = {
      &ServiceMetrics::analytics_slo_violations},
     {"classes.analytics.deadline_exceeded",
      &ServiceMetrics::analytics_deadline_exceeded},
-    {"classes.analytics.degraded", &ServiceMetrics::analytics_degraded},
     {"classes.analytics.failed", &ServiceMetrics::analytics_failed},
     {"classes.analytics.jobs", &ServiceMetrics::analytics_jobs},
     {"classes.analytics.memo_hits", &ServiceMetrics::analytics_memo_hits},
@@ -542,7 +535,7 @@ class DistanceService {
   /// Exact points: pruned-wave target values keyed (root, target)
   /// (point_cache_cap entries).
   VersionedStore<PointKey, graph::Weight> points_;
-  /// Completed untruncated whole-graph kernel outcomes, one per kernel;
+  /// Completed whole-graph kernel outcomes, one per kernel;
   /// reachability is per-pair and never memoized.
   VersionedStore<AnalyticsKernel, AnalyticsOutcome> memo_;
   std::optional<LandmarkOracle> oracle_;

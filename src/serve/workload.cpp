@@ -126,9 +126,6 @@ std::vector<Query> Workload::arrivals(std::uint64_t tick) const {
     if (config_.analytics_fraction > 0.0 &&
         rng.next_double() < config_.analytics_fraction) {
       q.kind = QueryKind::kAnalytics;
-      if (config_.analytics_deadline_ticks != 0) {
-        q.deadline_tick = tick + config_.analytics_deadline_ticks;
-      }
       const double ku = rng.next_double();
       const auto kit =
           std::lower_bound(kernel_cdf_.begin(), kernel_cdf_.end(), ku);

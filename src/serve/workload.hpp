@@ -81,8 +81,6 @@ struct WorkloadConfig {
   /// reachability}; empty = uniform.  Must have kNumAnalyticsKernels
   /// entries when non-empty, each >= 0, with a positive sum.
   std::vector<double> kernel_weights;
-  /// Per-class deadline for analytics jobs (0 = inherit deadline_ticks).
-  std::uint64_t analytics_deadline_ticks = 0;
 
   /// Popularity-ranked root universe (index 0 = most popular).  Must be
   /// non-empty unless nearest_fraction == 1.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "core/bellman_ford.hpp"
@@ -87,6 +88,20 @@ inline std::vector<GraphCase> standard_graph_cases() {
        }},
       {"complete_48", [] { return complete_graph(48, 26); }},
   };
+}
+
+/// Expect `run` to throw std::invalid_argument naming `engine` and `knob`:
+/// an engine refusing a switch it cannot honour.
+inline void expect_refusal(const std::function<void()>& run,
+                           const std::string& engine, const std::string& knob) {
+  try {
+    run();
+    ADD_FAILURE() << engine << " accepted " << knob;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(engine), std::string::npos) << what;
+    EXPECT_NE(what.find(knob), std::string::npos) << what;
+  }
 }
 
 }  // namespace g500::testing

@@ -1,5 +1,6 @@
-// Parameter-sweep tests for the BFS direction heuristic: correctness must
-// be independent of alpha/beta, while the switch behaviour tracks them.
+// Direction sweep of the BFS: levels must not depend on the direction
+// (top-down, bottom-up or Beamer's switch), and a forced direction must
+// hold in every round.
 #include <gtest/gtest.h>
 
 #include <queue>
@@ -42,79 +43,65 @@ std::vector<std::uint32_t> reference_levels(const EdgeList& list,
 }
 
 class BfsTuningSweep
-    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+    : public ::testing::TestWithParam<std::tuple<core::Direction, int>> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    AlphaBeta, BfsTuningSweep,
-    ::testing::Combine(::testing::Values(1.0, 4.0, 14.0, 1000.0),
-                       ::testing::Values(2.0, 24.0, 1000.0)));
+    Directions, BfsTuningSweep,
+    ::testing::Combine(::testing::Values(core::Direction::kAuto,
+                                         core::Direction::kPush,
+                                         core::Direction::kPull),
+                       ::testing::Values(1, 4)));
 
-TEST_P(BfsTuningSweep, LevelsIndependentOfHeuristic) {
-  const auto [alpha, beta] = GetParam();
+TEST_P(BfsTuningSweep, LevelsIndependentOfDirection) {
+  const auto [direction, ranks] = GetParam();
   KroneckerParams params;
   params.scale = 9;
   params.edgefactor = 16;
   const EdgeList whole = kronecker_graph(params);
   const auto want = reference_levels(whole, 1);
 
-  simmpi::World world(4);
-  world.run([&, alpha = alpha, beta = beta](simmpi::Comm& comm) {
+  simmpi::World world(ranks);
+  world.run([&, direction = direction](simmpi::Comm& comm) {
     const DistGraph g = build_distributed(
         comm, slice_for_rank(whole, comm.rank(), comm.size()),
         whole.num_vertices);
     core::BfsConfig config;
-    config.alpha = alpha;
-    config.beta = beta;
+    config.direction = direction;
     const auto mine = core::bfs(comm, g, 1, config);
     EXPECT_TRUE(core::validate_bfs(comm, g, 1, mine).ok)
-        << "alpha " << alpha << " beta " << beta;
+        << core::direction_name(direction);
     const auto levels = comm.allgatherv(mine.level);
     for (std::size_t v = 0; v < want.size(); ++v) {
       ASSERT_EQ(levels[v], want[v])
-          << "alpha " << alpha << " beta " << beta << " vertex " << v;
+          << core::direction_name(direction) << " vertex " << v;
     }
   });
 }
 
-TEST(BfsTuning, LargeAlphaPullsEagerlyTinyAlphaNever) {
-  // The switch fires when frontier_edges > unexplored_edges / alpha, so a
-  // large alpha lowers the threshold (eager bottom-up) and a vanishing
-  // alpha raises it beyond reach.
+TEST(BfsTuning, ForcedDirectionHoldsEveryRound) {
+  // kPull runs bottom-up every round and kPush top-down every round; only
+  // kAuto mixes them (DirectionOptimizationActuallyGoesBottomUp).
   KroneckerParams params;
   params.scale = 10;
   params.edgefactor = 16;
   simmpi::World world(4);
   world.run([&](simmpi::Comm& comm) {
     const DistGraph g = build_kronecker(comm, params);
-    core::BfsConfig eager;
-    eager.alpha = 1e6;
-    core::BfsConfig never;
-    never.alpha = 1e-9;
-    core::BfsStats eager_stats;
-    core::BfsStats never_stats;
-    (void)core::bfs(comm, g, 1, eager, &eager_stats);
-    (void)core::bfs(comm, g, 1, never, &never_stats);
-    EXPECT_GT(eager_stats.bottom_up_rounds, 0u);
-    EXPECT_EQ(never_stats.bottom_up_rounds, 0u);
-  });
-}
-
-TEST(BfsTuning, HugeBetaStaysBottomUpLonger) {
-  KroneckerParams params;
-  params.scale = 10;
-  params.edgefactor = 16;
-  simmpi::World world(4);
-  world.run([&](simmpi::Comm& comm) {
-    const DistGraph g = build_kronecker(comm, params);
-    core::BfsConfig sticky;
-    sticky.beta = 1e18;  // never switch back to top-down
-    core::BfsConfig snappy;
-    snappy.beta = 1.0;  // switch back as soon as possible
-    core::BfsStats sticky_stats;
-    core::BfsStats snappy_stats;
-    (void)core::bfs(comm, g, 1, sticky, &sticky_stats);
-    (void)core::bfs(comm, g, 1, snappy, &snappy_stats);
-    EXPECT_GE(sticky_stats.bottom_up_rounds, snappy_stats.bottom_up_rounds);
+    core::BfsConfig pull;
+    pull.direction = core::Direction::kPull;
+    core::BfsConfig push;
+    push.direction = core::Direction::kPush;
+    core::BfsStats pull_stats;
+    core::BfsStats push_stats;
+    const auto pulled = core::bfs(comm, g, 1, pull, &pull_stats);
+    const auto pushed = core::bfs(comm, g, 1, push, &push_stats);
+    EXPECT_TRUE(core::validate_bfs(comm, g, 1, pulled).ok);
+    EXPECT_TRUE(core::validate_bfs(comm, g, 1, pushed).ok);
+    EXPECT_GT(pull_stats.rounds, 0u);
+    EXPECT_EQ(pull_stats.bottom_up_rounds, pull_stats.rounds);
+    EXPECT_EQ(pull_stats.top_down_rounds, 0u);
+    EXPECT_EQ(push_stats.bottom_up_rounds, 0u);
+    EXPECT_EQ(push_stats.top_down_rounds, push_stats.rounds);
   });
 }
 

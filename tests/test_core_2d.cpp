@@ -10,6 +10,7 @@
 #include "graph/grid2d.hpp"
 #include "graph/kronecker.hpp"
 #include "simmpi/comm.hpp"
+#include "sssp_test_util.hpp"
 
 namespace {
 
@@ -265,6 +266,53 @@ TEST(TwoD, HeavyCandidateRoundingIntoItsBucketIsExpanded) {
       EXPECT_TRUE(core::validate_sssp(comm, one_d, 0, mine).ok);
     });
   }
+}
+
+// --------------------------------------------------------- config contract
+
+/// The 2-D engine's gathered distances from vertex 0 of `list` on 4 ranks
+/// under `config`.
+std::vector<Weight> solve_2d(const EdgeList& list,
+                             const core::SsspConfig& config) {
+  std::vector<Weight> dist;
+  simmpi::World world(4);
+  world.run([&](simmpi::Comm& comm) {
+    const Dist2DGraph g = build_2d(
+        comm, slice_for_rank(list, comm.rank(), comm.size()),
+        list.num_vertices);
+    const auto whole =
+        comm.allgatherv(core::delta_stepping_2d(comm, g, 0, config).dist);
+    if (comm.rank() == 0) dist = whole;
+  });
+  return dist;
+}
+
+TEST(TwoD, AcceptsAutoAndPush) {
+  // Both mean push, the engine's only direction.
+  const EdgeList list = random_graph(96, 400, 8);
+  const auto want = core::dijkstra(list, 0).dist;
+  for (const auto direction :
+       {core::Direction::kAuto, core::Direction::kPush}) {
+    core::SsspConfig config;
+    config.direction = direction;
+    EXPECT_EQ(solve_2d(list, config), want) << core::direction_name(direction);
+  }
+}
+
+TEST(TwoD, RefusesForcedPull) {
+  core::SsspConfig config;
+  config.direction = core::Direction::kPull;
+  g500::testing::expect_refusal(
+      [&] { (void)solve_2d(random_graph(96, 400, 8), config); },
+      "delta_stepping_2d", "direction kPull");
+}
+
+TEST(TwoD, RefusesBucketTrace) {
+  core::SsspConfig config;
+  config.collect_bucket_trace = true;
+  g500::testing::expect_refusal(
+      [&] { (void)solve_2d(random_graph(96, 400, 8), config); },
+      "delta_stepping_2d", "collect_bucket_trace");
 }
 
 }  // namespace

@@ -163,6 +163,62 @@ TEST(AsyncDeltaStepping, RunnerProtocolValidates) {
   });
 }
 
+// --- Config contract ---------------------------------------------------
+
+/// The async engine's gathered distances from vertex 0 of `list` on 3
+/// ranks under `config`.
+std::vector<graph::Weight> solve_async(const graph::EdgeList& list,
+                                       const core::SsspConfig& config) {
+  std::vector<graph::Weight> dist;
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    const graph::DistGraph g = graph::build_distributed(
+        comm, graph::slice_for_rank(list, comm.rank(), comm.size()),
+        list.num_vertices);
+    const auto whole =
+        comm.allgatherv(core::async_delta_stepping(comm, g, 0, config).dist);
+    if (comm.rank() == 0) dist = whole;
+  });
+  return dist;
+}
+
+TEST(AsyncDeltaStepping, AcceptsAutoAndPush) {
+  // Both mean push, the engine's only direction.
+  const auto list = graph::random_graph(96, 400, 8);
+  const auto want = core::dijkstra(list, 0).dist;
+  for (const auto direction :
+       {core::Direction::kAuto, core::Direction::kPush}) {
+    core::SsspConfig config;
+    config.direction = direction;
+    EXPECT_EQ(solve_async(list, config), want)
+        << core::direction_name(direction);
+  }
+}
+
+TEST(AsyncDeltaStepping, RefusesForcedPull) {
+  core::SsspConfig config;
+  config.direction = core::Direction::kPull;
+  g500::testing::expect_refusal(
+      [&] { (void)solve_async(graph::random_graph(96, 400, 8), config); },
+      "async_delta_stepping", "direction kPull");
+}
+
+TEST(AsyncDeltaStepping, RefusesBucketTrace) {
+  core::SsspConfig config;
+  config.collect_bucket_trace = true;
+  g500::testing::expect_refusal(
+      [&] { (void)solve_async(graph::random_graph(96, 400, 8), config); },
+      "async_delta_stepping", "collect_bucket_trace");
+}
+
+TEST(AsyncDeltaStepping, RefusesHierarchicalExchange) {
+  core::SsspConfig config;
+  config.hierarchical_group = 2;
+  g500::testing::expect_refusal(
+      [&] { (void)solve_async(graph::random_graph(96, 400, 8), config); },
+      "async_delta_stepping", "hierarchical_group");
+}
+
 // --- Fault injection ----------------------------------------------------
 
 TEST(AsyncDeltaStepping, StallDoesNotChangeDistances) {

@@ -81,4 +81,66 @@ TEST(BellmanFord, EmptyGraphTerminates) {
   });
 }
 
+// --------------------------------------------------------- config contract
+
+/// Bellman-Ford's gathered distances from vertex 0 of `list` on 3 ranks
+/// under `config`.
+std::vector<Weight> solve_bf(const EdgeList& list,
+                             const core::SsspConfig& config) {
+  std::vector<Weight> dist;
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(list, comm.rank(), comm.size()),
+        list.num_vertices);
+    const auto whole =
+        comm.allgatherv(core::bellman_ford(comm, g, 0, config).dist);
+    if (comm.rank() == 0) dist = whole;
+  });
+  return dist;
+}
+
+TEST(BellmanFord, AcceptsAutoAndPush) {
+  // Both mean push, the engine's only direction.
+  const EdgeList list = random_graph(96, 400, 8);
+  const auto want = core::dijkstra(list, 0).dist;
+  for (const auto direction :
+       {core::Direction::kAuto, core::Direction::kPush}) {
+    core::SsspConfig config;
+    config.direction = direction;
+    EXPECT_EQ(solve_bf(list, config), want) << core::direction_name(direction);
+  }
+}
+
+/// Expect Bellman-Ford to refuse `config`, naming `knob`.
+void expect_bf_refuses(const core::SsspConfig& config, const char* knob) {
+  g500::testing::expect_refusal(
+      [&] { (void)solve_bf(random_graph(96, 400, 8), config); },
+      "bellman_ford", knob);
+}
+
+TEST(BellmanFord, RefusesForcedPull) {
+  core::SsspConfig config;
+  config.direction = core::Direction::kPull;
+  expect_bf_refuses(config, "direction kPull");
+}
+
+TEST(BellmanFord, RefusesBucketTrace) {
+  core::SsspConfig config;
+  config.collect_bucket_trace = true;
+  expect_bf_refuses(config, "collect_bucket_trace");
+}
+
+TEST(BellmanFord, RefusesABucketWidth) {
+  core::SsspConfig config;
+  config.delta = 0.25;
+  expect_bf_refuses(config, "delta");
+}
+
+TEST(BellmanFord, RefusesABucketLimit) {
+  core::SsspConfig config;
+  config.max_buckets = 8;
+  expect_bf_refuses(config, "max_buckets");
+}
+
 }  // namespace

@@ -65,11 +65,15 @@ void expect_bfs_matches(const EdgeList& list, int ranks,
   });
 }
 
-class BfsSweep : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+class BfsSweep
+    : public ::testing::TestWithParam<std::tuple<int, core::Direction>> {};
 
-INSTANTIATE_TEST_SUITE_P(RanksAndDirection, BfsSweep,
-                         ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndDirection, BfsSweep,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(core::Direction::kAuto,
+                                         core::Direction::kPush,
+                                         core::Direction::kPull)));
 
 TEST_P(BfsSweep, KroneckerLevelsMatchReference) {
   const auto [ranks, direction] = GetParam();
@@ -77,14 +81,14 @@ TEST_P(BfsSweep, KroneckerLevelsMatchReference) {
   params.scale = 9;
   params.edgefactor = 8;
   core::BfsConfig config;
-  config.direction_opt = direction;
+  config.direction = direction;
   expect_bfs_matches(kronecker_graph(params), ranks, {0, 100}, config);
 }
 
 TEST_P(BfsSweep, GridLevelsMatchReference) {
   const auto [ranks, direction] = GetParam();
   core::BfsConfig config;
-  config.direction_opt = direction;
+  config.direction = direction;
   expect_bfs_matches(grid_graph(12, 17, 3), ranks, {0, 100}, config);
 }
 
@@ -124,7 +128,7 @@ TEST(Bfs, DirectionOptimizationActuallyGoesBottomUp) {
   });
 }
 
-TEST(Bfs, TopDownOnlyWhenDisabled) {
+TEST(Bfs, TopDownOnlyUnderPush) {
   KroneckerParams params;
   params.scale = 9;
   params.edgefactor = 16;
@@ -132,7 +136,7 @@ TEST(Bfs, TopDownOnlyWhenDisabled) {
   world.run([&](simmpi::Comm& comm) {
     const DistGraph g = build_kronecker(comm, params);
     core::BfsConfig config;
-    config.direction_opt = false;
+    config.direction = core::Direction::kPush;
     core::BfsStats stats;
     (void)core::bfs(comm, g, 1, config, &stats);
     EXPECT_EQ(stats.bottom_up_rounds, 0u);
@@ -151,7 +155,7 @@ TEST(Bfs, BottomUpScansFewerEdgesOnDenseGraphs) {
         core::BfsStats with;
         core::BfsStats without;
         core::BfsConfig off;
-        off.direction_opt = false;
+        off.direction = core::Direction::kPush;
         (void)core::bfs(comm, g, 1, core::BfsConfig{}, &with);
         (void)core::bfs(comm, g, 1, off, &without);
         return comm.allreduce_sum(with.edges_scanned) <

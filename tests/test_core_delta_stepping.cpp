@@ -53,9 +53,7 @@ std::vector<ConfigCase> config_cases() {
   }
   {
     core::SsspConfig c;
-    c.direction_opt = true;
-    c.pull_threshold = 0.0;  // pull as aggressively as possible
-    c.pull_bias = 0.0;
+    c.direction = core::Direction::kPull;
     cases.push_back({"pull_always", c});
   }
   {
@@ -187,8 +185,7 @@ TEST(DeltaStepping, PullModeActuallyEngagesOnDenseFrontiers) {
         comm, slice_for_rank(dense, comm.rank(), comm.size()),
         dense.num_vertices);
     core::SsspConfig c;
-    c.pull_threshold = 0.0;
-    c.pull_bias = 0.0;
+    c.direction = core::Direction::kPull;
     core::SsspStats stats;
     const auto mine = core::delta_stepping(comm, g, 0, c, &stats);
     EXPECT_GT(stats.pull_rounds, 0u);
@@ -198,20 +195,19 @@ TEST(DeltaStepping, PullModeActuallyEngagesOnDenseFrontiers) {
 }
 
 TEST(DeltaStepping, UnreachedEdgeGuardPushesUntilTheGraphIsReached) {
-  // With no frontier threshold and the default bias, the byte model alone
-  // would pull bucket 0's heavy phase: R's heavy edges outweigh one
-  // broadcast per settled vertex.  But nearly every vertex is unreached
-  // then, so an owner scan would read almost every heavy edge; the guard
-  // keeps the bucket pushing.  Once the root's heavy edges reach the whole
-  // complete graph, later buckets pull.
-  const EdgeList dense = complete_graph(96, 31);
+  // On 48 vertices a single frontier vertex passes the frontier threshold,
+  // so the byte model alone would pull bucket 0's heavy phase: R's heavy
+  // edges outweigh one broadcast per settled vertex.  But nearly every
+  // vertex is unreached then, so an owner scan would read almost every
+  // heavy edge; the guard keeps the bucket pushing.  Once the root's heavy
+  // edges reach the whole complete graph, later buckets pull.
+  const EdgeList dense = complete_graph(48, 31);
   simmpi::World world(4);
   world.run([&](simmpi::Comm& comm) {
     const DistGraph g = build_distributed(
         comm, slice_for_rank(dense, comm.rank(), comm.size()),
         dense.num_vertices);
-    core::SsspConfig c;
-    c.pull_threshold = 0.0;
+    const core::SsspConfig c;
     core::RunControl first_bucket;
     first_bucket.deadline_buckets = 1;
     core::SsspStats first;
@@ -235,8 +231,7 @@ TEST(DeltaStepping, ForcedPullSendsNoRecordsInEitherPhase) {
     world.run([&](simmpi::Comm& comm) {
       const DistGraph g = build_kronecker(comm, params);
       core::SsspConfig pull;
-      pull.pull_threshold = 0.0;
-      pull.pull_bias = 0.0;
+      pull.direction = core::Direction::kPull;
       pull.collect_bucket_trace = true;
       core::SsspStats pull_stats;
       core::SsspStats default_stats;
@@ -279,28 +274,29 @@ TEST(DeltaStepping, PullSumsRideTheLightAllreduceOnlyWhenPullIsOn) {
   // heavy edges join the light loop's allreduce only where pulling is
   // possible.  Every run pays 8 bytes per bucket minimum (one per bucket
   // plus the final one); a light allreduce (one per light round plus the
-  // drained one) carries 16 bytes with direction_opt off and 48 with it
-  // on.
+  // drained one) carries 16 bytes under kPush and 48 under kAuto or
+  // kPull.
   KroneckerParams params;
   params.scale = 10;
-  for (const bool direction_opt : {false, true}) {
+  for (const auto direction : {core::Direction::kPush, core::Direction::kAuto,
+                               core::Direction::kPull}) {
+    SCOPED_TRACE(core::direction_name(direction));
     simmpi::World world(3);
     world.run([&](simmpi::Comm& comm) {
       const DistGraph g = build_kronecker(comm, params);
       core::SsspConfig config = core::SsspConfig::plain();
-      config.direction_opt = direction_opt;
+      config.direction = direction;
       core::SsspStats stats;
       const std::uint64_t before = comm.stats().allreduce.bytes;
       (void)core::delta_stepping(comm, g, 1, config, &stats);
       const std::uint64_t bytes = comm.stats().allreduce.bytes - before;
-      if (!direction_opt) {
+      const bool push = direction == core::Direction::kPush;
+      if (push) {
         EXPECT_EQ(stats.pull_rounds, 0u);
       }
       EXPECT_EQ(bytes, 8 * (stats.buckets_processed + 1) +
-                           (direction_opt ? 48u : 16u) *
-                               (stats.light_iterations +
-                                stats.buckets_processed))
-          << (direction_opt ? "direction_opt on" : "direction_opt off");
+                           (push ? 16u : 48u) * (stats.light_iterations +
+                                                 stats.buckets_processed));
     });
   }
 }
@@ -596,8 +592,7 @@ TEST(DeltaStepping, PullReadsOnlyTheCsr) {
   world.run([&](simmpi::Comm& comm) {
     const DistGraph g = build_kronecker(comm, params);
     core::SsspConfig c;
-    c.pull_threshold = 0.0;
-    c.pull_bias = 0.0;
+    c.direction = core::Direction::kPull;
     core::SsspStats stats;
     const std::uint64_t before =
         comm.allreduce_sum(comm.stats().alltoallv.bytes);
@@ -607,7 +602,7 @@ TEST(DeltaStepping, PullReadsOnlyTheCsr) {
     EXPECT_GT(stats.pull_rounds, 0u);
     EXPECT_EQ(comm.allreduce_sum(stats.relax_sent), 0u);
     EXPECT_EQ(after, before);
-    c.direction_opt = false;
+    c.direction = core::Direction::kPush;
     EXPECT_EQ(mine.dist, core::delta_stepping(comm, g, 0, c).dist);
     EXPECT_TRUE(core::validate_sssp(comm, g, 0, mine).ok);
   });
@@ -624,12 +619,10 @@ core::SsspStats expect_forced_pull_matches_push(
   const auto solve = [&](core::SsspStats* stats) {
     return core::delta_stepping(comm, g, root, config, stats, control);
   };
-  config.direction_opt = true;
-  config.pull_threshold = 0.0;
-  config.pull_bias = 0.0;
+  config.direction = core::Direction::kPull;
   core::SsspStats pull_stats;
   const core::SsspResult pulled = solve(&pull_stats);
-  config.direction_opt = false;
+  config.direction = core::Direction::kPush;
   const core::SsspResult pushed = solve(nullptr);
 
   EXPECT_GT(pull_stats.pull_rounds, 0u);
@@ -747,8 +740,7 @@ TEST(DeltaStepping, ForcedPullMatchesPushThroughRepair) {
     repair.warm = &warm;
     expect_forced_pull_matches_push(comm, g, 1, core::SsspConfig{}, repair);
     core::SsspConfig pull;
-    pull.pull_threshold = 0.0;
-    pull.pull_bias = 0.0;
+    pull.direction = core::Direction::kPull;
     EXPECT_EQ(core::delta_stepping(comm, g, 1, pull, nullptr, repair).dist,
               full.dist);
   });
@@ -799,8 +791,7 @@ TEST(DeltaStepping, PullBreaksTiesTowardTheSmallerSource) {
           list.num_vertices);
       core::SsspConfig c;
       c.delta = 1.0;
-      c.pull_threshold = 0.0;
-      c.pull_bias = 0.0;
+      c.direction = core::Direction::kPull;
       core::SsspStats stats;
       const auto mine = core::delta_stepping(comm, g, 0, c, &stats);
       EXPECT_EQ(stats.pull_rounds, stats.light_iterations);
@@ -838,8 +829,7 @@ TEST(DeltaStepping, PullScansOnlyEdgesThatCanWin) {
         }
         core::SsspConfig c;
         c.delta = 0.3;
-        c.pull_threshold = 0.0;
-        c.pull_bias = 0.0;
+        c.direction = core::Direction::kPull;
         core::RunControl control;
         if (prune) {
           control.prune_lb = &lb;
@@ -889,8 +879,7 @@ TEST(DeltaStepping, PullRejectsAnOutOfRangeRowTarget) {
                  const DistGraph g = load_sharded(comm, dir);
                  core::SsspConfig c;
                  c.delta = 1.0;
-                 c.pull_threshold = 0.0;
-                 c.pull_bias = 0.0;
+                 c.direction = core::Direction::kPull;
                  (void)core::delta_stepping(comm, g, 0, c);
                }),
                std::out_of_range);
@@ -915,8 +904,7 @@ TEST(DeltaStepping, HeavyCandidateRoundingIntoItsBucketIsExpanded) {
       core::SsspConfig config;
       config.delta = 0.7;
       core::SsspConfig pull = config;
-      pull.pull_threshold = 0.0;
-      pull.pull_bias = 0.0;
+      pull.direction = core::Direction::kPull;
       for (const auto& c : {config, pull}) {
         const auto mine = core::delta_stepping(comm, g, 0, c);
         const auto whole = core::gather_result(comm, g, mine);
@@ -987,8 +975,7 @@ TEST(DeltaStepping, HubSyncsRunOnlyWhenAMirrorMoved) {
       EXPECT_EQ(uncached.hub_syncs, 0u);
     }
     core::SsspConfig pull = on;
-    pull.pull_threshold = 0.0;
-    pull.pull_bias = 0.0;
+    pull.direction = core::Direction::kPull;
     core::SsspStats pulled;
     (void)core::delta_stepping(comm, kron_g, 1, pull, &pulled);
     EXPECT_EQ(comm.allreduce_sum(pulled.relax_sent), 0u);
@@ -1004,22 +991,24 @@ TEST(DeltaStepping, StaleWordRidesTheLightAllreduceOnlyWithTheHubCache) {
   KroneckerParams params;
   params.scale = 10;
   for (const bool hub_cache : {false, true}) {
-    for (const bool direction_opt : {false, true}) {
+    for (const auto direction :
+         {core::Direction::kPush, core::Direction::kAuto}) {
       SCOPED_TRACE(std::string(hub_cache ? "hub cache" : "no hub cache") +
-                   (direction_opt ? ", direction_opt" : ""));
+                   ", " + core::direction_name(direction));
       simmpi::World world(3);
       world.run([&](simmpi::Comm& comm) {
         const DistGraph g = build_kronecker(comm, params);
         ASSERT_FALSE(g.hubs.empty());
         core::SsspConfig config = core::SsspConfig::plain();
         config.hub_cache = hub_cache;
-        config.direction_opt = direction_opt;
+        config.direction = direction;
         core::SsspStats stats;
         const std::uint64_t before = comm.stats().allreduce.bytes;
         (void)core::delta_stepping(comm, g, 1, config, &stats);
         const std::uint64_t bytes = comm.stats().allreduce.bytes - before;
         const std::uint64_t light_bytes =
-            (direction_opt ? 48u : 16u) + (hub_cache ? 8u : 0u);
+            (direction == core::Direction::kPush ? 16u : 48u) +
+            (hub_cache ? 8u : 0u);
         EXPECT_EQ(bytes, 8 * (stats.buckets_processed + 1) +
                              light_bytes * (stats.light_iterations +
                                             stats.buckets_processed) +

@@ -71,8 +71,7 @@ TEST_P(FuzzSweep, AllEnginesAgreeWithDijkstra) {
                                            comm, g, root,
                                            core::SsspConfig::plain())});
     core::SsspConfig pull_always;
-    pull_always.pull_threshold = 0.0;
-    pull_always.pull_bias = 0.0;
+    pull_always.direction = core::Direction::kPull;
     attempts.push_back({"delta-pull-always",
                         core::delta_stepping(comm, g, root, pull_always)});
     core::SsspConfig wide;

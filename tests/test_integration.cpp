@@ -93,8 +93,7 @@ TEST(Integration, AllConfigurationsAgreeOnDistances) {
   configs.push_back(core::SsspConfig::plain());
   {
     core::SsspConfig c;
-    c.pull_threshold = 0.0;
-    c.pull_bias = 0.0;
+    c.direction = core::Direction::kPull;
     configs.push_back(c);
   }
   std::vector<float> reference;
@@ -156,8 +155,7 @@ TEST(Integration, PullModeSavesBytesOnDenseBuckets) {
   core::SsspConfig push_only = core::SsspConfig::plain();
   push_only.coalesce = true;
   core::SsspConfig with_pull = push_only;
-  with_pull.direction_opt = true;
-  with_pull.pull_threshold = 0.01;
+  with_pull.direction = core::Direction::kAuto;
   const auto push_bytes = wire_bytes_for(params, push_only, 8);
   const auto pull_bytes = wire_bytes_for(params, with_pull, 8);
   EXPECT_LT(pull_bytes, push_bytes);

@@ -589,6 +589,20 @@ TEST(ServeService, RunReportJsonCarriesTheSchema) {
   });
 }
 
+TEST(ServeService, KernelRegistryRefusesAnIterationBudget) {
+  // Every kernel runs to completion: a caller asking for an iteration
+  // budget is refused, not silently given a full run.
+  const auto list = graph::random_graph(48, 192, 8);
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    const auto g = build_test_graph(comm, list);
+    const serve::KernelRegistry registry(serve::AnalyticsConfig{});
+    EXPECT_THROW((void)registry.run(comm, g, serve::AnalyticsKernel::kPageRank,
+                                    0, 0, nullptr, /*iter_budget=*/4),
+                 std::invalid_argument);
+  });
+}
+
 // The YCSB-style mixed workload: long analytics jobs run alongside the
 // distance reads, and the scheduler (distance micro-batch first, at most
 // one analytics job per tick) must keep the distance class inside its SLO
