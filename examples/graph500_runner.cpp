@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   params.edgefactor = static_cast<int>(options.get_int("edgefactor", 16));
   params.seed1 = static_cast<std::uint64_t>(options.get_int("seed1", 2));
   params.seed2 = static_cast<std::uint64_t>(options.get_int("seed2", 3));
+  params.check();
   const int ranks = static_cast<int>(options.get_int("ranks", 8));
 
   core::RunnerOptions run_opts;

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   graph::KroneckerParams params;
   params.scale = static_cast<int>(options.get_int("scale", 12));
   params.edgefactor = static_cast<int>(options.get_int("edgefactor", 16));
+  params.check();
   const int ranks = static_cast<int>(options.get_int("ranks", 4));
   const auto root = static_cast<graph::VertexId>(options.get_int("root", 1));
 

@@ -8,7 +8,11 @@
 // The generator is *counter-based*: edge i is a pure function of
 // (params, i), so any rank can materialize any slice of the edge list with
 // no communication and the graph is identical regardless of how many ranks
-// generate it — the property real Graph 500 runs rely on.
+// generate it — the property real Graph 500 runs rely on.  A slice derives
+// the hashes every edge shares (per-level salts, the scramble's round keys)
+// once and makes eight edges side by side, so their independent hash
+// chains overlap; kronecker_edge is the same core run for one edge.
+// Kronecker.GoldenStreamDigests pins the stream bit for bit.
 //
 // Weights: the SSSP benchmark augments each input edge with a uniform [0,1)
 // weight; here weight(i) is derived from the same counter stream (clamped
@@ -36,6 +40,11 @@ struct KroneckerParams {
   [[nodiscard]] std::uint64_t num_edges() const noexcept {
     return static_cast<std::uint64_t>(edgefactor) << scale;
   }
+
+  /// Throws std::invalid_argument unless the stream can be generated:
+  /// scale in [1, 62], edgefactor >= 1 and edgefactor << scale in 64 bits.
+  /// Every slice checks once; so does the out-of-core build.
+  void check() const;
 };
 
 /// Bijective scramble of a vertex label within [0, 2^scale), built from a
@@ -51,10 +60,13 @@ struct KroneckerParams {
                                          std::uint64_t seed2);
 
 /// Deterministically materialize edge #index of the Kronecker stream.
+/// Derives the shared table for one edge; use a slice for many.
 [[nodiscard]] Edge kronecker_edge(const KroneckerParams& params,
                                   std::uint64_t index);
 
 /// Materialize the half-open slice [begin, end) of the edge stream.
+/// Throws std::invalid_argument for params check() rejects and
+/// std::out_of_range for a range outside [0, num_edges()].
 [[nodiscard]] std::vector<Edge> kronecker_slice(const KroneckerParams& params,
                                                 std::uint64_t begin,
                                                 std::uint64_t end);

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <limits>
@@ -35,8 +36,6 @@ struct ShardHeader {
   std::uint64_t checksum;  // FNV over both headers with this field zeroed
 };
 static_assert(sizeof(ShardHeader) == 64);
-
-constexpr int kSections = 3;  // offsets, dst, w
 
 [[noreturn]] void shard_fail(const std::string& what) {
   throw std::runtime_error("CSR shard: " + what);
@@ -120,105 +119,109 @@ std::string shard_path(const std::string& dir, int rank, int num_ranks) {
 struct ShardWriter::Impl {
   std::ofstream out;
   std::string path;
-  // Indexed by section, in file order.
-  std::uint64_t section_off[kSections] = {};
-  std::uint64_t expected[kSections] = {};  // element counts declared by Meta
-  std::uint64_t written[kSections] = {};
-  std::size_t elem_size[kSections] = {};
-  std::uint64_t file_bytes = 0;
-  int cursor = 0;  // all sections before this one are complete
+  Meta meta;
+  std::uint64_t offsets_off = 0;
+  std::uint64_t dst_off = 0;
+  std::uint64_t num_edges = 0;  // dst elements written
+  std::uint64_t w_written = 0;
+  bool in_w = false;  // w has begun, so dst is complete
 
-  void pad_to(std::uint64_t off) {
-    const auto pos = static_cast<std::uint64_t>(out.tellp());
-    if (pos > off) shard_fail("internal: section overlap while writing");
-    for (std::uint64_t i = pos; i < off; ++i) out.put('\0');
+  [[nodiscard]] std::uint64_t w_off() const {
+    return align8(dst_off + num_edges * sizeof(VertexId));
   }
 
-  void append(int k, const char* what, const void* data, std::size_t count) {
-    while (cursor < k) {
-      if (written[cursor] != expected[cursor]) {
-        shard_fail(std::string(what) +
-                   " appended before an earlier section completed");
-      }
-      ++cursor;
+  void pad_to(std::uint64_t off) {
+    static constexpr char kZeros[4096] = {};
+    auto pos = static_cast<std::uint64_t>(out.tellp());
+    if (pos > off) shard_fail("internal: section overlap while writing");
+    while (pos < off) {
+      const std::uint64_t n =
+          std::min<std::uint64_t>(off - pos, sizeof(kZeros));
+      out.write(kZeros, static_cast<std::streamsize>(n));
+      pos += n;
     }
-    if (k < cursor) {
-      shard_fail(std::string(what) + " appended out of section order");
-    }
-    if (written[k] + count > expected[k]) {
-      shard_fail(std::string(what) + ": more elements than declared (" +
-                 std::to_string(expected[k]) + ")");
-    }
-    if (written[k] == 0) pad_to(section_off[k]);
-    out.write(reinterpret_cast<const char*>(data),
-              static_cast<std::streamsize>(count * elem_size[k]));
-    written[k] += count;
+  }
+
+  void write(const void* data, std::size_t bytes) {
+    out.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(bytes));
   }
 };
 
 ShardWriter::ShardWriter(const std::string& path, const Meta& meta)
     : impl_(std::make_unique<Impl>()) {
-  BinaryHeader bin{};
-  std::memcpy(bin.magic, binfmt::kMagic, sizeof(binfmt::kMagic));
-  bin.version = binfmt::kShardVersion;
-  bin.num_vertices = meta.num_vertices;
-  bin.num_edges = meta.num_edges;
-
-  ShardHeader sh{};
-  sh.rank = static_cast<std::uint32_t>(meta.rank);
-  sh.num_ranks = static_cast<std::uint32_t>(meta.num_ranks);
-  sh.num_local = meta.num_local;
-  sh.num_input_edges = meta.num_input_edges;
-
   Impl& im = *impl_;
   im.path = path;
-  im.expected[0] = meta.num_local + 1;
-  im.elem_size[0] = sizeof(std::uint64_t);
-  im.expected[1] = meta.num_edges;
-  im.elem_size[1] = sizeof(VertexId);
-  im.expected[2] = meta.num_edges;
-  im.elem_size[2] = sizeof(Weight);
-
-  std::uint64_t off = sizeof(BinaryHeader) + sizeof(ShardHeader);
-  for (int k = 0; k < kSections; ++k) {
-    im.section_off[k] = off = align8(off);
-    off += im.expected[k] * im.elem_size[k];
-  }
-  sh.offsets_off = im.section_off[0];
-  sh.dst_off = im.section_off[1];
-  sh.w_off = im.section_off[2];
-  sh.file_bytes = im.file_bytes = off;
-  sh.checksum = header_checksum(bin, sh);
-
+  im.meta = meta;
+  im.offsets_off = align8(sizeof(BinaryHeader) + sizeof(ShardHeader));
+  im.dst_off =
+      align8(im.offsets_off + (meta.num_local + 1) * sizeof(std::uint64_t));
   im.out.open(path, std::ios::binary);
   if (!im.out) shard_fail("cannot open " + path + " for writing");
-  im.out.write(reinterpret_cast<const char*>(&bin), sizeof(bin));
-  im.out.write(reinterpret_cast<const char*>(&sh), sizeof(sh));
+  im.pad_to(im.dst_off);
 }
 
 ShardWriter::~ShardWriter() = default;
 
-void ShardWriter::append_offsets(std::span<const std::uint64_t> data) {
-  impl_->append(0, "offsets", data.data(), data.size());
-}
 void ShardWriter::append_dst(std::span<const VertexId> data) {
-  impl_->append(1, "dst", data.data(), data.size());
-}
-void ShardWriter::append_w(std::span<const Weight> data) {
-  impl_->append(2, "w", data.data(), data.size());
+  Impl& im = *impl_;
+  if (im.in_w) shard_fail("dst appended after w");
+  im.write(data.data(), data.size_bytes());
+  im.num_edges += data.size();
 }
 
-void ShardWriter::finish() {
+void ShardWriter::append_w(std::span<const Weight> data) {
   Impl& im = *impl_;
-  for (int k = 0; k < kSections; ++k) {
-    if (im.written[k] != im.expected[k]) {
-      shard_fail("finish with section " + std::to_string(k) + " short (" +
-                 std::to_string(im.written[k]) + " of " +
-                 std::to_string(im.expected[k]) + " elements)");
-    }
+  if (!im.in_w) {
+    im.in_w = true;
+    im.pad_to(im.w_off());
   }
-  // Pad to the declared size so truncation is always detectable.
-  im.pad_to(im.file_bytes);
+  if (im.w_written + data.size() > im.num_edges) {
+    shard_fail("w: more elements than dst (" +
+               std::to_string(im.num_edges) + ")");
+  }
+  im.write(data.data(), data.size_bytes());
+  im.w_written += data.size();
+}
+
+void ShardWriter::finish(std::span<const std::uint64_t> offsets) {
+  Impl& im = *impl_;
+  if (offsets.size() != im.meta.num_local + 1 ||
+      offsets.back() != im.num_edges) {
+    shard_fail("finish with " + std::to_string(offsets.size()) +
+               " offsets for " + std::to_string(im.meta.num_local) +
+               " vertices and " + std::to_string(im.num_edges) + " edges");
+  }
+  if (im.w_written != im.num_edges) {
+    shard_fail("finish with w short (" + std::to_string(im.w_written) +
+               " of " + std::to_string(im.num_edges) + " elements)");
+  }
+  const std::uint64_t w_off = im.w_off();
+  const std::uint64_t file_bytes = w_off + im.num_edges * sizeof(Weight);
+  im.pad_to(file_bytes);
+
+  BinaryHeader bin{};
+  std::memcpy(bin.magic, binfmt::kMagic, sizeof(binfmt::kMagic));
+  bin.version = binfmt::kShardVersion;
+  bin.num_vertices = im.meta.num_vertices;
+  bin.num_edges = im.num_edges;
+
+  ShardHeader sh{};
+  sh.rank = static_cast<std::uint32_t>(im.meta.rank);
+  sh.num_ranks = static_cast<std::uint32_t>(im.meta.num_ranks);
+  sh.num_local = im.meta.num_local;
+  sh.num_input_edges = im.meta.num_input_edges;
+  sh.offsets_off = im.offsets_off;
+  sh.dst_off = im.dst_off;
+  sh.w_off = w_off;
+  sh.file_bytes = file_bytes;
+  sh.checksum = header_checksum(bin, sh);
+
+  im.out.seekp(0);
+  im.write(&bin, sizeof(bin));
+  im.write(&sh, sizeof(sh));
+  im.out.seekp(static_cast<std::streamoff>(im.offsets_off));
+  im.write(offsets.data(), offsets.size_bytes());
   im.out.close();
   if (im.out.fail()) shard_fail("write of " + im.path + " failed");
 }
@@ -232,13 +235,11 @@ void write_shard(const std::string& path, const DistGraph& g, int rank) {
   meta.num_vertices = g.num_vertices;
   meta.num_local = csr.num_local();
   meta.num_input_edges = g.num_input_edges;
-  meta.num_edges = csr.num_edges();
 
   ShardWriter writer(path, meta);
-  writer.append_offsets(csr.offsets());
   writer.append_dst(csr.adjacency());
   writer.append_w(csr.weights());
-  writer.finish();
+  writer.finish(csr.offsets());
 }
 
 ShardedCsr ShardedCsr::map(const std::string& path) {

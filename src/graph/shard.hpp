@@ -99,12 +99,12 @@ class ShardedCsr {
   LocalCsr csr_;
 };
 
-/// Streaming shard serializer: all counts are declared up front (the
-/// header layout and checksum need them), then sections are appended in
-/// file order — each in one or many chunks — and finish() validates that
-/// every declared element was written.  The out-of-core pipeline streams
-/// merge output through this without ever holding a section in memory;
-/// write_shard() is the convenience wrapper for in-memory graphs.
+/// Streaming shard serializer.  dst's section starts where num_local puts
+/// it, so a producer streams dst first, then w, each in one or many chunks,
+/// and learns the edge count only at the end.  finish() then writes the
+/// offsets, the edge count and the header checksum.  The out-of-core
+/// pipeline streams merge output through this without holding a section
+/// in memory; write_shard() is the convenience wrapper for in-memory graphs.
 class ShardWriter {
  public:
   struct Meta {
@@ -113,26 +113,25 @@ class ShardWriter {
     VertexId num_vertices = 0;
     std::uint64_t num_local = 0;
     std::uint64_t num_input_edges = 0;
-    std::uint64_t num_edges = 0;
   };
 
-  /// Opens `path` and writes the headers.  Throws std::runtime_error on
-  /// I/O failure or inconsistent meta.
+  /// Opens `path` and zero-fills the headers and the offsets section up to
+  /// where dst starts.  Throws std::runtime_error on I/O failure.
   ShardWriter(const std::string& path, const Meta& meta);
   ~ShardWriter();
   ShardWriter(const ShardWriter&) = delete;
   ShardWriter& operator=(const ShardWriter&) = delete;
 
-  // Sections must be appended in this order; each append may be called
-  // repeatedly until its declared element count is reached.  Appending to
-  // a later section with an earlier one incomplete throws.
-  void append_offsets(std::span<const std::uint64_t> data);
+  /// Every dst element, then every w element, each in one or many calls.
+  /// The dst count is the shard's edge count.  dst after w throws, and so
+  /// does more w than dst.
   void append_dst(std::span<const VertexId> data);
   void append_w(std::span<const Weight> data);
 
-  /// Verifies every section is complete, pads to the declared file size
-  /// and flushes.  Throws if any section is short or the stream failed.
-  void finish();
+  /// Writes `offsets` (num_local + 1 entries ending at the edge count) and
+  /// the headers, then flushes.  Throws if the offsets do not fit the
+  /// shard, w is short, or the stream failed.
+  void finish(std::span<const std::uint64_t> offsets);
 
  private:
   struct Impl;

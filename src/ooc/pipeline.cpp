@@ -7,9 +7,11 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -115,6 +117,11 @@ class BoundedQueue {
     cv_space_.notify_one();
     return true;
   }
+  /// Drop every queued item.
+  void clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    q_ = {};
+  }
   void close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -181,7 +188,7 @@ class RunReader {
   bool done_ = false;
 };
 
-/// Byte-counting buffered writer for run files and section temporaries.
+/// Byte-counting buffered writer for run files and the w temporary.
 class TempWriter {
  public:
   explicit TempWriter(std::string path)
@@ -207,43 +214,36 @@ class TempWriter {
   std::uint64_t bytes_ = 0;
 };
 
-/// A section temporary written one record at a time.  Records are staged
-/// in a fixed block, charged to the budget as a RunReader's buffer is, so
-/// the stream sees one write per block instead of one per record.
+/// Records pushed one at a time and handed to `sink` a fixed block at a
+/// time.  The block is charged to the budget as a RunReader's buffer is.
 template <typename T>
-class SectionWriter {
+class BlockWriter {
  public:
-  SectionWriter(std::string path, std::size_t block_items, Budget& budget)
-      : out_(std::move(path)), budget_(budget), cap_(block_items) {
+  using Sink = std::function<void(std::span<const T>)>;
+
+  BlockWriter(std::size_t block_items, Budget& budget, Sink sink)
+      : budget_(budget), cap_(block_items), sink_(std::move(sink)) {
     budget_.acquire(cap_ * sizeof(T));
     block_.reserve(cap_);
   }
-  ~SectionWriter() { budget_.release(cap_ * sizeof(T)); }
-  SectionWriter(const SectionWriter&) = delete;
-  SectionWriter& operator=(const SectionWriter&) = delete;
+  ~BlockWriter() { budget_.release(cap_ * sizeof(T)); }
+  BlockWriter(const BlockWriter&) = delete;
+  BlockWriter& operator=(const BlockWriter&) = delete;
 
   void push(const T& x) {
     block_.push_back(x);
     if (block_.size() == cap_) flush();
   }
-  /// Write the last block and close the file.
-  void close() {
-    flush();
-    out_.close();
-  }
-  [[nodiscard]] const std::string& path() const noexcept {
-    return out_.path();
-  }
-
- private:
+  /// Hand the partial block to the sink.
   void flush() {
-    out_.append(block_.data(), block_.size());
+    if (!block_.empty()) sink_(block_);
     block_.clear();
   }
 
-  TempWriter out_;
+ private:
   Budget& budget_;
   std::size_t cap_;
+  Sink sink_;
   std::vector<T> block_;
 };
 
@@ -292,7 +292,7 @@ std::string tmp_name(const std::string& dir, int rank, const char* kind,
          std::to_string(index) + ".tmp";
 }
 
-/// Stream a section temporary into the shard writer in bounded chunks.
+/// Stream the w temporary into the shard writer in bounded chunks.
 template <typename T, typename Append>
 void stream_section(const std::string& path, Budget& budget,
                     std::size_t chunk_items, Append append) {
@@ -339,6 +339,7 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
                                            const graph::KroneckerParams& params,
                                            const std::string& shard_dir,
                                            const PipelineOptions& opts) {
+  params.check();
   const int P = comm.size();
   const int r = comm.rank();
   const VertexId n = params.num_vertices();
@@ -356,9 +357,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   Budget budget(opts.resident_budget_bytes);
   util::Timer total_timer;
 
-  // Staging and one in-flight sort job are the two big holders; with queue
-  // depth 1 at most three run buffers coexist, so a sixth of the budget
-  // each leaves half for chunk exchange and the pack-phase buffers.  A
+  // The two run buffers are the big holders.  A sixth of the budget each
+  // leaves two thirds for chunk exchange and the pack-phase buffers.  A
   // loose budget is additionally bounded by what the rank will stage at
   // all (~2 directed edges per input tuple) so small builds don't reserve
   // gratuitously large runs.
@@ -372,6 +372,10 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       static_cast<std::size_t>(run_bytes / sizeof(RunEdge));
 
   // ---- sort stage: worker thread, overlapped with bin ----
+  // The bin stage owns two run buffers.  It fills one while the sort thread
+  // sorts and spills the other, which comes back through `spare` emptied,
+  // its capacity kept.  Every job hands its buffer back, a failed one
+  // included, so the bin stage never waits for a buffer that cannot come.
   struct SortJob {
     std::vector<RunEdge> edges;
     std::string path;
@@ -385,12 +389,13 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   };
   SorterState sorter;
   BoundedQueue<SortJob> jobs(1);
+  BoundedQueue<std::vector<RunEdge>> spare(2);
   std::thread sort_thread([&] {
     SortJob job;
     while (jobs.pop(job)) {
+      auto& edges = job.edges;
       try {
         util::Timer timer;
-        auto& edges = job.edges;
         util::radix_sort(edges.begin(), edges.end(), run_key, run_less);
         // Within-run dedup: first of each (src, dst) is its run minimum;
         // the cross-run merge applies the same rule globally.
@@ -405,25 +410,27 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
         sorter.seconds += timer.seconds();
         sorter.edges += edges.size();
         sorter.bytes += out.bytes();
-        edges.clear();
-        edges.shrink_to_fit();
       } catch (...) {
         sorter.error = std::current_exception();
         sorter.failed.store(true);
       }
+      edges.clear();
+      spare.push(std::move(edges));
     }
   });
-  // If anything below throws (budget overflow, I/O failure), the queue must
+  // If anything below throws (budget overflow, I/O failure), the queues must
   // close and the worker join before `sort_thread` unwinds, or std::thread's
   // destructor would terminate the process.
   struct JoinGuard {
-    BoundedQueue<SortJob>& queue;
+    BoundedQueue<SortJob>& jobs;
+    BoundedQueue<std::vector<RunEdge>>& spare;
     std::thread& worker;
     ~JoinGuard() {
-      queue.close();
+      jobs.close();
+      spare.close();
       if (worker.joinable()) worker.join();
     }
-  } join_guard{jobs, sort_thread};
+  } join_guard{jobs, spare, sort_thread};
   const auto check_sorter = [&] {
     if (sorter.failed.load()) {
       jobs.close();
@@ -442,22 +449,31 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
   const std::uint64_t rounds = comm.allreduce_max(
       (slice_end - slice_begin + chunk - 1) / chunk);
 
-  // The three run buffers a depth-1 queue allows (staging, queued,
-  // sorting) are charged once for the whole bin stage, so the peak does not
-  // depend on whether the sorter has finished the previous run.
+  // Both run buffers are charged once for the whole bin stage, so the peak
+  // does not depend on whether the sorter has finished the previous run.
   std::vector<std::string> run_paths;
   std::vector<RunEdge> staging;
-  budget.acquire(3 * run_bytes);
+  budget.acquire(2 * run_bytes);
   staging.reserve(run_capacity);
+  {
+    std::vector<RunEdge> second;
+    second.reserve(run_capacity);
+    spare.push(std::move(second));
+  }
   const auto spill = [&] {
     if (staging.empty()) return;
     SortJob job{std::move(staging), tmp_name(scratch, r, "run",
                                              run_paths.size())};
     run_paths.push_back(job.path);
-    staging = {};
-    staging.reserve(run_capacity);
     jobs.push(std::move(job));
+    if (!spare.pop(staging)) fail("sort thread stopped early");
   };
+
+  // One outbox per owner, kept across rounds; their capacity is charged as
+  // it grows and held until the bin stage ends.
+  std::vector<std::vector<graph::WireEdge>> outbox(
+      static_cast<std::size_t>(P));
+  std::uint64_t outbox_charged = 0;
 
   StageStats bin;
   util::Timer bin_timer;
@@ -466,16 +482,13 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
     const std::uint64_t b = std::min(slice_end, slice_begin + round * chunk);
     const std::uint64_t e = std::min(slice_end, b + chunk);
 
-    std::uint64_t chunk_charge = (e - b) * sizeof(graph::Edge);
-    budget.acquire(chunk_charge);
+    const std::uint64_t gen_charge = (e - b) * sizeof(graph::Edge);
+    budget.acquire(gen_charge);
     const std::vector<graph::Edge> gen = graph::kronecker_slice(params, b, e);
 
     // Both directions of every tuple, routed to the direction's source
     // owner — the same cleaning rules as graph::build_distributed.
-    budget.acquire(2 * gen.size() * sizeof(graph::WireEdge));
-    chunk_charge += 2 * gen.size() * sizeof(graph::WireEdge);
-    std::vector<std::vector<graph::WireEdge>> outbox(
-        static_cast<std::size_t>(P));
+    for (auto& box : outbox) box.clear();
     for (const auto& ed : gen) {
       if (ed.src == ed.dst) continue;
       if (ed.src >= n || ed.dst >= n) {
@@ -486,10 +499,17 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       outbox[static_cast<std::size_t>(part.owner(ed.dst))].push_back(
           graph::WireEdge{ed.dst, ed.src, ed.weight});
     }
+    std::uint64_t outbox_bytes = 0;
+    for (const auto& box : outbox) {
+      outbox_bytes += box.capacity() * sizeof(graph::WireEdge);
+    }
+    if (outbox_bytes > outbox_charged) {
+      budget.acquire(outbox_bytes - outbox_charged);
+      outbox_charged = outbox_bytes;
+    }
     const std::vector<graph::WireEdge> mine = comm.alltoallv(outbox);
     const std::uint64_t recv_charge = mine.size() * sizeof(graph::WireEdge);
     budget.acquire(recv_charge);
-    outbox.clear();
 
     for (const auto& we : mine) {
       if (staging.size() == run_capacity) spill();
@@ -497,20 +517,25 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
                                 static_cast<std::uint32_t>(we.src - my_begin),
                                 we.weight});
     }
-    budget.release(chunk_charge + recv_charge);
+    budget.release(gen_charge + recv_charge);
     bin.edges += mine.size();
     bin.bytes += mine.size() * sizeof(RunEdge);
   }
   spill();
   jobs.close();
   sort_thread.join();
-  budget.release(3 * run_bytes);
+  spare.clear();
   staging = {};
+  outbox = {};
+  budget.release(2 * run_bytes + outbox_charged);
   if (sorter.failed.load()) std::rethrow_exception(sorter.error);
   bin.seconds = bin_timer.seconds();
   StageStats sort_stats{sorter.edges, sorter.bytes, sorter.seconds};
 
   // ---- pack stage: merge runs, dedup, re-sort per vertex, write shard ----
+  // dst streams straight into the shard: its section starts where
+  // num_local puts it.  w's section starts after the last dst, so w waits
+  // in a temporary until the edge count is known.
   StageStats pack;
   util::Timer pack_timer;
   const std::size_t read_items = 1024;  // 16 KiB per open run
@@ -518,13 +543,25 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
 
   std::vector<std::uint64_t> offsets(num_local + 1, 0);
   budget.acquire(offsets.size() * sizeof(std::uint64_t));
-  SectionWriter<VertexId> dst_tmp(tmp_name(scratch, r, "dst", 0), csr_block,
-                                  budget);
-  SectionWriter<Weight> w_tmp(tmp_name(scratch, r, "w", 0), csr_block,
-                              budget);
+  graph::ShardWriter::Meta meta;
+  meta.rank = r;
+  meta.num_ranks = P;
+  meta.num_vertices = n;
+  meta.num_local = num_local;
+  meta.num_input_edges = total_edges;
+  const std::string shard_file = graph::shard_path(shard_dir, r, P);
+  graph::ShardWriter writer(shard_file, meta);
+  TempWriter w_tmp(tmp_name(scratch, r, "w", 0));
 
   std::uint64_t num_edges = 0;
   {
+    BlockWriter<VertexId> dst_out(
+        csr_block, budget,
+        [&](std::span<const VertexId> s) { writer.append_dst(s); });
+    BlockWriter<Weight> w_out(csr_block, budget,
+                              [&](std::span<const Weight> s) {
+                                w_tmp.append(s.data(), s.size());
+                              });
     std::vector<std::unique_ptr<RunReader<RunEdge>>> readers;
     readers.reserve(run_paths.size());
     for (const auto& path : run_paths) {
@@ -544,8 +581,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       if (group.empty()) return;
       std::sort(group.begin(), group.end());
       for (const auto& [w, dst] : group) {
-        dst_tmp.push(dst);
-        w_tmp.push(w);
+        dst_out.push(dst);
+        w_out.push(w);
       }
       offsets[group_src + 1] = num_edges;
       group.clear();
@@ -568,6 +605,8 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       ++num_edges;
     }
     flush_group();
+    dst_out.flush();
+    w_out.flush();
     budget.release(group_charged);
     // offsets[] holds per-vertex end positions where vertices have edges;
     // fill the gaps so it is the standard monotone prefix array.
@@ -575,33 +614,13 @@ BuildPipelineStats build_sharded_kronecker(simmpi::Comm& comm,
       offsets[i] = std::max(offsets[i], offsets[i - 1]);
     }
   }
-  dst_tmp.close();
   w_tmp.close();
   for (const auto& path : run_paths) fs::remove(path);
 
-  // Assemble the shard from the section temporaries.
-  graph::ShardWriter::Meta meta;
-  meta.rank = r;
-  meta.num_ranks = P;
-  meta.num_vertices = n;
-  meta.num_local = num_local;
-  meta.num_input_edges = total_edges;
-  meta.num_edges = num_edges;
-  const std::string shard_file = graph::shard_path(shard_dir, r, P);
-  {
-    graph::ShardWriter writer(shard_file, meta);
-    writer.append_offsets(offsets);
-    stream_section<VertexId>(dst_tmp.path(), budget, read_items,
-                             [&](std::span<const VertexId> s) {
-                               writer.append_dst(s);
-                             });
-    stream_section<Weight>(w_tmp.path(), budget, read_items,
-                           [&](std::span<const Weight> s) {
-                             writer.append_w(s);
-                           });
-    writer.finish();
-  }
-  fs::remove(dst_tmp.path());
+  stream_section<Weight>(
+      w_tmp.path(), budget, read_items,
+      [&](std::span<const Weight> s) { writer.append_w(s); });
+  writer.finish(offsets);
   fs::remove(w_tmp.path());
   budget.release(offsets.size() * sizeof(std::uint64_t));
   pack.edges = num_edges;

@@ -33,7 +33,7 @@ struct PipelineOptions {
   std::uint64_t resident_budget_bytes = 256ull << 20;
   /// Generator edges materialized and exchanged per round.
   std::uint64_t chunk_edges = 1ull << 15;
-  /// Where run files and section temporaries live; defaults to the shard
+  /// Where run files and the w section temporary live; defaults to the shard
   /// directory itself when empty.
   std::string scratch_dir;
 };

@@ -27,11 +27,21 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
+/// The two halves of hash64(a, b) == mix64(hash_key(a) + hash_counter(b)).
+/// A caller that hashes many counters under one key, or one counter under
+/// several keys, computes each half once (graph/kronecker.cpp does).
+constexpr std::uint64_t hash_key(std::uint64_t a) noexcept {
+  // Weyl-style combination before mixing keeps (a,b) -> (b,a) collisions away.
+  return a * 0x9e3779b97f4a7c15ULL;
+}
+constexpr std::uint64_t hash_counter(std::uint64_t b) noexcept {
+  return mix64(b + 0x2545f4914f6cdd1dULL);
+}
+
 /// Counter-based hash of two 64-bit words.  Used as a stateless RNG:
 /// hash64(seed, counter) yields an i.i.d.-looking stream indexed by counter.
 constexpr std::uint64_t hash64(std::uint64_t a, std::uint64_t b) noexcept {
-  // Weyl-style combination before mixing keeps (a,b) -> (b,a) collisions away.
-  return mix64(a * 0x9e3779b97f4a7c15ULL + mix64(b + 0x2545f4914f6cdd1dULL));
+  return mix64(hash_key(a) + hash_counter(b));
 }
 
 /// Three-word variant for keys like (seed, stream, counter).

@@ -165,15 +165,13 @@ TEST(Validate, DetectsOutOfRangeEdgeTarget) {
     meta.num_vertices = 4;
     meta.num_local = 4;
     meta.num_input_edges = 2;
-    meta.num_edges = 2;
     ShardWriter writer(shard_path(dir, 0, 1), meta);
     const std::vector<std::uint64_t> offsets{0, 1, 2, 2, 2};
     const std::vector<VertexId> dst{1, 9};
     const std::vector<Weight> w{0.5f, 0.5f};
-    writer.append_offsets(offsets);
     writer.append_dst(dst);
     writer.append_w(w);
-    writer.finish();
+    writer.finish(offsets);
   }
   core::ValidationReport verdict;
   simmpi::World world(1);

@@ -1,10 +1,13 @@
 // Unit and property tests for the Graph 500 Kronecker generator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "graph/kronecker.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -146,12 +149,87 @@ TEST(Kronecker, DifferentSeedsDifferentGraphs) {
   EXPECT_GT(different, 90);
 }
 
+/// The first `count` edges of the stream folded into one hash: source,
+/// destination and the weight's bits, in stream order.
+std::uint64_t stream_digest(const KroneckerParams& p, std::uint64_t count) {
+  std::uint64_t h = 0;
+  for (const Edge& e : kronecker_slice(p, 0, count)) {
+    h = g500::util::hash64(h, e.src, e.dst);
+    h = g500::util::hash64(h, std::bit_cast<std::uint32_t>(e.weight));
+  }
+  return h;
+}
+
+TEST(Kronecker, GoldenStreamDigests) {
+  // Pins the generated edges: every graph, digest and exact counter in the
+  // repository rests on this stream, so a rewrite must reproduce it bit
+  // for bit.  Scale 41 puts both endpoints above 32 bits and gives the
+  // scramble unequal halves.
+  struct Case {
+    int scale;
+    std::uint64_t seed1, seed2, digest;
+  };
+  const Case cases[] = {
+      {16, 2, 3, 0xa473cc49d1422679ULL},
+      {16, 0x9e3779b97f4a7c15ULL, 12345, 0xf2235dd6afcce140ULL},
+      {41, 2, 3, 0x740493162199394bULL},
+      {41, 0x9e3779b97f4a7c15ULL, 12345, 0x38afef8acd7d8a70ULL},
+  };
+  for (const Case& c : cases) {
+    KroneckerParams p;
+    p.scale = c.scale;
+    p.seed1 = c.seed1;
+    p.seed2 = c.seed2;
+    EXPECT_EQ(stream_digest(p, 4096), c.digest)
+        << "scale " << c.scale << " seeds " << c.seed1 << "," << c.seed2;
+  }
+}
+
+TEST(Kronecker, SliceMatchesEdgeByEdge) {
+  // Ranges of lengths that are not multiples of any batch width, at both
+  // ends of the stream, at the smallest scales, an odd one and the largest.
+  for (const int scale : {1, 2, 13, 62}) {
+    KroneckerParams p;
+    p.scale = scale;
+    p.edgefactor = scale == 62 ? 1 : 16;
+    p.seed1 = 0x5eed;
+    p.seed2 = static_cast<std::uint64_t>(scale);
+    const std::uint64_t m = p.num_edges();
+    const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+        {0, 13}, {3, 4}, {5, 30}, {m - 11, m}, {m / 2 - 1, m / 2 + 6}};
+    for (const auto& [b, e] : ranges) {
+      const std::vector<Edge> slice = kronecker_slice(p, b, e);
+      ASSERT_EQ(slice.size(), e - b);
+      for (std::uint64_t i = b; i < e; ++i) {
+        EXPECT_EQ(slice[i - b], kronecker_edge(p, i))
+            << "scale " << scale << " edge " << i;
+      }
+    }
+  }
+}
+
 TEST(Kronecker, RejectsBadParameters) {
   KroneckerParams p;
   p.scale = 0;
   EXPECT_THROW((void)kronecker_edge(p, 0), std::invalid_argument);
   p.scale = 63;
   EXPECT_THROW((void)kronecker_edge(p, 0), std::invalid_argument);
+  // 16 << 60 wraps to 0 edges; 3 << 62 is the most that fits 64 bits.
+  p.scale = 60;
+  EXPECT_THROW((void)kronecker_slice(p, 0, 0), std::invalid_argument);
+  p.scale = 62;
+  p.edgefactor = 4;
+  EXPECT_THROW((void)kronecker_slice(p, 0, 1), std::invalid_argument);
+  p.edgefactor = 3;
+  EXPECT_EQ(kronecker_slice(p, 0, 1).size(), 1u);
+  // A non-positive edgefactor is an empty or wrapped stream.
+  p.scale = 10;
+  p.edgefactor = 0;
+  EXPECT_THROW((void)kronecker_graph(p), std::invalid_argument);
+  p.edgefactor = -1;
+  EXPECT_THROW((void)kronecker_slice(p, 0, 10), std::invalid_argument);
+  EXPECT_THROW((void)kronecker_edge(p, 0), std::invalid_argument);
+  EXPECT_THROW(p.check(), std::invalid_argument);
 }
 
 TEST(Kronecker, SliceRangeChecked) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/delta_stepping.hpp"
@@ -113,9 +114,9 @@ TEST(OocPipeline, MultiRunSpillsMergeLosslessly) {
 }
 
 TEST(OocPipeline, PeakResidentBytesIsDeterministic) {
-  // The bin stage charges the three run buffers its depth-1 sort queue
-  // allows once, so the high-water mark cannot depend on whether the sort
-  // thread finished the previous run before the next spill.
+  // The bin stage charges its two run buffers once, so the high-water mark
+  // cannot depend on whether the sort thread finished the previous run
+  // before the next spill.
   KroneckerParams params;
   params.scale = 11;
   const std::string dir = ::testing::TempDir() + "/g500_ooc_peak";
@@ -136,6 +137,34 @@ TEST(OocPipeline, PeakResidentBytesIsDeterministic) {
   ASSERT_EQ(peaks.size(), 3u);
   EXPECT_EQ(peaks[1], peaks[0]);
   EXPECT_EQ(peaks[2], peaks[0]);
+}
+
+TEST(OocPipeline, FailedSpillEndsTheBuildWithItsError) {
+  // Directories sit at rank 0's run-file names from run 1 on, so every
+  // spill after the first fails in the sort thread.  The build must end
+  // with that error, not wait for a run buffer the failed job holds.
+  KroneckerParams params;
+  params.scale = 11;
+  const std::string dir = ::testing::TempDir() + "/g500_ooc_spill_fails";
+  fs::remove_all(dir);
+  for (int k = 1; k < 64; ++k) {
+    fs::create_directories(dir + "/ooc_r0_run_" + std::to_string(k) + ".tmp");
+  }
+  simmpi::World world(2);
+  try {
+    world.run([&](simmpi::Comm& comm) {
+      ooc::PipelineOptions opts;
+      opts.resident_budget_bytes = 640u << 10;
+      opts.chunk_edges = 512;
+      (void)ooc::build_sharded_kronecker(comm, params, dir, opts);
+    });
+    ADD_FAILURE() << "the build did not report the failed spill";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot create temporary"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
 }
 
 TEST(OocPipeline, ResidentBudgetIsAHardCap) {
