@@ -7,6 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +24,9 @@ namespace g500::bench {
 ///  <user counters, e.g. items_per_second>}.
 class CapturingConsoleReporter : public benchmark::ConsoleReporter {
  public:
+  explicit CapturingConsoleReporter(OutputOptions opts)
+      : benchmark::ConsoleReporter(opts) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const auto& run : runs) {
@@ -44,14 +51,37 @@ class CapturingConsoleReporter : public benchmark::ConsoleReporter {
   std::vector<util::Json> cases_;
 };
 
+/// Console options as google-benchmark picks them for its own reporter:
+/// tabular, and coloured per --benchmark_color (default "auto", colour on
+/// a terminal only).  Read from argv before benchmark::Initialize consumes
+/// the flag.
+inline benchmark::ConsoleReporter::OutputOptions console_options(int argc,
+                                                                 char** argv) {
+  const std::string flag = "--benchmark_color";
+  std::string value = "auto";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == flag) value = "true";
+    if (arg.rfind(flag + "=", 0) == 0) value = arg.substr(flag.size() + 1);
+  }
+  std::transform(value.begin(), value.end(), value.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  const bool color =
+      value == "auto" ? isatty(STDOUT_FILENO) != 0
+                      : !(value == "false" || value == "0" || value == "f" ||
+                          value == "no" || value == "n" || value == "off");
+  return color ? benchmark::ConsoleReporter::OO_ColorTabular
+               : benchmark::ConsoleReporter::OO_Tabular;
+}
+
 /// main() body for a google-benchmark harness: run the registered
 /// benchmarks, then write BENCH_<name>.json.  Flags the benchmark library
 /// does not recognize (e.g. --report-dir) are left in argv and parsed as
 /// harness options.
 inline int gbench_main(const std::string& name, int argc, char** argv) {
+  CapturingConsoleReporter reporter(console_options(argc, argv));
   benchmark::Initialize(&argc, argv);
   const util::Options options(argc, argv);
-  CapturingConsoleReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   RunReport report(name, options);
   for (auto& c : reporter.cases()) report.add_case(std::move(c));

@@ -9,20 +9,42 @@
 
 namespace g500::graph {
 
+SeenSet::SeenSet()
+    : dst_(kInitialSlots),
+      stamp_(kInitialSlots, 0),
+      mask_(kInitialSlots - 1),
+      shift_(64 - std::countr_zero(kInitialSlots)) {}
+
+void SeenSet::next_row() {
+  size_ = 0;
+  if (++row_ == 0) {
+    // The stamp wrapped: clear the table once every 2^32 rows.
+    std::ranges::fill(stamp_, 0);
+    row_ = 1;
+  }
+}
+
+void SeenSet::grow() {
+  const std::vector<VertexId> dst =
+      std::exchange(dst_, std::vector<VertexId>(2 * dst_.size()));
+  const std::vector<std::uint32_t> stamp =
+      std::exchange(stamp_, std::vector<std::uint32_t>(2 * stamp_.size(), 0));
+  mask_ = stamp_.size() - 1;
+  --shift_;
+  // Only the current row survives, under a fresh stamp.
+  const std::uint32_t row = std::exchange(row_, 1);
+  size_ = 0;
+  for (std::size_t i = 0; i < stamp.size(); ++i) {
+    if (stamp[i] == row) insert(dst[i]);
+  }
+}
+
 void dedup_min_weight(std::vector<WireEdge>& edges) {
-  // Sorted by (src, dst, weight), the first of each (src, dst) run is its
-  // least weight.
-  util::radix_sort(
-      edges.begin(), edges.end(), [](const WireEdge& e) { return e.src; },
-      [](const WireEdge& a, const WireEdge& b) {
-        if (a.dst != b.dst) return a.dst < b.dst;
-        return a.weight < b.weight;
-      });
-  edges.erase(std::unique(edges.begin(), edges.end(),
-                          [](const WireEdge& a, const WireEdge& b) {
-                            return a.src == b.src && a.dst == b.dst;
-                          }),
-              edges.end());
+  sort_by_source_weight(edges);
+  SeenSet seen;
+  keep_first_copies(
+      edges, [](const WireEdge& e) { return e.src; },
+      [](const WireEdge& e) { return e.dst; }, seen);
 }
 
 void sort_by_source_weight(std::vector<WireEdge>& edges) {

@@ -45,8 +45,78 @@ struct WireEdge {
   Weight weight = 0.0f;
 };
 
+/// The destinations a row (one source's edges) has kept so far: open
+/// addressing over dst.  Each slot carries the stamp of the row that
+/// filled it, so next_row() bumps the stamp and never clears the table.
+/// The table starts at kInitialSlots and doubles only when a row holds
+/// more than half its slots; it never shrinks.
+class SeenSet {
+ public:
+  static constexpr std::size_t kInitialSlots = 4096;
+  /// 48 KiB: a dst and a stamp per slot.
+  static constexpr std::uint64_t kInitialBytes =
+      kInitialSlots * (sizeof(VertexId) + sizeof(std::uint32_t));
+
+  SeenSet();
+
+  /// Forget every destination: the next insert starts a new row.
+  void next_row();
+
+  /// True when `dst` is new to the current row, which then holds it.
+  bool insert(VertexId dst) {
+    for (std::size_t i = slot_of(dst);; i = (i + 1) & mask_) {
+      if (stamp_[i] != row_) {
+        if (2 * (size_ + 1) > stamp_.size()) {
+          grow();
+          return insert(dst);
+        }
+        stamp_[i] = row_;
+        dst_[i] = dst;
+        ++size_;
+        return true;
+      }
+      if (dst_[i] == dst) return false;
+    }
+  }
+
+  /// Heap bytes of the table.
+  [[nodiscard]] std::uint64_t bytes() const noexcept {
+    return kInitialBytes / kInitialSlots * stamp_.size();
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot_of(VertexId dst) const noexcept {
+    return static_cast<std::size_t>((dst * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  void grow();
+
+  std::vector<VertexId> dst_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t row_ = 1;  // slots of other stamps are empty
+  std::size_t size_ = 0;   // destinations in the current row
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+};
+
+/// The builders' rule for parallel edges, on records ordered by
+/// (src, weight, dst): keep the first copy of each (src, dst) — its least
+/// weight — and drop the rest, in place and in order.  Copies that tie on
+/// all three fields are byte-identical, so the choice among them cannot
+/// change a byte.  `seen` is scratch.
+template <typename T, typename Src, typename Dst>
+void keep_first_copies(std::vector<T>& edges, Src src, Dst dst,
+                       SeenSet& seen) {
+  auto out = edges.begin();
+  for (auto it = edges.begin(); it != edges.end(); ++it) {
+    if (it == edges.begin() || src(*it) != src(it[-1])) seen.next_row();
+    if (seen.insert(dst(*it))) *out++ = *it;
+  }
+  edges.erase(out, edges.end());
+}
+
 /// Keep the least-weight copy of each (src, dst), leaving the edges
-/// ordered by (src, dst): the builders' rule for parallel edges.
+/// ordered by (src, weight, dst), which sort_by_source_weight then finds
+/// already in place.
 void dedup_min_weight(std::vector<WireEdge>& edges);
 
 /// Order edges by (src, weight, dst): each source's edges together,

@@ -4,7 +4,8 @@
 //
 //   * radix_sort — order a range ascending by key, ties broken by a
 //     comparator.  Graph construction sorts its edges with it: the
-//     builders' dedup, LocalCsr, SourceBlock and the out-of-core sorter.
+//     builders' dedup and the out-of-core sorter, then LocalCsr and
+//     SourceBlock, which find the deduplicated rows already in order.
 //   * keep_least — keep only the least record of each key, ascending by
 //     key: the coalescer behind the SSSP, BFS and components engines.
 //
@@ -180,6 +181,19 @@ T* keep_least_radix(T* first, T* last, T* out, const Key& key,
   return out;
 }
 
+/// True when [first, last) is already in (key, less) order.  Stops at the
+/// first inversion, so an unordered range pays for a comparison or two.
+template <typename T, typename Key, typename Less>
+bool in_order(const T* first, const T* last, const Key& key,
+              const Less& less) {
+  for (const T* p = first + 1; p < last; ++p) {
+    const auto kp = key(p[-1]);
+    const auto kq = key(*p);
+    if (kq < kp || (kq == kp && less(*p, p[-1]))) return false;
+  }
+  return true;
+}
+
 /// Least and greatest key(x) over the non-empty [first, last).
 template <typename T, typename Key>
 std::array<std::uint64_t, 2> key_bounds(const T* first, const T* last,
@@ -197,7 +211,8 @@ std::array<std::uint64_t, 2> key_bounds(const T* first, const T* last,
 
 /// Sort [first, last) ascending by key(x), an unsigned integer, breaking
 /// ties with `less`, a strict weak order.  The result equals std::sort by
-/// (key, less).  Linear time in the key digits, plus comparison sorts of
+/// (key, less).  A range already in that order costs one read pass.
+/// Otherwise linear time in the key digits, plus comparison sorts of
 /// buckets of at most kRadixSortCutoff records and of single-key buckets.
 template <std::contiguous_iterator It, typename Key, typename Less>
 void radix_sort(It first, It last, Key key, Less less) {
@@ -207,6 +222,7 @@ void radix_sort(It first, It last, Key key, Less less) {
   if (last - first < 2) return;
   T* const begin = std::to_address(first);
   T* const end = begin + (last - first);
+  if (detail::in_order(begin, end, key, less)) return;
   const auto [lo, hi] = detail::key_bounds(begin, end, key);
   const int bits = std::bit_width(hi - lo);
   detail::radix_sort_from(begin, end, key, less, lo, std::max(bits - 8, 0));

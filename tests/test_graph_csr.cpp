@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,79 @@ LocalCsr make_csr() {
   std::vector<WireEdge> edges = {
       {0, 10, 0.5f}, {0, 11, 0.1f}, {0, 12, 0.9f}, {1, 10, 0.3f}};
   return LocalCsr(3, std::move(edges));
+}
+
+/// The builders' rule by comparison sorts: by (src, dst, weight), keep the
+/// first of each (src, dst), then order by (src, weight, dst).
+std::vector<WireEdge> reference_dedup(std::vector<WireEdge> edges) {
+  std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.src, a.dst, a.weight) < std::tie(b.src, b.dst, b.weight);
+  });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.src == b.src && a.dst == b.dst;
+                          }),
+              edges.end());
+  std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.src, a.weight, a.dst) < std::tie(b.src, b.weight, b.dst);
+  });
+  return edges;
+}
+
+/// Parallel edges of every kind: up to 8 copies of one (src, dst) with
+/// equal or unequal weights and the lightest copy last, weight 0, equal
+/// weights on different dst, and rows of up to 3 x SeenSet::kInitialSlots
+/// distinct destinations, so the seen set grows.
+std::vector<WireEdge> parallel_edges(g500::util::SplitMix64& rng) {
+  std::vector<WireEdge> edges;
+  for (VertexId src = 0; src < 40; ++src) {
+    const std::uint64_t row = src % 4 == 3
+                                  ? 3 * SeenSet::kInitialSlots
+                                  : 1 + rng.next_below(200);
+    for (std::uint64_t i = 0; i < row; ++i) {
+      const VertexId dst = rng.next_below(src % 4 == 3 ? 1u << 20 : 64);
+      const auto copies = 1 + rng.next_below(8);
+      const bool equal = rng.next_below(2) == 0;
+      for (std::uint64_t c = 0; c < copies; ++c) {
+        // Weights fall copy by copy, so the lightest copy comes last.
+        const float w = equal ? 0.5f : 0.125f * static_cast<float>(copies - c);
+        edges.push_back({src, dst, rng.next_below(16) == 0 ? 0.0f : w});
+      }
+    }
+  }
+  std::shuffle(edges.begin(), edges.end(), rng);
+  return edges;
+}
+
+TEST(DedupMinWeight, KeepsTheLightestCopyOfEachEdge) {
+  g500::util::SplitMix64 rng(32);
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<WireEdge> edges = parallel_edges(rng);
+    std::vector<WireEdge> got = edges;
+    dedup_min_weight(got);
+    sort_by_source_weight(got);
+    const std::vector<WireEdge> want = reference_dedup(edges);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::tie(got[i].src, got[i].dst, got[i].weight),
+                std::tie(want[i].src, want[i].dst, want[i].weight))
+          << "record " << i;
+    }
+  }
+}
+
+TEST(DedupMinWeight, LeavesRowsInCsrOrder) {
+  g500::util::SplitMix64 rng(33);
+  const std::vector<WireEdge> edges = parallel_edges(rng);
+  std::vector<WireEdge> got = edges;
+  dedup_min_weight(got);
+  const std::vector<WireEdge> want = reference_dedup(edges);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::tie(got[i].src, got[i].dst, got[i].weight),
+              std::tie(want[i].src, want[i].dst, want[i].weight))
+        << "record " << i;
+  }
 }
 
 TEST(LocalCsr, DegreesAndCounts) {

@@ -123,8 +123,8 @@ struct LabelRecord {
   }
 };
 
-/// The builder's edge keyed by source: ties by (dst, weight) as in the
-/// dedup sort, or by (weight, dst) as in LocalCsr and SourceBlock.
+/// The builder's edge keyed by source: ties by (dst, weight), or by
+/// (weight, dst) as in the dedup sort, LocalCsr and SourceBlock.
 template <bool kByWeight>
 struct EdgeRecord {
   using T = WireEdge;
@@ -149,7 +149,18 @@ struct EdgeRecord {
   }
 };
 
-enum class Shape { kRandom, kAllEqualKeys, kDuplicates, kSorted, kReversed };
+/// kFirstPairSwapped and kLastPairSwapped are sorted boxes with one
+/// inversion, at the first or the last pair of unequal neighbours, which
+/// radix_sort's ordered-input check must find.
+enum class Shape {
+  kRandom,
+  kAllEqualKeys,
+  kDuplicates,
+  kSorted,
+  kReversed,
+  kFirstPairSwapped,
+  kLastPairSwapped
+};
 
 /// A box of n records whose keys span exactly `span` (when n >= 2) above a
 /// base chosen so the largest key still fits the record.
@@ -183,9 +194,21 @@ std::vector<typename R::T> make_box(std::size_t n, std::uint64_t span,
     }
   }
   std::shuffle(box.begin(), box.end(), rng);
-  if (shape == Shape::kSorted || shape == Shape::kReversed) {
+  if (shape != Shape::kRandom && shape != Shape::kAllEqualKeys &&
+      shape != Shape::kDuplicates) {
     reference_sort<R>(box);
     if (shape == Shape::kReversed) std::reverse(box.begin(), box.end());
+  }
+  const auto differ = [](const T& a, const T& b) {
+    return R::fields(a) != R::fields(b);
+  };
+  if (shape == Shape::kFirstPairSwapped) {
+    const auto it = std::adjacent_find(box.begin(), box.end(), differ);
+    if (it != box.end()) std::iter_swap(it, it + 1);
+  }
+  if (shape == Shape::kLastPairSwapped) {
+    const auto it = std::adjacent_find(box.rbegin(), box.rend(), differ);
+    if (it != box.rend()) std::iter_swap(it, it + 1);
   }
   return box;
 }
@@ -224,9 +247,10 @@ TYPED_TEST(RadixKernel, MatchesComparatorReference) {
   const std::vector<std::uint64_t> spans = {
       1, 255, 256, std::uint64_t{1} << 14, std::uint64_t{1} << 33,
       std::numeric_limits<std::uint64_t>::max()};
-  const std::vector<Shape> shapes = {Shape::kRandom, Shape::kAllEqualKeys,
-                                     Shape::kDuplicates, Shape::kSorted,
-                                     Shape::kReversed};
+  const std::vector<Shape> shapes = {
+      Shape::kRandom,          Shape::kAllEqualKeys, Shape::kDuplicates,
+      Shape::kSorted,          Shape::kReversed,     Shape::kFirstPairSwapped,
+      Shape::kLastPairSwapped};
   util::SplitMix64 rng(14);
   for (const std::size_t n : sizes) {
     for (const std::uint64_t span : spans) {
