@@ -38,31 +38,31 @@ std::vector<T> owner_lookup(simmpi::Comm& comm,
     ask[static_cast<std::size_t>(owner)].push_back(queries[i]);
   }
 
-  const auto incoming = comm.alltoallv_by_src(ask);
+  std::vector<std::size_t> from;
+  const auto incoming = comm.alltoallv(ask, &from);
 
   // Answer every incoming query from local storage, preserving order.
   std::vector<std::vector<T>> answers(static_cast<std::size_t>(P));
-  for (int s = 0; s < P; ++s) {
-    answers[static_cast<std::size_t>(s)].reserve(
-        incoming[static_cast<std::size_t>(s)].size());
-    for (const auto& q : incoming[static_cast<std::size_t>(s)]) {
-      const graph::VertexId v = vertex_of(q);
+  for (std::size_t s = 0; s < answers.size(); ++s) {
+    answers[s].reserve(from[s + 1] - from[s]);
+    for (std::size_t i = from[s]; i < from[s + 1]; ++i) {
+      const graph::VertexId v = vertex_of(incoming[i]);
       if (part.owner(v) != comm.rank()) {
         throw std::logic_error("fetch_values: query routed to wrong owner");
       }
-      answers[static_cast<std::size_t>(s)].push_back(answer(q, part.local(v)));
+      answers[s].push_back(answer(incoming[i], part.local(v)));
     }
   }
 
-  const auto replies = comm.alltoallv_by_src(answers);
-
-  // Replies from rank r arrive in the order we asked rank r; walk per-rank
-  // cursors to restore the original interleaving.
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(P), 0);
+  // Replies from rank r arrive in the order we asked rank r; per-rank
+  // cursors, starting where r's replies start, restore the original
+  // interleaving.
+  std::vector<std::size_t> cursor;
+  const auto replies = comm.alltoallv(answers, &cursor);
   std::vector<T> result(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto r = static_cast<std::size_t>(query_rank[i]);
-    result[i] = replies[r].at(cursor[r]++);
+    result[i] = replies.at(cursor[r]++);
   }
   return result;
 }

@@ -42,17 +42,24 @@ TEST_P(SimMpiRanks, AlltoallvDeliversEverything) {
   });
 }
 
-TEST_P(SimMpiRanks, AlltoallvBySrcKeepsBoundaries) {
+TEST_P(SimMpiRanks, AlltoallvOffsetsKeepBoundaries) {
   simmpi::World world(GetParam());
   world.run([](simmpi::Comm& comm) {
     const int P = comm.size();
-    std::vector<std::vector<std::uint64_t>> out(P);
-    for (int d = 0; d < P; ++d) out[d] = {static_cast<std::uint64_t>(d)};
-    const auto in = comm.alltoallv_by_src(out);
-    ASSERT_EQ(in.size(), static_cast<std::size_t>(P));
+    // Rank s sends s copies of s to every rank: rank 0's boxes are empty.
+    const auto r = static_cast<std::uint64_t>(comm.rank());
+    const std::vector<std::vector<std::uint64_t>> out(
+        P, std::vector<std::uint64_t>(r, r));
+    std::vector<std::size_t> offsets{7, 7, 7};  // replaced, not appended to
+    const auto in = comm.alltoallv(out, &offsets);
+    ASSERT_EQ(offsets.size(), static_cast<std::size_t>(P) + 1);
+    EXPECT_EQ(offsets[0], 0u);
+    EXPECT_EQ(offsets[P], in.size());
     for (int s = 0; s < P; ++s) {
-      ASSERT_EQ(in[s].size(), 1u);
-      EXPECT_EQ(in[s][0], static_cast<std::uint64_t>(comm.rank()));
+      ASSERT_EQ(offsets[s + 1] - offsets[s], static_cast<std::size_t>(s));
+      for (std::size_t i = offsets[s]; i < offsets[s + 1]; ++i) {
+        EXPECT_EQ(in[i], static_cast<std::uint64_t>(s));
+      }
     }
   });
 }
