@@ -210,7 +210,6 @@ int main(int argc, char** argv) {
     wl.num_vertices = g.num_vertices;
 
     serve::ServeConfig base;
-    base.max_wait_ticks = 4;
     // Warm sweep budget: the whole universe fits (widest slice x roots).
     base.cache_budget_bytes =
         g.part.count(0) * sizeof(graph::Weight) * (roots.size() + 1);
@@ -284,7 +283,6 @@ int main(int argc, char** argv) {
     serve::ServeConfig live = base;
     live.batch_size = 8;
     live.queue_depth = 64;
-    live.slo_ticks = 32;
     live.facilities.assign(roots.begin(),
                            roots.begin() + std::min<std::size_t>(
                                                4, roots.size()));
@@ -443,12 +441,7 @@ int main(int argc, char** argv) {
     }
 
     serve::ServeConfig auto_cfg = live;
-    auto_cfg.adaptive.enabled = true;
-    auto_cfg.adaptive.min_batch = 1;
-    auto_cfg.adaptive.max_batch = 32;
-    auto_cfg.adaptive.min_wait_ticks = 1;
-    auto_cfg.adaptive.max_wait_ticks = 8;
-    auto_cfg.adaptive.target_wait_ticks = 2.0;
+    auto_cfg.adaptive = true;
     const auto auto_run = serve::run_workload(comm, g, auto_cfg, live_load);
     const auto auto_p = auto_run.metrics.latency_ticks.slo_percentiles();
     if (comm.rank() == 0) {
@@ -573,8 +566,6 @@ int main(int argc, char** argv) {
   serve::ServeConfig chaos_cfg;
   chaos_cfg.batch_size = 8;
   chaos_cfg.queue_depth = 64;
-  chaos_cfg.max_wait_ticks = 4;
-  chaos_cfg.slo_ticks = 32;
   chaos_cfg.cache_budget_bytes = chaos_slice_entries * sizeof(graph::Weight) *
                                  (chaos_roots.size() + 1);
   chaos_cfg.facilities.assign(
@@ -583,16 +574,6 @@ int main(int argc, char** argv) {
           static_cast<std::ptrdiff_t>(std::min<std::size_t>(
               4, chaos_roots.size())));
   chaos_cfg.oracle.num_landmarks = static_cast<std::size_t>(landmarks);
-  chaos_cfg.fault.checkpoint_interval = 2;
-  chaos_cfg.fault.max_wave_attempts = 3;
-  chaos_cfg.fault.degraded_answers = true;
-  chaos_cfg.fault.breaker_threshold = 3;
-  chaos_cfg.fault.breaker_cooldown_ticks = 8;
-  // Generous budget: the deadline propagates into every wave without
-  // truncating healthy ones at this scale.
-  chaos_cfg.fault.deadline_buckets_per_tick = 64;
-  chaos_cfg.fault.backoff.base_seconds = 0.001;
-  chaos_cfg.fault.backoff.seed = seed ^ 0xb0ff;
 
   const auto build = [&params](simmpi::Comm& comm) {
     return graph::build_kronecker(comm, params);

@@ -10,6 +10,7 @@
 #include "core/bfs.hpp"
 #include "core/delta_stepping.hpp"
 #include "core/validate.hpp"
+#include "simmpi/fault.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -204,8 +205,11 @@ BenchmarkReport run_benchmark_resilient(
         }
       });
       setup_done = true;
-    } catch (...) {
+    } catch (const simmpi::InjectedCrashError&) {
       if (attempt >= max_attempts) throw;  // never even built the graph
+      charge_backoff();
+    } catch (const simmpi::CorruptionError&) {
+      if (attempt >= max_attempts) throw;
       charge_backoff();
     }
   }
@@ -273,7 +277,9 @@ BenchmarkReport run_benchmark_resilient(
       // root restarts from scratch.
       for (auto& snapshot : snapshots) snapshot.clear();
       run_failed = true;
-    } catch (...) {
+    } catch (const simmpi::InjectedCrashError&) {
+      run_failed = true;
+    } catch (const simmpi::CorruptionError&) {
       run_failed = true;
     }
     if (!run_failed) break;  // every root on the work list completed

@@ -119,7 +119,11 @@ struct BenchmarkReport {
 /// resumes the interrupted root from the per-rank snapshots ("stable
 /// storage" held by this driver) and the finished roots are not re-run.  A
 /// root that still fails after max_attempts degrades into an invalid
-/// report entry instead of sinking the benchmark.  Delta-stepping only.
+/// report entry instead of sinking the benchmark.  Only injected faults
+/// (simmpi::InjectedCrashError, simmpi::CorruptionError,
+/// core::CheckpointError) are retried; any other exception, such as a
+/// `build_graph` that rejects its input, is rethrown at once.
+/// Delta-stepping only.
 [[nodiscard]] BenchmarkReport run_benchmark_resilient(
     simmpi::World& world,
     const std::function<graph::DistGraph(simmpi::Comm&)>& build_graph,

@@ -5,9 +5,10 @@
 // bin/sort/pack pipeline (cf. the Graph500 reference out-of-core
 // implementations): generator chunks stream through a chunked alltoallv
 // exchange into a bounded staging buffer ("bin"), full buffers are handed
-// to a worker thread that sorts and spills them as runs ("sort",
-// overlapped with the next chunks' generation and exchange), and a final
-// k-way merge deduplicates, re-sorts each vertex's adjacency and streams
+// to a worker thread that sorts them into row order (src, weight, dst)
+// and spills them as runs ("sort", overlapped with the next chunks'
+// generation and exchange), and a final k-way merge of the runs yields
+// each vertex's row already in shard order, deduplicates it and streams
 // the packed CSR shard to disk ("pack").  The result is a shard directory
 // graph::load_sharded maps back as a DistGraph whose arrays are
 // byte-identical to the in-memory build's.
@@ -54,7 +55,7 @@ struct StageStats {
 struct BuildPipelineStats {
   StageStats bin;    ///< generate + route + exchange into staging
   StageStats sort;   ///< sort staged runs and spill them (worker thread)
-  StageStats pack;   ///< merge, dedup, per-vertex re-sort, shard write
+  StageStats pack;   ///< merge in row order, dedup, shard write
   std::uint64_t runs_spilled = 0;        ///< run files written, all ranks
   std::uint64_t spilled_bytes = 0;       ///< run-file bytes, all ranks
   std::uint64_t shard_bytes = 0;         ///< final shard files, all ranks

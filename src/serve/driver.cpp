@@ -6,11 +6,25 @@
 #include <utility>
 
 #include "core/checkpoint.hpp"
+#include "simmpi/fault.hpp"
+#include "util/backoff.hpp"
 #include "util/timer.hpp"
 
 namespace g500::serve {
 
 namespace {
+
+/// Hard cap on World::run launches of a resilient run (a recurring fault
+/// plan must not spin forever).
+constexpr std::uint64_t kMaxAttempts = 32;
+/// World launches a single wave key may consume before it is abandoned.
+constexpr int kMaxWaveAttempts = 3;
+/// Consecutive wave failures that open the circuit breaker.
+constexpr int kBreakerThreshold = 3;
+/// Virtual delay charged for the first retry (doubling from there).
+constexpr double kBackoffBaseSeconds = 0.001;
+/// Mixed into the workload seed to seed the backoff jitter.
+constexpr std::uint64_t kBackoffSeedSalt = 0xb0ff;
 
 /// Outcome counters from the service's merged metrics (what both drivers
 /// share; the resilient one layers the retry audit on top).
@@ -133,9 +147,11 @@ ServingRunReport run_workload_resilient(
   std::uint64_t retries = 0;
   const std::uint64_t bytes_before = world.aggregate_stats().total_bytes();
 
-  const int max_attempts = std::max(1, options.max_attempts);
+  const util::BackoffPolicy backoff{
+      .base_seconds = kBackoffBaseSeconds,
+      .seed = workload.config().seed ^ kBackoffSeedSalt};
   bool finished = false;
-  while (!finished && avail.attempts < static_cast<std::uint64_t>(max_attempts)) {
+  while (!finished && avail.attempts < kMaxAttempts) {
     ++avail.attempts;
     for (auto& s : slots) s = RankSlot{};
     std::size_t shed_seen = 0;  ///< rank-0 cursor into this attempt's shed log
@@ -215,7 +231,9 @@ ServingRunReport run_workload_resilient(
       for (auto& s : snapshots) s.clear();
       has_resume = false;
       attempt_failed = true;
-    } catch (...) {
+    } catch (const simmpi::InjectedCrashError&) {
+      attempt_failed = true;
+    } catch (const simmpi::CorruptionError&) {
       attempt_failed = true;
     }
 
@@ -231,7 +249,7 @@ ServingRunReport run_workload_resilient(
     // ---- attribute the failure and pace the retry --------------------
     ++avail.wave_retries;
     breaker = ledger.breaker;  // latest harvested tick's state
-    const double delay = config.fault.backoff.delay(++retries);
+    const double delay = backoff.delay(++retries);
     avail.backoff_seconds += delay;
     // One tick of replay plus the virtual backoff, rounded up.
     avail.recovery_ticks +=
@@ -244,7 +262,7 @@ ServingRunReport run_workload_resilient(
         wave_failures.emplace_back(ledger.wave_key, 0);
         it = std::prev(wave_failures.end());
       }
-      if (++it->second >= config.fault.max_wave_attempts) {
+      if (++it->second >= kMaxWaveAttempts) {
         abandoned.push_back(ledger.wave_key);
         ++avail.waves_abandoned;
         has_resume = false;
@@ -256,14 +274,12 @@ ServingRunReport run_workload_resilient(
         has_resume = true;
         resume_key = ledger.wave_key;
       }
-      if (config.fault.breaker_threshold > 0) {
-        ++breaker.consecutive_failures;
-        if (breaker.state != BreakerState::kOpen &&
-            breaker.consecutive_failures >= config.fault.breaker_threshold) {
-          breaker.state = BreakerState::kOpen;
-          breaker.opened_tick = resume_tick;
-          ++avail.breaker_opened;
-        }
+      ++breaker.consecutive_failures;
+      if (breaker.state != BreakerState::kOpen &&
+          breaker.consecutive_failures >= kBreakerThreshold) {
+        breaker.state = BreakerState::kOpen;
+        breaker.opened_tick = resume_tick;
+        ++avail.breaker_opened;
       }
     }
   }

@@ -60,11 +60,6 @@ struct ServingRunReport {
 
 /// Knobs of the fault-tolerant workload driver.
 struct ResilientServeOptions {
-  /// Hard cap on World::run launches (a recurring fault plan must not
-  /// spin forever).  When the budget runs out, every query still
-  /// unresolved is counted as failed in the availability block.
-  int max_attempts = 32;
-
   bool keep_answers = false;
 
   /// Caller-owned oracle persistence slots, one per rank (nullptr = the
@@ -76,13 +71,18 @@ struct ResilientServeOptions {
 
 /// Fault-tolerant variant of run_workload: owns the World::run retry loop
 /// (the simulated machine cannot survive a fault in place), so it must be
-/// called from OUTSIDE World::run.  Crashed attempts restart the world,
-/// rebuild the graph via `build_graph`, re-admit the unresolved backlog,
-/// and resume the tick loop from the first un-harvested tick; the wave
-/// that was in flight resumes from its last checkpoint (bit-identical to
-/// an undisturbed run), retries are paced by config.fault.backoff, keys
-/// that exhaust config.fault.max_wave_attempts are abandoned (their
-/// queries degrade or fail), and crash streaks drive the circuit breaker.
+/// called from OUTSIDE World::run.  An attempt that dies of an injected
+/// fault (simmpi::InjectedCrashError, simmpi::CorruptionError or
+/// core::CheckpointError) restarts the world, rebuilds the graph via
+/// `build_graph`, re-admits the unresolved backlog, and resumes the tick
+/// loop from the first un-harvested tick; the wave that was in flight
+/// resumes from its last checkpoint (bit-identical to an undisturbed
+/// run).  Retries are paced by a backoff seeded from the workload seed,
+/// keys that exhaust their wave attempts are abandoned (their queries
+/// degrade or fail), crash streaks drive the circuit breaker, and after
+/// a fixed number of launches every unresolved query counts as failed
+/// (the attempt and retry bounds are constants in driver.cpp).  Any
+/// other exception — a misconfigured service, say — is rethrown at once.
 /// The returned metrics/availability merge every attempt; wire_bytes
 /// includes the graph rebuild traffic of each attempt.
 [[nodiscard]] ServingRunReport run_workload_resilient(

@@ -40,7 +40,6 @@
 
 #include "core/checkpoint.hpp"
 #include "graph/types.hpp"
-#include "util/backoff.hpp"
 #include "util/random.hpp"
 
 namespace g500::serve {
@@ -49,13 +48,15 @@ namespace g500::serve {
 /// ("next to" that rank's CheckpointState in the driver's stable
 /// storage).  The blob is written by LandmarkOracle::save and adopted by
 /// the constructor when its digest gate passes; any mismatch (format
-/// version, graph shape, graph version, landmark config, engine knobs,
-/// bit rot) falls back to a full recompute.
+/// version, graph shape, graph version, landmark config, bit rot) falls
+/// back to a full recompute.
 struct OracleSliceStore {
   /// Layout version of both blobs; bumped on any incompatible change.
   /// v2: the identity digest pins the graph_version, so slices persisted
   /// before a streaming mutation can never be adopted after one.
-  static constexpr std::uint64_t kFormatVersion = 2;
+  /// v3: the digest no longer hashes engine knobs (the waves always run
+  /// the default core::SsspConfig).
+  static constexpr std::uint64_t kFormatVersion = 3;
 
   std::vector<std::uint8_t> blob;
 
@@ -146,43 +147,6 @@ struct BreakerStatus {
   BreakerState state = BreakerState::kClosed;
   std::uint64_t opened_tick = 0;     ///< when the breaker last opened
   int consecutive_failures = 0;      ///< crash streak feeding the threshold
-};
-
-/// Fault-tolerance knobs of the serving layer (ServeConfig::fault).  The
-/// retry machinery itself runs only for a service handed a FaultContext
-/// (see FaultContext::snapshot).
-struct FaultToleranceConfig {
-  /// Bucket epochs between wave snapshots (each wave's
-  /// core::RunControl::checkpoint_interval; used by waves that get the
-  /// FaultContext's snapshot slot).
-  std::uint64_t checkpoint_interval = 4;
-
-  /// World launches a single wave key may consume before the driver
-  /// abandons it (its queries then degrade or fail).  Min 1.
-  int max_wave_attempts = 3;
-
-  /// Answer wave-exhausted / breaker-open point-to-point queries from the
-  /// landmark oracle's lb/ub interval with Outcome::kDegraded instead of
-  /// failing them.  Off by default: degraded answers are approximations
-  /// and callers must opt in.
-  bool degraded_answers = false;
-
-  /// Consecutive wave failures that open the circuit breaker
-  /// (0 = breaker disabled).
-  int breaker_threshold = 0;
-
-  /// Ticks an open breaker waits before half-opening for a probe wave.
-  std::uint64_t breaker_cooldown_ticks = 16;
-
-  /// Deadline propagation into the engine: a dispatched wave's
-  /// core::RunControl::deadline_buckets = (ticks until the batch's tightest
-  /// deadline) * this factor (0 = deadlines never truncate waves).
-  std::uint64_t deadline_buckets_per_tick = 0;
-
-  /// Seeded exponential backoff charged (in simulated seconds, not
-  /// slept) for each retried attempt — shared with the core resilient
-  /// benchmark driver so retry semantics cannot drift.
-  util::BackoffPolicy backoff;
 };
 
 /// Cross-attempt bookkeeping written by rank 0 only, between collectives

@@ -35,43 +35,18 @@ util::Json to_json(const ServeConfig& config) {
   j["schema_version"] = kServingSchemaVersion;
   j["queue_depth"] = static_cast<std::uint64_t>(config.queue_depth);
   j["batch_size"] = static_cast<std::uint64_t>(config.batch_size);
-  j["max_wait_ticks"] = config.max_wait_ticks;
-  j["shed_policy"] = config.shed_policy == ShedPolicy::kRejectNew
-                         ? "reject_new"
-                         : "drop_oldest";
-  j["slo_ticks"] = config.slo_ticks;
   j["cache_budget_bytes"] =
       static_cast<std::uint64_t>(config.cache_budget_bytes);
   util::Json facilities = util::Json::array();
   for (const auto f : config.facilities) facilities.push_back(f);
   j["facilities"] = std::move(facilities);
-  j["sssp"] = core::to_json(config.sssp);
   util::Json oracle = util::Json::object();
   oracle["num_landmarks"] =
       static_cast<std::uint64_t>(config.oracle.num_landmarks);
   j["oracle"] = std::move(oracle);
   util::Json adaptive = util::Json::object();
-  adaptive["enabled"] = config.adaptive.enabled;
-  adaptive["min_batch"] = static_cast<std::uint64_t>(config.adaptive.min_batch);
-  adaptive["max_batch"] = static_cast<std::uint64_t>(config.adaptive.max_batch);
-  adaptive["min_wait_ticks"] = config.adaptive.min_wait_ticks;
-  adaptive["max_wait_ticks"] = config.adaptive.max_wait_ticks;
-  adaptive["target_wait_ticks"] = config.adaptive.target_wait_ticks;
+  adaptive["enabled"] = config.adaptive;
   j["adaptive"] = std::move(adaptive);
-  util::Json fault = util::Json::object();
-  fault["checkpoint_interval"] = config.fault.checkpoint_interval;
-  fault["max_wave_attempts"] =
-      static_cast<std::int64_t>(config.fault.max_wave_attempts);
-  fault["degraded_answers"] = config.fault.degraded_answers;
-  fault["breaker_threshold"] =
-      static_cast<std::int64_t>(config.fault.breaker_threshold);
-  fault["breaker_cooldown_ticks"] = config.fault.breaker_cooldown_ticks;
-  fault["deadline_buckets_per_tick"] = config.fault.deadline_buckets_per_tick;
-  util::Json backoff = util::Json::object();
-  backoff["base_seconds"] = config.fault.backoff.base_seconds;
-  backoff["seed"] = config.fault.backoff.seed;
-  fault["backoff"] = std::move(backoff);
-  j["fault"] = std::move(fault);
   util::Json analytics = util::Json::object();
   util::Json pagerank = util::Json::object();
   pagerank["damping"] = config.analytics.pagerank.damping;
@@ -79,7 +54,6 @@ util::Json to_json(const ServeConfig& config) {
   pagerank["tolerance"] = config.analytics.pagerank.tolerance;
   analytics["pagerank"] = std::move(pagerank);
   j["analytics"] = std::move(analytics);
-  j["point_cache_cap"] = static_cast<std::uint64_t>(config.point_cache_cap);
   j["graph_version"] = config.graph_version;
   return j;
 }
@@ -94,9 +68,6 @@ util::Json to_json(const WorkloadConfig& config) {
   j["nearest_fraction"] = config.nearest_fraction;
   j["deadline_ticks"] = config.deadline_ticks;
   j["analytics_fraction"] = config.analytics_fraction;
-  util::Json weights = util::Json::array();
-  for (const auto w : config.kernel_weights) weights.push_back(w);
-  j["kernel_weights"] = std::move(weights);
   j["root_universe"] = static_cast<std::uint64_t>(config.roots.size());
   j["num_vertices"] = config.num_vertices;
   return j;

@@ -15,7 +15,7 @@ namespace g500::serve {
 constexpr int kServingSchemaVersion = 1;
 
 /// The full knob set (one field per ServeConfig member; facilities as an
-/// array, the engine knobs nested under "sssp").
+/// array, the adaptive switch as adaptive.enabled).
 [[nodiscard]] util::Json to_json(const ServeConfig& config);
 
 /// Workload model: seed, horizon, arrival/popularity parameters, universe

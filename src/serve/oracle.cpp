@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
+#include "core/delta_stepping.hpp"
 #include "core/remote.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
@@ -33,14 +33,9 @@ Candidate better(Candidate a, Candidate b) {
 
 LandmarkOracle::LandmarkOracle(simmpi::Comm& comm, const graph::DistGraph& g,
                                const OracleConfig& config,
-                               const core::SsspConfig& sssp,
                                std::uint64_t graph_version,
                                OracleSliceStore* store)
-    : comm_(comm),
-      g_(g),
-      config_(config),
-      sssp_(sssp),
-      graph_version_(graph_version) {
+    : comm_(comm), g_(g), config_(config), graph_version_(graph_version) {
   if (config_.num_landmarks == 0) {
     throw std::invalid_argument("LandmarkOracle: num_landmarks must be >= 1");
   }
@@ -82,7 +77,7 @@ LandmarkOracle::LandmarkOracle(simmpi::Comm& comm, const graph::DistGraph& g,
   // acquires a landmark before coverage deepens — which is what turns
   // cross-component queries into free unreachability proofs.
   while (landmarks_.size() < want) {
-    const auto wave = core::delta_stepping_multi(comm_, g_, landmarks_, sssp_);
+    const auto wave = core::delta_stepping_multi(comm_, g_, landmarks_);
     ++precompute_waves_;
     Candidate mine;
     for (graph::LocalId v = 0; v < local_n; ++v) {
@@ -97,7 +92,7 @@ LandmarkOracle::LandmarkOracle(simmpi::Comm& comm, const graph::DistGraph& g,
 
   slices_.reserve(landmarks_.size());
   for (const auto lm : landmarks_) {
-    auto wave = core::delta_stepping_multi(comm_, g_, {lm}, sssp_);
+    auto wave = core::delta_stepping_multi(comm_, g_, {lm});
     ++precompute_waves_;
     slices_.push_back(std::move(wave.dist));
   }
@@ -110,22 +105,6 @@ std::uint64_t LandmarkOracle::identity_digest() const {
                                  g_.num_vertices);
   h = util::hash64(h, static_cast<std::uint64_t>(g_.csr.num_local()));
   h = util::hash64(h, static_cast<std::uint64_t>(config_.num_landmarks));
-  // Slice bits depend on the effective wave configuration; a blob from a
-  // differently-tuned engine could differ in the last float bits and
-  // silently break the oracle's bit-identity guarantees.
-  std::uint64_t delta_bits = 0;
-  static_assert(sizeof(delta_bits) == sizeof(sssp_.delta));
-  std::memcpy(&delta_bits, &sssp_.delta, sizeof(delta_bits));
-  h = util::hash64(h, delta_bits);
-  const bool may_pull = sssp_.direction != core::Direction::kPush;
-  const std::uint64_t flags = (sssp_.coalesce ? 1u : 0u) |
-                              (sssp_.hub_cache ? 2u : 0u) |
-                              (may_pull ? 4u : 0u) |
-                              (sssp_.local_fusion ? 8u : 0u) |
-                              (sssp_.compress ? 16u : 0u);
-  h = util::hash64(h, flags,
-                   static_cast<std::uint64_t>(
-                       static_cast<std::int64_t>(sssp_.hierarchical_group)));
   // Streaming mutations bump the graph version; slices solved on an older
   // version answer a different graph and must never pass the adopt gate.
   h = util::hash64(h, graph_version_);
@@ -142,7 +121,7 @@ std::uint64_t LandmarkOracle::refresh_slices(
     if (k >= landmarks_.size()) {
       throw std::out_of_range("refresh_slices: landmark index out of range");
     }
-    auto wave = core::delta_stepping_multi(comm_, g_, {landmarks_[k]}, sssp_);
+    auto wave = core::delta_stepping_multi(comm_, g_, {landmarks_[k]});
     slices_[k] = std::move(wave.dist);
     ++waves;
   }

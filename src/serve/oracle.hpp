@@ -32,8 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/delta_stepping.hpp"
-#include "core/sssp_types.hpp"
 #include "graph/builder.hpp"
 #include "serve/fault.hpp"
 #include "simmpi/comm.hpp"
@@ -68,22 +66,21 @@ class LandmarkOracle {
     bool unreachable = false;
   };
 
-  /// Collective: selects the landmarks and runs one wave per landmark to
-  /// precompute this rank's owned distance slices.  `sssp` supplies the
-  /// engine knobs for those waves (any pruning fields are ignored), and
-  /// `graph_version` is the version of the graph `g` views (part of the
-  /// persistence digest, so slices persisted before a streaming mutation
-  /// can never be adopted after one).
+  /// Collective: selects the landmarks and runs one wave per landmark
+  /// (default core::SsspConfig, like the service's own waves) to
+  /// precompute this rank's owned distance slices.  `graph_version` is
+  /// the version of the graph `g` views (part of the persistence digest,
+  /// so slices persisted before a streaming mutation can never be adopted
+  /// after one).
   ///
   /// When `store` is non-null it is this rank's persistence slot: a valid
-  /// blob whose digest gate passes (format version, graph shape, landmark
-  /// config and wave-relevant engine knobs all match, checksum intact —
-  /// agreed across ranks, so no rank recomputes while another adopts) is
-  /// adopted with ZERO precompute waves; otherwise the slices are
-  /// recomputed and saved back into the slot.
+  /// blob whose digest gate passes (format version, graph shape and
+  /// landmark config all match, checksum intact — agreed across ranks, so
+  /// no rank recomputes while another adopts) is adopted with ZERO
+  /// precompute waves; otherwise the slices are recomputed and saved back
+  /// into the slot.
   LandmarkOracle(simmpi::Comm& comm, const graph::DistGraph& g,
-                 const OracleConfig& config, const core::SsspConfig& sssp,
-                 std::uint64_t graph_version,
+                 const OracleConfig& config, std::uint64_t graph_version,
                  OracleSliceStore* store = nullptr);
 
   /// Landmark-distance rows for `vertices`: out[i][k] = d(L_k,
@@ -156,8 +153,7 @@ class LandmarkOracle {
 
  private:
   /// Digest pinning what a stored blob must have been computed from:
-  /// format version, graph shape, landmark request and the engine knobs
-  /// that affect slice bits.
+  /// format version, graph shape, landmark request and graph version.
   [[nodiscard]] std::uint64_t identity_digest() const;
 
   /// Rank-local half of the adopt gate: parse + verify `store` and load
@@ -167,7 +163,6 @@ class LandmarkOracle {
   simmpi::Comm& comm_;
   const graph::DistGraph& g_;
   OracleConfig config_;
-  core::SsspConfig sssp_;  ///< wave knobs with pruning fields cleared
   std::uint64_t graph_version_ = 0;  ///< version the slices are solved on
 
   std::vector<graph::VertexId> landmarks_;

@@ -22,12 +22,24 @@ constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 /// ServeConfig::queue_depth to itself, so analytics jobs can never crowd
 /// out distance reads at admission.
 constexpr std::size_t kAnalyticsQueueDepth = 16;
+/// Latency objective of the distance class: a served answer later than
+/// this counts as an SLO violation.
+constexpr std::uint64_t kSloTicks = 32;
 /// Latency objective of the analytics class (its violations are counted
-/// apart from the distance class's ServeConfig::slo_ticks).
+/// apart from the distance class's kSloTicks).
 constexpr std::uint64_t kAnalyticsSloTicks = 256;
 /// Scheduler aging bound: an analytics job waits behind distance traffic
 /// for at most this many ticks before it runs anyway.
 constexpr std::uint64_t kAnalyticsDeferTicks = 8;
+
+/// Bucket epochs between the snapshots of a wave that gets the
+/// FaultContext's snapshot slot (core::RunControl::checkpoint_interval).
+constexpr std::uint64_t kCheckpointInterval = 2;
+/// Deadline propagation into the engine: a wave's bucket-epoch budget is
+/// the ticks left until the batch's tightest deadline times this factor.
+constexpr std::uint64_t kDeadlineBucketsPerTick = 64;
+/// Ticks an open circuit breaker waits before half-opening for a probe.
+constexpr std::uint64_t kBreakerCooldownTicks = 8;
 
 /// The root store charges every slice the widest owned slice, so its
 /// capacity (and every residency decision) is rank-independent.
@@ -46,7 +58,7 @@ DistanceService::DistanceService(simmpi::Comm& comm,
       g_(g),
       config_(std::move(config)),
       cache_(root_store(config_.cache_budget_bytes, g)),
-      points_(config_.point_cache_cap),
+      points_(kPointCacheCap),
       memo_(kNumAnalyticsKernels),
       registry_(config_.analytics),
       fault_(fault) {
@@ -56,10 +68,6 @@ DistanceService::DistanceService(simmpi::Comm& comm,
   if (config_.batch_size == 0) {
     throw std::invalid_argument("DistanceService: batch_size must be >= 1");
   }
-  if (config_.fault.max_wave_attempts < 1) {
-    throw std::invalid_argument(
-        "DistanceService: max_wave_attempts must be >= 1");
-  }
   for (const auto f : config_.facilities) {
     if (f >= g_.num_vertices) {
       throw std::out_of_range("DistanceService: facility out of range");
@@ -67,13 +75,10 @@ DistanceService::DistanceService(simmpi::Comm& comm,
   }
   graph_version_ = config_.graph_version;
   if (config_.oracle.num_landmarks > 0) {
-    oracle_.emplace(comm_, g_, config_.oracle, config_.sssp, graph_version_,
+    oracle_.emplace(comm_, g_, config_.oracle, graph_version_,
                     fault_ != nullptr ? fault_->oracle_store : nullptr);
   }
-  if (config_.adaptive.enabled) {
-    controller_.emplace(config_.adaptive, config_.batch_size,
-                        config_.max_wait_ticks);
-  }
+  if (config_.adaptive) controller_.emplace(config_.batch_size, kMaxWaitTicks);
   if (fault_ != nullptr) breaker_ = fault_->breaker;
   if (fault_ != nullptr && fault_->oracle_store != nullptr) {
     // Exact point-cache adoption, all-or-nothing across ranks for the
@@ -116,12 +121,8 @@ bool DistanceService::submit(const Query& q) {
     if (analytics_queue_.size() >= kAnalyticsQueueDepth) {
       ++metrics_.shed;
       ++metrics_.analytics_shed;
-      if (config_.shed_policy == ShedPolicy::kRejectNew) {
-        log_shed(q);
-        return false;
-      }
-      log_shed(analytics_queue_.front());
-      analytics_queue_.pop_front();
+      log_shed(q);
+      return false;
     }
     ++metrics_.admitted;
     ++metrics_.analytics_admitted;
@@ -129,15 +130,9 @@ bool DistanceService::submit(const Query& q) {
     return true;
   }
   if (queue_.size() >= config_.queue_depth) {
-    if (config_.shed_policy == ShedPolicy::kRejectNew) {
-      ++metrics_.shed;
-      log_shed(q);
-      return false;
-    }
-    // kDropOldest: the longest waiter is shed to make room.
     ++metrics_.shed;
-    log_shed(queue_.front());
-    queue_.pop_front();
+    log_shed(q);
+    return false;
   }
   ++metrics_.admitted;
   queue_.push_back(q);
@@ -207,14 +202,13 @@ Slice DistanceService::dispatch_wave(graph::VertexId key,
   core::SsspResult result;
   core::SsspStats stats;
   if (key == facility_key()) {
-    result = core::delta_stepping_multi(comm_, g_, config_.facilities,
-                                        config_.sssp, &stats, control);
+    result = core::delta_stepping_multi(comm_, g_, config_.facilities, {},
+                                        &stats, control);
   } else {
     // The engine refuses a pruned run a snapshot slot, so only full
     // single-source waves checkpoint (and resume).
     if (control.prune_lb == nullptr) control.checkpoint = snapshot_for(key);
-    result = core::delta_stepping(comm_, g_, key, config_.sssp, &stats,
-                                  control);
+    result = core::delta_stepping(comm_, g_, key, {}, &stats, control);
   }
   metrics_.wave_seconds += timer.seconds();
   ++metrics_.waves;
@@ -282,9 +276,8 @@ std::vector<Answer> DistanceService::tick(std::uint64_t now, bool flush) {
   // Breaker timer: an open breaker half-opens once the cooldown expires,
   // admitting exactly one probe wave this tick.  Deterministic across
   // ranks (pure function of `now` and the carried-in state).
-  if (config_.fault.breaker_threshold > 0 &&
-      breaker_.state == BreakerState::kOpen &&
-      now >= breaker_.opened_tick + config_.fault.breaker_cooldown_ticks) {
+  if (breaker_.state == BreakerState::kOpen &&
+      now >= breaker_.opened_tick + kBreakerCooldownTicks) {
     breaker_.state = BreakerState::kHalfOpen;
     ++metrics_.breaker_half_opened;
   }
@@ -367,14 +360,12 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
   // another wave.  Hits skip the oracle pass, dedupe and fetch entirely.
   std::vector<char> from_point(batch.size(), 0);
   std::vector<graph::Weight> point_val(batch.size(), graph::kInfDistance);
-  if (config_.point_cache_cap > 0) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].kind != QueryKind::kPointToPoint) continue;
-      if (const graph::Weight* hit = points_.lookup(
-              {batch[i].root, batch[i].target}, graph_version_)) {
-        from_point[i] = 1;
-        point_val[i] = *hit;
-      }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].kind != QueryKind::kPointToPoint) continue;
+    if (const graph::Weight* hit = points_.lookup(
+            {batch[i].root, batch[i].target}, graph_version_)) {
+      from_point[i] = 1;
+      point_val[i] = *hit;
     }
   }
 
@@ -452,19 +443,15 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
   // reports the settled bound (sweep above guarantees deadline_tick > now
   // for everything still queued, so `left` is always >= 1).
   core::RunControl wave_control;
-  wave_control.checkpoint_interval = config_.fault.checkpoint_interval;
-  if (config_.fault.deadline_buckets_per_tick != 0) {
-    std::uint64_t tightest = 0;
-    for (const auto& q : batch) {
-      if (q.deadline_tick != 0 &&
-          (tightest == 0 || q.deadline_tick < tightest)) {
-        tightest = q.deadline_tick;
-      }
+  wave_control.checkpoint_interval = kCheckpointInterval;
+  std::uint64_t tightest = 0;
+  for (const auto& q : batch) {
+    if (q.deadline_tick != 0 && (tightest == 0 || q.deadline_tick < tightest)) {
+      tightest = q.deadline_tick;
     }
-    if (tightest != 0) {
-      wave_control.deadline_buckets =
-          (tightest - now) * config_.fault.deadline_buckets_per_tick;
-    }
+  }
+  if (tightest != 0) {
+    wave_control.deadline_buckets = (tightest - now) * kDeadlineBucketsPerTick;
   }
 
   // ---- resolve each group's distance slice ---------------------------
@@ -578,11 +565,10 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
       a.from_oracle = true;
       a.lb = a.ub = a.distance;
     } else if (refused[slot_of[i]]) {
-      if (config_.fault.degraded_answers && oracle_ &&
-          batch[i].kind == QueryKind::kPointToPoint &&
+      if (oracle_ && batch[i].kind == QueryKind::kPointToPoint &&
           std::isfinite(verdict[i].ub)) {
         // Graceful degradation: answer from the oracle's bracket with the
-        // witness-path upper bound as the estimate.  Opt-in only.
+        // witness-path upper bound as the estimate.
         a.distance = verdict[i].ub;
         a.lb = verdict[i].lb;
         a.ub = verdict[i].ub;
@@ -616,7 +602,7 @@ void DistanceService::dispatch_distance_batch(std::uint64_t now, bool flush,
     if (a.outcome == Outcome::kServed) {
       ++metrics_.answered;
       metrics_.latency_ticks.add(a.latency_ticks());
-      if (a.latency_ticks() > config_.slo_ticks) ++metrics_.slo_violations;
+      if (a.latency_ticks() > kSloTicks) ++metrics_.slo_violations;
       if (a.pruned_wave) {
         // Bank the carry-over: the pruned slice is exact at this target
         // even though the slice itself was never cacheable.
@@ -900,7 +886,7 @@ bool DistanceService::try_adopt_points(const OracleSliceStore& store) {
                              g_.num_vertices, config_.graph_version)) {
     return false;
   }
-  if (!in.get(count) || count > config_.point_cache_cap) return false;
+  if (!in.get(count) || count > kPointCacheCap) return false;
   if (!in.sealed(3 * count * sizeof(std::uint64_t))) return false;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t r = 0;

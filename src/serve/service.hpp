@@ -3,8 +3,8 @@
 // The service turns the offline kernels into a request-serving loop
 // with the shape of an inference-serving stack:
 //
-//   * admission queue — bounded depth; over-capacity arrivals are shed
-//     (reject-new) or displace the oldest waiter (drop-oldest);
+//   * admission queue — bounded depth; an arrival that finds it full is
+//     shed (the new query is rejected);
 //   * micro-batch scheduler — pending queries are coalesced per simulated
 //     tick and dispatched together once the batch fills or the oldest
 //     waiter hits the dispatch deadline; the batch's roots are deduped so
@@ -71,30 +71,20 @@
 
 namespace g500::serve {
 
-enum class ShedPolicy : std::uint8_t {
-  kRejectNew,   ///< a full queue bounces the arriving query
-  kDropOldest,  ///< a full queue sheds the longest waiter to admit the new one
-};
-
+/// What a caller chooses about a service.  Everything else (dispatch
+/// deadline, SLO, point-cache bound, the waves' engine knobs, adaptive
+/// ranges, retry and breaker settings) is a constant; docs/serving.md
+/// lists them.
 struct ServeConfig {
   std::size_t queue_depth = 64;    ///< admission bound (>=1)
   std::size_t batch_size = 8;      ///< max queries dispatched per tick
-  std::uint64_t max_wait_ticks = 4;  ///< dispatch once the oldest waits this long
-  ShedPolicy shed_policy = ShedPolicy::kRejectNew;
-  std::uint64_t slo_ticks = 32;    ///< latency objective (violations counted)
   std::size_t cache_budget_bytes = std::size_t{1} << 20;  ///< per rank
   std::vector<graph::VertexId> facilities;  ///< nearest-query source set
-  core::SsspConfig sssp;           ///< engine knobs for dispatched waves
-                                   ///< (each wave's core::RunControl is
-                                   ///< the service's own)
   OracleConfig oracle;             ///< num_landmarks > 0 enables the oracle
-  AdaptiveConfig adaptive;         ///< enabled = true activates the controller
-  FaultToleranceConfig fault;      ///< retry/degradation/breaker knobs
+  bool adaptive = false;           ///< the batch controller sets the knobs
 
   // ---- analytics class -------------------------------------------------
   AnalyticsConfig analytics;       ///< kernel-registry knobs
-  /// Entry bound of the exact point cache (LRU; 0 disables it).
-  std::size_t point_cache_cap = 1024;
 
   /// Graph version the service starts on (dyn::MutableGraph::version of
   /// the view it was constructed over; 0 for a static graph).  Every
@@ -357,16 +347,15 @@ class DistanceService {
   /// precompute waves on every rank (or adopts persisted slices from
   /// fault->oracle_store and runs none).  `fault` is the resilient
   /// driver's per-attempt context (see fault.hpp); it must outlive the
-  /// service.  nullptr = no fault machinery beyond config.fault's
-  /// deadline handling.
+  /// service.  nullptr = no fault machinery beyond deadline handling.
   DistanceService(simmpi::Comm& comm, const graph::DistGraph& g,
                   ServeConfig config, FaultContext* fault = nullptr);
 
   /// Offer `q` to the admission queue (local bookkeeping, no collectives
   /// — but every rank must observe the same submission sequence).
-  /// Returns false when the query was shed; with kDropOldest the
-  /// displaced victim lands in shed_log() instead and this returns true.
-  /// An invalid query throws without touching any counter.
+  /// Returns false when the queue was full and the query was shed (it
+  /// lands in shed_log()).  An invalid query throws without touching any
+  /// counter.
   bool submit(const Query& q);
 
   /// Re-admit queries that were already counted as arrived/admitted by a
@@ -401,9 +390,15 @@ class DistanceService {
   /// (ServiceMetrics::shed_log_overflow counts the drops).
   static constexpr std::size_t kShedLogCap = 4096;
 
-  /// Queries shed so far (either bounced arrivals or drop-oldest
-  /// victims), in shed order, up to kShedLogCap; the caller may re-submit
-  /// them later.
+  /// Without the adaptive controller a batch dispatches once its oldest
+  /// query has waited this many ticks; the controller starts from it.
+  static constexpr std::uint64_t kMaxWaitTicks = 4;
+
+  /// Entry bound of the exact point cache (LRU).
+  static constexpr std::size_t kPointCacheCap = 1024;
+
+  /// Queries shed so far, in shed order, up to kShedLogCap; the caller
+  /// may re-submit them later.
   [[nodiscard]] const std::vector<Query>& shed_log() const noexcept {
     return shed_log_;
   }
@@ -424,14 +419,13 @@ class DistanceService {
     return oracle_ ? &*oracle_ : nullptr;
   }
 
-  /// Dispatch knobs in effect for the next tick (fixed config values, or
-  /// the controller's when adaptive batching is enabled).
+  /// Dispatch knobs in effect for the next tick (config_.batch_size and
+  /// kMaxWaitTicks, or the controller's when adaptive batching is on).
   [[nodiscard]] std::size_t current_batch_size() const noexcept {
     return controller_ ? controller_->batch_size() : config_.batch_size;
   }
   [[nodiscard]] std::uint64_t current_max_wait_ticks() const noexcept {
-    return controller_ ? controller_->max_wait_ticks()
-                       : config_.max_wait_ticks;
+    return controller_ ? controller_->max_wait_ticks() : kMaxWaitTicks;
   }
 
   /// Circuit-breaker state (deterministic across ranks; rank 0 harvests
@@ -533,7 +527,7 @@ class DistanceService {
   /// Root distance slices (cache_budget_bytes / widest owned slice).
   VersionedStore<graph::VertexId, Slice> cache_;
   /// Exact points: pruned-wave target values keyed (root, target)
-  /// (point_cache_cap entries).
+  /// (kPointCacheCap entries).
   VersionedStore<PointKey, graph::Weight> points_;
   /// Completed whole-graph kernel outcomes, one per kernel;
   /// reachability is per-pair and never memoized.

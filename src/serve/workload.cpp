@@ -35,30 +35,11 @@ Workload::Workload(WorkloadConfig config) : config_(std::move(config)) {
   if (config_.analytics_fraction < 0.0 || config_.analytics_fraction > 1.0) {
     throw std::invalid_argument("Workload: analytics_fraction not in [0,1]");
   }
-  if (!config_.kernel_weights.empty() &&
-      config_.kernel_weights.size() != kNumAnalyticsKernels) {
-    throw std::invalid_argument(
-        "Workload: kernel_weights needs one entry per kernel");
-  }
-  // Kernel-draw CDF (uniform when no weights given).
-  std::vector<double> weights = config_.kernel_weights;
-  if (weights.empty()) weights.assign(kNumAnalyticsKernels, 1.0);
-  double weight_total = 0.0;
-  for (const auto w : weights) {
-    if (w < 0.0) {
-      throw std::invalid_argument("Workload: kernel weight must be >= 0");
-    }
-    weight_total += w;
-  }
-  if (config_.analytics_fraction > 0.0 && weight_total <= 0.0) {
-    throw std::invalid_argument("Workload: kernel weights sum to zero");
-  }
-  kernel_cdf_.reserve(weights.size());
-  double kernel_acc = 0.0;
-  for (const auto w : weights) {
-    kernel_acc += w;
-    kernel_cdf_.push_back(weight_total > 0.0 ? kernel_acc / weight_total
-                                             : 1.0);
+  // Kernel-draw CDF: every kernel equally likely.
+  kernel_cdf_.reserve(kNumAnalyticsKernels);
+  for (std::size_t k = 1; k <= kNumAnalyticsKernels; ++k) {
+    kernel_cdf_.push_back(static_cast<double>(k) /
+                          static_cast<double>(kNumAnalyticsKernels));
   }
   // Zipf CDF over the universe: p(k) proportional to 1/(k+1)^s.
   zipf_cdf_.reserve(config_.roots.size());

@@ -14,8 +14,8 @@
 // single-pair analytics jobs drawn from the kernel registry
 // (serve/kernels.hpp) — arrives interleaved with the distance reads at
 // its own rate (analytics_fraction of the arrival stream, kernels picked
-// by weight) and carries its own per-class deadline, mirroring the mixed
-// read/scan drivers used to stress key-value stores.  When
+// uniformly) under the same deadline budget as the reads, mirroring the
+// mixed read/scan drivers used to stress key-value stores.  When
 // analytics_fraction == 0 the generator consumes exactly the pre-mixed
 // random stream, so existing distance-only traces are unchanged.
 #pragma once
@@ -76,11 +76,8 @@ struct WorkloadConfig {
   // ---- analytics class (YCSB-style mix) -------------------------------
   /// Share of arrivals that are analytics jobs instead of distance reads.
   /// 0 keeps the generator byte-identical to the distance-only driver.
+  /// Each job's kernel is drawn uniformly over the four.
   double analytics_fraction = 0.0;
-  /// Relative draw weights over {pagerank, kcore, components,
-  /// reachability}; empty = uniform.  Must have kNumAnalyticsKernels
-  /// entries when non-empty, each >= 0, with a positive sum.
-  std::vector<double> kernel_weights;
 
   /// Popularity-ranked root universe (index 0 = most popular).  Must be
   /// non-empty unless nearest_fraction == 1.
@@ -112,7 +109,7 @@ class Workload {
 
   WorkloadConfig config_;
   std::vector<double> zipf_cdf_;         ///< over config_.roots
-  std::vector<double> kernel_cdf_;       ///< over the analytics kernels
+  std::vector<double> kernel_cdf_;       ///< uniform over the analytics kernels
   std::vector<std::uint64_t> id_base_;   ///< first query id of each tick
 };
 

@@ -2,7 +2,9 @@
 // results, end-to-end crash recovery, and the resilient benchmark driver.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -533,6 +535,24 @@ TEST(ResilientRunner, RejectsNonDeltaSteppingAlgorithms) {
                    },
                    options),
                std::invalid_argument);
+}
+
+// Only injected faults are retried: a build that rejects its input
+// throws out of the driver after one call instead of max_attempts calls.
+TEST(ResilientRunner, RethrowsWhatIsNotAnInjectedFault) {
+  simmpi::World world(2);
+  core::RunnerOptions options;
+  options.max_attempts = 3;
+  std::atomic<int> calls{0};
+  EXPECT_THROW((void)core::run_benchmark_resilient(
+                   world,
+                   [&](simmpi::Comm& comm) -> DistGraph {
+                     if (comm.rank() == 0) ++calls;
+                     throw std::invalid_argument("bad graph parameters");
+                   },
+                   options),
+               std::invalid_argument);
+  EXPECT_EQ(calls.load(), 1);
 }
 
 }  // namespace

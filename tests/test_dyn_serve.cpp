@@ -90,8 +90,8 @@ Answer run_job(DistanceService& svc, std::uint64_t& id, std::uint64_t& tick,
 
 /// The fresh-recompute value of d(root, target) on the current view.
 Weight fresh_distance(simmpi::Comm& comm, const DistGraph& g, VertexId root,
-                      VertexId target, const core::SsspConfig& config) {
-  const auto mine = core::delta_stepping(comm, g, root, config);
+                      VertexId target) {
+  const auto mine = core::delta_stepping(comm, g, root);
   return core::gather_result(comm, g, mine).dist[target];
 }
 
@@ -149,10 +149,8 @@ TEST(DynServe, ScopedInvalidationRetainsOtherComponent) {
     const auto a1 = ask(svc, id, tick, 5, 40);    // component A
     const auto b1 = ask(svc, id, tick, 70, 100);  // component B
     EXPECT_EQ(a1.graph_version, 0u);
-    EXPECT_EQ(a1.distance,
-              fresh_distance(comm, mg.view(), 5, 40, config.sssp));
-    EXPECT_EQ(b1.distance,
-              fresh_distance(comm, mg.view(), 70, 100, config.sssp));
+    EXPECT_EQ(a1.distance, fresh_distance(comm, mg.view(), 5, 40));
+    EXPECT_EQ(b1.distance, fresh_distance(comm, mg.view(), 70, 100));
 
     // A drastic shortcut entirely inside B.
     if (comm.rank() == 0) mg.stage_insert(80, 120, 0.05f);
@@ -179,10 +177,8 @@ TEST(DynServe, ScopedInvalidationRetainsOtherComponent) {
     const auto b2 = ask(svc, id, tick, 70, 100);
     EXPECT_EQ(a2.graph_version, mg.version());
     EXPECT_EQ(b2.graph_version, mg.version());
-    EXPECT_EQ(a2.distance,
-              fresh_distance(comm, mg.view(), 5, 40, config.sssp));
-    EXPECT_EQ(b2.distance,
-              fresh_distance(comm, mg.view(), 70, 100, config.sssp));
+    EXPECT_EQ(a2.distance, fresh_distance(comm, mg.view(), 5, 40));
+    EXPECT_EQ(b2.distance, fresh_distance(comm, mg.view(), 70, 100));
     EXPECT_EQ(a2.distance, a1.distance);  // A provably unchanged
   });
 }
@@ -354,8 +350,7 @@ TEST(DynServe, WholesaleFlushWithoutOracle) {
 
     const auto after = ask(svc, id, tick, 3, 20);
     EXPECT_FALSE(after.from_cache);
-    EXPECT_EQ(after.distance,
-              fresh_distance(comm, mg.view(), 3, 20, config.sssp));
+    EXPECT_EQ(after.distance, fresh_distance(comm, mg.view(), 3, 20));
     EXPECT_EQ(after.distance, 0.01f);
   });
 }

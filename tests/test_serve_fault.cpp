@@ -1,14 +1,17 @@
 // Fault-tolerant serving tests: the circuit breaker's three-state
-// protocol, opt-in degraded answers from oracle bounds, and the resilient
+// protocol, degraded answers from oracle bounds, and the resilient
 // workload driver (crash -> backoff -> resume -> bit-identical answers,
-// persisted oracle slices adopted across restarts).  Part of the CI chaos
-// suite (ctest -L chaos).
+// persisted oracle slices adopted across restarts, misconfiguration
+// rethrown instead of retried).  Part of the CI chaos suite (ctest -L
+// chaos).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "core/delta_stepping.hpp"
@@ -51,8 +54,6 @@ TEST(ServeFault, BreakerRefusesThenProbeCloses) {
     const auto g = build_test_graph(comm, list);
     ServeConfig config;
     config.batch_size = 1;
-    config.fault.breaker_threshold = 2;
-    config.fault.breaker_cooldown_ticks = 4;
 
     FaultContext ctx;
     ctx.breaker.state = BreakerState::kOpen;
@@ -60,7 +61,7 @@ TEST(ServeFault, BreakerRefusesThenProbeCloses) {
     DistanceService service(comm, g, config, &ctx);
     EXPECT_EQ(service.breaker().state, BreakerState::kOpen);
 
-    // While open: no wave, no fallback -> the query fails.
+    // While open: no wave, no oracle to fall back on -> the query fails.
     Query q;
     q.id = 0;
     q.root = 0;
@@ -74,12 +75,21 @@ TEST(ServeFault, BreakerRefusesThenProbeCloses) {
     EXPECT_EQ(service.metrics().failed_queries, 1u);
     EXPECT_EQ(service.metrics().waves, 0u);
 
+    // Still open one tick before the cooldown (8 ticks) expires.
+    q.id = 1;
+    q.arrival_tick = 7;
+    ASSERT_TRUE(service.submit(q));
+    answers = service.tick(7);
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_EQ(answers[0].outcome, Outcome::kFailed);
+    EXPECT_EQ(service.breaker().state, BreakerState::kOpen);
+
     // Cooldown expired: half-open admits exactly one probe wave, whose
     // completion closes the breaker and serves the query exactly.
-    q.id = 1;
-    q.arrival_tick = 4;
+    q.id = 2;
+    q.arrival_tick = 8;
     ASSERT_TRUE(service.submit(q));
-    answers = service.tick(4);
+    answers = service.tick(8);
     ASSERT_EQ(answers.size(), 1u);
     EXPECT_EQ(answers[0].outcome, Outcome::kServed);
     EXPECT_EQ(service.breaker().state, BreakerState::kClosed);
@@ -87,26 +97,25 @@ TEST(ServeFault, BreakerRefusesThenProbeCloses) {
     EXPECT_EQ(service.metrics().breaker_closed, 1u);
     EXPECT_EQ(service.metrics().waves, 1u);
 
-    const auto mine = core::delta_stepping(comm, g, 0, config.sssp);
+    const auto mine = core::delta_stepping(comm, g, 0);
     const auto want = core::gather_result(comm, g, mine);
     EXPECT_EQ(answers[0].distance, want.dist[5]);
 
     // Closed again: the probe wave's slice is cached and serves hits.
-    q.id = 2;
+    q.id = 3;
     q.target = 7;
-    q.arrival_tick = 5;
+    q.arrival_tick = 9;
     ASSERT_TRUE(service.submit(q));
-    answers = service.tick(5);
+    answers = service.tick(9);
     ASSERT_EQ(answers.size(), 1u);
     EXPECT_EQ(answers[0].outcome, Outcome::kServed);
     EXPECT_TRUE(answers[0].from_cache);
   });
 }
 
-/// Queries on an abandoned key degrade to the oracle's certified lb/ub
-/// interval when the caller opted in — and fail outright when it did not
-/// (degraded answers are approximations, off by default).
-TEST(ServeFault, DegradedAnswersAreOptInOracleBrackets) {
+/// Point queries on an abandoned key degrade to the oracle's certified
+/// lb/ub interval instead of failing.
+TEST(ServeFault, DegradedAnswersAreOracleBrackets) {
   const auto list = graph::path_graph(24, 7);
   simmpi::World world(2);
   world.run([&](simmpi::Comm& comm) {
@@ -114,7 +123,6 @@ TEST(ServeFault, DegradedAnswersAreOptInOracleBrackets) {
     ServeConfig config;
     config.batch_size = 1;
     config.oracle.num_landmarks = 2;
-    config.fault.degraded_answers = true;
 
     // Pick a root the oracle cannot settle exactly (not a landmark).
     graph::VertexId root = graph::kNoVertex;
@@ -132,7 +140,7 @@ TEST(ServeFault, DegradedAnswersAreOptInOracleBrackets) {
     ASSERT_NE(root, graph::kNoVertex);
     const graph::VertexId target = (root + 11) % g.num_vertices;
 
-    const auto mine = core::delta_stepping(comm, g, root, config.sssp);
+    const auto mine = core::delta_stepping(comm, g, root);
     const auto want = core::gather_result(comm, g, mine);
     const float exact = want.dist[target];
     ASSERT_TRUE(std::isfinite(exact));  // the path graph is connected
@@ -154,19 +162,6 @@ TEST(ServeFault, DegradedAnswersAreOptInOracleBrackets) {
     EXPECT_GE(answers[0].ub, exact - exact * kTol - kTol);
     EXPECT_EQ(service.metrics().degraded, 1u);
     EXPECT_EQ(service.metrics().waves, 0u);
-
-    // Same abandonment without the opt-in: the query fails.
-    ServeConfig strict = config;
-    strict.fault.degraded_answers = false;
-    FaultContext strict_ctx;
-    strict_ctx.abandoned = {root};
-    DistanceService no_fallback(comm, g, strict, &strict_ctx);
-    ASSERT_TRUE(no_fallback.submit(q));
-    answers = no_fallback.tick(0);
-    ASSERT_EQ(answers.size(), 1u);
-    EXPECT_EQ(answers[0].outcome, Outcome::kFailed);
-    EXPECT_TRUE(std::isinf(answers[0].distance));
-    EXPECT_EQ(no_fallback.metrics().failed_queries, 1u);
   });
 }
 
@@ -226,10 +221,7 @@ TEST(ServeFault, ResilientDriverSurvivesCrashBitIdentical) {
 
   ServeConfig config;
   config.batch_size = 4;
-  config.max_wait_ticks = 2;
   config.queue_depth = 256;  // no shedding: fates must match exactly
-  config.fault.checkpoint_interval = 2;
-  config.fault.backoff.base_seconds = 0.001;
 
   serve::ResilientServeOptions opts;
   opts.keep_answers = true;
@@ -331,6 +323,30 @@ TEST(ServeFault, ResilientRestartAdoptsPersistedOracleSlices) {
     EXPECT_EQ(restarted.answers[i].distance, first.answers[i].distance)
         << "query " << first.answers[i].id;
   }
+}
+
+/// Only injected faults are retried: a misconfigured service throws on
+/// the first attempt, after one graph build, instead of burning the
+/// attempt budget on rebuilds that fail the same way.
+TEST(ServeFault, ResilientDriverRethrowsMisconfiguration) {
+  const auto list = graph::random_graph(64, 256, 12);
+  std::atomic<int> builds{0};
+  const auto build = [&](simmpi::Comm& comm) {
+    if (comm.rank() == 0) ++builds;
+    return build_test_graph(comm, list);
+  };
+  WorkloadConfig wl;
+  wl.ticks = 4;
+  wl.roots = {1, 2};
+  wl.num_vertices = list.num_vertices;
+  ServeConfig config;
+  config.batch_size = 0;
+
+  simmpi::World world(2);
+  EXPECT_THROW((void)serve::run_workload_resilient(world, build, config,
+                                                   Workload(wl)),
+               std::invalid_argument);
+  EXPECT_EQ(builds.load(), 1);
 }
 
 }  // namespace

@@ -29,7 +29,6 @@ namespace {
 
 using namespace g500;
 using serve::AdaptiveBatchController;
-using serve::AdaptiveConfig;
 using serve::DistanceService;
 using serve::LandmarkOracle;
 using serve::OracleConfig;
@@ -62,7 +61,7 @@ TEST(ServeOracle, BoundsSoundOnEveryShape) {
       const auto g = build_test_graph(comm, list);
       OracleConfig oc;
       oc.num_landmarks = 4;
-      LandmarkOracle oracle(comm, g, oc, {}, 0);
+      LandmarkOracle oracle(comm, g, oc, 0);
       ASSERT_GE(oracle.landmarks().size(), 1u);
 
       // Ground truth from full waves rooted at a few sources.
@@ -211,44 +210,26 @@ TEST(ServeOracle, DisconnectedPairsSettledWithoutAWave) {
 
 /// The controller must track a step change in the arrival rate: knobs
 /// sized for the low regime before the step, for the high regime after.
+/// Its ranges are batch 1..32 and wait 1..8 ticks, and it aims for a full
+/// batch every 2 ticks.
 TEST(ServeOracle, AdaptiveControllerConvergesOnStepChange) {
-  AdaptiveConfig cfg;
-  cfg.enabled = true;
-  cfg.min_batch = 1;
-  cfg.max_batch = 32;
-  cfg.min_wait_ticks = 1;
-  cfg.max_wait_ticks = 16;
-  cfg.target_wait_ticks = 4.0;
-  AdaptiveBatchController ctl(cfg, 8, 4);
+  AdaptiveBatchController ctl(8, 4);
 
   for (int i = 0; i < 40; ++i) ctl.observe(2);
   EXPECT_NEAR(ctl.rate(), 2.0, 0.05);
-  EXPECT_EQ(ctl.batch_size(), 8u);        // 2/tick * 4 ticks
-  EXPECT_EQ(ctl.max_wait_ticks(), 4u);    // 8 / 2 per tick
+  EXPECT_EQ(ctl.batch_size(), 4u);        // 2/tick * 2 ticks
+  EXPECT_EQ(ctl.max_wait_ticks(), 2u);    // 4 / 2 per tick
 
-  for (int i = 0; i < 40; ++i) ctl.observe(16);
-  EXPECT_NEAR(ctl.rate(), 16.0, 0.5);
-  EXPECT_EQ(ctl.batch_size(), 32u);       // 16 * 4 = 64, clamped to max
-  EXPECT_EQ(ctl.max_wait_ticks(), 2u);    // 32 / 16 per tick
+  for (int i = 0; i < 40; ++i) ctl.observe(24);
+  EXPECT_NEAR(ctl.rate(), 24.0, 0.5);
+  EXPECT_EQ(ctl.batch_size(), 32u);       // 24 * 2 = 48, clamped to max
+  EXPECT_EQ(ctl.max_wait_ticks(), 1u);    // 32 / 24 per tick
   EXPECT_GE(ctl.adjustments(), 2u);
 
   // Silence: the rate decays and the deadline stretches to its cap.
   for (int i = 0; i < 200; ++i) ctl.observe(0);
   EXPECT_EQ(ctl.batch_size(), 1u);
-  EXPECT_EQ(ctl.max_wait_ticks(), 16u);
-}
-
-TEST(ServeOracle, AdaptiveControllerValidatesConfig) {
-  AdaptiveConfig cfg;
-  cfg.min_batch = 0;
-  EXPECT_THROW(AdaptiveBatchController(cfg, 1, 1), std::invalid_argument);
-  cfg = {};
-  cfg.min_batch = 8;
-  cfg.max_batch = 4;
-  EXPECT_THROW(AdaptiveBatchController(cfg, 1, 1), std::invalid_argument);
-  cfg = {};
-  cfg.target_wait_ticks = 0.0;
-  EXPECT_THROW(AdaptiveBatchController(cfg, 1, 1), std::invalid_argument);
+  EXPECT_EQ(ctl.max_wait_ticks(), 8u);
 }
 
 /// End-to-end: an adaptive service answers the whole workload and its
@@ -269,8 +250,7 @@ TEST(ServeOracle, AdaptiveServiceAnswersEverythingConsistently) {
     wl.num_vertices = g.num_vertices;
     ServeConfig config;
     config.queue_depth = 512;
-    config.adaptive.enabled = true;
-    config.adaptive.max_batch = 64;
+    config.adaptive = true;
     const auto run = serve::run_workload(comm, g, config, serve::Workload(wl));
     EXPECT_EQ(run.metrics.answered, run.metrics.admitted);
     per_rank[static_cast<std::size_t>(comm.rank())] = {
@@ -297,12 +277,12 @@ TEST(ServeOracle, SliceStoreRoundTripSkipsPrecompute) {
     oc.num_landmarks = 3;
     auto& store = stores[static_cast<std::size_t>(comm.rank())];
 
-    LandmarkOracle fresh(comm, g, oc, {}, 0, &store);
+    LandmarkOracle fresh(comm, g, oc, 0, &store);
     EXPECT_FALSE(fresh.restored_from_store());
     EXPECT_GT(fresh.precompute_waves(), 0u);
     ASSERT_TRUE(store.valid());
 
-    LandmarkOracle adopted(comm, g, oc, {}, 0, &store);
+    LandmarkOracle adopted(comm, g, oc, 0, &store);
     EXPECT_TRUE(adopted.restored_from_store());
     EXPECT_EQ(adopted.precompute_waves(), 0u);
     EXPECT_EQ(adopted.landmarks(), fresh.landmarks());
@@ -331,26 +311,26 @@ TEST(ServeOracle, SliceStoreDigestMismatchForcesGlobalRecompute) {
     OracleConfig oc;
     oc.num_landmarks = 2;
     auto& store = stores[static_cast<std::size_t>(comm.rank())];
-    LandmarkOracle fresh(comm, g, oc, {}, 0, &store);
+    LandmarkOracle fresh(comm, g, oc, 0, &store);
     ASSERT_TRUE(store.valid());
 
     // Bit rot in rank 0's slot only.
     if (comm.rank() == 0) store.blob[store.blob.size() / 2] ^= 0x40;
-    LandmarkOracle recomputed(comm, g, oc, {}, 0, &store);
+    LandmarkOracle recomputed(comm, g, oc, 0, &store);
     EXPECT_FALSE(recomputed.restored_from_store());
     EXPECT_GT(recomputed.precompute_waves(), 0u);
     EXPECT_EQ(recomputed.landmarks(), fresh.landmarks());
 
     // The recompute healed the store: the next restart adopts.
     ASSERT_TRUE(store.valid());
-    LandmarkOracle healed(comm, g, oc, {}, 0, &store);
+    LandmarkOracle healed(comm, g, oc, 0, &store);
     EXPECT_TRUE(healed.restored_from_store());
 
     // A different landmark request must not adopt slices computed for
     // another config.
     OracleConfig other;
     other.num_landmarks = 4;
-    LandmarkOracle reconfigured(comm, g, other, {}, 0, &store);
+    LandmarkOracle reconfigured(comm, g, other, 0, &store);
     EXPECT_FALSE(reconfigured.restored_from_store());
     EXPECT_GT(reconfigured.precompute_waves(), 0u);
   });
@@ -414,8 +394,7 @@ TEST(ServeOracle, PersistedBlobsKeepTheirDocumentedLayout) {
     EXPECT_EQ(word(slices, 3), n);
     for (std::size_t k = 0; k < K; ++k) {
       EXPECT_EQ(word(slices, 4 + k), landmarks[k]);
-      const auto wave = core::delta_stepping_multi(comm, g, {landmarks[k]},
-                                                   config.sssp);
+      const auto wave = core::delta_stepping_multi(comm, g, {landmarks[k]});
       EXPECT_EQ(std::memcmp(slices.data() + (4 + K) * kWord +
                                 k * n * sizeof(graph::Weight),
                             wave.dist.data(), n * sizeof(graph::Weight)),
@@ -450,7 +429,7 @@ TEST(ServeOracle, ValidatesConfig) {
     const auto g = build_test_graph(comm, list);
     OracleConfig bad;
     bad.num_landmarks = 0;
-    EXPECT_THROW(LandmarkOracle(comm, g, bad, {}, 0), std::invalid_argument);
+    EXPECT_THROW(LandmarkOracle(comm, g, bad, 0), std::invalid_argument);
   });
 }
 

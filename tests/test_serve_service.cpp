@@ -1,7 +1,7 @@
 // End-to-end tests for the online distance-query service: answers must be
 // bit-identical to a fresh offline delta-stepping run, the micro-batcher
-// must honor its size/deadline triggers, shedding must follow the
-// configured policy, and the counters must agree across ranks.
+// must honor its size/deadline triggers, a full queue must shed the
+// arriving query, and the counters must agree across ranks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,7 +27,6 @@ using serve::DistanceService;
 using serve::Query;
 using serve::QueryKind;
 using serve::ServeConfig;
-using serve::ShedPolicy;
 using serve::Workload;
 using serve::WorkloadConfig;
 
@@ -57,7 +56,6 @@ TEST(ServeService, AnswersBitIdenticalToFreshDeltaStepping) {
 
     ServeConfig config;
     config.batch_size = 4;
-    config.max_wait_ticks = 2;
     config.queue_depth = 256;  // no shedding: every query must be answered
 
     const auto run = serve::run_workload(comm, g, config, Workload(wl),
@@ -70,7 +68,7 @@ TEST(ServeService, AnswersBitIdenticalToFreshDeltaStepping) {
     std::map<graph::VertexId, core::SequentialResult> oracle;
     for (const auto& a : run.answers) {
       if (!oracle.count(a.root)) {
-        const auto mine = core::delta_stepping(comm, g, a.root, config.sssp);
+        const auto mine = core::delta_stepping(comm, g, a.root);
         oracle.emplace(a.root, core::gather_result(comm, g, mine));
       }
     }
@@ -114,7 +112,7 @@ TEST(ServeService, NearestFacilityMatchesMultiSourceOracle) {
     ASSERT_GT(run.answers.size(), 0u);
 
     const auto mine =
-        core::delta_stepping_multi(comm, g, config.facilities, config.sssp);
+        core::delta_stepping_multi(comm, g, config.facilities);
     const auto want = core::gather_result(comm, g, mine);
     for (const auto& a : run.answers) {
       ASSERT_EQ(a.kind, QueryKind::kNearestFacility);
@@ -132,8 +130,9 @@ TEST(ServeService, BatchDispatchTriggers) {
     const auto g = build_test_graph(comm, list);
     ServeConfig config;
     config.batch_size = 3;
-    config.max_wait_ticks = 2;
     DistanceService service(comm, g, config);
+    constexpr std::uint64_t kWait = DistanceService::kMaxWaitTicks;
+    ASSERT_EQ(service.current_max_wait_ticks(), kWait);
 
     Query q;
     q.root = 0;
@@ -142,21 +141,22 @@ TEST(ServeService, BatchDispatchTriggers) {
 
     // Deadline trigger: one waiter, batch far from full.
     ASSERT_TRUE(service.submit(q));
-    EXPECT_TRUE(service.tick(0).empty());
-    EXPECT_TRUE(service.tick(1).empty());
-    const auto by_deadline = service.tick(2);  // age == max_wait_ticks
+    for (std::uint64_t t = 0; t < kWait; ++t) {
+      EXPECT_TRUE(service.tick(t).empty()) << "tick " << t;
+    }
+    const auto by_deadline = service.tick(kWait);  // age == kMaxWaitTicks
     ASSERT_EQ(by_deadline.size(), 1u);
-    EXPECT_EQ(by_deadline[0].completion_tick, 2u);
-    EXPECT_EQ(by_deadline[0].latency_ticks(), 2u);
+    EXPECT_EQ(by_deadline[0].completion_tick, kWait);
+    EXPECT_EQ(by_deadline[0].latency_ticks(), kWait);
 
     // Size trigger: the third submission fills the batch; it dispatches
     // on the next tick even though no one hit the deadline.
     for (std::uint64_t i = 0; i < 3; ++i) {
       q.id = 10 + i;
-      q.arrival_tick = 3;
+      q.arrival_tick = kWait + 1;
       ASSERT_TRUE(service.submit(q));
     }
-    const auto by_size = service.tick(3);
+    const auto by_size = service.tick(kWait + 1);
     ASSERT_EQ(by_size.size(), 3u);
     for (const auto& a : by_size) EXPECT_EQ(a.latency_ticks(), 0u);
   });
@@ -170,7 +170,6 @@ TEST(ServeService, RejectNewShedsArrivalsAndAllowsResubmit) {
     ServeConfig config;
     config.queue_depth = 2;
     config.batch_size = 8;
-    config.shed_policy = ShedPolicy::kRejectNew;
     DistanceService service(comm, g, config);
 
     Query q;
@@ -204,33 +203,6 @@ TEST(ServeService, RejectNewShedsArrivalsAndAllowsResubmit) {
   });
 }
 
-TEST(ServeService, DropOldestShedsLongestWaiter) {
-  const auto list = graph::path_graph(16, 6);
-  simmpi::World world(1);
-  world.run([&](simmpi::Comm& comm) {
-    const auto g = build_test_graph(comm, list);
-    ServeConfig config;
-    config.queue_depth = 2;
-    config.batch_size = 8;
-    config.shed_policy = ShedPolicy::kDropOldest;
-    DistanceService service(comm, g, config);
-
-    Query q;
-    q.root = 0;
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      q.id = i;
-      q.target = i;
-      EXPECT_TRUE(service.submit(q));  // drop-oldest always admits
-    }
-    ASSERT_EQ(service.shed_log().size(), 1u);
-    EXPECT_EQ(service.shed_log()[0].id, 0u);  // the longest waiter went
-    const auto answers = service.drain(0);
-    ASSERT_EQ(answers.size(), 2u);
-    EXPECT_EQ(answers[0].id, 1u);
-    EXPECT_EQ(answers[1].id, 2u);
-  });
-}
-
 // A query still queued at its deadline tick completes immediately with
 // Outcome::kDeadlineExceeded and the vacuous [0, inf) interval — it must
 // not age silently or count as answered.
@@ -240,8 +212,7 @@ TEST(ServeService, QueueExpiredDeadlineCompletesUnanswered) {
   world.run([&](simmpi::Comm& comm) {
     const auto g = build_test_graph(comm, list);
     ServeConfig config;
-    config.batch_size = 8;        // size trigger never fires
-    config.max_wait_ticks = 100;  // age trigger never fires
+    config.batch_size = 8;  // size trigger never fires
     DistanceService service(comm, g, config);
 
     Query q;
@@ -249,7 +220,8 @@ TEST(ServeService, QueueExpiredDeadlineCompletesUnanswered) {
     q.root = 0;
     q.target = 12;
     q.arrival_tick = 0;
-    q.deadline_tick = 3;
+    q.deadline_tick = 3;  // before the age trigger (kMaxWaitTicks) fires
+    static_assert(DistanceService::kMaxWaitTicks > 3);
     ASSERT_TRUE(service.submit(q));
     EXPECT_TRUE(service.tick(0).empty());
     EXPECT_TRUE(service.tick(2).empty());
@@ -271,20 +243,20 @@ TEST(ServeService, QueueExpiredDeadlineCompletesUnanswered) {
 // [settled_bound, ub) interval, while targets inside it stay exact — and
 // the truncated slice must never enter the cache.
 TEST(ServeService, DeadlineBudgetTruncatesWaveKeepsSettledPrefixExact) {
-  const auto list = graph::path_graph(32, 5);
+  // A long path: at the automatic delta (1/2 here) a sweep from one end
+  // spans hundreds of bucket epochs.
+  const auto list = graph::path_graph(1024, 5);
   simmpi::World world(2);
   world.run([&](simmpi::Comm& comm) {
     const auto g = build_test_graph(comm, list);
     ServeConfig config;
     config.batch_size = 2;
-    config.sssp.delta = 0.05;  // narrow buckets: the sweep spans many epochs
-    config.fault.deadline_buckets_per_tick = 1;
     DistanceService service(comm, g, config);
 
     Query far;
     far.id = 0;
     far.root = 0;
-    far.target = 31;  // the other end of the path: way past two epochs
+    far.target = 1023;  // the other end of the path: way past the budget
     far.arrival_tick = 0;
     far.deadline_tick = 2;
     Query near = far;
@@ -293,7 +265,8 @@ TEST(ServeService, DeadlineBudgetTruncatesWaveKeepsSettledPrefixExact) {
     ASSERT_TRUE(service.submit(far));
     ASSERT_TRUE(service.submit(near));
 
-    const auto answers = service.tick(0);  // size trigger; budget = 2 epochs
+    // Size trigger; the budget is 2 ticks of bucket epochs.
+    const auto answers = service.tick(0);
     ASSERT_EQ(answers.size(), 2u);
     const auto& a_far = answers[0].id == 0 ? answers[0] : answers[1];
     const auto& a_near = answers[0].id == 1 ? answers[0] : answers[1];
@@ -359,7 +332,6 @@ TEST(ServeService, ShedLogHonorsItsCap) {
     ServeConfig config;
     config.queue_depth = 1;
     config.batch_size = 8;
-    config.shed_policy = ShedPolicy::kRejectNew;
     DistanceService service(comm, g, config);
 
     constexpr std::uint64_t kCap = DistanceService::kShedLogCap;
@@ -454,9 +426,6 @@ TEST(ServeService, ValidatesQueriesAndConfig) {
     bad = {};
     bad.facilities = {g.num_vertices};
     EXPECT_THROW(DistanceService(comm, g, bad), std::out_of_range);
-    bad = {};
-    bad.fault.max_wave_attempts = 0;
-    EXPECT_THROW(DistanceService(comm, g, bad), std::invalid_argument);
 
     DistanceService service(comm, g, ServeConfig{});
     Query q;
@@ -575,9 +544,9 @@ TEST(ServeService, RunReportJsonCarriesTheSchema) {
     }
 
     const auto cfg = serve::to_json(config);
-    for (const auto* key : {"queue_depth", "batch_size", "max_wait_ticks",
-                            "shed_policy", "slo_ticks", "cache_budget_bytes",
-                            "facilities", "sssp", "oracle", "adaptive"}) {
+    for (const auto* key : {"queue_depth", "batch_size", "cache_budget_bytes",
+                            "facilities", "oracle", "adaptive", "analytics",
+                            "graph_version"}) {
       EXPECT_TRUE(cfg.contains(key)) << key;
     }
     const auto wj = serve::to_json(wl);
@@ -623,9 +592,7 @@ TEST(ServeService, MixedWorkloadNeverStarvesDistanceClass) {
 
     ServeConfig config;
     config.batch_size = 4;
-    config.max_wait_ticks = 2;
     config.queue_depth = 256;
-    config.slo_ticks = 16;  // tight distance SLO, far below the horizon
     config.oracle.num_landmarks = 2;  // reachability short-circuit path
 
     const auto run = serve::run_workload(comm, g, config, Workload(wl),
@@ -640,9 +607,11 @@ TEST(ServeService, MixedWorkloadNeverStarvesDistanceClass) {
 
     // The no-starvation contract: the distance class never blows its SLO
     // even with analytics jobs interleaved (slo_violations is
-    // distance-only by convention).
+    // distance-only by convention), and its tail stays at a few dispatch
+    // deadlines, far below the horizon.
     EXPECT_EQ(m.slo_violations, 0u);
-    EXPECT_LE(m.latency_ticks.quantile(0.99), config.slo_ticks);
+    EXPECT_LE(m.latency_ticks.quantile(0.99),
+              4.0 * DistanceService::kMaxWaitTicks);
 
     // Whole-graph kernels are memoized on the immutable graph: at most
     // one execution per kernel, everything else is a memo hit, and every
@@ -675,7 +644,7 @@ TEST(ServeService, MixedWorkloadNeverStarvesDistanceClass) {
         continue;
       }
       if (!oracle.count(a.root)) {
-        const auto mine = core::delta_stepping(comm, g, a.root, config.sssp);
+        const auto mine = core::delta_stepping(comm, g, a.root);
         oracle.emplace(a.root, core::gather_result(comm, g, mine));
       }
       EXPECT_EQ(a.distance, oracle.at(a.root).dist[a.target])
@@ -695,7 +664,6 @@ TEST(ServeService, PointCacheServesRepeatedPrunedPair) {
     const auto g = build_test_graph(comm, list);
     ServeConfig config;
     config.batch_size = 4;
-    config.max_wait_ticks = 1;
     config.oracle.num_landmarks = 2;  // loose bounds => pruned p2p waves
     DistanceService service(comm, g, config);
 
@@ -760,7 +728,7 @@ TEST(ServeService, PointCacheServesRepeatedPrunedPair) {
   });
 }
 
-// The point cache is LRU-bounded: filling it past point_cache_cap evicts
+// The point cache is LRU-bounded: filling it past kPointCacheCap evicts
 // the least recently used pair (here the oldest, since no pair is hit
 // before it is evicted), which then misses and re-runs its wave.
 TEST(ServeService, PointCacheEvictsFifoAtItsCap) {
@@ -769,23 +737,29 @@ TEST(ServeService, PointCacheEvictsFifoAtItsCap) {
   world.run([&](simmpi::Comm& comm) {
     const auto g = build_test_graph(comm, list);
     ServeConfig config;
-    config.batch_size = 1;
-    config.max_wait_ticks = 1;
+    config.batch_size = 64;  // one root per batch: one pruned wave banks many
     config.oracle.num_landmarks = 2;
-    config.point_cache_cap = 2;
     DistanceService service(comm, g, config);
+    constexpr std::size_t kCap = DistanceService::kPointCacheCap;
 
+    // Every pair of a root in one or two batches, root after root, until
+    // more pairs are banked than the cache holds.
     std::vector<Answer> served;
     std::uint64_t id = 0;
     std::uint64_t now = 0;
-    for (const graph::VertexId root : {3, 29, 57}) {
-      for (const graph::VertexId target : {11, 44, 91}) {
+    for (graph::VertexId root = 0;
+         root < g.num_vertices && served.size() <= kCap; ++root) {
+      for (graph::VertexId target = 0; target < g.num_vertices; ++target) {
         Query q;
         q.id = id++;
         q.root = root;
         q.target = target;
         q.arrival_tick = now;
         ASSERT_TRUE(service.submit(q));
+        if (service.pending() < config.batch_size &&
+            target + 1 < g.num_vertices) {
+          continue;
+        }
         for (const auto& a : service.tick(now++, /*flush=*/true)) {
           if (a.outcome == serve::Outcome::kServed && a.pruned_wave) {
             served.push_back(a);
@@ -793,9 +767,9 @@ TEST(ServeService, PointCacheEvictsFifoAtItsCap) {
         }
       }
     }
-    if (served.size() <= config.point_cache_cap) GTEST_SKIP();
-    EXPECT_EQ(service.metrics().point_cache_evictions,
-              served.size() - config.point_cache_cap);
+    ASSERT_GT(served.size(), kCap);
+    EXPECT_EQ(service.metrics().point_cache_inserts, served.size());
+    EXPECT_EQ(service.metrics().point_cache_evictions, served.size() - kCap);
     // The oldest banked pair has been evicted: replaying it misses.
     const auto hits_before = service.metrics().point_cache_hits;
     Query q;

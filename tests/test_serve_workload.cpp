@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "serve/workload.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -167,6 +168,35 @@ TEST(ServeWorkload, PoissonMeanTracksLargeLambda) {
   // 256 ticks of Poisson(1000): sample mean within ~4 sigma of 1000 —
   // the pre-fix generator sat pinned near 780.
   EXPECT_NEAR(mean, 1000.0, 4.0 * std::sqrt(1000.0 / 256.0));
+}
+
+/// Hash of every field trace() sets, query by query.
+std::uint64_t trace_digest(const Workload& w) {
+  std::uint64_t h = 0;
+  for (const Query& q : w.trace()) {
+    const std::uint64_t fields[] = {q.id,
+                                    q.arrival_tick,
+                                    static_cast<std::uint64_t>(q.kind),
+                                    static_cast<std::uint64_t>(q.kernel),
+                                    q.root,
+                                    q.target,
+                                    q.deadline_tick};
+    h = util::hash_bytes(fields, sizeof(fields), h);
+  }
+  return h;
+}
+
+TEST(ServeWorkload, GoldenTraceDigest) {
+  // Pins the generated traces: the serving digests of the benchmark and
+  // the harnesses rest on them, so a rewrite of the generator must
+  // reproduce them query for query.
+  EXPECT_EQ(trace_digest(Workload(base_config())), 0x5a0437c906edbfd3ULL);
+
+  auto mixed = base_config();
+  mixed.analytics_fraction = 0.25;
+  mixed.nearest_fraction = 0.125;
+  mixed.deadline_ticks = 16;
+  EXPECT_EQ(trace_digest(Workload(mixed)), 0xd4374dc6d08f537cULL);
 }
 
 TEST(ServeWorkload, RejectsInvalidConfig) {
